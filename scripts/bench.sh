@@ -1,24 +1,13 @@
 #!/usr/bin/env bash
-# One entry point for the performance measurements:
-#   * the raw hot-path throughput (loads/s, CTLoads/s) -> BENCH_hotpath.json
-#   * the bulk DS-sweep kernels + fork-based sanitizer -> BENCH_sweep.json
-#   * the parallel/cached verification engine          -> BENCH_analysis.json
+# The repo's benchmark: perfbench/run.py on each of its three workloads
+# (fig-ct, fig-bia, verify).  Extra arguments pass through to every
+# run; see perfbench/README.md for the metrics and the method.
 #
-# Both reports carry their seed baselines, so the speedup ratios stay
-# visible; the perf-marked pytest wrappers in benchmarks/ assert the
-# same floors in CI form (`pytest benchmarks/ -m perf --benchmark-only`).
-#
-# Usage: scripts/bench.sh [--repeats N]
+# Usage: scripts/bench.sh [--seed N] [--seconds S] [--trace 0|1]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-
-echo "== hot-path throughput (BENCH_hotpath.json)"
-python benchmarks/bench_simulator_hotpath.py
-
-echo "== bulk DS-sweep kernels + warm-start sanitizer (BENCH_sweep.json)"
-python -m repro bench --write "$@"
-
-echo "== parallel/cached verification engine (BENCH_analysis.json)"
-python benchmarks/bench_analysis_pipeline.py
+for workload in fig-ct fig-bia verify; do
+    echo "== perfbench/run.py --workload $workload"
+    python3 perfbench/run.py --workload "$workload" "$@"
+done

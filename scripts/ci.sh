@@ -2,13 +2,12 @@
 # The one-command CI gate: everything a PR must pass, in the order
 # that fails fastest.
 #   1. style lint (ruff, when installed; config in pyproject.toml)
-#   2. tier-1 test suite (pytest tests/ — includes the fault-injection
-#      resilience tests and the crash/resume store tests)
-#   3. the domain lint: `python -m repro ctcheck --all --jobs 2` — the
+#   2. tier-1 test suite (pytest tests/ — includes the engine's
+#      failure-rule tests and the crash/resume store tests)
+#   3. the domain lint: `python -m repro ctcheck --all` — the
 #      constant-time checker over every built-in IR program and every
 #      workload's registered DS linearization sets (exits 1 on
-#      error-severity findings), fanned across the verification
-#      engine's worker pool and populating a verdict cache; a second
+#      error-severity findings), populating a verdict cache; a second
 #      warm pass must then serve every target from the cache
 #      (re-checking anything means the content-addressed keys or the
 #      cache round-trip regressed)
@@ -20,9 +19,10 @@
 #   5. the automatic repair smoke (scripts/repair_smoke.py): every
 #      leaky builtin must auto-repair to CT-PROVED within the 1.5x
 #      overhead budget — a residual CT-REL exits nonzero
-#   6. a perf sanity pass: `python -m repro bench --repeats 1` (single
-#      repeat — a smoke that the measured hot paths still run, not a
-#      stable throughput number; scripts/bench.sh records those)
+#   6. a perf smoke: the benchmark's self-tests, then one short
+#      `verify` run that must end with `"correct": true` (a smoke that
+#      the measured paths still run and match their digests, not a
+#      stable number; scripts/bench.sh runs the full benchmark)
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -40,10 +40,10 @@ fi
 echo "== tier-1 tests (pytest tests/)"
 python -m pytest tests/ -q "$@"
 
-echo "== constant-time check (python -m repro ctcheck --all --jobs 2)"
+echo "== constant-time check (python -m repro ctcheck --all)"
 VCACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$VCACHE_DIR"' EXIT
-python -m repro ctcheck --all --jobs 2 --vcache "$VCACHE_DIR"
+python -m repro ctcheck --all --vcache "$VCACHE_DIR"
 
 echo "== ctcheck warm verdict-cache pass (must re-check nothing)"
 warm_err="$(python -m repro ctcheck --all --vcache "$VCACHE_DIR" 2>&1 >/dev/null)"
@@ -56,7 +56,10 @@ python scripts/symrel_smoke.py
 echo "== automatic repair smoke (scripts/repair_smoke.py)"
 python scripts/repair_smoke.py
 
-echo "== perf smoke (python -m repro bench --repeats 1)"
-python -m repro bench --repeats 1
+echo "== perf smoke (perfbench self-tests + a 1 s verify run)"
+python3 perfbench/selftest.py
+bench_out="$(python3 perfbench/run.py --workload verify --seconds 1)"
+echo "$bench_out" | tail -n 1
+tail -n 1 <<<"$bench_out" | grep -q '"correct": true'
 
 echo "== CI gate passed"

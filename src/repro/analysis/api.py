@@ -367,7 +367,6 @@ def run_ctcheck(
     replay: bool = True,
     repair: bool = False,
     repair_max_rounds: int = 12,
-    jobs: int = 1,
     vcache=None,
 ) -> CTCheckResult:
     """Check built-in IR programs and/or workload DS registrations.
@@ -397,13 +396,12 @@ def run_ctcheck(
     Every target runs through the verification engine
     (:mod:`repro.analysis.engine`): each program is checked under a
     fresh intern scope with one solver shared across the
-    lint/native/mitigated/repair passes, ``jobs > 1`` fans targets
-    across a process pool, and ``vcache`` (a
+    lint/native/mitigated/repair passes, and ``vcache`` (a
     :class:`~repro.analysis.vcache.VerdictCache`) serves unchanged
     targets their cached findings bit-identically.  Findings are
     merged in target order (programs in request order, then
-    workloads), so ``--json`` output is byte-identical between
-    serial, parallel, and cached runs.
+    workloads), so ``--json`` output is byte-identical between fresh
+    and cached runs.
     """
     from repro.analysis.engine import CheckSpec, run_check_specs
     from repro.workloads import WORKLOADS
@@ -443,7 +441,7 @@ def run_ctcheck(
                     seed=seed,
                 )
             )
-    outputs = run_check_specs(specs, jobs=jobs, vcache=vcache)
+    outputs = run_check_specs(specs, vcache=vcache)
     for spec, output in zip(specs, outputs):
         result.findings.extend(output.findings)
         result.checked.append(f"{spec.kind}:{spec.name}")

@@ -1,11 +1,10 @@
-"""Parallel, incrementally-cached verification engine.
+"""Incrementally-cached verification engine.
 
 One ``ctcheck`` invocation is a bag of independent *check targets* —
 IR programs (lint + relational symbolic checking + automatic repair)
 and workloads (dynamic DS audits).  Each target is described by a
 :class:`CheckSpec`, executed by :func:`check_target`, and produces a
-:class:`CheckOutput`; :func:`run_check_specs` executes a batch, in
-order of preference:
+:class:`CheckOutput`; :func:`run_check_specs` executes a batch:
 
 1. **Verdict cache** — every spec is content-addressed by
    :meth:`CheckSpec.key` (canonical IR hash x checker configuration x
@@ -13,12 +12,11 @@ order of preference:
    :class:`~repro.analysis.vcache.VerdictCache` when an identical
    check already ran; served findings are bit-identical to a fresh
    run.
-2. **Fan-out** — remaining specs run across a
-   ``ProcessPoolExecutor`` (``jobs > 1``), reusing the experiment
-   engine's submit/retry/timeout/respawn machinery
-   (:mod:`repro.experiments.parallel`); a sandbox that cannot fork
-   degrades to in-process execution.
-3. **Inline** — everything else runs serially in this process.
+2. **Execution** — the remaining specs go to the experiment engine's
+   batch executor (:func:`repro.experiments.parallel.execute`), with
+   the same failure rule and salvage into the verdict cache.  Checks
+   take milliseconds, so ``ctcheck`` runs them in-process; ``jobs >
+   1`` fans them across a process pool for library callers.
 
 Determinism: a spec fully determines its output.  Every program check
 runs under a fresh intern scope
@@ -51,7 +49,6 @@ from repro.analysis.ctlint import Finding
 from repro.analysis.symrel import symrel_findings
 from repro.analysis.symrel.expr import intern_scope
 from repro.analysis.symrel.solve import Solver
-from repro.errors import EngineError
 from repro.lang import ir
 from repro.lang.pretty import dump
 
@@ -191,86 +188,32 @@ def check_target(spec: CheckSpec) -> CheckOutput:
     return output
 
 
-#: Persistent worker-pool slot shared by every ``run_check_specs``
-#: call in this process (one-element list, the
-#: :func:`~repro.experiments.parallel._run_pool` contract).  Spawning
-#: a pool forks the parent and copy-on-write-faults its whole heap in
-#: each worker — by far the dominant fan-out cost for check batches —
-#: so the workers stay warm across batches.  The executor's own
-#: ``atexit`` hook reaps them at interpreter shutdown.
-_POOL_SLOT: List = [None]
-_POOL_JOBS: int = 0
-
-
-def _pool_slot(jobs: int) -> List:
-    """The process-wide pool slot, recycled when ``jobs`` changes."""
-    global _POOL_JOBS
-    if _POOL_JOBS != jobs:
-        if _POOL_SLOT[0] is not None:
-            _POOL_SLOT[0].shutdown(wait=False)
-            _POOL_SLOT[0] = None
-        _POOL_JOBS = jobs
-    return _POOL_SLOT
-
-
 def run_check_specs(
     specs: Sequence[CheckSpec],
     jobs: int = 1,
     vcache=None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.05,
 ) -> List[CheckOutput]:
     """Execute ``specs``, returning outputs in submission order.
 
     ``vcache`` (a :class:`~repro.analysis.vcache.VerdictCache`) serves
     already-proved specs without execution and receives every fresh
-    output the moment it completes (salvage-at-delivery, same contract
-    as the experiment engine).  ``jobs > 1`` fans the cache misses
-    across a process pool with per-spec ``timeout``/``retries``; any
-    spec that ultimately fails raises
+    output the moment it completes.  The rest run through
+    :func:`repro.experiments.parallel.execute`: ``jobs > 1`` fans them
+    across a process pool, and any spec that fails raises
     :class:`~repro.errors.EngineError` carrying the per-spec failure
     log and the completed outputs.
     """
-    from repro.experiments.parallel import (
-        _BatchState,
-        _run_inline,
-        _run_pool,
-        _Task,
-    )
+    from repro.experiments.parallel import execute
 
-    state = _BatchState(
-        vcache, None, "ctcheck", timeout, retries, backoff
-    )
     keys = [spec.key() for spec in specs]
-    tasks: List[_Task] = []
-    seen: set = set()
-    for spec, key in zip(specs, keys):
-        if key in seen:
-            continue  # duplicate target in one batch: check once
-        seen.add(key)
-        if vcache is not None:
+    unique = dict(zip(keys, specs))  # duplicate targets: check once
+    results: Dict[str, CheckOutput] = {}
+    if vcache is not None:
+        for key in unique:
             hit = vcache.get(key)
             if hit is not None:
-                state.results[key] = hit
-                continue
-        tasks.append(_Task(spec, key))
-
-    if tasks:
-        if jobs > 1 and len(tasks) > 1:
-            leftover = _run_pool(
-                tasks, jobs, state, fn=check_target,
-                pool_slot=_pool_slot(jobs),
-            )
-        else:
-            leftover = list(tasks)
-        if leftover:
-            _run_inline(leftover, state, fn=check_target)
-
-    if state.failures:
-        raise EngineError(
-            state.failures,
-            completed=dict(state.results),
-            total=len(set(keys)),
-        )
-    return [state.results[key] for key in keys]
+                results[key] = hit
+    pending = [(k, spec) for k, spec in unique.items() if k not in results]
+    execute(pending, check_target, jobs, results,
+            None if vcache is None else vcache.put)
+    return [results[key] for key in keys]

@@ -57,11 +57,10 @@ class VCacheStats:
 class VerdictCache:
     """Content-addressed ``key -> CheckOutput`` store for the engine.
 
-    Satisfies the ``get``/``put`` protocol the batch executor's
-    delivery path expects (:class:`repro.experiments.parallel.
-    _BatchState` salvages every completed check into the cache the
-    moment it finishes), so a crashed or interrupted run still keeps
-    the verdicts it produced.
+    :func:`repro.analysis.engine.run_check_specs` hands ``put`` to the
+    batch executor as its delivery hook, which salvages every completed
+    check into the cache the moment it finishes, so a crashed or
+    interrupted run still keeps the verdicts it produced.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
@@ -112,12 +111,8 @@ class VerdictCache:
         self.stats.misses += 1
         return None
 
-    def put(self, key: str, output: object, spec: object = None) -> None:
-        """Store one verdict, durably when the cache is on disk.
-
-        ``spec`` is accepted (and ignored) for signature compatibility
-        with the experiment store's delivery hook.
-        """
+    def put(self, key: str, output: object) -> None:
+        """Store one verdict, durably when the cache is on disk."""
         self._memory[key] = output
         self.stats.stores += 1
         if self.path is None:

@@ -105,26 +105,9 @@ def _cmd_workloads(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.experiments.__main__ import main as experiments_main
+    from repro.experiments.__main__ import run
 
-    argv = list(args.target)
-    if args.jobs != 1:
-        argv = [f"--jobs={args.jobs}"] + argv
-    if args.no_cache:
-        argv = ["--no-cache"] + argv
-    if args.timeout is not None:
-        argv = [f"--timeout={args.timeout}"] + argv
-    if args.retries:
-        argv = [f"--retries={args.retries}"] + argv
-    if args.run_log:
-        argv = [f"--run-log={args.run_log}"] + argv
-    if args.run_dir:
-        argv = [f"--run-dir={args.run_dir}"] + argv
-    if args.resume:
-        argv = [f"--resume={args.resume}"] + argv
-    if args.from_store:
-        argv = [f"--from-store={args.from_store}"] + argv
-    return experiments_main(argv)
+    return run(args)
 
 
 def _cmd_ctcheck(args) -> int:
@@ -172,12 +155,11 @@ def _cmd_ctcheck(args) -> int:
         replay=not args.no_replay,
         repair=args.repair,
         repair_max_rounds=args.max_rounds,
-        jobs=args.jobs,
         vcache=vcache,
     )
     if vcache is not None:
         # Engine stats go to stderr so --json stdout stays
-        # byte-identical between cold, warm, and parallel runs.
+        # byte-identical between cold and warm runs.
         print(
             f"ctcheck engine: {vcache.stats.misses} target(s) checked, "
             f"{vcache.stats.hits} served from verdict cache",
@@ -211,32 +193,12 @@ def _cmd_ctcheck(args) -> int:
     return result.exit_code
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro import bench
-
-    if args.repeats < 1:
-        raise SystemExit("bench: --repeats must be >= 1")
-    report = bench.measure(repeats=args.repeats)
-    if args.write:
-        bench.write_report(report)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"DS sweep:    {report['ds_sweep_lines_per_sec']:>9} lines/s  "
-              f"({report['speedup_ds_sweep']}x vs seed)")
-        print(f"DS gather:   {report['ds_gather_lines_per_sec']:>9} lines/s  "
-              f"({report['speedup_ds_gather']}x vs seed)")
-        print(f"sanitizer:   {report['sanitizer_wall_seconds']:>9} s (fork), "
-              f"{report['sanitizer_rebuild_wall_seconds']} s (rebuild), "
-              f"{report['speedup_sanitizer']}x vs seed")
-        if args.write:
-            print(f"wrote {bench.BENCH_SWEEP_PATH}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.__main__ import (
+        add_arguments as add_experiment_arguments,
+        int_at_least,
+    )
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of 'Hardware Support for Constant-Time "
@@ -272,58 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     workloads.set_defaults(fn=_cmd_workloads)
 
     experiments = sub.add_parser(
-        "experiments", help="regenerate the paper's tables/figures"
+        "experiments",
+        help="regenerate the paper's tables/figures",
+        allow_abbrev=False,
     )
-    experiments.add_argument("target", nargs="*", default=["all"])
-    experiments.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent simulations",
-    )
-    experiments.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache (.repro_results/)",
-    )
-    experiments.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-simulation wall-time budget in seconds",
-    )
-    experiments.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry failing/hanging simulations this many times",
-    )
-    experiments.add_argument(
-        "--run-log",
-        default=None,
-        help="write the telemetry run log (JSONL, one record per attempt)",
-    )
-    experiments.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="crash-safe run directory: manifest + durable results + "
-        "streaming telemetry (resumable with --resume DIR)",
-    )
-    experiments.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="finish an interrupted sweep from its run directory "
-        "(already-durable specs are served from the store)",
-    )
-    experiments.add_argument(
-        "--from-store",
-        default=None,
-        metavar="DIR",
-        help="rebuild targets offline from a run directory's store "
-        "(missing specs error instead of simulating)",
-    )
+    add_experiment_arguments(experiments)
     experiments.set_defaults(fn=_cmd_experiments)
 
     ctcheck = sub.add_parser(
@@ -374,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctcheck.add_argument(
         "--spec-window",
-        type=int,
+        type=int_at_least(0),
         default=0,
         metavar="N",
         help="with --symbolic: explore mispredicted branch directions "
@@ -409,19 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctcheck.add_argument(
         "--max-rounds",
-        type=int,
+        type=int_at_least(0),
         default=12,
         metavar="N",
         help="with --repair: give up after N localize/transform/"
         "re-prove rounds per program (default 12)",
-    )
-    ctcheck.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="check independent targets across N worker processes "
-        "(output is byte-identical to a serial run)",
     )
     ctcheck.add_argument(
         "--vcache",
@@ -432,26 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checker-config change, or version bump forces a re-check",
     )
     ctcheck.set_defaults(fn=_cmd_ctcheck)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure bulk-kernel + warm-start throughput (BENCH_sweep)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N for throughputs, min-of-N for wall times",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    bench.add_argument(
-        "--write",
-        action="store_true",
-        help="also rewrite BENCH_sweep.json at the repo root",
-    )
-    bench.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -74,35 +74,30 @@ class ProtocolError(ReproError):
 
 @dataclass
 class SpecFailure:
-    """One spec's terminal failure inside an engine batch.
+    """One spec's failure inside an engine batch.
 
-    Collected by :func:`repro.experiments.parallel.run_many` while the
+    Collected by :func:`repro.experiments.parallel.execute` while the
     rest of the batch keeps running; the full list rides on the
     :class:`EngineError` raised once the batch drains.
 
-    ``kind`` distinguishes the failure mode: ``"error"`` (the spec's
-    simulation raised), ``"timeout"`` (it exceeded the per-spec
-    timeout), or ``"crash"`` (its worker process died).
+    ``kind`` distinguishes the failure mode: ``"error"`` (the spec
+    raised), ``"crash"`` (a worker process died before the spec's
+    result was delivered), or ``"missing"`` (an offline rebuild found
+    no stored result).
     """
 
     spec: Any
     key: str
     kind: str
-    attempts: int
     error: Optional[str] = None
-    wall_time: float = 0.0
 
     def describe(self) -> str:
         detail = f": {self.error}" if self.error else ""
-        return (
-            f"{self.spec!r} [{self.kind} after "
-            f"{self.attempts} attempt{'s' if self.attempts != 1 else ''}]"
-            f"{detail}"
-        )
+        return f"{self.spec!r} [{self.kind}]{detail}"
 
 
 class EngineError(ReproError):
-    """A batch finished, but some specs failed beyond their retry budget.
+    """A batch finished, but some specs failed.
 
     The engine is salvage-first: every spec that *did* complete has
     already been stored in the result cache before this is raised, so a
@@ -111,7 +106,7 @@ class EngineError(ReproError):
 
     ``failures``
         ``List[SpecFailure]`` — exactly the specs that did not produce
-        a result, each with its failure kind, attempt count, and last
+        a result, in submission order, each with its failure kind and
         error text.
     ``completed``
         ``Dict[key, result]`` — the salvaged results of this batch
@@ -123,13 +118,10 @@ class EngineError(ReproError):
         self,
         failures: List[SpecFailure],
         completed: Optional[Dict[str, Any]] = None,
-        total: Optional[int] = None,
     ) -> None:
         self.failures = list(failures)
         self.completed = dict(completed or {})
-        self.total = total if total is not None else (
-            len(self.failures) + len(self.completed)
-        )
+        self.total = len(self.failures) + len(self.completed)
         lines = "\n".join(f"  - {f.describe()}" for f in self.failures)
         super().__init__(
             f"{len(self.failures)}/{self.total} spec(s) failed "

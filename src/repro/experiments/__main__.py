@@ -3,10 +3,12 @@
 Usage::
 
     python -m repro.experiments [--jobs N] [--no-cache]
-                                [--timeout S] [--retries N]
-                                [--run-log FILE] [--run-dir DIR]
-                                [--resume DIR] [--from-store DIR]
+                                [--run-dir DIR | --resume DIR |
+                                 --from-store DIR]
                                 [target ...]
+
+``python -m repro experiments`` takes the same arguments (both entry
+points share :func:`add_arguments`).
 
 Targets: ``table1``, ``motivation``, ``fig2``, ``fig7``, ``fig8``,
 ``fig9``, ``fig10``, ``headline``, or ``all`` (default).  Full paper
@@ -18,29 +20,25 @@ sweeps take a few minutes; each target prints as it completes.
 cross-figure shared baselines cost nothing; ``--no-cache`` disables
 the cache for this invocation.
 
-Resilience knobs: ``--timeout S`` bounds each simulation's wall time,
-``--retries N`` re-attempts failing/hanging/crashed simulations with
-exponential backoff.  A target whose batch still fails prints the
-engine's per-spec failure log and the run continues with the next
-target (exit status 1 at the end).  Every attempt is recorded by the
-telemetry sink: a summary table prints at the end, and ``--run-log
-FILE`` exports the full JSONL run log (one record per attempt).
+A target whose batch fails prints the engine's per-spec failure log
+and the run continues with the next target (exit status 1 at the end).
+Completed simulations are already cached, so a re-run only simulates
+the failures.
 
 Durability (checkpoint/resume):
 
 ``--run-dir DIR``
     Open ``DIR`` as a crash-safe run directory (see
     :mod:`repro.experiments.store`): the sweep's specs are recorded in
-    ``DIR/manifest.json`` before execution, every completed result is
-    appended durably to ``DIR/results/`` as it arrives, and telemetry
-    streams to ``DIR/telemetry.jsonl``.  Re-running with the same
-    ``--run-dir`` serves already-durable specs from the store.
+    ``DIR/manifest.json`` before execution and every completed result
+    is appended durably to ``DIR/results/`` as it arrives.  Re-running
+    with the same ``--run-dir`` serves already-durable specs from the
+    store.
 ``--resume DIR``
     Finish an interrupted sweep: re-enqueue exactly the manifest's
-    specs (engine settings default to the manifest's snapshot; explicit
-    flags override) and simulate only the ones whose results are not
-    yet durable.  No target names are needed — the manifest *is* the
-    work list.
+    specs (``--jobs`` defaults to the manifest's snapshot) and simulate
+    only the ones whose results are not yet durable.  No target names
+    are needed — the manifest *is* the work list.
 ``--from-store DIR``
     Rebuild the requested targets offline from ``DIR``'s store; a spec
     missing from the store is an error, never a simulation.
@@ -48,6 +46,7 @@ Durability (checkpoint/resume):
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 
@@ -55,7 +54,6 @@ from repro.errors import EngineError
 from repro.experiments import figures, parallel, tables
 from repro.experiments.figures import headline_reduction
 from repro.experiments.report import format_table
-from repro.experiments.telemetry import RunTelemetry
 
 
 def _headline() -> str:
@@ -96,91 +94,97 @@ TARGETS = {
 }
 
 
-def _parse_engine_flags(argv):
-    """Split ``argv`` into (engine options, provided names, remaining).
+def int_at_least(low: int):
+    """An argparse ``type`` accepting integers no smaller than ``low``."""
 
-    Recognized: ``--jobs N``, ``--timeout S``, ``--retries N``,
-    ``--run-log FILE``, ``--run-dir DIR``, ``--resume DIR``,
-    ``--from-store DIR`` (each also in ``--flag=value`` form) and
-    ``--no-cache``.  Unknown ``-``-prefixed args are passed through
-    (and later ignored, matching the historical behaviour).
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
 
-    ``provided`` names the options the user actually typed, so
-    ``--resume`` can tell an explicit ``--jobs 4`` apart from the
-    default and let the manifest's settings snapshot fill the rest.
-    """
-    opts = {
-        "jobs": 1,
-        "use_cache": True,
-        "timeout": None,
-        "retries": 0,
-        "run_log": None,
-        "run_dir": None,
-        "resume": None,
-        "from_store": None,
-    }
-    valued = {
-        "--jobs": ("jobs", int),
-        "--timeout": ("timeout", float),
-        "--retries": ("retries", int),
-        "--run-log": ("run_log", str),
-        "--run-dir": ("run_dir", str),
-        "--resume": ("resume", str),
-        "--from-store": ("from_store", str),
-    }
-    provided = set()
-    rest = []
-    it = iter(argv)
-    for arg in it:
-        name, _, inline = arg.partition("=")
-        if name in valued:
-            key, cast = valued[name]
-            opts[key] = cast(inline if inline else next(it, ""))
-            provided.add(key)
-        elif arg == "--no-cache":
-            opts["use_cache"] = False
-            provided.add("use_cache")
-        else:
-            rest.append(arg)
-    return opts, provided, rest
+    return parse
 
 
-def _resume_main(opts, provided, telemetry) -> int:
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The experiment flags, shared by both command-line entry points."""
+    parser.add_argument(
+        "target",
+        nargs="*",
+        help=f"targets to regenerate: {', '.join(TARGETS)} or all "
+        "(default: all but json)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int_at_least(1),
+        default=None,
+        metavar="N",
+        help="worker processes for independent simulations (default 1; "
+        "with --resume, the manifest's value)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache (.repro_results/)",
+    )
+    durable = parser.add_mutually_exclusive_group()
+    durable.add_argument(
+        "--run-dir",
+        metavar="DIR",
+        help="crash-safe run directory: manifest + durable results "
+        "(resumable with --resume DIR)",
+    )
+    durable.add_argument(
+        "--resume",
+        metavar="DIR",
+        help="finish an interrupted sweep from its run directory "
+        "(already-durable specs are served from the store)",
+    )
+    durable.add_argument(
+        "--from-store",
+        metavar="DIR",
+        help="rebuild targets offline from a run directory's store "
+        "(missing specs error instead of simulating)",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate the paper's tables and figures.",
+        allow_abbrev=False,
+    )
+    add_arguments(parser)
+    return parser
+
+
+def _resume(args) -> int:
     """``--resume DIR``: finish the manifest, no targets involved."""
     from repro.experiments import store
 
-    rd = store.RunDirectory(opts["resume"])
-    telemetry.stream_to(rd.telemetry_path)
-    status = 0
+    rd = store.RunDirectory(args.resume)
     try:
-        results = store.resume(
-            rd,
-            jobs=opts["jobs"] if "jobs" in provided else None,
-            timeout=opts["timeout"] if "timeout" in provided else None,
-            retries=opts["retries"] if "retries" in provided else None,
-            telemetry=telemetry,
-        )
+        results = store.resume(rd, jobs=args.jobs)
         print(f"resumed {rd.path}: {len(results)} result(s) complete")
+        return 0
     except EngineError as exc:
-        status = 1
         print(f"[resume FAILED] {exc}")
+        return 1
     finally:
-        telemetry.close_stream()
         rd.close()
-    return status
 
 
-def main(argv) -> int:
-    opts, provided, argv = _parse_engine_flags(argv)
-    telemetry = RunTelemetry()
+def run(args) -> int:
+    """Execute parsed experiment arguments (see :func:`add_arguments`)."""
+    if args.resume:
+        return _resume(args)
 
-    if opts["resume"]:
-        status = _resume_main(opts, provided, telemetry)
-        if telemetry.records:
-            print(telemetry.summary_table())
-        return status
-
-    names = [a for a in argv if not a.startswith("-")] or ["all"]
+    names = args.target or ["all"]
     if names == ["all"]:
         # `json` re-runs every sweep and writes a file; request it
         # explicitly (python -m repro.experiments json).
@@ -190,31 +194,23 @@ def main(argv) -> int:
         print(f"unknown targets: {unknown}; choices: {sorted(TARGETS)} or all")
         return 2
     cache = (
-        parallel.ResultCache(parallel.DEFAULT_CACHE_DIR)
-        if opts["use_cache"]
-        else None
+        None
+        if args.no_cache
+        else parallel.ResultCache(parallel.DEFAULT_CACHE_DIR)
     )
     run_dir = None
-    offline = False
-    if opts["from_store"]:
+    if args.from_store or args.run_dir:
         from repro.experiments.store import RunDirectory
 
-        run_dir = RunDirectory(opts["from_store"], readonly=True)
-        offline = True
-    elif opts["run_dir"]:
-        from repro.experiments.store import RunDirectory
-
-        run_dir = RunDirectory(opts["run_dir"])
-        telemetry.stream_to(run_dir.telemetry_path)
+        run_dir = RunDirectory(
+            args.from_store or args.run_dir, readonly=bool(args.from_store)
+        )
     prev = parallel.current_settings()
     parallel.configure(
-        jobs=opts["jobs"],
+        jobs=args.jobs or 1,
         cache=cache,
-        timeout=opts["timeout"],
-        retries=opts["retries"],
-        telemetry=telemetry,
         store=run_dir,
-        offline=offline,
+        offline=bool(args.from_store),
     )
     status = 0
     try:
@@ -230,15 +226,13 @@ def main(argv) -> int:
             print(f"[{name} done in {time.time() - start:.1f}s]\n")
     finally:
         parallel.configure(**prev._asdict())
-        telemetry.close_stream()
-        if run_dir is not None and not offline:
+        if run_dir is not None and not run_dir.readonly:
             run_dir.close()
-    if telemetry.records:
-        print(telemetry.summary_table())
-    if opts["run_log"]:
-        count = telemetry.export_jsonl(opts["run_log"])
-        print(f"wrote {count} run record(s) to {opts['run_log']}")
     return status
+
+
+def main(argv) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

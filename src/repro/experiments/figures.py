@@ -51,7 +51,6 @@ def figure2(
         ],
         store=store,
         offline=offline,
-        label="fig2",
     )
     it = iter(results)
     out: Dict[int, Dict[str, float]] = {}
@@ -99,7 +98,6 @@ def figure7(
         ],
         store=store,
         offline=offline,
-        label=f"fig7:{workload}",
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}
@@ -166,7 +164,6 @@ def figure8(
         ],
         store=store,
         offline=offline,
-        label="fig8",
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}
@@ -224,7 +221,6 @@ def figure9(
         ],
         store=store,
         offline=offline,
-        label="fig9",
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}

@@ -1,4 +1,4 @@
-"""Parallel experiment engine with a content-addressed result cache.
+"""Experiment engine: content-addressed specs, result cache, one executor.
 
 Every figure/table in the paper reduces to a bag of independent
 ``(workload, size, scheme, seed)`` simulations — each builds a fresh
@@ -14,10 +14,11 @@ on:
   optionally backed by a directory of pickle files (one per key) so
   results survive across processes.  Figures 2/7/8 all share the same
   ``insecure`` baselines; with a cache they are simulated once.
+* :func:`execute` — the one batch executor, shared with the
+  verification engine (:mod:`repro.analysis.engine`).
 * :func:`run_many` — execute a sequence of specs, deduplicating
-  identical specs, consulting the cache, and fanning the remaining
-  work across a :class:`~concurrent.futures.ProcessPoolExecutor` when
-  ``jobs > 1``.
+  identical specs, consulting the cache and the durable store, and
+  handing the rest to :func:`execute`.
 * :func:`parallel_sweep` — drop-in replacement for
   :func:`repro.experiments.runner.sweep` returning the identical
   ``{size: {scheme: RunResult}}`` mapping.
@@ -35,79 +36,58 @@ run bit-identical counters to a fresh-machine run.  The test suite
 asserts ``parallel_sweep(jobs=4)`` is counter-identical to the serial
 ``sweep`` and pooled runs counter-identical to unpooled.
 
-Fault tolerance (the engine contract)
--------------------------------------
+Failure rule
+------------
 
-One failing spec must never cost the rest of the batch.  ``run_many``
-submits each unique spec individually and collects completions as they
-arrive, so:
-
-* a spec whose simulation **raises** is retried up to ``retries``
-  times with exponential backoff, then recorded as failed;
-* a spec that **exceeds the per-spec timeout** is abandoned (its
-  worker keeps the slot until it returns; the result is discarded) and
-  retried/failed the same way — in serial mode the timeout is
-  enforced post-hoc, since an in-process run cannot be preempted;
-* a **worker-process death** (``BrokenProcessPool``) fails only the
-  in-flight specs as "crash" attempts, then the pool is respawned (a
-  bounded number of times) and work resumes; if the pool cannot be
-  (re)created at all — e.g. sandboxes that forbid ``fork`` — the
-  engine degrades to in-process execution;
-* every completed result is delivered to the cache *immediately*, so
-  when the batch ultimately fails the successes are salvaged and the
-  raised :class:`~repro.errors.EngineError` carries the per-spec
-  failure log (kind, attempts, last error) plus the salvaged results.
-
-Telemetry: pass a :class:`~repro.experiments.telemetry.RunTelemetry`
-(argument or :func:`configure` default) to receive one record per
-attempt plus progress callbacks; see that module for the JSONL run-log
-format.
+Simulations are deterministic and sub-second, so the executor neither
+retries nor times out.  A spec that raises is recorded as a
+:class:`~repro.errors.SpecFailure` of kind ``"error"`` while the rest
+of the batch runs on; a worker death breaks the pool, and every spec
+not yet delivered fails as ``"crash"``.  Each completed result reaches
+the cache (and the durable store) the moment it arrives, so when the
+drained batch raises :class:`~repro.errors.EngineError` the successes
+are already salvaged, and a re-run — or
+:func:`repro.experiments.store.resume` — simulates only the failures.
 
 Durability (checkpoint/resume): pass a
 :class:`~repro.experiments.store.RunDirectory` (or bare
 :class:`~repro.experiments.store.ResultStore`) as ``store=``.  The
 batch's unique specs are registered in the sweep manifest *before*
-execution starts, every completed result is appended durably as its
-future completes (salvage-at-delivery included), and specs whose
-results are already durable are served from the store — telemetry
-outcome ``"stored"`` — without re-simulation.
-:func:`repro.experiments.store.resume` replays a manifest after a
-crash; ``offline=True`` turns a missing result into an
-:class:`~repro.errors.EngineError` instead of a simulation, which is
-how reports are rebuilt offline from a run directory.
+execution starts, every completed result is appended durably as it
+arrives, and specs whose results are already durable are served from
+the store without re-simulation.  ``offline=True`` turns a missing
+result into an :class:`~repro.errors.EngineError` instead of a
+simulation, which is how reports are rebuilt offline from a run
+directory.
 
 Process-global defaults (used by the CLI's ``--jobs`` / ``--no-cache``
-/ ``--timeout`` / ``--retries`` flags) are set with :func:`configure`;
-explicit arguments always win.
+/ ``--run-dir`` / ``--from-store`` flags) are set with
+:func:`configure`; explicit arguments always win.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import pickle
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import repro
 from repro.core.machine import Machine, MachineConfig, MachineState
 from repro.ct.context import MitigationContext
 from repro.errors import ConfigurationError, EngineError, SpecFailure
 from repro.experiments.config import build_context
-from repro.experiments.faults import FAULT_PLAN_ENV
 from repro.experiments.runner import RunResult, run_crypto, run_workload
-from repro.experiments.telemetry import RunRecord, RunTelemetry
 
 #: Default on-disk cache directory (relative to the current working
 #: directory) used by the CLI when caching is enabled.
 DEFAULT_CACHE_DIR = ".repro_results"
-
 
 # -- specs ---------------------------------------------------------------------
 
@@ -194,17 +174,7 @@ class RunSpec:
 
 
 def run_spec(spec: RunSpec) -> RunResult:
-    """Top-level trampoline so specs can cross a process boundary.
-
-    Test-only hook: when the :data:`~repro.experiments.faults.
-    FAULT_PLAN_ENV` environment variable is armed (resilience tests
-    only — never in production runs), a matching fault rule may raise,
-    delay, or kill this process before the simulation starts.
-    """
-    if os.environ.get(FAULT_PLAN_ENV):
-        from repro.experiments.faults import maybe_inject
-
-        maybe_inject(spec)
+    """Top-level trampoline so specs can cross a process boundary."""
     return spec.run()
 
 
@@ -396,527 +366,121 @@ class EngineSettings(NamedTuple):
     ``configure(**settings._asdict())``.
     """
 
-    jobs: int
-    cache: Optional[ResultCache]
-    timeout: Optional[float]
-    retries: int
-    backoff: float
-    telemetry: Optional[RunTelemetry]
-    store: Optional[object]
-    offline: bool
+    jobs: int = 1
+    cache: Optional[ResultCache] = None
+    #: durable result store (RunDirectory/ResultStore) or None
+    store: Optional[object] = None
+    #: offline mode: missing results raise instead of simulating
+    offline: bool = False
 
 
-class _Settings:
-    __slots__ = ("jobs", "cache", "timeout", "retries", "backoff",
-                 "telemetry", "store", "offline")
-
-    def __init__(self) -> None:
-        self.jobs: int = 1
-        self.cache: Optional[ResultCache] = None
-        #: per-spec wall-time budget in seconds (None = unlimited)
-        self.timeout: Optional[float] = None
-        #: extra attempts after the first failure (0 = fail fast)
-        self.retries: int = 0
-        #: base of the exponential retry backoff, in seconds
-        self.backoff: float = 0.05
-        self.telemetry: Optional[RunTelemetry] = None
-        #: durable result store (RunDirectory/ResultStore) or None
-        self.store: Optional[object] = None
-        #: offline mode: missing results raise instead of simulating
-        self.offline: bool = False
+_settings = EngineSettings()
 
 
-_settings = _Settings()
+def _check_jobs(jobs) -> int:
+    if jobs is None or int(jobs) < 1:
+        raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
+    return int(jobs)
 
 
-def configure(
-    jobs=_UNSET,
-    cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    backoff=_UNSET,
-    telemetry=_UNSET,
-    store=_UNSET,
-    offline=_UNSET,
-) -> None:
+def configure(**changes) -> None:
     """Set process-wide defaults for :func:`run_many`.
 
-    The CLI calls this once from its ``--jobs`` / ``--no-cache`` /
-    ``--timeout`` / ``--retries`` flags; library callers normally pass
-    explicit arguments instead.
+    Keywords are the fields of :class:`EngineSettings`.  The CLI calls
+    this once from its flags; library callers normally pass explicit
+    arguments instead.
     """
-    if jobs is not _UNSET:
-        if jobs is None or int(jobs) < 1:
-            raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
-        _settings.jobs = int(jobs)
-    if cache is not _UNSET:
-        _settings.cache = cache
-    if timeout is not _UNSET:
-        if timeout is not None and float(timeout) <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive or None: {timeout!r}"
-            )
-        _settings.timeout = None if timeout is None else float(timeout)
-    if retries is not _UNSET:
-        if retries is None or int(retries) < 0:
-            raise ConfigurationError(
-                f"retries must be a non-negative int: {retries!r}"
-            )
-        _settings.retries = int(retries)
-    if backoff is not _UNSET:
-        if backoff is None or float(backoff) < 0:
-            raise ConfigurationError(
-                f"backoff must be a non-negative float: {backoff!r}"
-            )
-        _settings.backoff = float(backoff)
-    if telemetry is not _UNSET:
-        _settings.telemetry = telemetry
-    if store is not _UNSET:
-        _settings.store = store
-    if offline is not _UNSET:
-        _settings.offline = bool(offline)
+    global _settings
+    if "jobs" in changes:
+        changes["jobs"] = _check_jobs(changes["jobs"])
+    if "offline" in changes:
+        changes["offline"] = bool(changes["offline"])
+    _settings = _settings._replace(**changes)
 
 
 def current_settings() -> EngineSettings:
     """The active engine defaults — introspection and save/restore."""
-    return EngineSettings(
-        jobs=_settings.jobs,
-        cache=_settings.cache,
-        timeout=_settings.timeout,
-        retries=_settings.retries,
-        backoff=_settings.backoff,
-        telemetry=_settings.telemetry,
-        store=_settings.store,
-        offline=_settings.offline,
-    )
+    return _settings
 
 
 # -- execution ----------------------------------------------------------------
 
-#: How many times a broken process pool is respawned before the engine
-#: degrades to in-process execution for the remaining specs.
-POOL_RESPAWN_LIMIT = 2
-
-#: Poll interval (seconds) of the completion loop when per-spec
-#: timeouts or retry backoffs may need servicing between completions.
-_POLL_INTERVAL = 0.05
-
-#: Submission depth: keep up to ``jobs * _QUEUE_DEPTH`` futures in
-#: flight so workers never starve between poll iterations.
-_QUEUE_DEPTH = 2
+_DIED = "worker process died"
 
 
-class _Task:
-    """Engine-internal per-unique-spec execution state."""
+def execute(
+    pending: Sequence[Tuple[str, object]],
+    fn: Callable,
+    jobs: int,
+    results: Dict[str, object],
+    deliver: Optional[Callable[[str, object], None]] = None,
+) -> None:
+    """Run ``fn(spec)`` for every ``(key, spec)`` in ``pending``.
 
-    __slots__ = ("spec", "key", "attempts", "crashes", "not_before")
+    The one batch executor of both engines.  Specs run in this process
+    when ``jobs == 1`` or only one is pending; otherwise the batch gets
+    one process pool of ``jobs`` workers.  Each result lands in
+    ``results[key]`` and goes to ``deliver(key, result)`` the moment it
+    completes, so it is salvaged even if a later spec fails.
 
-    def __init__(self, spec: RunSpec, key: str) -> None:
-        self.spec = spec
-        self.key = key
-        self.attempts = 0  # simulation attempts actually started
-        self.crashes = 0  # attempts lost to worker-process deaths
-        self.not_before = 0.0  # monotonic deadline for the next attempt
+    A spec that raises fails with kind ``"error"`` and the others still
+    run.  A dead worker breaks the pool: every spec not yet delivered
+    fails with kind ``"crash"``, with no retry and no fallback.  Once
+    the batch drains, any failure raises :class:`EngineError` listing
+    the failures in submission order, with ``results`` as ``completed``.
+    ``fn`` must be a picklable top-level function.
+    """
+    failures: Dict[str, SpecFailure] = {}
 
-
-class _BatchState:
-    """Shared mutable state of one ``run_many`` batch."""
-
-    def __init__(self, cache, telemetry, label, timeout, retries, backoff,
-                 store=None):
-        self.cache = cache
-        self.telemetry = telemetry
-        self.label = label
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.store = store
-        self.results: Dict[str, RunResult] = {}
-        self.failures: List[SpecFailure] = []
-
-    # -- telemetry ---------------------------------------------------------
-
-    def record(self, task: _Task, outcome: str, wall: float,
-               error: Optional[str], mode: str) -> None:
-        if self.telemetry is None:
-            return
-        spec = task.spec
-        self.telemetry.record(
-            RunRecord(
-                workload=spec.workload,
-                size=spec.size,
-                scheme=spec.scheme,
-                seed=spec.seed,
-                kind=spec.kind,
-                key=task.key,
-                outcome=outcome,
-                attempt=task.attempts,
-                wall_time=wall,
-                error=error,
-                cache_hit=False,
-                mode=mode,
-                label=self.label,
-            )
-        )
-
-    def record_cache_hit(self, spec: RunSpec, key: str) -> None:
-        self._record_served(spec, key, "cached", True, "cache")
-
-    def record_store_hit(self, spec: RunSpec, key: str) -> None:
-        """Spec served from the durable store: no simulation ran."""
-        self._record_served(spec, key, "stored", False, "store")
-
-    def _record_served(self, spec: RunSpec, key: str, outcome: str,
-                       cache_hit: bool, mode: str) -> None:
-        if self.telemetry is None:
-            return
-        self.telemetry.record(
-            RunRecord(
-                workload=spec.workload,
-                size=spec.size,
-                scheme=spec.scheme,
-                seed=spec.seed,
-                kind=spec.kind,
-                key=key,
-                outcome=outcome,
-                attempt=0,
-                wall_time=0.0,
-                error=None,
-                cache_hit=cache_hit,
-                mode=mode,
-                label=self.label,
-            )
-        )
-
-    # -- outcomes ----------------------------------------------------------
-
-    def deliver(self, task: _Task, result: RunResult, wall: float,
-                mode: str) -> None:
-        """A spec completed: salvage it into cache + store *now*.
-
-        Streaming delivery is the crash-safety half of the store
-        contract: the result becomes durable the moment its future
-        completes, not when the batch drains, so a later pool death
-        (or host reboot) cannot take it back.
-        """
-        self.results[task.key] = result
-        if self.cache is not None:
-            self.cache.put(task.key, result)
-        if self.store is not None:
-            self.store.put(task.key, result, spec=task.spec)
-        self.record(task, "ok", wall, None, mode)
-
-    def attempt_failed(self, task: _Task, kind: str, error: str,
-                       wall: float, mode: str) -> bool:
-        """Handle one failed attempt; True if the task will be retried.
-
-        ``kind`` is ``"error"``/``"timeout"``/``"crash"``.  Crash
-        attempts (worker-process deaths) have their own small budget —
-        tied to :data:`POOL_RESPAWN_LIMIT` — so one poisonous spec
-        killing a worker does not burn the retry budget of the
-        innocent specs that died with it.
-        """
-        if kind == "crash":
-            task.crashes += 1
-            retry = (
-                task.crashes <= POOL_RESPAWN_LIMIT
-                or task.attempts <= self.retries
-            )
+    def settle(key, spec, outcome) -> None:
+        try:
+            result = outcome()
+        except BrokenProcessPool:
+            failures[key] = SpecFailure(spec, key, "crash", _DIED)
+        except Exception as exc:  # noqa: BLE001 - engine boundary
+            failures[key] = SpecFailure(spec, key, "error",
+                                        f"{type(exc).__name__}: {exc}")
         else:
-            retry = task.attempts <= self.retries
-        if retry:
-            task.not_before = time.monotonic() + self.backoff * (
-                2 ** max(task.attempts - 1, 0)
-            )
-            self.record(task, "retry", wall, error, mode)
-            return True
-        outcome = {"error": "failed", "timeout": "timeout",
-                   "crash": "crash"}[kind]
-        self.record(task, outcome, wall, error, mode)
-        self.failures.append(
-            SpecFailure(
-                spec=task.spec,
-                key=task.key,
-                kind=kind,
-                attempts=task.attempts,
-                error=error,
-                wall_time=wall,
-            )
-        )
-        return False
+            results[key] = result
+            if deliver is not None:
+                deliver(key, result)
 
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_inline(tasks: Sequence[_Task], state: _BatchState,
-                fn=run_spec) -> None:
-    """Serial executor: one attempt at a time, in this process.
-
-    The per-spec timeout is enforced post-hoc (an in-process
-    simulation cannot be preempted): an attempt that comes back after
-    its budget is discarded and counted as a timeout, so the
-    spec-level outcome matches the pool executor's.
-
-    ``fn`` is the work function applied to each task's spec — the
-    experiment engine runs simulations (:func:`run_spec`), the
-    analysis engine runs checker targets; both share this executor's
-    retry/timeout/salvage contract.
-    """
-    for task in tasks:
-        while True:
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            task.attempts += 1
-            start = time.monotonic()
-            error = None
-            kind = None
-            result = None
-            try:
-                result = fn(task.spec)
-            except Exception as exc:  # noqa: BLE001 - engine boundary
-                kind, error = "error", _describe(exc)
-            wall = time.monotonic() - start
-            if kind is None and (
-                state.timeout is not None and wall > state.timeout
-            ):
-                kind = "timeout"
-                error = (
-                    f"exceeded per-spec timeout of {state.timeout}s "
-                    f"(took {wall:.3f}s; enforced post-hoc in-process)"
-                )
-            if kind is None:
-                state.deliver(task, result, wall, "inline")
-                break
-            if not state.attempt_failed(task, kind, error, wall, "inline"):
-                break
-
-
-def _freeze_worker_heap() -> None:
-    """Pool-worker initializer: freeze the heap inherited from the fork.
-
-    Everything a worker inherits (imported modules, interned caches,
-    the parent's long-lived objects) is effectively immortal for the
-    worker's lifetime, yet every generational collection in the worker
-    would traverse it — touching gc headers on copy-on-write pages and
-    re-copying much of the parent heap into every worker.  Moving the
-    inherited objects into the permanent generation makes worker
-    collections scan only worker-created objects; measured on the
-    checker batches, this removes a ~25% per-task CPU penalty workers
-    otherwise pay over the identical serial run.
-    """
-    import gc
-
-    gc.freeze()
-
-
-def _spawn_pool(jobs: int) -> Optional[ProcessPoolExecutor]:
-    """Create a process pool, or None where one cannot exist.
-
-    Sandboxed environments may forbid spawning subprocesses entirely
-    (``fork``/``spawn`` raising ``OSError``/``PermissionError``); the
-    engine then degrades to in-process execution rather than failing
-    the batch.
-    """
-    try:
-        return ProcessPoolExecutor(
-            max_workers=jobs, initializer=_freeze_worker_heap
-        )
-    except (OSError, PermissionError, RuntimeError,
-            NotImplementedError):  # pragma: no cover - sandbox-dependent
-        return None
-
-
-def _degrade(crashed: List, queue, state: _BatchState) -> List["_Task"]:
-    """The pool is beyond saving: hand every live task to the caller.
-
-    The specs that were in flight when the pool died for the last time
-    (``crashed``: (task, wall) pairs) are *not* terminally failed —
-    one poisonous spec repeatedly killing workers must not take
-    innocent in-flight specs down with it.  They get a "retry"
-    telemetry record and run in-process instead (where the guilty
-    spec's failure is attributable to it alone).
-    """
-    leftover: List[_Task] = []
-    for task, wall in crashed:
-        state.record(
-            task, "retry", wall,
-            "worker process died (pool retired; continuing in-process)",
-            "pool",
-        )
-        leftover.append(task)
-    leftover.extend(queue)
-    for task in leftover:
-        task.not_before = 0.0  # no point backing off in-process
-    return leftover
-
-
-def _run_pool(tasks: Sequence[_Task], jobs: int,
-              state: _BatchState, fn=run_spec,
-              pool_slot: Optional[List] = None) -> List[_Task]:
-    """Pool executor: submit/collect with timeouts, retries, respawn.
-
-    Returns the tasks that could *not* be executed because the pool
-    kept breaking (or could never start); the caller falls back to
-    :func:`_run_inline` for those.  ``fn`` must be a picklable
-    top-level callable applied to each task's spec in the worker (see
-    :func:`_run_inline`).
-
-    ``pool_slot`` (a one-element list) lets a caller keep worker
-    processes alive across batches: the slot's pool is reused when
-    present, the live pool is stored back on exit instead of being
-    shut down, and a broken pool is replaced in the slot.  Spawning a
-    pool forks the whole parent heap and each worker re-faults the
-    touched pages copy-on-write, which costs far more than the
-    submit/collect machinery — amortizing it is what makes small
-    repeated batches profitable to parallelize at all.
-    """
-    pool = pool_slot[0] if pool_slot else None
-    if pool is None:
-        pool = _spawn_pool(jobs)
-    if pool is None:
-        return list(tasks)
-
-    queue = deque(tasks)
-    outstanding: Dict[object, List] = {}  # future -> [task, t0]
-    respawns = 0
-    # Poll between completions only when there is something to service
-    # (per-spec timeouts or backoff-delayed retries); otherwise block
-    # until a future finishes.
-    needs_polling = state.timeout is not None or state.retries > 0
-
-    try:
-        while queue or outstanding:
-            now = time.monotonic()
-            broken = False
-            #: tasks whose futures died with the pool this iteration;
-            #: their fate (crash attempt vs. rescue) is decided *after*
-            #: the respawn-budget check below, so innocent in-flight
-            #: specs are not terminally failed on the pool's last gasp.
-            crashed: List = []  # (task, wall) pairs
-
-            # -- submit every eligible queued task (bounded in-flight) --
-            for _ in range(len(queue)):
-                if len(outstanding) >= jobs * _QUEUE_DEPTH:
-                    break
-                task = queue[0]
-                if task.not_before > now:
-                    queue.rotate(-1)
-                    continue
-                queue.popleft()
-                task.attempts += 1
+    if jobs == 1 or len(pending) == 1:
+        for key, spec in pending:
+            settle(key, spec, lambda: fn(spec))
+    else:
+        # Workers freeze the heap they inherit from the fork: otherwise
+        # every collection in a worker traverses it, costing ~25% extra
+        # CPU per task over the identical serial run.
+        with ProcessPoolExecutor(jobs, initializer=gc.freeze) as pool:
+            futures = {}
+            for key, spec in pending:
                 try:
-                    fut = pool.submit(fn, task.spec)
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    task.attempts -= 1  # the attempt never started
-                    queue.appendleft(task)
-                    broken = True
-                    break
-                outstanding[fut] = [task, time.monotonic()]
-
-            # -- collect completions -----------------------------------
-            if outstanding and not broken:
-                done, _ = wait(
-                    set(outstanding),
-                    timeout=_POLL_INTERVAL if needs_polling else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for fut in done:
-                    task, t0 = outstanding.pop(fut)
-                    wall = now - t0
-                    try:
-                        result = fut.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        crashed.append((task, wall))
-                    except Exception as exc:  # noqa: BLE001
-                        if state.attempt_failed(
-                            task, "error", _describe(exc), wall, "pool"
-                        ):
-                            queue.append(task)
-                    else:
-                        state.deliver(task, result, wall, "pool")
-
-                # -- expire per-spec timeouts ----------------------------
-                if state.timeout is not None and not broken:
-                    for fut in list(outstanding):
-                        task, t0 = outstanding[fut]
-                        if now - t0 > state.timeout:
-                            del outstanding[fut]
-                            # cancel() only helps if it never started;
-                            # a running worker keeps its slot until it
-                            # returns, and its result is discarded.
-                            fut.cancel()
-                            if state.attempt_failed(
-                                task, "timeout",
-                                f"exceeded per-spec timeout of "
-                                f"{state.timeout}s", now - t0, "pool",
-                            ):
-                                queue.append(task)
-            elif queue and not broken:
-                # everything queued is backoff-delayed; sleep it off
-                delay = min(t.not_before for t in queue) - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-
-            # -- pool death: respawn (bounded) or degrade ---------------
-            if broken:
-                pool.shutdown(wait=False)
-                pool = None  # never hand a dead pool back to the slot
-                respawns += 1
-                # everything still outstanding died with the pool too
-                now = time.monotonic()
-                for fut, (task, t0) in outstanding.items():
-                    crashed.append((task, now - t0))
-                outstanding.clear()
-                if respawns > POOL_RESPAWN_LIMIT:
-                    return _degrade(crashed, queue, state)
-                for task, wall in crashed:
-                    if state.attempt_failed(
-                        task, "crash", "worker process died", wall, "pool"
-                    ):
-                        queue.append(task)
-                pool = _spawn_pool(jobs)
-                if pool is None:  # pragma: no cover - sandbox-dependent
-                    return _degrade([], queue, state)
-        return []
-    finally:
-        if pool_slot is not None:
-            pool_slot[0] = pool  # keep the workers warm for the next batch
-        elif pool is not None:
-            # wait=False: abandoned (timed-out) futures may still be
-            # running; their workers drain on their own.
-            pool.shutdown(wait=False)
+                    futures[pool.submit(fn, spec)] = key, spec
+                except BrokenProcessPool:  # a worker died mid-submission
+                    failures[key] = SpecFailure(spec, key, "crash", _DIED)
+            for future in as_completed(futures):
+                settle(*futures[future], future.result)
+    if failures:
+        raise EngineError(
+            [failures[key] for key, _ in pending if key in failures],
+            completed=results,
+        )
 
 
 def run_many(
     specs: Sequence[RunSpec],
     jobs=_UNSET,
     cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    backoff=_UNSET,
-    telemetry=_UNSET,
     store=_UNSET,
     offline=_UNSET,
-    label: Optional[str] = None,
 ) -> List[RunResult]:
     """Execute ``specs``, returning results in the same order.
 
     Identical specs (equal content keys) are simulated once; cached
     results are reused without simulation.  With ``jobs > 1`` the
-    outstanding unique specs are fanned across a process pool.
-
-    Fault tolerance: failing/hanging/crashing specs are retried up to
-    ``retries`` times (exponential backoff starting at ``backoff``
-    seconds, per-attempt wall-time budget ``timeout``); if any spec
-    still fails, every *successful* result is cached first and an
-    :class:`~repro.errors.EngineError` is raised carrying the per-spec
-    failure log and the salvaged results.  ``label`` tags this batch's
-    telemetry records (figures/tables pass their target name).
+    remaining unique specs are fanned across a process pool; see
+    :func:`execute` for the failure rule.
 
     Durability: with ``store=`` (a :class:`~repro.experiments.store.
     RunDirectory` or :class:`~repro.experiments.store.ResultStore`)
@@ -929,114 +493,56 @@ def run_many(
     ``"missing"`` (used to rebuild reports offline from a run
     directory).
     """
-    if jobs is _UNSET:
-        jobs = _settings.jobs
-    if cache is _UNSET:
-        cache = _settings.cache
-    if timeout is _UNSET:
-        timeout = _settings.timeout
-    if retries is _UNSET:
-        retries = _settings.retries
-    if backoff is _UNSET:
-        backoff = _settings.backoff
-    if telemetry is _UNSET:
-        telemetry = _settings.telemetry
-    if store is _UNSET:
-        store = _settings.store
-    if offline is _UNSET:
-        offline = _settings.offline
-    offline = bool(offline)
-    if jobs is None or int(jobs) < 1:
-        raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
-    jobs = int(jobs)
-    if retries is None or int(retries) < 0:
-        raise ConfigurationError(
-            f"retries must be a non-negative int: {retries!r}"
-        )
-    retries = int(retries)
-
-    state = _BatchState(
-        cache, telemetry, label, timeout, retries, backoff,
-        store=None if offline else store,
-    )
+    jobs = _check_jobs(_settings.jobs if jobs is _UNSET else jobs)
+    cache = _settings.cache if cache is _UNSET else cache
+    store = _settings.store if store is _UNSET else store
+    offline = bool(_settings.offline if offline is _UNSET else offline)
 
     keys = [spec.key() for spec in specs]
-    tasks: List[_Task] = []
-    cached_hits: List = []  # (spec, key) pairs served from cache
-    stored_hits: List = []  # (spec, key) pairs served from the store
-    unique: List = []  # (spec, key) pairs, dedup'd, submission order
-    seen: set = set()  # O(1) dedup membership (keeps `tasks` ordered)
-    for spec, key in zip(specs, keys):
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append((spec, key))
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                state.results[key] = hit
-                cached_hits.append((spec, key))
-                # a cache hit still becomes durable: the store must end
-                # the batch spec-complete or a resume would re-simulate
-                if store is not None and not offline and key not in store:
-                    store.put(key, hit, spec=spec)
-                continue
-        if store is not None:
+    unique = dict(zip(keys, specs))
+    results: Dict[str, RunResult] = {}
+    for key, spec in unique.items():
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None:
+            # a cache hit still becomes durable: the store must end the
+            # batch spec-complete or a resume would re-simulate it
+            if store is not None and not offline and key not in store:
+                store.put(key, hit, spec=spec)
+        elif store is not None:
             hit = store.get(key)
-            if hit is not None:
-                state.results[key] = hit
-                stored_hits.append((spec, key))
-                continue
-        tasks.append(_Task(spec, key))
+        if hit is not None:
+            results[key] = hit
+    pending = [(k, spec) for k, spec in unique.items() if k not in results]
+
+    if offline:
+        if pending:
+            raise EngineError(
+                [
+                    SpecFailure(spec, key, "missing",
+                                "result not in the store (offline rebuild)")
+                    for key, spec in pending
+                ],
+                completed=results,
+            )
+        return [results[key] for key in keys]
 
     # The manifest is written before the first simulation starts, so a
     # crash at any later point leaves enough on disk to resume from.
-    if store is not None and not offline:
-        register = getattr(store, "register_specs", None)
-        if register is not None:
-            register(
-                unique,
-                settings={
-                    "jobs": jobs,
-                    "timeout": timeout,
-                    "retries": retries,
-                    "backoff": backoff,
-                },
-            )
-
-    if telemetry is not None:
-        telemetry.expect(len(cached_hits) + len(stored_hits) + len(tasks))
-    for spec, key in cached_hits:
-        state.record_cache_hit(spec, key)
-    for spec, key in stored_hits:
-        state.record_store_hit(spec, key)
-
-    if tasks and offline:
-        for task in tasks:
-            state.failures.append(
-                SpecFailure(
-                    spec=task.spec,
-                    key=task.key,
-                    kind="missing",
-                    attempts=0,
-                    error="result not in the store (offline rebuild)",
-                )
-            )
-    elif tasks:
-        if jobs > 1 and len(tasks) > 1:
-            leftover = _run_pool(tasks, jobs, state)
-        else:
-            leftover = list(tasks)
-        if leftover:
-            _run_inline(leftover, state)
-
-    if state.failures:
-        raise EngineError(
-            state.failures,
-            completed=dict(state.results),
-            total=len(seen),
+    register = getattr(store, "register_specs", None)
+    if register is not None:
+        register(
+            [(spec, key) for key, spec in unique.items()],
+            settings={"jobs": jobs},
         )
-    return [state.results[key] for key in keys]
+
+    def deliver(key: str, result: RunResult) -> None:
+        if cache is not None:
+            cache.put(key, result)
+        if store is not None:
+            store.put(key, result, spec=unique[key])
+
+    execute(pending, run_spec, jobs, results, deliver)
+    return [results[key] for key in keys]
 
 
 def parallel_sweep(
@@ -1047,7 +553,6 @@ def parallel_sweep(
     jobs=_UNSET,
     cache=_UNSET,
     store=_UNSET,
-    label: Optional[str] = None,
 ) -> Dict[int, Dict[str, RunResult]]:
     """Sizes x schemes sweep with the same shape as ``runner.sweep``."""
     specs = [
@@ -1055,13 +560,7 @@ def parallel_sweep(
         for size in sizes
         for scheme in schemes
     ]
-    results = run_many(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        store=store,
-        label=label or f"sweep:{workload}",
-    )
+    results = run_many(specs, jobs=jobs, cache=cache, store=store)
     it = iter(results)
     return {
         size: {scheme: next(it) for scheme in schemes} for size in sizes

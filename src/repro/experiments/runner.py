@@ -95,18 +95,15 @@ def sweep(
     """Run a workload across sizes x schemes (fresh machine each run).
 
     Delegates to the parallel engine, which honours the process-wide
-    ``configure(jobs=..., cache=..., timeout=..., retries=...,
-    store=..., offline=...)`` defaults (serial, uncached, no-timeout,
-    no-retry, no store out of the box) — so figure code and tests keep
-    the old call shape while the CLI can fan the same sweeps across
-    workers and checkpoint them into a crash-safe run directory
-    (:mod:`repro.experiments.store`).  If any run fails beyond its
-    retry budget the engine raises :class:`repro.errors.EngineError`
-    after caching (and durably storing, when a store is configured)
-    every successful run of the sweep.
+    ``configure(jobs=..., cache=..., store=..., offline=...)`` defaults
+    (serial, uncached, no store out of the box) — so figure code and
+    tests keep the old call shape while the CLI can fan the same
+    sweeps across workers and checkpoint them into a crash-safe run
+    directory (:mod:`repro.experiments.store`).  If any run fails the
+    engine raises :class:`repro.errors.EngineError` after caching (and
+    durably storing, when a store is configured) every successful run
+    of the sweep.
     """
     from repro.experiments.parallel import parallel_sweep
 
-    return parallel_sweep(
-        workload, sizes, schemes, seed=seed, label=f"sweep:{workload}"
-    )
+    return parallel_sweep(workload, sizes, schemes, seed=seed)

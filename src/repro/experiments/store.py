@@ -20,11 +20,11 @@ engine checkpoints through:
   settings snapshot, written atomically *before the first run*, so a
   crashed sweep knows exactly which specs it owed.
 * :class:`RunDirectory` — one sweep's on-disk home: ``manifest.json``
-  + ``results/`` segments + ``telemetry.jsonl``.  This is the object
-  the engine's ``store=`` argument wants.
+  + ``results/`` segments.  This is the object the engine's ``store=``
+  argument wants.
 * :func:`resume` — re-enqueue exactly the manifest specs whose results
   are not yet durable; already-stored specs are served from the store
-  (telemetry outcome ``"stored"``) without re-simulation.
+  without re-simulation.
 * :func:`served_from` — context manager that points the process-wide
   engine defaults at a run directory, optionally in *offline* mode
   (``offline=True``: a spec missing from the store raises instead of
@@ -78,9 +78,6 @@ RESULTS_SUBDIR = "results"
 
 #: Manifest file name inside a run directory.
 MANIFEST_FILE = "manifest.json"
-
-#: Streaming telemetry run-log name inside a run directory.
-TELEMETRY_FILE = "telemetry.jsonl"
 
 #: Records per segment before rotation.  Small enough that a crashed
 #: active segment re-seals instantly, large enough that a million-spec
@@ -483,19 +480,18 @@ class SweepManifest:
 
 
 class RunDirectory:
-    """One sweep's durable home: manifest + result store + run log.
+    """One sweep's durable home: manifest + result store.
 
     Layout::
 
         RUNDIR/
           manifest.json            # spec list + settings snapshot
-          telemetry.jsonl          # streaming run log (one record/attempt)
           results/
             segment-00000.jsonl    # finalized, fsync'd, atomic-renamed
             segment-00001.jsonl.part   # active segment (crash-tolerant)
 
     Pass an instance as ``run_many(..., store=rd)`` (or
-    ``configure(store=rd)``): results stream into the store as futures
+    ``configure(store=rd)``): results stream into the store as specs
     complete, specs are registered in the manifest before the first
     run, and specs already durable are served without re-simulation.
     """
@@ -544,10 +540,6 @@ class RunDirectory:
 
     # -- bookkeeping -------------------------------------------------------
 
-    @property
-    def telemetry_path(self) -> str:
-        return os.path.join(self.path, TELEMETRY_FILE)
-
     def keys(self):
         return self.store.keys()
 
@@ -575,28 +567,18 @@ class RunDirectory:
 # -- resume -------------------------------------------------------------------
 
 
-def resume(
-    run_dir,
-    jobs=None,
-    cache=None,
-    timeout=None,
-    retries=None,
-    backoff=None,
-    telemetry=None,
-    label: Optional[str] = None,
-):
+def resume(run_dir, jobs=None, cache=None):
     """Finish an interrupted sweep from its run directory.
 
     Re-enqueues exactly the manifest specs; the engine serves every
-    already-durable spec from the store (telemetry outcome
-    ``"stored"``, no simulation) and simulates only the remainder,
-    streaming their results into the store as they complete.  Returns
-    the full result list in original manifest order, so a resumed
-    sweep is indistinguishable from an uninterrupted one.
+    already-durable spec from the store (no simulation) and simulates
+    only the remainder, streaming their results into the store as
+    they complete.  Returns the full result list in original manifest
+    order, so a resumed sweep is indistinguishable from an
+    uninterrupted one.
 
-    ``jobs``/``timeout``/``retries``/``backoff`` default to the
-    settings snapshot recorded in the manifest; pass explicit values
-    to override.
+    ``jobs`` defaults to the settings snapshot recorded in the
+    manifest; pass an explicit value to override.
     """
     from repro.experiments import parallel
 
@@ -608,28 +590,11 @@ def resume(
             f"cannot resume: no {MANIFEST_FILE} in {rd.path} "
             "(was the sweep started with a run directory?)"
         )
-    specs = rd.manifest.specs()
-    saved = rd.manifest.settings()
-    kwargs: Dict[str, Any] = {}
-    for name, value in (
-        ("jobs", jobs),
-        ("timeout", timeout),
-        ("retries", retries),
-        ("backoff", backoff),
-    ):
-        if value is not None:
-            kwargs[name] = value
-        elif name in saved and saved[name] is not None:
-            kwargs[name] = saved[name]
-    if cache is not None:
-        kwargs["cache"] = cache
-    if telemetry is not None:
-        kwargs["telemetry"] = telemetry
+    if jobs is None:
+        jobs = rd.manifest.settings().get("jobs", 1)
+    kwargs = {} if cache is None else {"cache": cache}
     return parallel.run_many(
-        specs,
-        store=rd,
-        label=label or f"resume:{os.path.basename(rd.path) or rd.path}",
-        **kwargs,
+        rd.manifest.specs(), jobs=jobs, store=rd, **kwargs
     )
 
 

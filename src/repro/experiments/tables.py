@@ -47,7 +47,6 @@ def motivation_profile(
         ],
         store=store,
         offline=offline,
-        label="motivation",
     )
     out: Dict[str, Dict[str, float]] = {}
     for label, result in zip(versions, results):

@@ -220,6 +220,21 @@ class TestRepairMode:
         assert code == 0  # warnings do not fail the gate
         assert "automatic repair inconclusive" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--symbolic", "--spec-window", "-1"],
+            ["--repair", "--max-rounds", "-1"],
+            ["--spec-window", "two"],
+        ],
+        ids=["negative-spec-window", "negative-max-rounds", "non-int"],
+    )
+    def test_negative_counts_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ctcheck"] + argv)
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+
     def test_ct_repair_rule_ships_in_catalog(self):
         from repro.analysis.ctlint import RULES
 

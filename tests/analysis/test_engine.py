@@ -1,4 +1,4 @@
-"""The verification engine: parallel fan-out, determinism, memoization.
+"""The verification engine: fan-out, determinism, memoization, failures.
 
 The engine's contract is that a :class:`CheckSpec` fully determines
 its output: serial, parallel, and cache-served runs must produce
@@ -14,11 +14,12 @@ import json
 
 import pytest
 
-from repro.analysis.api import run_ctcheck
+from repro.analysis.api import BUILTIN_PROGRAM_SPECS, run_ctcheck
 from repro.analysis.engine import CheckSpec, check_target, run_check_specs
 from repro.analysis.symrel import expr
 from repro.analysis.symrel.solve import Solver
 from repro.analysis.vcache import VerdictCache
+from repro.errors import EngineError
 from repro.lang.programs import lookup_program, swap_program
 
 pytestmark = pytest.mark.ctcheck
@@ -38,6 +39,22 @@ def _spec(name="lookup", **kw):
 
 def _result_json(result):
     return json.dumps(result.as_dict(), indent=2, sort_keys=True)
+
+
+def _outputs_json(outputs):
+    return json.dumps(
+        [
+            {
+                "name": o.name,
+                "findings": [f.as_dict() for f in o.findings],
+                "solver_stats": o.solver_stats,
+                "repair": o.repair.summary() if o.repair else None,
+            }
+            for o in outputs
+        ],
+        indent=2,
+        sort_keys=True,
+    )
 
 
 class TestInternScope:
@@ -137,16 +154,39 @@ class TestEngineExecution:
         assert outputs[0] is outputs[1]
 
     def test_parallel_run_is_byte_identical_to_serial(self):
-        kw = dict(
-            programs=["lookup", "swap", "conditional_sum"],
-            include_workloads=False,
-            symbolic=True,
-            replay=False,
-            repair=True,
-        )
-        serial = run_ctcheck(**kw)
-        parallel = run_ctcheck(jobs=2, **kw)
-        assert _result_json(serial) == _result_json(parallel)
+        specs = [
+            CheckSpec(
+                kind="program",
+                name=name,
+                program=BUILTIN_PROGRAM_SPECS[name](),
+                symbolic=True,
+                replay=False,
+                repair=True,
+            )
+            for name in ("lookup", "swap", "conditional_sum")
+        ]
+        serial = run_check_specs(specs)
+        parallel = run_check_specs(specs, jobs=2)
+        assert _outputs_json(serial) == _outputs_json(parallel)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_target_salvages_the_others(self, jobs):
+        """One target raises: the others complete, are in
+        EngineError.completed, and are already in the verdict cache."""
+        good = [_spec("swap"), _spec("lookup")]
+        bad = CheckSpec(kind="nonsense", name="broken")
+        cache = VerdictCache()
+        with pytest.raises(EngineError) as excinfo:
+            run_check_specs([good[0], bad, good[1]], jobs=jobs, vcache=cache)
+        err = excinfo.value
+        assert [(f.spec.name, f.kind) for f in err.failures] == [
+            ("broken", "error")
+        ]
+        assert "unknown CheckSpec kind" in err.failures[0].error
+        keys = {spec.key() for spec in good}
+        assert set(err.completed) == keys
+        assert all(key in cache for key in keys)
+        assert bad.key() not in cache
 
     def test_cached_run_is_byte_identical_to_fresh(self):
         cache = VerdictCache()

@@ -2,12 +2,11 @@
 
 Covers the durability layer end to end: the append-only segment store
 (rotation, fsync'd atomic seals, torn-tail recovery), sweep manifests
-(spec round-trips that preserve the content hash), telemetry run-log
-durability (atomic export, append mode, streaming, tolerant reads),
-and the acceptance bar — a sweep whose pool is killed mid-flight and
-then resumed from its manifest is bit-identical to an uninterrupted
-run, with the already-durable specs demonstrably served from the
-store instead of re-simulated.
+(spec round-trips that preserve the content hash), and the acceptance
+bar — a sweep whose pool is killed mid-flight and then resumed from
+its manifest is bit-identical to an uninterrupted run, with the
+already-durable specs demonstrably served from the store instead of
+re-simulated.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro.core.machine import MachineConfig
 from repro.errors import EngineError, StoreError
 from repro.experiments import parallel
-from repro.experiments.faults import FaultInjector
 from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.runner import RunResult
 from repro.experiments.store import (
@@ -35,7 +33,6 @@ from repro.experiments.store import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.experiments.telemetry import RunRecord, RunTelemetry
 
 #: Small, fast grid: 4 unique specs, ~0.1 s each.
 SIZES = (200, 300)
@@ -60,14 +57,6 @@ def fake_result(i: int) -> RunResult:
         output=(i, (i + 1, i + 2)),
         counters={"cycles": float(i)},
     )
-
-
-@pytest.fixture
-def injector(tmp_path, monkeypatch):
-    """An armed, empty fault plan (disarmed again by monkeypatch)."""
-    inj = FaultInjector(tmp_path / "faults")
-    inj.arm(monkeypatch)
-    return inj
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +220,8 @@ class TestSweepManifest:
         specs = grid_specs()
         pairs = [(s, s.key()) for s in specs]
         manifest.register(pairs[:2], settings={"jobs": 2})
+        # keys a manifest already holds survive a merge (older
+        # manifests also recorded retry settings)
         added = manifest.register(pairs, settings={"retries": 1})
         assert added == 2  # only the unseen half
         assert manifest.keys() == [s.key() for s in specs]
@@ -243,92 +234,6 @@ class TestSweepManifest:
         (tmp_path / MANIFEST_FILE).write_text("{not json")
         with pytest.raises(StoreError):
             manifest.read()
-
-
-# ---------------------------------------------------------------------------
-# telemetry durability (atomic export, append, streaming, tolerant read)
-# ---------------------------------------------------------------------------
-
-
-def _record(i: int, outcome: str = "ok") -> RunRecord:
-    return RunRecord(
-        workload="w", size=i, scheme="s", seed=1, kind="workload",
-        key=f"k{i}", outcome=outcome,
-    )
-
-
-class TestTelemetryDurability:
-    def test_export_is_atomic_write_then_rename(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        telemetry = RunTelemetry()
-        telemetry.record(_record(1))
-        assert telemetry.export_jsonl(str(path)) == 1
-        assert not (tmp_path / "log.jsonl.tmp").exists()
-        assert len(RunTelemetry.read_jsonl(str(path))) == 1
-
-    def test_reexport_replaces_instead_of_truncating(self, tmp_path):
-        """The old mode-"w" open truncated the log before writing; the
-        atomic path must leave the previous log intact until the new
-        one is fully on disk (here: both exports fully readable)."""
-        path = tmp_path / "log.jsonl"
-        telemetry = RunTelemetry()
-        telemetry.record(_record(1))
-        telemetry.export_jsonl(str(path))
-        telemetry.record(_record(2))
-        telemetry.export_jsonl(str(path))
-        assert [r.size for r in RunTelemetry.read_jsonl(str(path))] == [1, 2]
-
-    def test_append_mode_accumulates(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        first = RunTelemetry()
-        first.record(_record(1))
-        first.export_jsonl(path)
-        second = RunTelemetry()
-        second.record(_record(2))
-        second.export_jsonl(path, append=True)
-        assert [r.size for r in RunTelemetry.read_jsonl(path)] == [1, 2]
-
-    def test_read_tolerates_truncated_final_line(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        telemetry = RunTelemetry()
-        telemetry.record(_record(1))
-        telemetry.record(_record(2))
-        telemetry.export_jsonl(str(path))
-        whole = path.read_bytes()
-        path.write_bytes(whole[:-10])  # crash mid-append
-        records, skipped = RunTelemetry.read_jsonl(
-            str(path), with_stats=True
-        )
-        assert [r.size for r in records] == [1]
-        assert skipped > 0
-
-    def test_read_raises_on_mid_file_corruption(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        telemetry = RunTelemetry()
-        telemetry.record(_record(1))
-        telemetry.record(_record(2))
-        telemetry.export_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0][:15]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises((ValueError, TypeError)):
-            RunTelemetry.read_jsonl(str(path))
-
-    def test_streaming_appends_live(self, tmp_path):
-        path = str(tmp_path / "stream.jsonl")
-        telemetry = RunTelemetry()
-        telemetry.stream_to(path)
-        telemetry.record(_record(1))
-        # durable immediately, not only at close
-        assert len(RunTelemetry.read_jsonl(path)) == 1
-        telemetry.record(_record(2))
-        telemetry.close_stream()
-        # a second telemetry appends to the same run log
-        second = RunTelemetry()
-        second.stream_to(path)
-        second.record(_record(3))
-        second.close_stream()
-        assert [r.size for r in RunTelemetry.read_jsonl(path)] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +253,18 @@ class TestEngineIntegration:
         assert rd.pending_specs() == []
 
     def test_second_run_served_from_store_without_simulation(
-        self, tmp_path
+        self, tmp_path, break_specs
     ):
         rd_path = str(tmp_path / "run")
         with RunDirectory(rd_path) as rd:
             first = run_many(grid_specs(), cache=None, store=rd)
-        telemetry = RunTelemetry()
+        break_specs()  # any simulation now raises
         with RunDirectory(rd_path) as rd:
-            second = run_many(
-                grid_specs(), cache=None, store=rd, telemetry=telemetry
-            )
+            second = run_many(grid_specs(), cache=None, store=rd)
+            assert rd.store.stats.hits == 4
+            assert rd.store.stats.appends == 0
         for a, b in zip(first, second):
             assert a.counters == b.counters
-        summary = telemetry.summary()
-        assert summary["stored"] == 4
-        assert summary["attempts"] == 0
-        assert all(
-            r.outcome == "stored" and r.mode == "store"
-            for r in telemetry.records
-        )
 
     def test_cache_hits_are_backfilled_into_the_store(self, tmp_path):
         """A result served from the in-memory cache must still become
@@ -379,18 +277,19 @@ class TestEngineIntegration:
         assert len(RunDirectory(str(tmp_path / "run"))) == 4
 
     def test_salvage_at_delivery_on_partial_failure(
-        self, tmp_path, injector
+        self, tmp_path, break_specs
     ):
         """Completed specs of a failing batch are durable before the
         EngineError propagates."""
-        injector.add_rule(match={"scheme": "ct"}, action="raise")
-        rd = RunDirectory(str(tmp_path / "run"))
-        with pytest.raises(EngineError):
-            run_many(grid_specs(), cache=None, store=rd)
-        rd.close()
-        survivors = RunDirectory(str(tmp_path / "run"))
-        assert len(survivors) == 2  # the two insecure specs
-        assert len(survivors.pending_specs()) == 2
+        break_specs(scheme="ct")
+        for jobs in (1, 2):
+            rd = RunDirectory(str(tmp_path / f"run-{jobs}"))
+            with pytest.raises(EngineError):
+                run_many(grid_specs(), jobs=jobs, cache=None, store=rd)
+            rd.close()
+            survivors = RunDirectory(str(tmp_path / f"run-{jobs}"))
+            assert len(survivors) == 2  # the two insecure specs
+            assert len(survivors.pending_specs()) == 2
 
     def test_offline_serves_store_and_errors_on_miss(self, tmp_path):
         rd_path = str(tmp_path / "run")
@@ -407,7 +306,6 @@ class TestEngineIntegration:
                 run_many([missing], cache=None)
         (failure,) = excinfo.value.failures
         assert failure.kind == "missing"
-        assert failure.attempts == 0
 
     def test_served_from_restores_engine_settings(self, tmp_path):
         rd_path = str(tmp_path / "run")
@@ -427,48 +325,48 @@ class TestEngineIntegration:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.fault_injection
 class TestCrashAndResume:
     def test_resume_without_manifest_raises(self, tmp_path):
         with pytest.raises(StoreError):
             resume(str(tmp_path))
 
-    def test_killed_sweep_resumes_bit_identical(self, tmp_path, injector):
-        """Pool killed mid-sweep -> EngineError with partial durable
-        results; resume() completes exactly the remainder; the union
-        is spec-complete, duplicate-free, and value-identical to an
-        uninterrupted run; durable specs are served from the store
-        (0 simulation attempts)."""
+    def test_killed_sweep_resumes_bit_identical(
+        self, tmp_path, monkeypatch, break_specs
+    ):
+        """A worker killed mid-sweep -> EngineError whose failures are
+        all crashes, with every completed spec already durable;
+        resume() completes exactly the remainder, serving the durable
+        specs from the store; the union is spec-complete,
+        duplicate-free, and value-identical to an uninterrupted run."""
         specs = grid_specs()
         uninterrupted = [spec.run() for spec in specs]
 
-        # a poisonous spec that kills every worker it lands on: the
-        # pool respawn budget drains, the engine degrades to inline,
-        # and the inline injection still fails the spec.
-        injector.add_rule(
-            match={"scheme": "ct", "size": 200}, action="crash"
-        )
+        # the last spec kills the worker it lands on: the pool breaks
+        # and every spec not yet delivered fails as a crash
+        break_specs(crash=True, scheme="ct", size=300)
         rd_path = str(tmp_path / "run")
         rd = RunDirectory(rd_path)
         with pytest.raises(EngineError) as excinfo:
-            run_many(
-                specs, jobs=2, retries=1, backoff=0.0, cache=None, store=rd
-            )
+            run_many(specs, jobs=2, cache=None, store=rd)
         rd.close()
-        assert [f.spec.size for f in excinfo.value.failures] == [200]
+        err = excinfo.value
+        assert {f.kind for f in err.failures} == {"crash"}
+        failed_keys = [f.key for f in err.failures]
+        assert RunSpec("histogram", 300, "ct").key() in failed_keys
+        # a worker finishes a spec before it can pick up the last one
+        assert err.completed
 
         crashed = RunDirectory(rd_path)
         durable_keys = set(crashed.keys())
-        assert len(durable_keys) == 3
-        assert [s.key() for s in crashed.pending_specs()] == [
-            RunSpec("histogram", 200, "ct").key()
-        ]
+        assert durable_keys == set(err.completed)
+        assert [s.key() for s in crashed.pending_specs()] == failed_keys
         crashed.close()
 
         # the fault is gone (the "host came back"); finish the sweep
-        injector.clear_rules()
-        telemetry = RunTelemetry()
-        resumed = resume(rd_path, jobs=1, telemetry=telemetry)
+        monkeypatch.undo()
+        rd = RunDirectory(rd_path)
+        resumed = resume(rd, jobs=1)
+        rd.close()
 
         # spec-complete, in manifest (= submission) order, bit-identical
         assert len(resumed) == len(specs)
@@ -476,13 +374,9 @@ class TestCrashAndResume:
             assert done.counters == fresh.counters
             assert done.output == fresh.output
 
-        # durable specs were served, not re-simulated
-        for key in durable_keys:
-            assert telemetry.attempts_for(key) == 0
-        summary = telemetry.summary()
-        assert summary["stored"] == 3
-        assert summary["ok"] == 1
-        assert summary["attempts"] == 1
+        # durable specs were served, only the failed ones appended
+        assert rd.store.stats.hits == len(durable_keys)
+        assert rd.store.stats.appends == len(failed_keys)
 
         # duplicate-free on disk: one record per spec across segments
         results_dir = os.path.join(rd_path, RESULTS_SUBDIR)
@@ -497,12 +391,9 @@ class TestCrashAndResume:
     def test_resume_defaults_come_from_manifest_snapshot(self, tmp_path):
         rd_path = str(tmp_path / "run")
         with RunDirectory(rd_path) as rd:
-            run_many(
-                grid_specs(), cache=None, store=rd, retries=3, backoff=0.5
-            )
+            run_many(grid_specs(), jobs=2, cache=None, store=rd)
         manifest = SweepManifest(rd_path)
-        assert manifest.settings()["retries"] == 3
-        assert manifest.settings()["backoff"] == 0.5
+        assert manifest.settings() == {"jobs": 2}
         # a plain resume completes using those settings (all stored)
         results = resume(rd_path)
         assert len(results) == 4
