@@ -22,6 +22,7 @@ simulation each.
 import pytest
 
 from repro.experiments import parallel
+from repro.experiments.store import Store
 
 
 def pytest_addoption(parser):
@@ -46,7 +47,7 @@ def _engine_config(request):
     prev = parallel.current_settings()
     parallel.configure(
         jobs=jobs,
-        cache=parallel.ResultCache(cache_dir) if cache_dir else None,
+        cache=Store(cache_dir) if cache_dir else None,
     )
     yield
     parallel.configure(**prev._asdict())

@@ -4,22 +4,27 @@
 #   1. style lint (ruff, when installed; config in pyproject.toml)
 #   2. tier-1 test suite (pytest tests/ — includes the engine's
 #      failure-rule tests and the crash/resume store tests)
-#   3. the domain lint: `python -m repro ctcheck --all` — the
+#   3. the domain lint: `python -m repro ctcheck --all --json` — the
 #      constant-time checker over every built-in IR program and every
 #      workload's registered DS linearization sets (exits 1 on
 #      error-severity findings), populating a verdict cache; a second
-#      warm pass must then serve every target from the cache
-#      (re-checking anything means the content-addressed keys or the
-#      cache round-trip regressed)
-#   4. the symbolic relational smoke (scripts/symrel_smoke.py):
+#      warm pass must then serve every target from the cache and print
+#      byte-identical JSON (re-checking anything, or any output
+#      difference, means the content-addressed keys or the store
+#      round-trip regressed)
+#   4. a run-directory round trip: fig9 (24 simulations) into a fresh
+#      `--run-dir`; `--resume` must find every result stored, and
+#      `--from-store` must print the first run's output (apart from
+#      the `done in` timing line) without simulating
+#   5. the symbolic relational smoke (scripts/symrel_smoke.py):
 #      every builtin's native variant must be refuted with a
 #      replay-confirmed secret pair (or, for the speculative fixture,
 #      refuted only by the speculative pass) and every mitigated
 #      variant proved
-#   5. the automatic repair smoke (scripts/repair_smoke.py): every
+#   6. the automatic repair smoke (scripts/repair_smoke.py): every
 #      leaky builtin must auto-repair to CT-PROVED within the 1.5x
 #      overhead budget — a residual CT-REL exits nonzero
-#   6. a perf smoke: the benchmark's self-tests, then one short
+#   7. a perf smoke: the benchmark's self-tests, then one short
 #      `verify` run that must end with `"correct": true` (a smoke that
 #      the measured paths still run and match their digests, not a
 #      stable number; scripts/bench.sh runs the full benchmark)
@@ -40,15 +45,32 @@ fi
 echo "== tier-1 tests (pytest tests/)"
 python -m pytest tests/ -q "$@"
 
+WORK_DIR="$(mktemp -d)"
+trap 'rm -rf "$WORK_DIR"' EXIT
+VCACHE_DIR="$WORK_DIR/vcache"
+RUN_DIR="$WORK_DIR/run"
+
 echo "== constant-time check (python -m repro ctcheck --all)"
-VCACHE_DIR="$(mktemp -d)"
-trap 'rm -rf "$VCACHE_DIR"' EXIT
-python -m repro ctcheck --all --vcache "$VCACHE_DIR"
+python -m repro ctcheck --all --json --vcache "$VCACHE_DIR" \
+    >"$WORK_DIR/ctcheck-cold.json"
 
 echo "== ctcheck warm verdict-cache pass (must re-check nothing)"
-warm_err="$(python -m repro ctcheck --all --vcache "$VCACHE_DIR" 2>&1 >/dev/null)"
+warm_err="$(python -m repro ctcheck --all --json --vcache "$VCACHE_DIR" \
+    2>&1 >"$WORK_DIR/ctcheck-warm.json")"
 echo "$warm_err"
 grep -q "0 target(s) checked" <<<"$warm_err"
+cmp "$WORK_DIR/ctcheck-cold.json" "$WORK_DIR/ctcheck-warm.json"
+
+echo "== run-directory round trip (fig9: --run-dir, --resume, --from-store)"
+python -m repro.experiments fig9 --no-cache --run-dir "$RUN_DIR" \
+    >"$WORK_DIR/fig9-run.txt"
+resume_out="$(python -m repro.experiments --resume "$RUN_DIR")"
+echo "$resume_out"
+grep -q "result(s) complete" <<<"$resume_out"
+python -m repro.experiments fig9 --no-cache --from-store "$RUN_DIR" \
+    >"$WORK_DIR/fig9-served.txt"
+diff <(grep -v "done in" "$WORK_DIR/fig9-run.txt") \
+    <(grep -v "done in" "$WORK_DIR/fig9-served.txt")
 
 echo "== symbolic relational smoke (scripts/symrel_smoke.py)"
 python scripts/symrel_smoke.py

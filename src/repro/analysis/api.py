@@ -397,7 +397,7 @@ def run_ctcheck(
     (:mod:`repro.analysis.engine`): each program is checked under a
     fresh intern scope with one solver shared across the
     lint/native/mitigated/repair passes, and ``vcache`` (a
-    :class:`~repro.analysis.vcache.VerdictCache`) serves unchanged
+    :class:`~repro.experiments.store.Store`) serves unchanged
     targets their cached findings bit-identically.  Findings are
     merged in target order (programs in request order, then
     workloads), so ``--json`` output is byte-identical between fresh

@@ -8,10 +8,9 @@ and workloads (dynamic DS audits).  Each target is described by a
 
 1. **Verdict cache** — every spec is content-addressed by
    :meth:`CheckSpec.key` (canonical IR hash x checker configuration x
-   toolchain version) and served from a
-   :class:`~repro.analysis.vcache.VerdictCache` when an identical
-   check already ran; served findings are bit-identical to a fresh
-   run.
+   toolchain version) and served from the verdict cache, a
+   :class:`~repro.experiments.store.Store`, when an identical check
+   already ran; served findings are bit-identical to a fresh run.
 2. **Execution** — the remaining specs go to the experiment engine's
    batch executor (:func:`repro.experiments.parallel.execute`), with
    the same failure rule and salvage into the verdict cache.  Checks
@@ -195,7 +194,7 @@ def run_check_specs(
 ) -> List[CheckOutput]:
     """Execute ``specs``, returning outputs in submission order.
 
-    ``vcache`` (a :class:`~repro.analysis.vcache.VerdictCache`) serves
+    ``vcache`` (a :class:`~repro.experiments.store.Store`) serves
     already-proved specs without execution and receives every fresh
     output the moment it completes.  The rest run through
     :func:`repro.experiments.parallel.execute`: ``jobs > 1`` fans them

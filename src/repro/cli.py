@@ -116,6 +116,8 @@ def _cmd_ctcheck(args) -> int:
 
     from repro.analysis.api import BUILTIN_PROGRAM_SPECS, run_ctcheck
     from repro.analysis.ctlint import RULES, SEVERITY_ORDER
+    from repro.errors import StoreError
+    from repro.experiments.store import Store
 
     if args.list_rules:
         width = max(len(rule) for rule in RULES)
@@ -140,23 +142,25 @@ def _cmd_ctcheck(args) -> int:
     )
     if args.no_workloads:
         include_workloads = False
-    vcache = None
-    if args.vcache:
-        from repro.analysis.vcache import VerdictCache
-
-        vcache = VerdictCache(args.vcache)
-    result = run_ctcheck(
-        programs=programs,
-        workloads=workloads,
-        include_workloads=include_workloads,
-        seed=args.seed,
-        symbolic=args.symbolic,
-        spec_window=args.spec_window,
-        replay=not args.no_replay,
-        repair=args.repair,
-        repair_max_rounds=args.max_rounds,
-        vcache=vcache,
-    )
+    # Exit 1 means error-severity findings, so an unusable verdict
+    # cache exits 2 like every other bad input.
+    try:
+        vcache = Store(args.vcache) if args.vcache else None
+        result = run_ctcheck(
+            programs=programs,
+            workloads=workloads,
+            include_workloads=include_workloads,
+            seed=args.seed,
+            symbolic=args.symbolic,
+            spec_window=args.spec_window,
+            replay=not args.no_replay,
+            repair=args.repair,
+            repair_max_rounds=args.max_rounds,
+            vcache=vcache,
+        )
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if vcache is not None:
         # Engine stats go to stderr so --json stdout stays
         # byte-identical between cold and warm runs.
@@ -334,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--vcache",
         metavar="DIR",
         default=None,
-        help="on-disk verdict cache: unchanged targets are served "
-        "their previous findings bit-identically; any IR mutation, "
-        "checker-config change, or version bump forces a re-check",
+        help="on-disk verdict cache (DIR/records.jsonl): unchanged "
+        "targets are served their previous findings bit-identically; "
+        "any IR mutation, checker-config change, or version bump "
+        "forces a re-check",
     )
     ctcheck.set_defaults(fn=_cmd_ctcheck)
 

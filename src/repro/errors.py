@@ -43,12 +43,16 @@ class AllocationError(MemoryError_):
 
 
 class StoreError(ReproError):
-    """The persistent result store or sweep manifest is unusable.
+    """A store, run directory or sweep manifest is unusable.
 
-    Raised by :mod:`repro.experiments.store` for mid-file corruption
-    (a torn *trailing* record is tolerated and skipped instead),
-    writes to a read-only store, or a resume attempt on a directory
-    with no manifest.
+    Raised by :mod:`repro.experiments.store`, the same way for the
+    result cache, a run directory and the verdict cache: for a
+    complete record that fails to decode, wherever it sits in the file
+    (a torn *trailing* record is dropped instead), for an OS error
+    while opening or appending, for a write to a read-only store, for
+    a read-only open of a missing directory, and for a resume attempt
+    on a directory with no manifest.  Both command lines print it as
+    one ``error:`` line and exit with status 2.
     """
 
 

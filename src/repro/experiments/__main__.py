@@ -15,10 +15,10 @@ Targets: ``table1``, ``motivation``, ``fig2``, ``fig7``, ``fig8``,
 sweeps take a few minutes; each target prints as it completes.
 
 ``--jobs N`` fans the independent simulations of each target across
-``N`` worker processes.  Results are cached under ``.repro_results/``
-(keyed by simulation parameters + simulator version) so re-runs and
-cross-figure shared baselines cost nothing; ``--no-cache`` disables
-the cache for this invocation.
+``N`` worker processes.  Results are cached in
+``.repro_results/records.jsonl`` (keyed by simulation parameters +
+simulator version) so re-runs and cross-figure shared baselines cost
+nothing; ``--no-cache`` disables the cache for this invocation.
 
 A target whose batch fails prints the engine's per-spec failure log
 and the run continues with the next target (exit status 1 at the end).
@@ -31,9 +31,9 @@ Durability (checkpoint/resume):
     Open ``DIR`` as a crash-safe run directory (see
     :mod:`repro.experiments.store`): the sweep's specs are recorded in
     ``DIR/manifest.json`` before execution and every completed result
-    is appended durably to ``DIR/results/`` as it arrives.  Re-running
-    with the same ``--run-dir`` serves already-durable specs from the
-    store.
+    is appended durably to ``DIR/records.jsonl`` as it arrives.
+    Re-running with the same ``--run-dir`` serves already-durable specs
+    from the store.
 ``--resume DIR``
     Finish an interrupted sweep: re-enqueue exactly the manifest's
     specs (``--jobs`` defaults to the manifest's snapshot) and simulate
@@ -42,6 +42,11 @@ Durability (checkpoint/resume):
 ``--from-store DIR``
     Rebuild the requested targets offline from ``DIR``'s store; a spec
     missing from the store is an error, never a simulation.
+
+A store that cannot be used — a ``--resume`` directory without a
+manifest, a missing ``--from-store`` directory, a corrupt record or an
+unwritable directory — prints ``error: <message>`` to stderr and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ import argparse
 import sys
 import time
 
-from repro.errors import EngineError
-from repro.experiments import figures, parallel, tables
+from repro.errors import EngineError, StoreError
+from repro.experiments import figures, parallel, store, tables
 from repro.experiments.figures import headline_reduction
 from repro.experiments.report import format_table
 
@@ -165,25 +170,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resume(args) -> int:
     """``--resume DIR``: finish the manifest, no targets involved."""
-    from repro.experiments import store
-
-    rd = store.RunDirectory(args.resume)
     try:
-        results = store.resume(rd, jobs=args.jobs)
-        print(f"resumed {rd.path}: {len(results)} result(s) complete")
-        return 0
+        results = store.resume(args.resume, jobs=args.jobs)
     except EngineError as exc:
         print(f"[resume FAILED] {exc}")
         return 1
-    finally:
-        rd.close()
+    print(f"resumed {args.resume}: {len(results)} result(s) complete")
+    return 0
 
 
 def run(args) -> int:
-    """Execute parsed experiment arguments (see :func:`add_arguments`)."""
-    if args.resume:
-        return _resume(args)
+    """Execute parsed experiment arguments (see :func:`add_arguments`).
 
+    A :class:`~repro.errors.StoreError` stops here: it is printed as
+    one ``error:`` line on stderr and the exit status is 2.
+    """
+    try:
+        return _resume(args) if args.resume else _run_targets(args)
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_targets(args) -> int:
     names = args.target or ["all"]
     if names == ["all"]:
         # `json` re-runs every sweep and writes a file; request it
@@ -193,16 +202,10 @@ def run(args) -> int:
     if unknown:
         print(f"unknown targets: {unknown}; choices: {sorted(TARGETS)} or all")
         return 2
-    cache = (
-        None
-        if args.no_cache
-        else parallel.ResultCache(parallel.DEFAULT_CACHE_DIR)
-    )
+    cache = None if args.no_cache else store.Store(parallel.DEFAULT_CACHE_DIR)
     run_dir = None
     if args.from_store or args.run_dir:
-        from repro.experiments.store import RunDirectory
-
-        run_dir = RunDirectory(
+        run_dir = store.RunDirectory(
             args.from_store or args.run_dir, readonly=bool(args.from_store)
         )
     prev = parallel.current_settings()
@@ -226,8 +229,6 @@ def run(args) -> int:
             print(f"[{name} done in {time.time() - start:.1f}s]\n")
     finally:
         parallel.configure(**prev._asdict())
-        if run_dir is not None and not run_dir.readonly:
-            run_dir.close()
     return status
 
 

@@ -1,4 +1,4 @@
-"""Experiment engine: content-addressed specs, result cache, one executor.
+"""Experiment engine: content-addressed specs and one batch executor.
 
 Every figure/table in the paper reduces to a bag of independent
 ``(workload, size, scheme, seed)`` simulations — each builds a fresh
@@ -10,15 +10,14 @@ on:
   :meth:`~RunSpec.key` is a content hash over the spec's fields *and*
   :data:`repro.__version__`, so cached results are invalidated
   automatically when the simulator version bumps.
-* :class:`ResultCache` — an in-memory map of ``key -> RunResult``,
-  optionally backed by a directory of pickle files (one per key) so
-  results survive across processes.  Figures 2/7/8 all share the same
-  ``insecure`` baselines; with a cache they are simulated once.
 * :func:`execute` — the one batch executor, shared with the
   verification engine (:mod:`repro.analysis.engine`).
 * :func:`run_many` — execute a sequence of specs, deduplicating
-  identical specs, consulting the cache and the durable store, and
-  handing the rest to :func:`execute`.
+  identical specs, consulting the result cache and the durable store
+  (both :class:`~repro.experiments.store.Store` maps from key to
+  result), and handing the rest to :func:`execute`.  Figures 2/7/8
+  all share the same ``insecure`` baselines; with a cache they are
+  simulated once.
 * :func:`parallel_sweep` — drop-in replacement for
   :func:`repro.experiments.runner.sweep` returning the identical
   ``{size: {scheme: RunResult}}`` mapping.
@@ -50,12 +49,12 @@ are already salvaged, and a re-run — or
 :func:`repro.experiments.store.resume` — simulates only the failures.
 
 Durability (checkpoint/resume): pass a
-:class:`~repro.experiments.store.RunDirectory` (or bare
-:class:`~repro.experiments.store.ResultStore`) as ``store=``.  The
-batch's unique specs are registered in the sweep manifest *before*
-execution starts, every completed result is appended durably as it
-arrives, and specs whose results are already durable are served from
-the store without re-simulation.  ``offline=True`` turns a missing
+:class:`~repro.experiments.store.RunDirectory` (or a bare
+:class:`~repro.experiments.store.Store`) as ``store=``.  The batch's
+unique specs are registered in the sweep manifest *before* execution
+starts, every completed result is appended durably as it arrives, and
+specs whose results are already durable are served from the store
+without re-simulation.  ``offline=True`` turns a missing
 result into an :class:`~repro.errors.EngineError` instead of a
 simulation, which is how reports are rebuilt offline from a run
 directory.
@@ -71,8 +70,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -176,82 +173,6 @@ class RunSpec:
 def run_spec(spec: RunSpec) -> RunResult:
     """Top-level trampoline so specs can cross a process boundary."""
     return spec.run()
-
-
-# -- result cache -------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Cache activity counters (tests assert warm runs hit every time)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-
-class ResultCache:
-    """Content-addressed ``key -> RunResult`` store.
-
-    With ``path=None`` the cache lives only in this process (useful for
-    sharing baselines across the figures of one report run).  With a
-    directory path each result is additionally pickled to
-    ``<path>/<key>.pkl`` and re-read on a memory miss, so a second
-    invocation of the experiment CLI re-simulates nothing.
-
-    Corrupt or unreadable cache files are treated as misses — the run
-    is simply recomputed and the file rewritten.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
-        self._memory: Dict[str, RunResult] = {}
-        self.stats = CacheStats()
-
-    def _file_for(self, key: str) -> str:
-        assert self.path is not None
-        return os.path.join(self.path, key + ".pkl")
-
-    def get(self, key: str) -> Optional[RunResult]:
-        result = self._memory.get(key)
-        if result is not None:
-            self.stats.hits += 1
-            return result
-        if self.path is not None:
-            try:
-                with open(self._file_for(key), "rb") as fh:
-                    result = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-                result = None
-            if isinstance(result, RunResult):
-                self._memory[key] = result
-                self.stats.hits += 1
-                return result
-        self.stats.misses += 1
-        return None
-
-    def put(self, key: str, result: RunResult) -> None:
-        self._memory[key] = result
-        self.stats.stores += 1
-        if self.path is not None:
-            tmp = self._file_for(key) + ".tmp"
-            try:
-                os.makedirs(self.path, exist_ok=True)
-                with open(tmp, "wb") as fh:
-                    pickle.dump(result, fh)
-                os.replace(tmp, self._file_for(key))
-            except OSError:  # pragma: no cover - disk full etc.
-                pass
-
-    def clear(self) -> None:
-        self._memory.clear()
-        if self.path is not None and os.path.isdir(self.path):
-            for name in os.listdir(self.path):
-                if name.endswith(".pkl"):
-                    try:
-                        os.remove(os.path.join(self.path, name))
-                    except OSError:  # pragma: no cover
-                        pass
 
 
 # -- warm-start machine pool ---------------------------------------------------
@@ -367,8 +288,9 @@ class EngineSettings(NamedTuple):
     """
 
     jobs: int = 1
-    cache: Optional[ResultCache] = None
-    #: durable result store (RunDirectory/ResultStore) or None
+    #: result cache (a store.Store) or None
+    cache: Optional[object] = None
+    #: durable result store (a store.RunDirectory) or None
     store: Optional[object] = None
     #: offline mode: missing results raise instead of simulating
     offline: bool = False
@@ -482,12 +404,13 @@ def run_many(
     remaining unique specs are fanned across a process pool; see
     :func:`execute` for the failure rule.
 
-    Durability: with ``store=`` (a :class:`~repro.experiments.store.
-    RunDirectory` or :class:`~repro.experiments.store.ResultStore`)
-    the batch's unique specs are registered in the sweep manifest
-    before execution, completed results are appended durably as they
-    arrive, and already-durable specs are served from the store
-    without re-simulation.  ``offline=True`` forbids simulation: a
+    ``cache`` and ``store`` are :class:`~repro.experiments.store.Store`
+    objects.  Durability: with ``store=`` (a
+    :class:`~repro.experiments.store.RunDirectory`) the batch's unique
+    specs are registered in the sweep manifest before execution,
+    completed results are appended durably as they arrive, and
+    already-durable specs are served from the store without
+    re-simulation.  ``offline=True`` forbids simulation: a
     spec not served by the cache or store raises an
     :class:`~repro.errors.EngineError` whose failures have kind
     ``"missing"`` (used to rebuild reports offline from a run
@@ -507,7 +430,7 @@ def run_many(
             # a cache hit still becomes durable: the store must end the
             # batch spec-complete or a resume would re-simulate it
             if store is not None and not offline and key not in store:
-                store.put(key, hit, spec=spec)
+                store.put(key, hit)
         elif store is not None:
             hit = store.get(key)
         if hit is not None:
@@ -539,7 +462,7 @@ def run_many(
         if cache is not None:
             cache.put(key, result)
         if store is not None:
-            store.put(key, result, spec=unique[key])
+            store.put(key, result)
 
     execute(pending, run_spec, jobs, results, deliver)
     return [results[key] for key in keys]

@@ -18,8 +18,8 @@ from repro.analysis.api import BUILTIN_PROGRAM_SPECS, run_ctcheck
 from repro.analysis.engine import CheckSpec, check_target, run_check_specs
 from repro.analysis.symrel import expr
 from repro.analysis.symrel.solve import Solver
-from repro.analysis.vcache import VerdictCache
 from repro.errors import EngineError
+from repro.experiments.store import Store
 from repro.lang.programs import lookup_program, swap_program
 
 pytestmark = pytest.mark.ctcheck
@@ -147,7 +147,7 @@ class TestEngineExecution:
         assert [o.name for o in outputs] == ["swap", "lookup"]
 
     def test_duplicate_specs_are_checked_once(self):
-        cache = VerdictCache()
+        cache = Store()
         specs = [_spec(), _spec()]
         outputs = run_check_specs(specs, vcache=cache)
         assert cache.stats.stores == 1
@@ -175,7 +175,7 @@ class TestEngineExecution:
         EngineError.completed, and are already in the verdict cache."""
         good = [_spec("swap"), _spec("lookup")]
         bad = CheckSpec(kind="nonsense", name="broken")
-        cache = VerdictCache()
+        cache = Store()
         with pytest.raises(EngineError) as excinfo:
             run_check_specs([good[0], bad, good[1]], jobs=jobs, vcache=cache)
         err = excinfo.value
@@ -189,7 +189,7 @@ class TestEngineExecution:
         assert bad.key() not in cache
 
     def test_cached_run_is_byte_identical_to_fresh(self):
-        cache = VerdictCache()
+        cache = Store()
         kw = dict(
             programs=["lookup"],
             include_workloads=False,

@@ -5,7 +5,8 @@ toolchain version) triple must be served bit-identical findings
 without re-checking, and *any* change to that triple must force a
 genuine re-check.  These tests drive each invalidation axis — IR
 mutation, checker configuration (``--spec-window``), toolchain
-version — plus the durable JSONL segment's crash tolerance.
+version — plus the one store's failure rule on the durable verdict
+file: a torn tail is re-checked, a corrupt complete line is an error.
 """
 
 import dataclasses
@@ -15,8 +16,9 @@ import pytest
 
 import repro
 from repro.analysis.engine import CheckSpec, run_check_specs
-from repro.analysis.vcache import SEGMENT_NAME, VerdictCache
 from repro.cli import main
+from repro.errors import StoreError
+from repro.experiments.store import RECORDS_FILE, Store
 from repro.lang import ir
 from repro.lang.programs import lookup_program
 
@@ -63,7 +65,7 @@ class TestContentAddressing:
 
 class TestServingAndInvalidation:
     def test_identical_rerun_is_served_bit_identically(self):
-        cache = VerdictCache()
+        cache = Store()
         (cold,) = run_check_specs([_spec()], vcache=cache)
         assert cache.stats.stores == 1
         (warm,) = run_check_specs([_spec()], vcache=cache)
@@ -72,7 +74,7 @@ class TestServingAndInvalidation:
         assert _findings_json(warm) == _findings_json(cold)
 
     def test_mutated_ir_is_rechecked(self):
-        cache = VerdictCache()
+        cache = Store()
         run_check_specs([_spec()], vcache=cache)
         program = lookup_program(64)[0]
         mutated = dataclasses.replace(
@@ -84,14 +86,14 @@ class TestServingAndInvalidation:
         assert cache.stats.hits == 0
 
     def test_spec_window_change_is_rechecked(self):
-        cache = VerdictCache()
+        cache = Store()
         run_check_specs([_spec(spec_window=0)], vcache=cache)
         run_check_specs([_spec(spec_window=2)], vcache=cache)
         assert cache.stats.stores == 2
         assert cache.stats.hits == 0
 
     def test_version_bump_is_rechecked(self, monkeypatch):
-        cache = VerdictCache()
+        cache = Store()
         run_check_specs([_spec()], vcache=cache)
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         run_check_specs([_spec()], vcache=cache)
@@ -101,37 +103,38 @@ class TestServingAndInvalidation:
 
 class TestDurableSegment:
     def test_verdicts_survive_a_new_cache_instance(self, tmp_path):
-        first = VerdictCache(str(tmp_path))
+        first = Store(str(tmp_path))
         (cold,) = run_check_specs([_spec()], vcache=first)
-        second = VerdictCache(str(tmp_path))
+        second = Store(str(tmp_path))
         (warm,) = run_check_specs([_spec()], vcache=second)
         assert second.stats.hits == 1
         assert second.stats.stores == 0
         assert _findings_json(warm) == _findings_json(cold)
 
-    def test_torn_tail_and_garbage_lines_are_tolerated(self, tmp_path):
-        cache = VerdictCache(str(tmp_path))
-        run_check_specs([_spec()], vcache=cache)
-        segment = tmp_path / SEGMENT_NAME
-        with open(segment, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-            fh.write('{"key": "k", "payload": "!!bad-base64"}\n')
-            fh.write('{"key": "torn", "payload": "eyJ')  # no newline
-        reopened = VerdictCache(str(tmp_path))
-        assert len(reopened) == 1  # only the intact verdict
-        (warm,) = run_check_specs([_spec()], vcache=reopened)
-        assert reopened.stats.hits == 1
+    def test_torn_tail_is_rechecked_and_reappended(self, tmp_path):
+        (cold,) = run_check_specs([_spec()], vcache=Store(str(tmp_path)))
+        records = tmp_path / RECORDS_FILE
+        records.write_bytes(records.read_bytes()[:-30])  # no newline
+        reopened = Store(str(tmp_path))
+        assert len(reopened) == 0  # the torn verdict is dropped
+        (again,) = run_check_specs([_spec()], vcache=reopened)
+        assert (reopened.stats.misses, reopened.stats.stores) == (1, 1)
+        assert _findings_json(again) == _findings_json(cold)
+        assert len(Store(str(tmp_path))) == 1
 
-    def test_clear_removes_the_segment(self, tmp_path):
-        cache = VerdictCache(str(tmp_path))
-        cache.put("k", {"v": 1})
-        assert (tmp_path / SEGMENT_NAME).exists()
-        cache.clear()
-        assert not (tmp_path / SEGMENT_NAME).exists()
-        assert len(VerdictCache(str(tmp_path))) == 0
+    @pytest.mark.parametrize("garbage", [
+        "not json at all\n",
+        '{"key": "k", "value": "!!bad-base64"}\n',
+    ])
+    def test_garbage_line_raises_store_error(self, tmp_path, garbage):
+        run_check_specs([_spec()], vcache=Store(str(tmp_path)))
+        records = tmp_path / RECORDS_FILE
+        records.write_text(garbage + records.read_text())
+        with pytest.raises(StoreError, match="line 1 of"):
+            Store(str(tmp_path))
 
     def test_memory_cache_needs_no_disk(self):
-        cache = VerdictCache()
+        cache = Store()
         cache.put("k", {"v": 1})
         assert cache.get("k") == {"v": 1}
         assert "k" in cache and len(cache) == 1
@@ -150,3 +153,16 @@ class TestCLI:
         warm = capsys.readouterr()
         assert "0 target(s) checked, 1 served from verdict cache" in warm.err
         assert warm.out == cold.out  # stdout JSON byte-identical
+
+    def test_unusable_vcache_exits_2(self, capsys, tmp_path):
+        """Exit 1 means error findings; an unusable cache is exit 2."""
+        regular_file = tmp_path / "F"
+        regular_file.write_text("")
+        argv = [
+            "ctcheck", "--program", "lookup", "--no-workloads",
+            "--vcache", str(regular_file),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(regular_file) in err

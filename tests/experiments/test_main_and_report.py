@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main as repro_main
 from repro.experiments.__main__ import TARGETS, build_parser, main
 from repro.experiments.report import format_bars, format_table
+from repro.experiments.store import RECORDS_FILE
 
 #: Flags both experiment entry points must reject with exit status 2.
 BAD_FLAGS = {
@@ -80,6 +81,54 @@ class TestEngineFlags:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "--jobs" in proc.stderr
+
+
+def _corrupt_run_dir(tmp_path):
+    run_dir = tmp_path / "corrupt"
+    run_dir.mkdir()
+    (run_dir / RECORDS_FILE).write_text("not a record\n")
+    return ["table1", "--no-cache", "--run-dir", str(run_dir)]
+
+
+#: Arguments naming an unusable store, built under a temporary directory.
+STORE_ERRORS = {
+    "resume-no-manifest": lambda tmp: ["--resume", str(tmp / "run")],
+    "from-store-missing": lambda tmp: [
+        "table1", "--no-cache", "--from-store", str(tmp / "run")
+    ],
+    "corrupt-run-dir": _corrupt_run_dir,
+}
+
+
+class TestStoreErrors:
+    """An unusable store exits 2 with one ``error:`` line on stderr."""
+
+    @pytest.mark.parametrize("case", list(STORE_ERRORS))
+    @pytest.mark.parametrize("entry", ["module", "cli"])
+    def test_store_error_exits_2(self, entry, case, tmp_path, capsys):
+        argv = STORE_ERRORS[case](tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        if entry == "module":
+            code = main(argv)
+        else:
+            code = repro_main(["experiments"] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before  # nothing created
+
+    def test_store_error_in_a_process_has_no_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        missing = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--resume",
+             str(missing)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot resume")
+        assert not missing.exists()
 
 
 class TestFormatBars:

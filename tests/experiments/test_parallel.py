@@ -11,14 +11,14 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.parallel import (
-    ResultCache,
     RunSpec,
     parallel_sweep,
     run_many,
     run_spec,
 )
 from repro.experiments.runner import run_workload, sweep
-from repro.errors import ConfigurationError
+from repro.experiments.store import RECORDS_FILE, Store
+from repro.errors import ConfigurationError, StoreError
 
 WORKLOADS_UNDER_TEST = ("histogram", "binary_search")
 SIZES = {"histogram": (200, 300), "binary_search": (64, 128)}
@@ -95,7 +95,7 @@ def test_run_many_preserves_order_and_dedups():
         RunSpec("histogram", 200, "ct"),
         RunSpec("histogram", 200, "insecure"),  # duplicate of [0]
     ]
-    cache = ResultCache()
+    cache = Store()
     results = run_many(specs, cache=cache)
     assert [r.scheme for r in results] == ["insecure", "ct", "insecure"]
     # the duplicate spec was simulated once and returned twice
@@ -114,7 +114,7 @@ def test_heavily_duplicated_sweep_dedups_in_order():
     ]
     # 50 interleaved repetitions of the 4 unique specs
     specs = [unique[i % len(unique)] for i in range(200)]
-    cache = ResultCache()
+    cache = Store()
     results = run_many(specs, cache=cache)
     assert len(results) == 200
     assert cache.stats.stores == len(unique)  # each simulated exactly once
@@ -146,13 +146,13 @@ def test_warm_disk_cache_means_zero_simulations(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "results")
     specs = _grid_specs()
 
-    cold = ResultCache(cache_dir)
+    cold = Store(cache_dir)
     fresh = run_many(specs, cache=cold)
     assert cold.stats.misses == len(specs)
     assert cold.stats.stores == len(specs)
 
     # fresh cache object over the same directory == a new process
-    warm = ResultCache(cache_dir)
+    warm = Store(cache_dir)
     # prove no simulation happens: running a workload would call
     # run_spec; make it explode.
     monkeypatch.setattr(
@@ -175,7 +175,7 @@ def test_warm_disk_cache_means_zero_simulations(tmp_path, monkeypatch):
 
 def test_cached_results_identical_to_serial_fresh(tmp_path):
     """Parallel + cached == serial fresh, across every snapshot key."""
-    cache = ResultCache(str(tmp_path / "results"))
+    cache = Store(str(tmp_path / "results"))
     specs = _grid_specs()
     run_many(specs, cache=cache, jobs=4)  # populate (parallel)
     warmed = run_many(specs, cache=cache)  # reuse
@@ -186,25 +186,26 @@ def test_cached_results_identical_to_serial_fresh(tmp_path):
             assert a.counters[key] == b.counters[key], (a.workload, key)
 
 
-def test_corrupt_cache_file_is_a_miss(tmp_path):
-    cache = ResultCache(str(tmp_path / "results"))
+def test_torn_cache_tail_is_a_miss(tmp_path):
+    cache = Store(str(tmp_path / "results"))
     spec = RunSpec("histogram", 200, "insecure")
     run_many([spec], cache=cache)
-    path = cache._file_for(spec.key())
-    with open(path, "wb") as fh:
-        fh.write(b"not a pickle")
-    again = ResultCache(cache.path)
+    records = tmp_path / "results" / RECORDS_FILE
+    records.write_bytes(records.read_bytes()[:-40])  # a crash mid-append
+    again = Store(cache.path)
     results = run_many([spec], cache=again)
-    assert again.stats.misses == 1  # corrupt file did not poison the run
+    assert again.stats.misses == 1  # the torn record did not poison the run
     assert results[0].counters["cycles"] > 0
+    assert len(Store(cache.path)) == 1  # re-appended on its own line
 
 
-def test_cache_clear(tmp_path):
-    cache = ResultCache(str(tmp_path / "results"))
-    spec = RunSpec("histogram", 200, "insecure")
-    run_many([spec], cache=cache)
-    cache.clear()
-    assert cache.get(spec.key()) is None
+def test_corrupt_cache_line_raises(tmp_path):
+    cache = Store(str(tmp_path / "results"))
+    run_many([RunSpec("histogram", 200, "insecure")], cache=cache)
+    records = tmp_path / "results" / RECORDS_FILE
+    records.write_bytes(b"not a record\n" + records.read_bytes())
+    with pytest.raises(StoreError, match="line 1 of"):
+        Store(cache.path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_cache_clear(tmp_path):
 
 def test_configure_defaults_are_honoured():
     prev = parallel.current_settings()
-    cache = ResultCache()
+    cache = Store()
     try:
         parallel.configure(jobs=1, cache=cache)
         sweep("histogram", [200], ["insecure"])
@@ -291,7 +292,7 @@ class TestWarmPoolKeying:
         spec_s1 = RunSpec("histogram", 200, "insecure", seed=1)
         spec_s2 = RunSpec("histogram", 200, "insecure", seed=2)
         assert spec_s1.key() != spec_s2.key()
-        cache = ResultCache(str(tmp_path / "c"))
+        cache = Store(str(tmp_path / "c"))
         try:
             pool = use_warm_pool(True)
             results = run_many([spec_s1, spec_s2], cache=cache)

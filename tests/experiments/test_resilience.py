@@ -8,13 +8,12 @@ pool (``jobs=2``) through the same failure.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.errors import EngineError
+from repro.errors import EngineError, StoreError
 from repro.experiments import parallel
-from repro.experiments.parallel import ResultCache, RunSpec, run_many
+from repro.experiments.parallel import RunSpec, run_many
+from repro.experiments.store import RECORDS_FILE, Store
 
 #: Small, fast grid: 4 unique specs, ~0.1 s each.
 SIZES = (200, 300)
@@ -39,7 +38,7 @@ class TestRaisingSpecs:
         break_specs(scheme="ct")
         specs = grid_specs()
         for jobs in JOBS:
-            cache = ResultCache(str(tmp_path / f"results-{jobs}"))
+            cache = Store(str(tmp_path / f"results-{jobs}"))
             with pytest.raises(EngineError) as excinfo:
                 run_many(specs, jobs=jobs, cache=cache)
             err = excinfo.value
@@ -53,45 +52,48 @@ class TestRaisingSpecs:
             assert len(err.completed) == 2
             assert cache.stats.stores == 2
             for spec in specs:
-                hit = ResultCache(cache.path).get(spec.key())
+                hit = Store(cache.path).get(spec.key())
                 assert (hit is not None) == (spec.scheme == "insecure")
 
 
 class TestCorruptCache:
-    def test_corrupt_pkl_entry_is_recomputed_and_rewritten(
+    def test_torn_tail_entry_is_recomputed_and_rewritten(
         self, tmp_path, break_specs
     ):
-        """Corrupt entries are misses: re-simulated and rewritten.
-        The intact entries are served, never simulated — their specs
-        are patched to raise."""
+        """A torn last record is a miss: re-simulated and re-appended.
+        The intact entries are served, never simulated — the insecure
+        ones are patched to raise, and exactly one result is stored."""
         specs = grid_specs()
-        corrupt = [s for s in specs if s.scheme == "ct"]
-        paths = {}
+        torn = specs[-1]  # a serial run appends in submission order
         for jobs in JOBS:
-            cache = ResultCache(str(tmp_path / f"results-{jobs}"))
-            first = run_many(specs, cache=cache)
-            for spec in corrupt:
-                path = cache._file_for(spec.key())
-                with open(path, "wb") as fh:
-                    fh.write(b"corrupt garbage, definitely not a pickle")
-            paths[jobs] = cache.path
+            path = tmp_path / f"results-{jobs}"
+            first = run_many(specs, cache=Store(str(path)))
+            records = path / RECORDS_FILE
+            records.write_bytes(records.read_bytes()[:-50])
         break_specs(scheme="insecure")
         for jobs in JOBS:
-            # a fresh cache over the same directory treats the corrupt
-            # entries as misses, recomputes, and *rewrites* them
-            again = ResultCache(paths[jobs])
+            path = str(tmp_path / f"results-{jobs}")
+            again = Store(path)
             recomputed = run_many(specs, jobs=jobs, cache=again)
-            assert again.stats.misses == len(corrupt)
-            assert again.stats.stores == len(corrupt)
+            assert (again.stats.misses, again.stats.stores) == (1, 1)
             assert [r.counters for r in recomputed] == [
                 r.counters for r in first
             ]
-            for spec in corrupt:
-                with open(again._file_for(spec.key()), "rb") as fh:
-                    restored = pickle.load(fh)  # valid pickle again
-                assert restored.counters == (
-                    recomputed[specs.index(spec)].counters
-                )
+            # the re-appended record is whole on the next open
+            assert Store(path).get(torn.key()).counters == (
+                recomputed[-1].counters
+            )
+
+    def test_corrupt_complete_line_raises_store_error(self, tmp_path):
+        """A complete line that does not decode is never a miss."""
+        path = tmp_path / "results"
+        run_many(grid_specs(), cache=Store(str(path)))
+        records = path / RECORDS_FILE
+        lines = records.read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"key": "k", "value": "bm90IGEgcGlja2xl"}\n'
+        records.write_bytes(b"".join(lines))
+        with pytest.raises(StoreError, match="line 2 of"):
+            run_many(grid_specs(), cache=Store(str(path)))
 
 
 class TestEngineSettings:
@@ -101,7 +103,7 @@ class TestEngineSettings:
         break_specs(scheme="ct")
         prev = parallel.current_settings()
         for jobs in JOBS:
-            cache = ResultCache()
+            cache = Store()
             try:
                 parallel.configure(jobs=jobs, cache=cache)
                 now = parallel.current_settings()

@@ -1,12 +1,13 @@
-"""Crash-safe result store, sweep manifests, and checkpoint/resume.
+"""The one store, sweep manifests, and checkpoint/resume.
 
-Covers the durability layer end to end: the append-only segment store
-(rotation, fsync'd atomic seals, torn-tail recovery), sweep manifests
-(spec round-trips that preserve the content hash), and the acceptance
-bar — a sweep whose pool is killed mid-flight and then resumed from
-its manifest is bit-identical to an uninterrupted run, with the
-already-durable specs demonstrably served from the store instead of
-re-simulated.
+Covers the durability layer end to end: the append-only store
+(reopen, torn-tail truncation, corruption errors), its one failure
+rule applied identically by all three users (the result cache, a run
+directory and the verdict cache), sweep manifests (spec round-trips
+that preserve the content hash), and the acceptance bar — a sweep
+whose pool is killed mid-flight and then resumed from its manifest is
+bit-identical to an uninterrupted run, with the already-durable specs
+demonstrably served from the store instead of re-simulated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import os
 
 import pytest
 
+from repro.analysis.api import BUILTIN_PROGRAM_SPECS
+from repro.analysis.engine import CheckSpec, run_check_specs
 from repro.core.machine import MachineConfig
 from repro.errors import EngineError, StoreError
 from repro.experiments import parallel
@@ -23,11 +26,10 @@ from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.runner import RunResult
 from repro.experiments.store import (
     MANIFEST_FILE,
-    RESULTS_SUBDIR,
-    ResultStore,
+    RECORDS_FILE,
     RunDirectory,
+    Store,
     SweepManifest,
-    read_jsonl_records,
     resume,
     served_from,
     spec_from_dict,
@@ -59,17 +61,25 @@ def fake_result(i: int) -> RunResult:
     )
 
 
+def stored_keys(path) -> list:
+    """The key of every complete line of a store's records file."""
+    with open(os.path.join(path, RECORDS_FILE), encoding="utf-8") as fh:
+        return [json.loads(line)["key"] for line in fh]
+
+
 # ---------------------------------------------------------------------------
-# ResultStore: append, rotate, recover
+# Store: append, reopen, torn tail, corruption
 # ---------------------------------------------------------------------------
 
 
 class TestResultStore:
+    """The one :class:`Store` that holds every result and verdict."""
+
     def test_round_trip_is_bit_identical(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = Store(str(tmp_path / "s"))
         result = fake_result(1)
-        assert store.put("k1", result)
-        reopened = ResultStore(str(tmp_path / "s"))
+        store.put("k1", result)
+        reopened = Store(str(tmp_path / "s"))
         back = reopened.get("k1")
         # tuples stay tuples: the payload must not pass through JSON
         assert back.output == (1, (2, 3))
@@ -77,102 +87,135 @@ class TestResultStore:
         assert back == result
 
     def test_duplicate_put_is_suppressed(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
-        assert store.put("k", fake_result(1))
-        assert not store.put("k", fake_result(2))
+        store = Store(str(tmp_path / "s"))
+        store.put("k", fake_result(1))
+        store.put("k", fake_result(2))
         assert len(store) == 1
-        assert store.stats.appends == 1
+        assert store.stats.stores == 1
+        assert stored_keys(tmp_path / "s") == ["k"]
 
-    def test_segment_rotation_and_reopen(self, tmp_path):
-        path = tmp_path / "s"
-        store = ResultStore(str(path), segment_records=2)
-        for i in range(5):
-            store.put(f"k{i}", fake_result(i))
-        # 4 records sealed into 2 segments, 1 still in the active part
-        names = sorted(os.listdir(path))
-        assert names == [
-            "segment-00000.jsonl",
-            "segment-00001.jsonl",
-            "segment-00002.jsonl.part",
-        ]
-        assert store.stats.sealed_segments == 2
-        store.close()  # seals the active part
-        assert sorted(os.listdir(path)) == [
-            "segment-00000.jsonl",
-            "segment-00001.jsonl",
-            "segment-00002.jsonl",
-        ]
-        reopened = ResultStore(str(path), segment_records=2)
-        assert len(reopened) == 5
-        assert reopened.get("k3").counters == {"cycles": 3.0}
-
-    def test_appends_continue_in_fresh_segment_after_reopen(self, tmp_path):
+    def test_appends_continue_after_reopen(self, tmp_path):
         path = str(tmp_path / "s")
-        store = ResultStore(path, segment_records=100)
-        store.put("a", fake_result(1))
-        store.close()
-        second = ResultStore(path, segment_records=100)
+        Store(path).put("a", fake_result(1))
+        second = Store(path)
         second.put("b", fake_result(2))
-        second.close()
-        assert sorted(os.listdir(path)) == [
-            "segment-00000.jsonl",
-            "segment-00001.jsonl",
-        ]
-        assert len(ResultStore(path)) == 2
+        assert os.listdir(path) == [RECORDS_FILE]
+        assert stored_keys(path) == ["a", "b"]
+        assert len(Store(path)) == 2
 
-    def test_torn_tail_of_crashed_part_is_dropped_on_reopen(self, tmp_path):
+    def test_torn_tail_is_truncated_before_the_next_append(self, tmp_path):
         path = tmp_path / "s"
-        store = ResultStore(str(path))
+        store = Store(str(path))
         store.put("a", fake_result(1))
         store.put("b", fake_result(2))
-        # simulate a crash mid-append: no close, torn trailing record
-        part = path / "segment-00000.jsonl.part"
-        assert part.exists()
-        with open(part, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "c", "result": "AAAA')  # torn
-        reopened = ResultStore(str(path))
+        records = path / RECORDS_FILE
+        intact = records.read_bytes()
+        # simulate a crash mid-append: a torn trailing record
+        with open(records, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "c", "value": "AAAA')  # torn
+        reopened = Store(str(path))
         assert sorted(reopened.keys()) == ["a", "b"]
-        assert reopened.stats.recovered_records == 2
-        assert reopened.stats.skipped_bytes > 0
-        # the part was sealed: no .part files remain, appends go on
-        assert not [n for n in os.listdir(path) if n.endswith(".part")]
+        # the writable open cut the torn bytes, so the next append
+        # starts on a line of its own and loads on the next open
+        assert records.read_bytes() == intact
         reopened.put("c", fake_result(3))
-        reopened.close()
-        assert len(ResultStore(str(path))) == 3
+        assert Store(str(path)).get("c") == fake_result(3)
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "s"
-        store = ResultStore(str(path), segment_records=2)
+        store = Store(str(path))
         store.put("a", fake_result(1))
-        store.put("b", fake_result(2))  # seals segment-00000
-        segment = path / "segment-00000.jsonl"
-        lines = segment.read_text().splitlines()
+        store.put("b", fake_result(2))
+        records = path / RECORDS_FILE
+        lines = records.read_text().splitlines()
         lines[0] = lines[0][:20]  # corrupt a NON-final record
-        segment.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreError):
-            ResultStore(str(path))
+        records.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match="line 1 of .*records.jsonl"):
+            Store(str(path))
 
     def test_readonly_store(self, tmp_path):
         path = str(tmp_path / "s")
-        with ResultStore(path) as store:
-            store.put("a", fake_result(1))
-        ro = ResultStore(path, readonly=True)
+        Store(path).put("a", fake_result(1))
+        ro = Store(path, readonly=True)
         assert ro.get("a") is not None
         with pytest.raises(StoreError):
             ro.put("b", fake_result(2))
         with pytest.raises(StoreError):
-            ResultStore(str(tmp_path / "missing"), readonly=True)
+            Store(str(tmp_path / "missing"), readonly=True)
 
-    def test_readonly_reads_live_part_without_sealing_it(self, tmp_path):
-        """An offline reader must see a running sweep's active segment
-        but never mutate it (the writer still owns the .part file)."""
-        path = str(tmp_path / "s")
-        writer = ResultStore(path)
-        writer.put("a", fake_result(1))
-        ro = ResultStore(path, readonly=True)
+    def test_readonly_reader_leaves_a_torn_tail_in_place(self, tmp_path):
+        """An offline reader must see a running sweep's complete
+        records but never modify the file (the writer owns it)."""
+        path = tmp_path / "s"
+        Store(str(path)).put("a", fake_result(1))
+        records = path / RECORDS_FILE
+        with open(records, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "b", "val')  # an append in flight
+        before = records.read_bytes()
+        ro = Store(str(path), readonly=True)
         assert ro.get("a") is not None
-        assert [n for n in os.listdir(path) if n.endswith(".part")]
-        writer.close()
+        assert "b" not in ro
+        assert records.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# one failure rule for all three users of the store
+# ---------------------------------------------------------------------------
+
+
+def _run_experiments(cache=None, store=None):
+    specs = [RunSpec("histogram", 200, scheme) for scheme in SCHEMES]
+    return run_many(specs, cache=cache, store=store)
+
+
+def _run_checks(vcache):
+    specs = [
+        CheckSpec(kind="program", name=name,
+                  program=BUILTIN_PROGRAM_SPECS[name]())
+        for name in ("lookup", "swap")
+    ]
+    return run_check_specs(specs, vcache=vcache)
+
+
+#: Each user of the store: how it opens one, and one batch through it.
+USERS = {
+    "result-cache": (Store, lambda s: _run_experiments(cache=s)),
+    "run-directory": (RunDirectory, lambda s: _run_experiments(store=s)),
+    "verdict-cache": (Store, _run_checks),
+}
+
+
+class TestFailureRule:
+    @pytest.mark.parametrize("user", list(USERS))
+    def test_torn_tail_is_a_miss_and_a_corrupt_line_an_error(
+        self, tmp_path, user
+    ):
+        open_store, run_batch = USERS[user]
+        path = str(tmp_path / "d")
+        first = run_batch(open_store(path))
+        records = tmp_path / "d" / RECORDS_FILE
+        head, tail = records.read_bytes().splitlines(keepends=True)
+
+        # a crash tore the last record: it is dropped (and cut from the
+        # file), then re-computed and re-appended as a miss
+        records.write_bytes(head + tail[: len(tail) // 2])
+        store = open_store(path)
+        assert len(store) == 1
+        assert records.read_bytes() == head
+        assert run_batch(store) == first
+        stats = store.stats
+        assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+        assert records.read_bytes() == head + tail
+        assert len(open_store(path)) == 2
+
+        # a complete line that does not decode is an error, wherever it
+        # sits, and the message names the file and the line
+        for lines, bad in (([b"garbage\n", head, tail], 1),
+                           ([head, b"{}\n", tail], 2)):
+            records.write_bytes(b"".join(lines))
+            with pytest.raises(StoreError) as excinfo:
+                open_store(path)
+            assert f"line {bad} of {records}" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +289,6 @@ class TestEngineIntegration:
         rd = RunDirectory(str(tmp_path / "run"))
         specs = grid_specs()
         run_many(specs, cache=None, store=rd)
-        rd.close()
         manifest = SweepManifest(str(tmp_path / "run"))
         assert manifest.keys() == [s.key() for s in specs]
         assert manifest.settings()["jobs"] == 1
@@ -256,24 +298,22 @@ class TestEngineIntegration:
         self, tmp_path, break_specs
     ):
         rd_path = str(tmp_path / "run")
-        with RunDirectory(rd_path) as rd:
-            first = run_many(grid_specs(), cache=None, store=rd)
+        first = run_many(grid_specs(), cache=None, store=RunDirectory(rd_path))
         break_specs()  # any simulation now raises
-        with RunDirectory(rd_path) as rd:
-            second = run_many(grid_specs(), cache=None, store=rd)
-            assert rd.store.stats.hits == 4
-            assert rd.store.stats.appends == 0
+        rd = RunDirectory(rd_path)
+        second = run_many(grid_specs(), cache=None, store=rd)
+        assert rd.stats.hits == 4
+        assert rd.stats.stores == 0
         for a, b in zip(first, second):
             assert a.counters == b.counters
 
     def test_cache_hits_are_backfilled_into_the_store(self, tmp_path):
         """A result served from the in-memory cache must still become
         durable, or a resume would re-simulate it."""
-        cache = parallel.ResultCache()
+        cache = Store()
         specs = grid_specs()
         run_many(specs, cache=cache)  # warm the cache only
-        with RunDirectory(str(tmp_path / "run")) as rd:
-            run_many(specs, cache=cache, store=rd)
+        run_many(specs, cache=cache, store=RunDirectory(str(tmp_path / "run")))
         assert len(RunDirectory(str(tmp_path / "run"))) == 4
 
     def test_salvage_at_delivery_on_partial_failure(
@@ -286,7 +326,6 @@ class TestEngineIntegration:
             rd = RunDirectory(str(tmp_path / f"run-{jobs}"))
             with pytest.raises(EngineError):
                 run_many(grid_specs(), jobs=jobs, cache=None, store=rd)
-            rd.close()
             survivors = RunDirectory(str(tmp_path / f"run-{jobs}"))
             assert len(survivors) == 2  # the two insecure specs
             assert len(survivors.pending_specs()) == 2
@@ -294,8 +333,7 @@ class TestEngineIntegration:
     def test_offline_serves_store_and_errors_on_miss(self, tmp_path):
         rd_path = str(tmp_path / "run")
         specs = grid_specs()
-        with RunDirectory(rd_path) as rd:
-            baseline = run_many(specs, cache=None, store=rd)
+        baseline = run_many(specs, cache=None, store=RunDirectory(rd_path))
         with served_from(rd_path) as rd:
             offline = run_many(specs, cache=None)
             assert [r.counters for r in offline] == [
@@ -309,8 +347,7 @@ class TestEngineIntegration:
 
     def test_served_from_restores_engine_settings(self, tmp_path):
         rd_path = str(tmp_path / "run")
-        with RunDirectory(rd_path) as rd:
-            run_many(grid_specs()[:1], cache=None, store=rd)
+        run_many(grid_specs()[:1], cache=None, store=RunDirectory(rd_path))
         before = parallel.current_settings()
         with served_from(rd_path):
             inside = parallel.current_settings()
@@ -327,8 +364,11 @@ class TestEngineIntegration:
 
 class TestCrashAndResume:
     def test_resume_without_manifest_raises(self, tmp_path):
-        with pytest.raises(StoreError):
-            resume(str(tmp_path))
+        """Nothing is created: not the directory, nothing inside it."""
+        for path in (tmp_path, tmp_path / "missing"):
+            with pytest.raises(StoreError, match="no manifest.json"):
+                resume(str(path))
+        assert os.listdir(tmp_path) == []
 
     def test_killed_sweep_resumes_bit_identical(
         self, tmp_path, monkeypatch, break_specs
@@ -348,7 +388,6 @@ class TestCrashAndResume:
         rd = RunDirectory(rd_path)
         with pytest.raises(EngineError) as excinfo:
             run_many(specs, jobs=2, cache=None, store=rd)
-        rd.close()
         err = excinfo.value
         assert {f.kind for f in err.failures} == {"crash"}
         failed_keys = [f.key for f in err.failures]
@@ -360,13 +399,11 @@ class TestCrashAndResume:
         durable_keys = set(crashed.keys())
         assert durable_keys == set(err.completed)
         assert [s.key() for s in crashed.pending_specs()] == failed_keys
-        crashed.close()
 
         # the fault is gone (the "host came back"); finish the sweep
         monkeypatch.undo()
         rd = RunDirectory(rd_path)
         resumed = resume(rd, jobs=1)
-        rd.close()
 
         # spec-complete, in manifest (= submission) order, bit-identical
         assert len(resumed) == len(specs)
@@ -375,23 +412,16 @@ class TestCrashAndResume:
             assert done.output == fresh.output
 
         # durable specs were served, only the failed ones appended
-        assert rd.store.stats.hits == len(durable_keys)
-        assert rd.store.stats.appends == len(failed_keys)
+        assert rd.stats.hits == len(durable_keys)
+        assert rd.stats.stores == len(failed_keys)
 
-        # duplicate-free on disk: one record per spec across segments
-        results_dir = os.path.join(rd_path, RESULTS_SUBDIR)
-        stored_keys = []
-        for name in sorted(os.listdir(results_dir)):
-            records, _ = read_jsonl_records(
-                os.path.join(results_dir, name)
-            )
-            stored_keys.extend(r["key"] for r in records)
-        assert len(stored_keys) == len(set(stored_keys)) == len(specs)
+        # duplicate-free on disk: one record per spec
+        keys = stored_keys(rd_path)
+        assert len(keys) == len(set(keys)) == len(specs)
 
     def test_resume_defaults_come_from_manifest_snapshot(self, tmp_path):
         rd_path = str(tmp_path / "run")
-        with RunDirectory(rd_path) as rd:
-            run_many(grid_specs(), jobs=2, cache=None, store=rd)
+        run_many(grid_specs(), jobs=2, cache=None, store=RunDirectory(rd_path))
         manifest = SweepManifest(rd_path)
         assert manifest.settings() == {"jobs": 2}
         # a plain resume completes using those settings (all stored)
