@@ -24,10 +24,12 @@
 #   6. the automatic repair smoke (scripts/repair_smoke.py): every
 #      leaky builtin must auto-repair to CT-PROVED within the 1.5x
 #      overhead budget — a residual CT-REL exits nonzero
-#   7. a perf smoke: the benchmark's self-tests, then one short
-#      `verify` run that must end with `"correct": true` (a smoke that
-#      the measured paths still run and match their digests, not a
-#      stable number; scripts/bench.sh runs the full benchmark)
+#   7. a perf smoke: the benchmark's self-tests, then one short run
+#      of each workload (`verify`, `fig-ct`, `fig-bia`) that must end
+#      with `"correct": true` — every op's result must match its
+#      recorded digest, so the figure workloads check every simulated
+#      counter and output a simulator speed-up must keep (a smoke, not
+#      a stable number; scripts/bench.sh runs the full benchmark)
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -78,10 +80,12 @@ python scripts/symrel_smoke.py
 echo "== automatic repair smoke (scripts/repair_smoke.py)"
 python scripts/repair_smoke.py
 
-echo "== perf smoke (perfbench self-tests + a 1 s verify run)"
+echo "== perf smoke (perfbench self-tests + a 1 s run of each workload)"
 python3 perfbench/selftest.py
-bench_out="$(python3 perfbench/run.py --workload verify --seconds 1)"
-echo "$bench_out" | tail -n 1
-tail -n 1 <<<"$bench_out" | grep -q '"correct": true'
+for workload in verify fig-ct fig-bia; do
+    bench_out="$(python3 perfbench/run.py --workload "$workload" --seconds 1)"
+    echo "$workload: $(tail -n 1 <<<"$bench_out")"
+    tail -n 1 <<<"$bench_out" | grep -q '"correct": true'
+done
 
 echo "== CI gate passed"

@@ -261,18 +261,28 @@ _REGISTRY: Dict[str, Callable[[int], ReplacementPolicy]] = {
 }
 
 
-def make_policy(name: str, num_ways: int, seed: Optional[int] = None):
-    """Instantiate a replacement policy by registry name."""
+def policy_factory(name: str) -> Callable[..., ReplacementPolicy]:
+    """Resolve a registry name to ``factory(num_ways, seed=None)``.
+
+    Raises :class:`ConfigurationError` for an unknown name, so owners
+    that build policies lazily (one per cache set) can resolve the name
+    once, at construction.  Only the random policy uses ``seed``.
+    """
     try:
-        factory = _REGISTRY[name.lower()]
+        cls = _REGISTRY[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown replacement policy {name!r}; "
             f"choices: {sorted(_REGISTRY)}"
         ) from None
-    if factory is RandomPolicy and seed is not None:
-        return RandomPolicy(num_ways, seed=seed)
-    return factory(num_ways)
+    if cls is RandomPolicy:
+        return lambda num_ways, seed=None: RandomPolicy(num_ways, seed or 0)
+    return lambda num_ways, seed=None: cls(num_ways)
+
+
+def make_policy(name: str, num_ways: int, seed: Optional[int] = None):
+    """Instantiate a replacement policy by registry name."""
+    return policy_factory(name)(num_ways, seed)
 
 
 def policy_names() -> List[str]:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import params
 from repro.cache.events import EventBus
 from repro.cache.line import CacheLine
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import ReplacementPolicy, policy_factory
 from repro.errors import ConfigurationError
 
 
@@ -178,6 +178,10 @@ class SetAssociativeCache:
         self.num_sets = num_sets
         self.replacement = replacement
         self.replacement_seed = replacement_seed
+        # Resolved once: an unknown name (or a policy that rejects this
+        # associativity) fails here, not at the first lazy set fill.
+        self._make_policy = policy_factory(replacement)
+        self._make_policy(assoc, replacement_seed)
         # Hot-path geometry: sets are validated power-of-two above, and
         # for the (ubiquitous) power-of-two line size the div/mod set
         # indexing reduces to one shift + one mask.  ``_line_shift`` is
@@ -208,11 +212,7 @@ class SetAssociativeCache:
         if cset is None:
             cset = self._sets[set_idx] = _CacheSet(
                 self.assoc,
-                make_policy(
-                    self.replacement,
-                    self.assoc,
-                    seed=self.replacement_seed + set_idx,
-                ),
+                self._make_policy(self.assoc, self.replacement_seed + set_idx),
             )
             self._live.append(set_idx)
         return cset

@@ -263,18 +263,27 @@ class Machine:
         """Ordinary load.  ``secret_dependent=True`` skips the LRU update
         (Sec. 3.2's replacement-side-channel rule)."""
         line_addr = addr & _LINE_BASE_MASK
-        result = self.hierarchy.read_line(
-            line_addr, start_level, not secret_dependent
-        )
+        update = not secret_dependent
+        # Probe the start level directly; only a miss walks the
+        # hierarchy (CacheHierarchy.read_line without its AccessResult).
+        first = self.hierarchy.levels[start_level]
+        if first.access(line_addr, update, True) is not None:
+            latency = first.latency
+            hit_level = first.name
+        else:
+            extra, hit_level, _filled = self.hierarchy.read_miss_fill(
+                line_addr, start_level, update, True
+            )
+            latency = first.latency + extra
         if self.slice_hash is not None:
-            self._record_llc_traffic(line_addr, result.hit_level)
+            self._record_llc_traffic(line_addr, hit_level)
         # One bound-attribute block for all five counters (hot path).
         stats = self.stats
         stats.loads += 1
         stats.l1d_refs += 1
         stats.insts += 1
         stats.l1i_refs += 1
-        stats.cycles += result.latency
+        stats.cycles += latency
         return self.memory.read_word(addr, size)
 
     def store_word(
@@ -293,33 +302,38 @@ class Machine:
         consequences Sec. 2.4 flags and defers.
         """
         line_addr = addr & _LINE_BASE_MASK
-        if self.config.silent_stores and self.memory.read_word(
+        update = not secret_dependent
+        silent = self.config.silent_stores and self.memory.read_word(
             addr, size
-        ) == value % (1 << (8 * size)):
-            result = self.hierarchy.read_line(
-                line_addr, start_level, not secret_dependent
+        ) == value % (1 << (8 * size))
+        # Same split as load_word; the write path then dirties the line
+        # at the start level (CacheHierarchy.write_line) unless squashed.
+        first = self.hierarchy.levels[start_level]
+        line = first.access(line_addr, update, True)
+        if line is not None:
+            latency = first.latency
+            hit_level = first.name
+            if not silent and not line.dirty:
+                line.dirty = True
+                if first.events.has_listeners:
+                    first.events.dirty(line_addr)
+        else:
+            extra, hit_level, _filled = self.hierarchy.read_miss_fill(
+                line_addr, start_level, update, True
             )
-            if self.slice_hash is not None:
-                self._record_llc_traffic(line_addr, result.hit_level)
-            stats = self.stats
-            stats.stores += 1
-            stats.l1d_refs += 1
-            stats.insts += 1
-            stats.l1i_refs += 1
-            stats.cycles += result.latency
-            return
-        result = self.hierarchy.write_line(
-            line_addr, start_level, not secret_dependent
-        )
+            latency = first.latency + extra
+            if not silent:
+                first.set_dirty(line_addr)
         if self.slice_hash is not None:
-            self._record_llc_traffic(line_addr, result.hit_level)
-        self.memory.write_word(addr, value, size)
+            self._record_llc_traffic(line_addr, hit_level)
+        if not silent:
+            self.memory.write_word(addr, value, size)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
         stats.insts += 1
         stats.l1i_refs += 1
-        stats.cycles += result.latency
+        stats.cycles += latency
 
     # -- victim: bulk-access kernels -----------------------------------------------------
     #
@@ -412,9 +426,14 @@ class Machine:
 
         Falls back to the scalar loop under ``silent_stores`` (the
         squash decision needs a per-element memory comparison) and on
-        sliced-LLC machines.
+        sliced-LLC machines.  ``addrs`` and ``values`` must have equal
+        lengths.
         """
         n = len(addrs)
+        if len(values) != n:
+            raise ProtocolError(
+                f"store_words got {n} addresses and {len(values)} values"
+            )
         if n == 0:
             return
         if self.slice_hash is not None or self.config.silent_stores:
@@ -455,6 +474,7 @@ class Machine:
         addrs,
         target_idx: int = -1,
         target_fn=None,
+        update_fn=None,
         size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
@@ -466,16 +486,26 @@ class Machine:
         """Batched read-modify-write triples.
 
         Per element: ``execute(pre_insts); v = load_word(addr);
-        store_word(addr, new)`` where ``new`` is ``target_fn(v)`` at
-        position ``target_idx`` and the written-back ``v`` elsewhere —
-        the shape of both the software-CT store/RMW sweep and
-        Algorithm 3's fetch pass.  Returns the loaded values; with
+        store_word(addr, new)``.  Two forms pick ``new``:
+
+        * targeted (``target_idx``/``target_fn``): ``target_fn(v)`` at
+          position ``target_idx`` and the written-back ``v`` elsewhere —
+          the shape of both the software-CT store/RMW sweep and
+          Algorithm 3's fetch pass;
+        * per-element (``update_fn``, which takes precedence):
+          ``update_fn(i, v)`` at every position ``i`` — a public
+          read-modify-write loop such as Dijkstra's relaxation.
+          ``update_fn`` must depend only on its arguments (it may run
+          after later elements' cache accesses).
+
+        Returns the loaded values.  In the targeted form with
         ``collect_values=False`` only ``values[target_idx]`` is read
         (the rest are ``None``) and the value-identical write-backs of
         non-target elements are elided from the backing store — the
         simulated accesses are still performed and charged, and the
         memory image is unchanged since each elision writes back the
-        word just read.
+        word just read.  The per-element form reads and writes every
+        element whatever ``collect_values`` says.
 
         The pairs stay fused (load and store of element i before the
         load of element i+1) because the store's events must interleave
@@ -486,6 +516,8 @@ class Machine:
         n = len(addrs)
         if n == 0:
             return []
+        if update_fn is not None:
+            collect_values = True
         if self.slice_hash is not None:
             execute = self.execute
             load = self.load_word
@@ -497,7 +529,10 @@ class Machine:
                     execute(pre_insts)
                 v = load(a, size, secret_dependent, start_level)
                 out.append(v)
-                new = target_fn(v) if i == target_idx else v
+                if update_fn is not None:
+                    new = update_fn(i, v)
+                else:
+                    new = target_fn(v) if i == target_idx else v
                 store(a, new, size, secret_dependent, start_level)
             return out
         if lines is None:
@@ -538,7 +573,10 @@ class Machine:
                     cycles += first_lat + extra
                 value = read(a, size)
                 append(value if collect_values or i == target_idx else None)
-                new = target_fn(value) if i == target_idx else value
+                if update_fn is not None:
+                    new = update_fn(i, value)
+                else:
+                    new = target_fn(value) if i == target_idx else value
                 if read(a, size) == new & wrap:
                     # Squashed silent store: read path, no dirty bit.
                     hit = first_access(line, update, True)
@@ -588,7 +626,13 @@ class Machine:
                 for _ in range(i, nxt):
                     cycles += first_lat
                     cycles += first_lat
-            if collect_values:
+            if update_fn is not None:
+                for j in range(i, nxt):
+                    a = addrs[j]
+                    v = read(a, size)
+                    out[j] = v
+                    write(a, update_fn(j, v), size)
+            elif collect_values:
                 for j in range(i, nxt):
                     v = read(addrs[j], size)
                     out[j] = v
@@ -613,7 +657,10 @@ class Machine:
             if collect_values or nxt == target_idx:
                 v = read(a, size)
                 out[nxt] = v
-            new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
+            if update_fn is not None:
+                new = update_fn(nxt, out[nxt])
+            else:
+                new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
             hit = first_access(line, update, True)
             if hit is not None:
                 cycles += first_lat

@@ -12,7 +12,9 @@ A workload performs every *secret-dependent* memory access through a
   the same, so the comparison stays apples-to-apples.
 
 Public (secret-independent) accesses go straight to the machine via
-:meth:`plain_load` / :meth:`plain_store`, and ALU work is charged with
+:meth:`plain_load` / :meth:`plain_store` or their batched forms
+(:meth:`plain_load_words`, :meth:`plain_store_words`,
+:meth:`plain_rmw_words`), and ALU work is charged with
 :meth:`execute`.  Swapping the context — :class:`InsecureContext`,
 :class:`~repro.ct.linearize.SoftwareCTContext`, or
 :class:`~repro.ct.bia_ops.BIAContext` — changes the mitigation without
@@ -113,9 +115,22 @@ class MitigationContext:
     ) -> None:
         self.machine.store_word(addr, value, size)
 
+    def plain_load_words(self, addrs) -> List[int]:
+        """Batched :meth:`plain_load` (bit-identical, see load_words)."""
+        return self.machine.load_words(addrs)
+
     def plain_store_words(self, addrs, values) -> None:
         """Batched :meth:`plain_store` (bit-identical, see store_words)."""
         self.machine.store_words(addrs, values)
+
+    def plain_rmw_words(self, addrs, fn) -> List[int]:
+        """Batched public read-modify-write: ``mem[a_i] = fn(i, mem[a_i])``.
+
+        Bit-identical to a :meth:`plain_load` + :meth:`plain_store` pair
+        per element (see ``Machine.rmw_words``'s per-element form);
+        returns the loaded values.
+        """
+        return self.machine.rmw_words(addrs, update_fn=fn)
 
     def execute(self, n_insts: int) -> None:
         self.machine.execute(n_insts)

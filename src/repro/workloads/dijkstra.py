@@ -18,7 +18,12 @@ Secret-dependent accesses per iteration:
 The min-scan over ``dist``/``visited`` reads *all* vertices at public
 addresses (only the comparison outcomes are secret, handled
 branchlessly), so it needs no linearization — in the insecure version
-too, matching the original benchmark's structure.
+too, matching the original benchmark's structure.  The scan and the
+relaxation issue the same access stream as a per-vertex loop through
+the batched kernels (``plain_load_words``, ``plain_rmw_words``), and
+charge each batch's per-vertex ALU work and ``ct_select``s as one
+``execute`` — exact under an integral CPI (see
+``tests/core/test_bulk_equiv.py``).
 
 Sizes: V in {32, 64, 96, 128}; at V=128 the 64 KiB matrix equals the
 L1d capacity, the paper's L1d-BIA self-eviction case (Sec. 7.3.2).
@@ -29,7 +34,6 @@ from __future__ import annotations
 from typing import List
 
 from repro import params
-from repro.ct import cfl
 from repro.ct.context import MitigationContext
 from repro.workloads.base import make_rng
 
@@ -75,36 +79,40 @@ def run(ctx: MitigationContext, size: int, seed: int) -> List[int]:
         init_vals += (INF if v else 0, 0)
     ctx.plain_store_words(init_addrs, init_vals)
 
+    dist_addrs = [dist_base + 4 * v for v in range(size)]
+    # (dist[v], visited[v]) per candidate, in the scan's access order
+    scan_addrs = [
+        a for v in range(size) for a in (dist_addrs[v], visited_base + 4 * v)
+    ]
     for iteration in range(size):
         if iteration == 1:
             # First iteration is warm-up (first-touch fills of the
             # matrix); counters reset so measured overheads reflect
             # steady state, like the paper's full-length runs.
             machine.reset_stats()
-        # Min-scan: public address pattern, branchless comparisons.
+        # Min-scan: public address pattern, branchless comparisons
+        # (SCAN_INSTS plus two ct_selects per candidate, one fold).
+        ctx.execute(size * (SCAN_INSTS + 2))
+        scan = ctx.plain_load_words(scan_addrs)
         best_u, best_d = 0, INF + 1
-        for v in range(size):
-            ctx.execute(SCAN_INSTS)
-            d = ctx.plain_load(dist_base + 4 * v)
-            seen = ctx.plain_load(visited_base + 4 * v)
-            candidate = not seen and d < best_d
-            best_u = cfl.ct_select(machine, candidate, v, best_u)
-            best_d = cfl.ct_select(machine, candidate, d, best_d)
+        for v, (d, seen) in enumerate(zip(scan[::2], scan[1::2])):
+            if not seen and d < best_d:
+                best_u, best_d = v, d
         u = best_u
         # Secret-dependent: mark u visited, read dist[u], gather row u.
         ctx.store(ds_visited, visited_base + 4 * u, 1)
         du = ctx.load(ds_dist, dist_base + 4 * u)
         row_base = adj_base + 4 * size * u
         row = ctx.gather(ds_adj, [row_base + 4 * j for j in range(size)])
-        # Relaxation: public store pattern (every dist[v] rewritten).
-        for v in range(size):
-            ctx.execute(RELAX_INSTS)
-            old = ctx.plain_load(dist_base + 4 * v)
+
+        def relax(v: int, old: int) -> int:
             alt = du + row[v] if row[v] else INF
-            better = v != u and alt < old
-            ctx.plain_store(
-                dist_base + 4 * v, cfl.ct_select(machine, better, alt, old)
-            )
+            return alt if v != u and alt < old else old
+
+        # Relaxation: public store pattern (every dist[v] rewritten),
+        # RELAX_INSTS plus one ct_select per vertex, one fold.
+        ctx.execute(size * (RELAX_INSTS + 1))
+        ctx.plain_rmw_words(dist_addrs, relax)
 
     return [machine.memory.read_word(dist_base + 4 * v) for v in range(size)]
 

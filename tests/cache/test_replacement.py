@@ -12,6 +12,8 @@ from repro.cache.replacement import (
     make_policy,
     policy_names,
 )
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.core.machine import Machine, MachineConfig
 from repro.errors import ConfigurationError
 
 
@@ -142,3 +144,32 @@ class TestRegistry:
     def test_zero_ways_rejected(self):
         with pytest.raises(ConfigurationError):
             LRUPolicy(0)
+
+
+class TestResolvedAtConstruction:
+    """A bad policy fails when the cache is built, not at its first fill."""
+
+    def test_unknown_name_fails_machine_construction(self):
+        with pytest.raises(ConfigurationError, match="lruu"):
+            Machine(MachineConfig(replacement="lruu"))
+
+    def test_unknown_name_fails_cache_construction(self):
+        with pytest.raises(ConfigurationError):
+            SetAssociativeCache("C", 4096, 4, 1, replacement="belady")
+
+    def test_policy_rejecting_the_associativity_fails_construction(self):
+        # 6 ways, 4 sets: tree PLRU needs a power-of-two way count
+        with pytest.raises(ConfigurationError, match="power-of-two"):
+            SetAssociativeCache("C", 6 * 64 * 4, 6, 1, replacement="plru")
+
+    @pytest.mark.parametrize("name", policy_names())
+    def test_lazy_sets_get_the_seeded_policy(self, name):
+        cache = SetAssociativeCache(
+            "C", 4096, 4, 1, replacement=name.upper(), replacement_seed=7
+        )
+        cache.fill(0x40 * 3)
+        policy = cache._sets[3].policy
+        expected = make_policy(name, 4, seed=7 + 3)
+        assert type(policy) is type(expected)
+        if name == "random":
+            assert policy._rng.getstate() == expected._rng.getstate()

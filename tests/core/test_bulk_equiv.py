@@ -14,16 +14,32 @@ figure) could read.
 The default cost model has an integer-valued CPI, and these tests keep
 it: the kernels replicate the scalar float-addition order per element,
 and integer CPI additionally makes every consumer-level fold exact.
+A consumer-level fold charges a batch's per-element ALU work as one
+``execute``: the software-CT gather's per-word selects, and Dijkstra's
+public min-scan and relaxation (``SCAN_INSTS`` + two ``ct_select``s and
+``RELAX_INSTS`` + one per vertex; pinned against the per-vertex loop by
+``tests/workloads/test_dijkstra_batched.py`` at ``cpi=1`` and
+``cpi=2``).  A fold reorders the float additions into ``cycles``, which
+is exact while every partial sum is an integer below 2**53 — true for
+any integral CPI — and may differ in the last bits under a fractional
+one.
+
+``TestScalarPaths`` pins the scalar ``load_word``/``store_word`` (a
+direct start-level probe, the hierarchy walked only on a miss) against
+a full ``read_line``/``write_line`` walk per access.
 """
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.observer import ObservableTraceRecorder
+from repro.cache.events import CacheListener
 from repro.core.machine import Machine, MachineConfig
+from repro.errors import ProtocolError
 
 ARENA_LINES = 512  # 32 KiB arena: larger than a 4 KiB L1d, smaller than L2
 
@@ -96,6 +112,154 @@ def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
         assert ma.memory.read_word(a) == mb.memory.read_word(a), (where, i)
 
 
+class _EventLog(CacheListener):
+    """Every event of every level, suppressed hits included."""
+
+    def __init__(self, machine):
+        self.events = []
+        for cache in machine.hierarchy.levels:
+            cache.events.subscribe(self)
+
+    def on_hit(self, name, line_addr, dirty, lru_updated=True):
+        self.events.append(("hit", name, line_addr, dirty, lru_updated))
+
+    def on_fill(self, name, line_addr, dirty):
+        self.events.append(("fill", name, line_addr, dirty))
+
+    def on_evict(self, name, line_addr, dirty):
+        self.events.append(("evict", name, line_addr, dirty))
+
+    def on_invalidate(self, name, line_addr):
+        self.events.append(("inval", name, line_addr))
+
+    def on_dirty(self, name, line_addr):
+        self.events.append(("dirty", name, line_addr))
+
+    def on_clean(self, name, line_addr):
+        self.events.append(("clean", name, line_addr))
+
+
+def _record_slice(m, line_addr, hit_level):
+    if m.slice_hash is not None and hit_level in ("LLC", None):
+        m.slice_trace.append(m.slice_hash.slice_of(line_addr))
+
+
+def _bump(stats, kind, latency):
+    setattr(stats, kind, getattr(stats, kind) + 1)
+    stats.l1d_refs += 1
+    stats.insts += 1
+    stats.l1i_refs += 1
+    stats.cycles += latency
+
+
+def reference_load_word(m, addr, size=4, secret=False, start_level=0):
+    """The scalar load as a full hierarchy walk per access."""
+    line_addr = addr & ~63
+    result = m.hierarchy.read_line(line_addr, start_level, not secret)
+    _record_slice(m, line_addr, result.hit_level)
+    _bump(m.stats, "loads", result.latency)
+    return m.memory.read_word(addr, size)
+
+
+def reference_store_word(m, addr, value, size=4, secret=False, start_level=0):
+    """The scalar store as a full hierarchy walk per access."""
+    line_addr = addr & ~63
+    if m.config.silent_stores and m.memory.read_word(addr, size) == value % (
+        1 << (8 * size)
+    ):
+        result = m.hierarchy.read_line(line_addr, start_level, not secret)
+        _record_slice(m, line_addr, result.hit_level)
+        _bump(m.stats, "stores", result.latency)
+        return
+    result = m.hierarchy.write_line(line_addr, start_level, not secret)
+    _record_slice(m, line_addr, result.hit_level)
+    m.memory.write_word(addr, value, size)
+    _bump(m.stats, "stores", result.latency)
+
+
+_HIT_PATH_OPS = [
+    ("load", 0, 0, False, 0, 0),
+    ("store", 0, 1, False, 0, 5),
+    ("same", 0, 1, False, 0, 0),
+    ("store", 0, 2, False, 0, 6),
+    ("store", 1, 0, True, 1, -3),
+    ("load", 1, 0, False, 2, 0),
+    ("same", 1, 1, False, 2, 0),
+    ("store", 1, 2, False, 2, 1 << 40),
+]
+
+
+class TestScalarPaths:
+    """``load_word``/``store_word`` probe the start level directly and
+    walk the hierarchy only on a miss; that must match a full
+    ``read_line``/``write_line`` walk per access, observably."""
+
+    @given(
+        geom=st.sampled_from(GEOMETRIES),
+        l2=st.sampled_from([(1 << 20, 16), (16 * 1024, 4)]),
+        policy=st.sampled_from(POLICIES),
+        silent=st.booleans(),
+        sliced=st.booleans(),
+        extras=st.sampled_from(["none", "prefetcher", "inclusive"]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["load", "store", "same"]),
+                # half the ops revisit a few hot lines: hits on clean and
+                # dirty lines, next to misses and evictions arena-wide
+                st.one_of(st.integers(0, 7), st.integers(0, ARENA_LINES - 1)),
+                st.integers(0, 15),
+                st.booleans(),
+                st.integers(0, 2),
+                st.integers(-(1 << 40), 1 << 40),
+            ),
+            min_size=1,
+            max_size=150,
+        ),
+        listeners=st.booleans(),
+    )
+    # Always-run cases: clean and dirty store hits, a squashed store,
+    # a fill at an L2 start and LLC-start hits on the sliced machine.
+    @example(geom=(65536, 8), l2=(1 << 20, 16), policy="lru", silent=False,
+             sliced=False, extras="none", ops=_HIT_PATH_OPS, listeners=True)
+    @example(geom=(65536, 8), l2=(1 << 20, 16), policy="lru", silent=True,
+             sliced=True, extras="none", ops=_HIT_PATH_OPS, listeners=True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_hierarchy_walk(self, geom, l2, policy, silent, sliced,
+                                    extras, ops, listeners):
+        config = MachineConfig(
+            l1d_size=geom[0], l1d_assoc=geom[1], l2_size=l2[0], l2_assoc=l2[1],
+            replacement=policy, silent_stores=silent,
+            prefetcher=extras == "prefetcher",
+            inclusive_llc=extras == "inclusive",
+            **({"bia_level": "LLC", "llc_slices": 8} if sliced else {}),
+        )
+        (ma, mb), (ra, rb), base = _twins(config, listeners)
+        la = lb = None
+        if listeners:
+            la, lb = _EventLog(ma), _EventLog(mb)
+        for kind, line, word, secret, level, value in ops:
+            addr = base + 64 * line + 4 * word
+            if kind == "load":
+                got = ma.load_word(addr, secret_dependent=secret,
+                                   start_level=level)
+                want = reference_load_word(mb, addr, secret=secret,
+                                           start_level=level)
+                assert got == want
+            else:
+                if kind == "same":  # a silent-store candidate
+                    value = ma.memory.read_word(addr)
+                ma.store_word(addr, value, secret_dependent=secret,
+                              start_level=level)
+                reference_store_word(mb, addr, value, secret=secret,
+                                     start_level=level)
+        assert ma.slice_trace == mb.slice_trace
+        if listeners:
+            assert la.events == lb.events
+        for ca, cb in zip(ma.hierarchy.levels, mb.hierarchy.levels):
+            assert ca.occupied_sets() == cb.occupied_sets(), ca.name
+        _assert_observably_equal(ma, mb, ra, rb, base, "scalar paths")
+
+
 class TestLoadWords:
     @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
@@ -141,6 +305,24 @@ class TestStoreWords:
         _assert_observably_equal(ma, mb, ra, rb, base, "store_words")
 
 
+@pytest.mark.parametrize("path", ["bulk", "silent-stores", "sliced-llc"])
+@pytest.mark.parametrize("n_values", [3, 9])
+def test_store_words_rejects_mismatched_lengths(path, n_values):
+    """Both store_words paths refuse a length mismatch before any access."""
+    config = {
+        "bulk": MachineConfig(),
+        "silent-stores": MachineConfig(silent_stores=True),
+        "sliced-llc": MachineConfig(bia_level="LLC", llc_slices=8),
+    }[path]
+    m = Machine(config)
+    base = m.allocator.alloc(8 * 64, "b")
+    before = m.snapshot()
+    with pytest.raises(ProtocolError, match="8 addresses and"):
+        m.store_words([base + 64 * i for i in range(8)], list(range(n_values)))
+    assert m.snapshot() == before
+    assert not list(m.memory.touched_pages())
+
+
 class TestRmwWords:
     @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
@@ -170,6 +352,42 @@ class TestRmwWords:
             assert got[target] == want[target]
             assert all(v is None for i, v in enumerate(got) if i != target)
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words")
+
+
+    @given(config=configs, sliced=st.booleans(), seq=addr_seqs,
+           pre=st.integers(0, 4), secret=st.booleans(),
+           listeners=st.booleans(), collect=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_per_element_form_matches_scalar(self, config, sliced, seq, pre,
+                                             secret, listeners, collect):
+        """``update_fn`` writes ``fn(i, v)`` at every element, as a
+        scalar load + store loop does — silent stores included, where a
+        value-identical result must be squashed and any other stored."""
+        if sliced:
+            config = dataclasses.replace(config, bia_level="LLC", llc_slices=8)
+        (ma, mb), (ra, rb), base = _twins(config, listeners)
+        addrs = [base + 64 * line + 4 * word for line, word in seq]
+
+        def fn(i, v):
+            # every third element rewrites its own value (a silent-store
+            # candidate); the others store wide or negative values the
+            # word size wraps
+            return v if i % 3 == 0 else v - 7 * i + ((i & 1) << 40)
+
+        got = ma.rmw_words(
+            addrs, update_fn=fn, pre_insts=pre, secret_dependent=secret,
+            collect_values=collect,
+        )
+        want = []
+        for i, a in enumerate(addrs):
+            if pre:
+                mb.execute(pre)
+            v = mb.load_word(a, secret_dependent=secret)
+            want.append(v)
+            mb.store_word(a, fn(i, v), secret_dependent=secret)
+        assert got == want
+        assert ma.slice_trace == mb.slice_trace
+        _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words/update_fn")
 
 
 class TestCTSweepOps:

@@ -86,6 +86,89 @@ class TestWords:
         assert mem.read_word(0x1000, size=8) == 0xAABBCCDD11223344
 
 
+    @pytest.mark.parametrize("size", [0, 3, 16, 64, -4])
+    def test_unsupported_word_sizes_rejected(self, size):
+        mem = MainMemory()
+        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
+            mem.read_word(0x1000, size)
+        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
+            mem.write_word(0x1000, 1, size)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("word"),
+                    st.sampled_from([1, 2, 4, 8]),
+                    st.integers(min_value=0, max_value=(1 << 14) - 1),
+                    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                ),
+                st.tuples(
+                    st.just("raw"),
+                    st.integers(min_value=0, max_value=(1 << 14) - 64),
+                    st.binary(min_size=1, max_size=64),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100)
+    def test_words_and_raw_writes_match_flat_reference(self, ops):
+        """Little-endian word codec vs a flat bytearray, sizes 1..8.
+
+        Values wider than the word and negative values wrap modulo
+        ``2**(8*size)``; every word read (at every size) and the raw
+        bytes agree with the reference after each step.
+        """
+        span = 1 << 14  # four pages
+        mem = MainMemory()
+        reference = bytearray(span)
+        for op in ops:
+            if op[0] == "word":
+                _, size, slot, value = op
+                addr = (slot * size) % span
+                mem.write_word(addr, value, size)
+                wrapped = value % (1 << (8 * size))
+                reference[addr : addr + size] = wrapped.to_bytes(size, "little")
+                assert mem.read_word(addr, size) == wrapped
+            else:
+                _, addr, data = op
+                mem.write(addr, data)
+                reference[addr : addr + len(data)] = data
+            for size in (1, 2, 4, 8):
+                a = (addr // size) * size
+                want = int.from_bytes(reference[a : a + size], "little")
+                assert mem.read_word(a, size) == want
+        assert mem.read(0, span) == bytes(reference)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_word_writes_copy_shared_pages(self, size):
+        """After ``share_pages()``, word writes leave the shared page
+        byte-exact and land in this memory's private copy only."""
+        mem = MainMemory()
+        mem.write(0x1000, bytes(range(64)))
+        mem.write(0x3000, b"\xff" * 16)
+        shared = mem.share_pages()
+        frozen = {idx: bytes(page) for idx, page in shared.items()}
+        mem.write_word(0x1008, -1, size)
+        mem.write_word(0x1010, 1 << 70, size)
+        mem.write_word(0x2000, 0x1234, size)  # a page the snapshot lacks
+        assert {idx: bytes(page) for idx, page in shared.items()} == frozen
+        assert mem.read_word(0x1008, size) == (1 << (8 * size)) - 1
+        assert mem.read_word(0x1010, size) == 0
+        assert mem.read_word(0x2000, size) == 0x1234 % (1 << (8 * size))
+        assert mem.read(0x3000, 16) == b"\xff" * 16  # untouched page shared
+        # a second memory adopting the snapshot still sees the old bytes
+        other = MainMemory()
+        other.adopt_pages(shared)
+        assert other.read(0x1000, 64) == bytes(range(64))
+        other.write_word(0x1000, 0, size)
+        assert frozen[1] == bytes(shared[1])
+        assert mem.read_word(0x1000, size) == int.from_bytes(
+            bytes(range(size)), "little"
+        )
+
+
 class TestLines:
     def test_line_roundtrip(self):
         mem = MainMemory()
