@@ -16,15 +16,18 @@
 #      `--run-dir`; `--resume` must find every result stored, and
 #      `--from-store` must print the first run's output (apart from
 #      the `done in` timing line) without simulating
-#   5. the symbolic relational smoke (scripts/symrel_smoke.py):
+#   5. figure output is the same at any `--jobs`: every target with
+#      `--no-cache` serially and at `--jobs 2`; the two outputs must
+#      match apart from the `done in` timing lines
+#   6. the symbolic relational smoke (scripts/symrel_smoke.py):
 #      every builtin's native variant must be refuted with a
 #      replay-confirmed secret pair (or, for the speculative fixture,
 #      refuted only by the speculative pass) and every mitigated
 #      variant proved
-#   6. the automatic repair smoke (scripts/repair_smoke.py): every
+#   7. the automatic repair smoke (scripts/repair_smoke.py): every
 #      leaky builtin must auto-repair to CT-PROVED within the 1.5x
 #      overhead budget — a residual CT-REL exits nonzero
-#   7. a perf smoke: the benchmark's self-tests, then one short run
+#   8. a perf smoke: the benchmark's self-tests, then one short run
 #      of each workload (`verify`, `fig-ct`, `fig-bia`) that must end
 #      with `"correct": true` — every op's result must match its
 #      recorded digest, so the figure workloads check every simulated
@@ -73,6 +76,12 @@ python -m repro.experiments fig9 --no-cache --from-store "$RUN_DIR" \
     >"$WORK_DIR/fig9-served.txt"
 diff <(grep -v "done in" "$WORK_DIR/fig9-run.txt") \
     <(grep -v "done in" "$WORK_DIR/fig9-served.txt")
+
+echo "== figure output at --jobs 1 == --jobs 2 (python -m repro.experiments --no-cache)"
+python -m repro.experiments --no-cache --jobs 1 >"$WORK_DIR/all-jobs1.txt"
+python -m repro.experiments --no-cache --jobs 2 >"$WORK_DIR/all-jobs2.txt"
+diff <(grep -v "done in" "$WORK_DIR/all-jobs1.txt") \
+    <(grep -v "done in" "$WORK_DIR/all-jobs2.txt")
 
 echo "== symbolic relational smoke (scripts/symrel_smoke.py)"
 python scripts/symrel_smoke.py

@@ -183,8 +183,8 @@ class CacheHierarchy:
         update_replacement: bool = True,
         observable: bool = True,
         set_indices=None,
-    ):
-        """Batched :meth:`read_line`; returns per-line latencies.
+    ) -> int:
+        """Batched :meth:`read_line`; returns the summed latency.
 
         Observationally identical to the scalar loop: hit runs are
         processed inside the start level's ``access_lines`` (locals
@@ -193,18 +193,18 @@ class CacheHierarchy:
         """
         first = self.levels[start_level]
         n = len(line_addrs)
-        latencies = [first.latency] * n
+        latency = n * first.latency
         access_lines = first.access_lines
         i = access_lines(line_addrs, 0, update_replacement, observable, set_indices)
         while i < n:
             extra, _hit_level, _filled = self.read_miss_fill(
                 line_addrs[i], start_level, update_replacement, observable
             )
-            latencies[i] += extra
+            latency += extra
             i = access_lines(
                 line_addrs, i + 1, update_replacement, observable, set_indices
             )
-        return latencies
+        return latency
 
     def write_lines(
         self,
@@ -213,11 +213,11 @@ class CacheHierarchy:
         update_replacement: bool = True,
         observable: bool = True,
         set_indices=None,
-    ):
-        """Batched :meth:`write_line`; returns per-line latencies."""
+    ) -> int:
+        """Batched :meth:`write_line`; returns the summed latency."""
         first = self.levels[start_level]
         n = len(line_addrs)
-        latencies = [first.latency] * n
+        latency = n * first.latency
         access_lines = first.access_lines
         set_dirty = first.set_dirty
         i = access_lines(
@@ -228,12 +228,12 @@ class CacheHierarchy:
             extra, _hit_level, _filled = self.read_miss_fill(
                 line_addr, start_level, update_replacement, observable
             )
-            latencies[i] += extra
+            latency += extra
             set_dirty(line_addr)
             i = access_lines(
                 line_addrs, i + 1, update_replacement, observable, set_indices, True
             )
-        return latencies
+        return latency
 
     def write_line(
         self,

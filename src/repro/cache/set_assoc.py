@@ -138,8 +138,9 @@ class SetAssociativeCache:
     name:
         Identifier used in events and reports (``"L1D"``, ``"L2"``...).
     size_bytes / assoc / line_size:
-        Geometry; ``size_bytes`` must equal ``num_sets * assoc *
-        line_size`` for some power-of-two ``num_sets``.
+        Geometry; ``line_size`` must be a power of two and
+        ``size_bytes`` must equal ``num_sets * assoc * line_size`` for
+        some power-of-two ``num_sets``.
     latency:
         Hit latency in cycles (Table 1 of the paper).
     replacement:
@@ -159,6 +160,10 @@ class SetAssociativeCache:
         if size_bytes <= 0 or assoc <= 0 or latency <= 0:
             raise ConfigurationError(
                 f"{name}: size/assoc/latency must be positive"
+            )
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ConfigurationError(
+                f"{name}: line_size {line_size} is not a power of two"
             )
         if size_bytes % (assoc * line_size):
             raise ConfigurationError(
@@ -182,15 +187,10 @@ class SetAssociativeCache:
         # associativity) fails here, not at the first lazy set fill.
         self._make_policy = policy_factory(replacement)
         self._make_policy(assoc, replacement_seed)
-        # Hot-path geometry: sets are validated power-of-two above, and
-        # for the (ubiquitous) power-of-two line size the div/mod set
-        # indexing reduces to one shift + one mask.  ``_line_shift`` is
-        # -1 for exotic non-power-of-two line sizes, selecting the
-        # div/mod fallback.
-        if line_size > 0 and not (line_size & (line_size - 1)):
-            self._line_shift = line_size.bit_length() - 1
-        else:
-            self._line_shift = -1
+        # Hot-path geometry: line size and set count are validated
+        # powers of two above, so div/mod set indexing reduces to one
+        # shift + one mask.
+        self._line_shift = line_size.bit_length() - 1
         self._set_mask = num_sets - 1
         # Sets materialise lazily on first touch.  A 16 MiB LLC has
         # 16384 sets; building a policy object per set up front made
@@ -221,15 +221,12 @@ class SetAssociativeCache:
 
     def set_index(self, line_addr: int) -> int:
         """Set an address maps to (index bits above the line offset)."""
-        shift = self._line_shift
-        if shift >= 0:
-            return (line_addr >> shift) & self._set_mask
-        return (line_addr // self.line_size) % self.num_sets
+        return (line_addr >> self._line_shift) & self._set_mask
 
     @property
-    def geometry_key(self) -> Tuple[int, int, int, int]:
+    def geometry_key(self) -> Tuple[int, int]:
         """Hashable decomposition key for per-DS set-index caches."""
-        return (self._line_shift, self._set_mask, self.line_size, self.num_sets)
+        return (self._line_shift, self._set_mask)
 
     def __contains__(self, line_addr: int) -> bool:
         return self.lookup(line_addr) is not None
@@ -238,12 +235,7 @@ class SetAssociativeCache:
 
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         """Tag lookup with *no* side effects (used by CTLoad/CTStore)."""
-        shift = self._line_shift
-        if shift >= 0:
-            set_idx = (line_addr >> shift) & self._set_mask
-        else:
-            set_idx = (line_addr // self.line_size) % self.num_sets
-        cset = self._sets[set_idx]
+        cset = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         if cset is None:  # never-touched set: nothing resident
             return None
         way = cset.by_addr.get(line_addr)
@@ -269,11 +261,7 @@ class SetAssociativeCache:
         # Hot path: inlined shift/mask indexing, one bound ``stats``
         # lookup for all counter updates, devirtualized LRU touch, and
         # event emission skipped entirely when nobody is listening.
-        shift = self._line_shift
-        if shift >= 0:
-            set_idx = (line_addr >> shift) & self._set_mask
-        else:
-            set_idx = (line_addr // self.line_size) % self.num_sets
+        set_idx = (line_addr >> self._line_shift) & self._set_mask
         cset = self._sets[set_idx]
         stats = self.stats
         if observable:
@@ -344,10 +332,8 @@ class SetAssociativeCache:
             line_addr = line_addrs[i]
             if set_indices is not None:
                 set_idx = set_indices[i]
-            elif shift >= 0:
-                set_idx = (line_addr >> shift) & smask
             else:
-                set_idx = (line_addr // self.line_size) % self.num_sets
+                set_idx = (line_addr >> shift) & smask
             if set_accesses is not None:
                 set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
             cset = sets[set_idx]
@@ -409,10 +395,8 @@ class SetAssociativeCache:
             line_addr = line_addrs[i]
             if set_indices is not None:
                 set_idx = set_indices[i]
-            elif shift >= 0:
-                set_idx = (line_addr >> shift) & smask
             else:
-                set_idx = (line_addr // self.line_size) % self.num_sets
+                set_idx = (line_addr >> shift) & smask
             if set_accesses is not None:
                 count = set_accesses.get(set_idx, 0)
             cset = sets[set_idx]
@@ -460,11 +444,7 @@ class SetAssociativeCache:
         If the line is already resident this refreshes its replacement
         rank (and ORs in ``dirty``) instead of double-filling.
         """
-        shift = self._line_shift
-        if shift >= 0:
-            set_idx = (line_addr >> shift) & self._set_mask
-        else:
-            set_idx = (line_addr // self.line_size) % self.num_sets
+        set_idx = (line_addr >> self._line_shift) & self._set_mask
         cset = self._sets[set_idx]
         if cset is None:
             cset = self._set_at(set_idx)

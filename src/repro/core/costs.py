@@ -25,6 +25,25 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 
 
+def check_whole(name: str, value, positive: bool = True) -> None:
+    """Reject a cycle cost that is not a whole number (> 0 or >= 0).
+
+    The cycle model is integral (Table 1 hit latencies, one cycle per
+    instruction), so ``cycles`` only ever adds whole numbers: every
+    partial sum is exact below 2**53, and any regrouping of the
+    additions gives the same float.  Integral floats such as ``2.0``
+    pass; ``0.5``, ``nan`` and ``inf`` do not.
+    """
+    whole = isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if not whole or value < (1 if positive else 0):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigurationError(
+            f"{name} must be a {kind} whole number of cycles: {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Instruction counts charged by the mitigation layers.
@@ -32,7 +51,8 @@ class CostModel:
     Attributes
     ----------
     cpi:
-        Cycles per bookkeeping instruction (1.0 = simple in-order ALU).
+        Cycles per bookkeeping instruction (1.0 = simple in-order ALU);
+        a positive whole number, int or integral float.
     plain_access_insts:
         Address-generation overhead of an ordinary load/store.
     ct_visit_insts:
@@ -76,6 +96,10 @@ class CostModel:
         line/cycle on the avx2 path; they repeat the first sweep's
         access pattern exactly, so they are charged to the counters
         without re-walking the cache model (identical state effect).
+        A non-negative whole number.
+
+    Every cycle cost is a whole number (see :func:`check_whole`), so
+    the machine charges each batch of accesses as one sum.
     """
 
     cpi: float = 1.0
@@ -94,8 +118,10 @@ class CostModel:
     ct_gather_repeat_latency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cpi <= 0:
-            raise ConfigurationError(f"cpi must be positive: {self.cpi}")
+        check_whole("cpi", self.cpi)
+        check_whole(
+            "ct_gather_repeat_latency", self.ct_gather_repeat_latency, False
+        )
         for name in (
             "plain_access_insts",
             "ct_visit_insts",

@@ -35,7 +35,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import NextLinePrefetcher
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.bia import BIA
-from repro.core.costs import CostModel, DEFAULT_COSTS
+from repro.core.costs import CostModel, DEFAULT_COSTS, check_whole
 from repro.core.instructions import CTOps
 from repro.core.stats import MachineStats
 from repro.errors import ConfigurationError, ProtocolError
@@ -98,6 +98,22 @@ class MachineConfig:
     replacement_seed: int = 0
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
+    def __post_init__(self) -> None:
+        for name in ("l1d_latency", "l2_latency", "llc_latency",
+                     "dram_latency", "bia_latency"):
+            check_whole(name, getattr(self, name))
+        slices = self.llc_slices
+        if slices < 1 or slices & (slices - 1):
+            raise ConfigurationError(
+                f"llc_slices must be a power of two >= 1: {slices!r}"
+            )
+        # A 64-bit physical address has no bit 64 or above: a hash
+        # starting there would map every address to slice 0.
+        if not params.LINE_BITS <= self.ls_hash < 64:
+            raise ConfigurationError(
+                f"ls_hash must lie in [{params.LINE_BITS}, 64): {self.ls_hash!r}"
+            )
+
     def describe(self) -> Dict[str, str]:
         """Human-readable configuration rows (Table 1 reproduction)."""
         return {
@@ -119,7 +135,10 @@ class MachineConfig:
                 f"{self.bia_entries * 16 // 1024} KB, "
                 f"{self.bia_latency} cycle latency"
             ),
-            "DRAM": f"{self.dram_latency} cycles latency, closed-row policy",
+            "DRAM": (
+                f"{self.dram_latency} cycles latency, "
+                f"{self.dram_policy}-row policy"
+            ),
         }
 
 
@@ -344,8 +363,10 @@ class Machine:
     # Python round-trip (execute + load_word per DS line) dominated
     # every sweep-heavy figure; hoisting attribute lookups and folding
     # the per-element counter updates into one batch update recovers
-    # most of that overhead.  Machines with a sliced LLC fall back to
-    # the scalar loop: slice-traffic recording depends on each access's
+    # most of that overhead.  Every cycle cost is a whole number
+    # (checked by CostModel and MachineConfig), so a batch's cycles are
+    # charged as one sum.  Machines with a sliced LLC fall back to the
+    # scalar loop: slice-traffic recording depends on each access's
     # individual hit level.
 
     def load_words(
@@ -385,7 +406,7 @@ class Machine:
         if lines is None:
             mask = _LINE_BASE_MASK
             lines = [a & mask for a in addrs]
-        latencies = self.hierarchy.read_lines(
+        latency = self.hierarchy.read_lines(
             lines, start_level, not secret_dependent, set_indices=set_indices
         )
         stats = self.stats
@@ -394,20 +415,7 @@ class Machine:
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        # Cycles replicate the scalar interleaving order exactly
-        # (pre-work then latency, per element): float addition is not
-        # associative, so folding into one sum could diverge from the
-        # scalar path under fractional CPI cost models.
-        pre_cycles = pre_insts * self.costs.cpi
-        cycles = stats.cycles
-        if pre_cycles:
-            for lat in latencies:
-                cycles += pre_cycles
-                cycles += lat
-        else:
-            for lat in latencies:
-                cycles += lat
-        stats.cycles = cycles
+        stats.cycles += n * pre_insts * self.costs.cpi + latency
         if not collect_values:
             return None
         read = self.memory.read_word
@@ -446,7 +454,7 @@ class Machine:
             return
         mask = _LINE_BASE_MASK
         lines = [a & mask for a in addrs]
-        latencies = self.hierarchy.write_lines(
+        latency = self.hierarchy.write_lines(
             lines, start_level, not secret_dependent
         )
         write = self.memory.write_word
@@ -458,16 +466,7 @@ class Machine:
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        pre_cycles = pre_insts * self.costs.cpi
-        cycles = stats.cycles
-        if pre_cycles:
-            for lat in latencies:
-                cycles += pre_cycles
-                cycles += lat
-        else:
-            for lat in latencies:
-                cycles += lat
-        stats.cycles = cycles
+        stats.cycles += n * pre_insts * self.costs.cpi + latency
 
     def rmw_words(
         self,
@@ -507,6 +506,13 @@ class Machine:
         word just read.  The per-element form reads and writes every
         element whatever ``collect_values`` says.
 
+        Sliced-LLC and silent-store machines take one scalar fallback,
+        the ``execute`` + ``load_word`` + ``store_word`` loop itself:
+        slice traffic depends on each access's hit level, and a silent
+        store's squash decision on each element's memory comparison.
+        It returns the same values, ``None`` at non-target positions
+        under ``collect_values=False`` included.
+
         The pairs stay fused (load and store of element i before the
         load of element i+1) because the store's events must interleave
         with the loads' exactly as in the scalar path; the all-hit runs
@@ -518,17 +524,18 @@ class Machine:
             return []
         if update_fn is not None:
             collect_values = True
-        if self.slice_hash is not None:
+        if self.slice_hash is not None or self.config.silent_stores:
             execute = self.execute
             load = self.load_word
             store = self.store_word
-            out = []
+            out = [None] * n
             for i in range(n):
                 a = addrs[i]
                 if pre_insts:
                     execute(pre_insts)
                 v = load(a, size, secret_dependent, start_level)
-                out.append(v)
+                if collect_values or i == target_idx:
+                    out[i] = v
                 if update_fn is not None:
                     new = update_fn(i, v)
                 else:
@@ -550,82 +557,16 @@ class Machine:
         write = self.memory.write_word
         stats = self.stats
         pre_cycles = pre_insts * self.costs.cpi
-        cycles = stats.cycles
-        if self.config.silent_stores:
-            # Per-element loop: the squash decision needs a memory
-            # comparison per store, so nothing can be elided.
-            wrap = (1 << (8 * size)) - 1
-            out = []
-            append = out.append
-            for i in range(n):
-                a = addrs[i]
-                line = lines[i]
-                if pre_cycles:
-                    cycles += pre_cycles
-                # Load phase (scalar load_word without per-call stats).
-                hit = first_access(line, update, True)
-                if hit is not None:
-                    cycles += first_lat
-                else:
-                    extra, _hit_level, _filled = miss_fill(
-                        line, start_level, update, True
-                    )
-                    cycles += first_lat + extra
-                value = read(a, size)
-                append(value if collect_values or i == target_idx else None)
-                if update_fn is not None:
-                    new = update_fn(i, value)
-                else:
-                    new = target_fn(value) if i == target_idx else value
-                if read(a, size) == new & wrap:
-                    # Squashed silent store: read path, no dirty bit.
-                    hit = first_access(line, update, True)
-                    if hit is not None:
-                        cycles += first_lat
-                    else:
-                        extra, _hit_level, _filled = miss_fill(
-                            line, start_level, update, True
-                        )
-                        cycles += first_lat + extra
-                else:
-                    hit = first_access(line, update, True)
-                    if hit is not None:
-                        cycles += first_lat
-                        if not hit.dirty:
-                            hit.dirty = True
-                            if first_events.has_listeners:
-                                first_events.dirty(line)
-                    else:
-                        extra, _hit_level, _filled = miss_fill(
-                            line, start_level, update, True
-                        )
-                        cycles += first_lat + extra
-                        first_set_dirty(line)
-                    write(a, new, size)
-            stats.cycles = cycles
-            per = pre_insts + 2
-            stats.loads += n
-            stats.stores += n
-            stats.l1d_refs += 2 * n
-            stats.insts += n * per
-            stats.l1i_refs += n * per
-            return out
+        pair_cycles = pre_cycles + 2 * first_lat
+        cycles = 0
         rmw_run = first.rmw_lines
         out = [None] * n
         i = 0
         while i < n:
             nxt = rmw_run(lines, i, update, True, set_indices)
-            # Completed all-hit pairs [i, nxt): charge cycles in the
-            # scalar float-addition order, then the memory traffic.
-            if pre_cycles:
-                for j in range(i, nxt):
-                    cycles += pre_cycles
-                    cycles += first_lat
-                    cycles += first_lat
-            else:
-                for _ in range(i, nxt):
-                    cycles += first_lat
-                    cycles += first_lat
+            # Completed all-hit pairs [i, nxt): one charge, then the
+            # memory traffic.
+            cycles += (nxt - i) * pair_cycles
             if update_fn is not None:
                 for j in range(i, nxt):
                     a = addrs[j]
@@ -650,10 +591,8 @@ class Machine:
             # a PLcache can refuse the fill.
             a = addrs[nxt]
             line = lines[nxt]
-            if pre_cycles:
-                cycles += pre_cycles
             extra, _hit_level, _filled = miss_fill(line, start_level, update, True)
-            cycles += first_lat + extra
+            cycles += pre_cycles + first_lat + extra
             if collect_values or nxt == target_idx:
                 v = read(a, size)
                 out[nxt] = v
@@ -677,7 +616,7 @@ class Machine:
             if nxt == target_idx or collect_values:
                 write(a, new, size)
             i = nxt + 1
-        stats.cycles = cycles
+        stats.cycles += cycles
         per = pre_insts + 2
         stats.loads += n
         stats.stores += n

@@ -18,7 +18,8 @@ sweeps take a few minutes; each target prints as it completes.
 ``N`` worker processes.  Results are cached in
 ``.repro_results/records.jsonl`` (keyed by simulation parameters +
 simulator version) so re-runs and cross-figure shared baselines cost
-nothing; ``--no-cache`` disables the cache for this invocation.
+nothing; ``--no-cache`` disables the on-disk cache for this invocation,
+while an in-memory one still simulates each spec once across targets.
 
 A target whose batch fails prints the engine's per-spec failure log
 and the run continues with the next target (exit status 1 at the end).
@@ -135,7 +136,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the on-disk result cache (.repro_results/)",
+        help="disables the on-disk cache (.repro_results/); each spec is "
+        "still simulated once per invocation",
     )
     durable = parser.add_mutually_exclusive_group()
     durable.add_argument(
@@ -202,7 +204,9 @@ def _run_targets(args) -> int:
     if unknown:
         print(f"unknown targets: {unknown}; choices: {sorted(TARGETS)} or all")
         return 2
-    cache = None if args.no_cache else store.Store(parallel.DEFAULT_CACHE_DIR)
+    # Under --no-cache an in-memory store still shares results across
+    # targets (fig8 and headline reuse fig7's runs); nothing hits disk.
+    cache = store.Store(None if args.no_cache else parallel.DEFAULT_CACHE_DIR)
     run_dir = None
     if args.from_store or args.run_dir:
         run_dir = store.RunDirectory(

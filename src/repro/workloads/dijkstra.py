@@ -22,8 +22,7 @@ too, matching the original benchmark's structure.  The scan and the
 relaxation issue the same access stream as a per-vertex loop through
 the batched kernels (``plain_load_words``, ``plain_rmw_words``), and
 charge each batch's per-vertex ALU work and ``ct_select``s as one
-``execute`` — exact under an integral CPI (see
-``tests/core/test_bulk_equiv.py``).
+``execute`` (see ``tests/workloads/test_dijkstra_batched.py``).
 
 Sizes: V in {32, 64, 96, 128}; at V=128 the 64 KiB matrix equals the
 L1d capacity, the paper's L1d-BIA self-eviction case (Sec. 7.3.2).

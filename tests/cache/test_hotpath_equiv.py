@@ -7,7 +7,8 @@ pin the equivalences:
 
 * shift/mask set indexing == the textbook div/mod formula, across
   geometries and address patterns (including the negative addresses
-  Python's arbitrary-precision ints allow);
+  Python's arbitrary-precision ints allow), and a line size that is
+  not a power of two is rejected at construction;
 * a cache that never had a listener ends a workload byte-identical
   (counters + contents + replacement order) to one whose listener
   subscribed and then unsubscribed — the ``has_listeners`` fast path
@@ -26,6 +27,7 @@ import pytest
 from repro.cache.events import CacheListener
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.machine import Machine, MachineConfig
+from repro.errors import ConfigurationError
 
 # ---------------------------------------------------------------------------
 # shift/mask set indexing == div/mod
@@ -57,6 +59,13 @@ def test_set_index_matches_divmod(size_bytes, assoc, line_size):
         line_addr = (addr // line_size) * line_size
         expect = (line_addr // line_size) % cache.num_sets
         assert cache.set_index(line_addr) == expect
+
+
+@pytest.mark.parametrize("line_size", [48, 96, 0, -64])
+def test_rejects_non_power_of_two_line_size(line_size):
+    """Set indexing is shift/mask only: other line sizes fail here."""
+    with pytest.raises(ConfigurationError, match="line_size"):
+        SetAssociativeCache("C", 24 * 1024, 8, latency=1, line_size=line_size)
 
 
 def test_set_index_negative_addresses():

@@ -11,18 +11,18 @@ policies, set geometries, silent-store machines, secret-dependent
 flags, listener presence — and diff everything an attacker (or a
 figure) could read.
 
-The default cost model has an integer-valued CPI, and these tests keep
-it: the kernels replicate the scalar float-addition order per element,
-and integer CPI additionally makes every consumer-level fold exact.
-A consumer-level fold charges a batch's per-element ALU work as one
-``execute``: the software-CT gather's per-word selects, and Dijkstra's
-public min-scan and relaxation (``SCAN_INSTS`` + two ``ct_select``s and
-``RELAX_INSTS`` + one per vertex; pinned against the per-vertex loop by
-``tests/workloads/test_dijkstra_batched.py`` at ``cpi=1`` and
-``cpi=2``).  A fold reorders the float additions into ``cycles``, which
-is exact while every partial sum is an integer below 2**53 — true for
-any integral CPI — and may differ in the last bits under a fractional
-one.
+Every cycle cost is a whole number: ``CostModel`` rejects a ``cpi``
+or ``ct_gather_repeat_latency`` that is not one, and ``MachineConfig``
+does the same for every latency.  ``cycles`` therefore only ever adds
+whole numbers, every partial sum is exact below 2**53, and the kernels
+charge each batch as one sum (``n * pre_insts * cpi`` plus the summed
+latency; one product per all-hit RMW run).  The ``configs`` strategy
+draws the CPI from ``{1.0, 2.0, 3}`` so the sums are pinned against
+the scalar loop at non-unit CPI too, int and float alike.
+Consumer-level folds rest on the same rule: the software-CT gather
+charges its per-word selects as one ``execute``, and Dijkstra its
+public min-scan and relaxation (pinned against the per-vertex loop by
+``tests/workloads/test_dijkstra_batched.py``).
 
 ``TestScalarPaths`` pins the scalar ``load_word``/``store_word`` (a
 direct start-level probe, the hierarchy walked only on a miss) against
@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.observer import ObservableTraceRecorder
 from repro.cache.events import CacheListener
+from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig
 from repro.errors import ProtocolError
 
@@ -48,18 +49,24 @@ GEOMETRIES = [(4096, 4), (8192, 8), (16384, 2), (65536, 8)]
 
 POLICIES = ["lru", "fifo", "random", "plru"]
 
+#: Whole-number CPIs, float and int: the one-sum charges must match the
+#: scalar loop at every one.
+CPIS = [1.0, 2.0, 3]
+
 configs = st.builds(
-    lambda geom, policy, silent, seed: MachineConfig(
+    lambda geom, policy, silent, seed, cpi: MachineConfig(
         l1d_size=geom[0],
         l1d_assoc=geom[1],
         replacement=policy,
         silent_stores=silent,
         replacement_seed=seed,
+        costs=CostModel(cpi=cpi),
     ),
     geom=st.sampled_from(GEOMETRIES),
     policy=st.sampled_from(POLICIES),
     silent=st.booleans(),
     seed=st.integers(min_value=0, max_value=3),
+    cpi=st.sampled_from(CPIS),
 )
 
 addr_seqs = st.lists(

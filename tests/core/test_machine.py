@@ -119,6 +119,11 @@ class TestConfig:
         assert "1 KB" in desc["BIA"]
         assert "L1D" in desc["BIA"]
 
+    @pytest.mark.parametrize("policy", ["closed", "open"])
+    def test_describe_prints_dram_policy(self, policy):
+        desc = MachineConfig(dram_policy=policy).describe()
+        assert desc["DRAM"] == f"200 cycles latency, {policy}-row policy"
+
     def test_build_machine_levels(self):
         assert build_machine("L1D").bia.monitored_cache == "L1D"
         assert build_machine("L2").bia.monitored_cache == "L2"
@@ -154,6 +159,48 @@ class TestCostModelValidation:
 
     def test_defaults_valid(self):
         CostModel()  # must not raise
+
+    def test_whole_number_costs_accepted(self):
+        Machine(MachineConfig(costs=CostModel(cpi=3)))
+        CostModel(cpi=2.0, ct_gather_repeat_latency=0)
+        MachineConfig(l2_latency=15.0, llc_slices=8, ls_hash=6)
+
+
+#: Configurations that must fail at construction, each naming the
+#: offending field: fractional or non-positive cycle costs, a slice
+#: count that is not a power of two >= 1, and a slice hash starting
+#: inside the line offset or above bit 63 of a physical address.
+BAD_CONFIGS = {
+    "cpi=0.5": ("cpi", lambda: CostModel(cpi=0.5)),
+    "cpi=nan": ("cpi", lambda: CostModel(cpi=float("nan"))),
+    "gather-repeat=-3": (
+        "ct_gather_repeat_latency",
+        lambda: CostModel(ct_gather_repeat_latency=-3),
+    ),
+    "gather-repeat=0.5": (
+        "ct_gather_repeat_latency",
+        lambda: CostModel(ct_gather_repeat_latency=0.5),
+    ),
+    "l1d_latency=1.5": ("l1d_latency", lambda: MachineConfig(l1d_latency=1.5)),
+    "l2_latency=0": ("l2_latency", lambda: MachineConfig(l2_latency=0)),
+    "llc_latency=-41": ("llc_latency", lambda: MachineConfig(llc_latency=-41)),
+    "dram_latency=0.5": (
+        "dram_latency", lambda: MachineConfig(dram_latency=0.5)
+    ),
+    "bia_latency=0": ("bia_latency", lambda: MachineConfig(bia_latency=0)),
+    "llc_slices=0": ("llc_slices", lambda: MachineConfig(llc_slices=0)),
+    "llc_slices=3": ("llc_slices", lambda: MachineConfig(llc_slices=3)),
+    "ls_hash=99": ("ls_hash", lambda: MachineConfig(ls_hash=99)),
+    "ls_hash=64": ("ls_hash", lambda: MachineConfig(ls_hash=64)),
+    "ls_hash=5": ("ls_hash", lambda: MachineConfig(ls_hash=5)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_rejected_at_construction(case):
+    field_name, build = BAD_CONFIGS[case]
+    with pytest.raises(ConfigurationError, match=field_name):
+        build()
 
 
 class TestDRAMPolicy:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.cli import main as repro_main
+from repro.experiments import parallel
 from repro.experiments.__main__ import TARGETS, build_parser, main
 from repro.experiments.report import format_bars, format_table
 from repro.experiments.store import RECORDS_FILE
@@ -46,6 +47,25 @@ class TestMainCLI:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "done in" in out
+
+    def test_no_cache_simulates_each_spec_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        """``--no-cache`` still shares results across targets in memory:
+        fig8 and the headline reuse fig7's runs, and nothing hits disk."""
+        simulated = []
+        real_run_spec = parallel.run_spec
+
+        def counting_run_spec(spec):
+            simulated.append(spec.key())
+            return real_run_spec(spec)
+
+        monkeypatch.setattr(parallel, "run_spec", counting_run_spec)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--no-cache", "--jobs", "1", "fig7", "fig8", "headline"]
+        assert main(argv) == 0
+        assert "headline done in" in capsys.readouterr().out
+        assert simulated and len(simulated) == len(set(simulated))
+        assert os.listdir(tmp_path) == []  # no .repro_results/
 
 
 class TestEngineFlags:
