@@ -32,7 +32,10 @@
 #      with `"correct": true` — every op's result must match its
 #      recorded digest, so the figure workloads check every simulated
 #      counter and output a simulator speed-up must keep (a smoke, not
-#      a stable number; scripts/bench.sh runs the full benchmark)
+#      a stable number; scripts/bench.sh runs the full benchmark).
+#      The `fig-bia` run is traced (`--trace 1`): it wraps every method
+#      perfbench/layers.py names, so renaming or deleting one fails
+#      here, and its plain and traced passes still check every digest
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -92,7 +95,12 @@ python scripts/repair_smoke.py
 echo "== perf smoke (perfbench self-tests + a 1 s run of each workload)"
 python3 perfbench/selftest.py
 for workload in verify fig-ct fig-bia; do
-    bench_out="$(python3 perfbench/run.py --workload "$workload" --seconds 1)"
+    trace=0
+    if [[ "$workload" == fig-bia ]]; then
+        trace=1
+    fi
+    bench_out="$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+        --trace "$trace")"
     echo "$workload: $(tail -n 1 <<<"$bench_out")"
     tail -n 1 <<<"$bench_out" | grep -q '"correct": true'
 done

@@ -18,6 +18,8 @@ Two access paths exist beyond the normal one:
 
 from __future__ import annotations
 
+from itertools import compress, islice
+from operator import ne, sub
 from typing import List, Optional
 
 from repro.cache.prefetcher import NextLinePrefetcher
@@ -114,11 +116,6 @@ class CacheHierarchy:
                 return 0
         return self.dram.write_line(victim.line_addr)
 
-    def _fill_level(self, level_idx: int, line_addr: int, dirty: bool) -> int:
-        """Fill one level, handling its victim; returns extra latency."""
-        victim = self.levels[level_idx].fill(line_addr, dirty=dirty)
-        return self._write_back_victim(level_idx, victim)
-
     # -- main access paths ------------------------------------------------------------
 
     def read_line(
@@ -159,19 +156,24 @@ class CacheHierarchy:
         """
         levels = self.levels
         latency = 0
-        filled = False
         for i in range(start_level + 1, len(levels)):
             cache = levels[i]
             latency += cache.latency
             line = cache.access(line_addr, update_replacement, observable)
             if line is not None:
-                for j in range(i - 1, start_level - 1, -1):
-                    latency += self._fill_level(j, line_addr, dirty=False)
-                    filled = True
-                return latency, cache.name, filled
-        latency += self.dram.read_line(line_addr)
-        for j in range(len(levels) - 1, start_level - 1, -1):
-            latency += self._fill_level(j, line_addr, dirty=False)
+                break
+        else:
+            cache = None
+            i = len(levels)
+            latency += self.dram.read_line(line_addr)
+        # Fill every level above the hit (all of them from DRAM); only a
+        # dirty victim costs a write-back.
+        for j in range(i - 1, start_level - 1, -1):
+            victim = levels[j].fill(line_addr)
+            if victim is not None and victim.dirty:
+                latency += self._write_back_victim(j, victim)
+        if cache is not None:
+            return latency, cache.name, True
         if self.prefetcher is not None and not _is_prefetch:
             self.prefetcher.on_demand_miss(line_addr, start_level)
         return latency, None, True
@@ -214,14 +216,37 @@ class CacheHierarchy:
         observable: bool = True,
         set_indices=None,
     ) -> int:
-        """Batched :meth:`write_line`; returns the summed latency."""
+        """Batched :meth:`write_line`; returns the summed latency.
+
+        While the start level has no listeners, consecutive writes to
+        one line (a same-line run: 16 per line for an array of 4-byte
+        words) go to ``access_lines`` as one run head and its count, so
+        a resident run costs one lookup.  The gate is read once per
+        batch: nothing a store batch runs can subscribe a listener (the
+        BIA subscribes only when a CT op allocates an entry), so the
+        level stays listener-free to the end.  With listeners present,
+        every write is its own element and emits its own events.
+        """
         first = self.levels[start_level]
         n = len(line_addrs)
         latency = n * first.latency
         access_lines = first.access_lines
         set_dirty = first.set_dirty
+        counts = None
+        if n > 1 and not first.events.has_listeners:
+            heads = [0]
+            heads += compress(
+                range(1, n), map(ne, line_addrs, islice(line_addrs, 1, None))
+            )
+            if len(heads) < n:
+                counts = list(map(sub, heads[1:] + [n], heads))
+                line_addrs = [line_addrs[h] for h in heads]
+                if set_indices is not None:
+                    set_indices = [set_indices[h] for h in heads]
+                n = len(heads)
         i = access_lines(
-            line_addrs, 0, update_replacement, observable, set_indices, True
+            line_addrs, 0, update_replacement, observable, set_indices, True,
+            counts,
         )
         while i < n:
             line_addr = line_addrs[i]
@@ -230,8 +255,15 @@ class CacheHierarchy:
             )
             latency += extra
             set_dirty(line_addr)
+            # The miss was the run's first access; the rest of the run
+            # resumes at the same head.
+            if counts is None or counts[i] == 1:
+                i += 1
+            else:
+                counts[i] -= 1
             i = access_lines(
-                line_addrs, i + 1, update_replacement, observable, set_indices, True
+                line_addrs, i, update_replacement, observable, set_indices, True,
+                counts,
             )
         return latency
 

@@ -11,7 +11,8 @@ A policy instance manages the ways of *one* set.  The owning set calls
   security argument requires that secret-relevant accesses *skip* this
   call ("not updating replacement bit (LRU bit) if the access is
   secret-relevant", Sec. 3.2), which the cache model honours via its
-  ``update_replacement`` flag,
+  ``update_replacement`` flag — or :meth:`touch_n` for ``k`` touches of
+  one way in a row (the run-length kernels),
 * :meth:`on_invalidate` when a way is emptied, and
 * :meth:`victim` to choose a way to evict (invalid ways first).
 
@@ -53,6 +54,17 @@ class ReplacementPolicy:
     def on_access(self, way: int) -> None:
         self._rank_touch(way)
 
+    def touch_n(self, way: int, k: int) -> None:
+        """Exactly ``k`` :meth:`on_access` calls on ``way`` (``k >= 1``).
+
+        The run-length kernels charge a run of same-line (or same-group)
+        hits with one call.  This loop keeps a policy defined outside
+        this module exact; the stock policies override it in O(1).
+        """
+        on_access = self.on_access
+        for _ in range(k):
+            on_access(way)
+
     def on_invalidate(self, way: int) -> None:
         if self._occupied[way]:
             self._occupied[way] = False
@@ -61,9 +73,7 @@ class ReplacementPolicy:
     def victim(self) -> int:
         """Way to evict: any invalid way first, else the policy's choice."""
         if self._num_occupied < self.num_ways:
-            for way, used in enumerate(self._occupied):
-                if not used:
-                    return way
+            return self._occupied.index(False)
         return self._rank_victim()
 
     def victim_among(self, allowed: Sequence[int]) -> Optional[int]:
@@ -127,6 +137,10 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp += 1
         self._last_use[way] = self._stamp
 
+    def touch_n(self, way: int, k: int) -> None:
+        self._stamp += k
+        self._last_use[way] = self._stamp
+
     def _rank_victim(self) -> int:
         # list.index(min(...)) runs both passes at C speed and returns
         # the first minimal index — identical to
@@ -172,6 +186,9 @@ class FIFOPolicy(ReplacementPolicy):
     def _rank_touch(self, way: int) -> None:
         pass
 
+    def touch_n(self, way: int, k: int) -> None:
+        pass
+
     def _rank_victim(self) -> int:
         return min(range(self.num_ways), key=self._fill_time.__getitem__)
 
@@ -193,6 +210,9 @@ class RandomPolicy(ReplacementPolicy):
         self._rng = random.Random(seed)
 
     def _rank_touch(self, way: int) -> None:
+        pass
+
+    def touch_n(self, way: int, k: int) -> None:
         pass
 
     def _rank_victim(self) -> int:
@@ -235,6 +255,11 @@ class TreePLRUPolicy(ReplacementPolicy):
                 node = 2 * node + 2
                 lo = mid
         return None
+
+    def touch_n(self, way: int, k: int) -> None:
+        # A touch points every bit on the way's path away from it, so a
+        # second touch of the same way changes nothing.
+        self._rank_touch(way)
 
     def _rank_victim(self) -> int:
         node = 0

@@ -293,6 +293,7 @@ class SetAssociativeCache:
         observable: bool = True,
         set_indices=None,
         mark_dirty: bool = False,
+        counts=None,
     ) -> int:
         """Batched :meth:`access` over ``line_addrs[start:]``.
 
@@ -308,6 +309,17 @@ class SetAssociativeCache:
         ``mark_dirty`` applies the write path's dirty transition to each
         hit, emitting the same hit-then-dirty event order as
         ``access`` + ``set_dirty``.
+
+        ``counts`` makes element ``i`` stand for ``counts[i]`` accesses
+        in a row to ``line_addrs[i]`` (a same-line run).  A hit charges
+        the whole run at once: ``counts[i]`` set accesses and hits, one
+        :meth:`~repro.cache.replacement.ReplacementPolicy.touch_n`, and
+        one dirty transition.  A miss records *one* access and returns
+        ``i``; the caller fills, decrements ``counts[i]`` and resumes at
+        ``i`` while accesses remain, so the rest of the run hits or
+        misses again (a refused fill) exactly as the scalar loop would.
+        Runs emit no events: callers pass ``counts`` only when this
+        level has no listeners.
 
         Hot-path notes: all attribute lookups are hoisted out of the
         loop, and the EventBus gate is read once per batch.  That is
@@ -328,6 +340,32 @@ class SetAssociativeCache:
         hits = 0
         i = start
         n = len(line_addrs)
+        if counts is not None:
+            while i < n:
+                line_addr = line_addrs[i]
+                if set_indices is not None:
+                    set_idx = set_indices[i]
+                else:
+                    set_idx = (line_addr >> shift) & smask
+                cset = sets[set_idx]
+                way = cset.by_addr.get(line_addr) if cset is not None else None
+                if way is None:
+                    if set_accesses is not None:
+                        set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
+                    stats.misses += 1
+                    stats.hits += hits
+                    return i
+                c = counts[i]
+                if set_accesses is not None:
+                    set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
+                hits += c
+                if update_replacement:
+                    cset.policy.touch_n(way, c)
+                if mark_dirty:
+                    cset.ways[way].dirty = True
+                i += 1
+            stats.hits += hits
+            return n
         while i < n:
             line_addr = line_addrs[i]
             if set_indices is not None:

@@ -100,16 +100,12 @@ class BIAStats:
 
 
 class _BIASet:
-    __slots__ = ("ways", "policy", "by_page", "touch")
+    __slots__ = ("ways", "policy", "by_page")
 
     def __init__(self, assoc: int) -> None:
         self.ways: List[Optional[BIAEntry]] = [None] * assoc
         self.policy = make_policy("lru", assoc)
         self.by_page: Dict[int, int] = {}
-        # Devirtualized LRU touch (same trick as the cache sets): the
-        # stock LRU ``on_access`` is the base-class trampoline straight
-        # to ``_rank_touch``.
-        self.touch = self.policy._rank_touch
 
 
 class BIA(CacheListener):
@@ -218,15 +214,20 @@ class BIA(CacheListener):
         way = bset.by_page.get(page_idx)
         return None if way is None else bset.ways[way]
 
-    def access(self, page_idx: int) -> BIAEntry:
-        """CT-op lookup: allocate a zeroed entry on miss, update LRU."""
+    def access(self, page_idx: int, count: int = 1) -> BIAEntry:
+        """CT-op lookup: allocate a zeroed entry on miss, update LRU.
+
+        ``count`` charges that many lookups of ``page_idx`` in a row (a
+        same-group run of CT ops): the first may allocate, the other
+        ``count - 1`` are hits, exactly as ``count`` calls would be.
+        """
         bset = self._sets[page_idx % self.num_sets]
         stats = self.stats
-        stats.lookups += 1
+        stats.lookups += count
         way = bset.by_page.get(page_idx)
         if way is not None:
-            stats.hits += 1
-            bset.touch(way)
+            stats.hits += count
+            bset.policy.touch_n(way, count)
             return bset.ways[way]
         victim_way = bset.policy.victim()
         victim = bset.ways[victim_way]
@@ -238,6 +239,9 @@ class BIA(CacheListener):
         bset.ways[victim_way] = entry
         bset.by_page[page_idx] = victim_way
         bset.policy.on_fill(victim_way)
+        if count > 1:
+            stats.hits += count - 1
+            bset.policy.touch_n(victim_way, count - 1)
         self.stats.allocations += 1
         self._live_entries += 1
         if not self._subscribed:
@@ -360,9 +364,7 @@ class BIA(CacheListener):
         fresh = [_BIASet(assoc) for _ in range(self.num_sets)]
         for set_idx, ways, policy in sets_state:
             bset = fresh[set_idx]
-            p = policy.clone()
-            bset.policy = p
-            bset.touch = p._rank_touch
+            bset.policy = policy.clone()
             for way, rec in enumerate(ways):
                 if rec is not None:
                     bset.ways[way] = BIAEntry(rec[0], rec[1], rec[2])

@@ -25,14 +25,16 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 
 
-def check_whole(name: str, value, positive: bool = True) -> None:
-    """Reject a cycle cost that is not a whole number (> 0 or >= 0).
+def check_whole(
+    name: str, value, positive: bool = True, unit: str = "cycles"
+) -> None:
+    """Reject a cost or count that is not a whole number (> 0 or >= 0).
 
     The cycle model is integral (Table 1 hit latencies, one cycle per
-    instruction), so ``cycles`` only ever adds whole numbers: every
-    partial sum is exact below 2**53, and any regrouping of the
-    additions gives the same float.  Integral floats such as ``2.0``
-    pass; ``0.5``, ``nan`` and ``inf`` do not.
+    instruction, whole instruction counts), so ``cycles`` only ever
+    adds whole numbers: every partial sum is exact below 2**53, and any
+    regrouping of the additions gives the same float.  Integral floats
+    such as ``2.0`` pass; ``0.5``, ``nan`` and ``inf`` do not.
     """
     whole = isinstance(value, int) or (
         isinstance(value, float) and value.is_integer()
@@ -40,7 +42,7 @@ def check_whole(name: str, value, positive: bool = True) -> None:
     if not whole or value < (1 if positive else 0):
         kind = "positive" if positive else "non-negative"
         raise ConfigurationError(
-            f"{name} must be a {kind} whole number of cycles: {value!r}"
+            f"{name} must be a {kind} whole number of {unit}: {value!r}"
         )
 
 
@@ -98,8 +100,9 @@ class CostModel:
         without re-walking the cache model (identical state effect).
         A non-negative whole number.
 
-    Every cycle cost is a whole number (see :func:`check_whole`), so
-    the machine charges each batch of accesses as one sum.
+    Every cycle cost and instruction count is a whole number (see
+    :func:`check_whole`), so the machine charges each batch of accesses
+    as one sum.
     """
 
     cpi: float = 1.0
@@ -136,8 +139,7 @@ class CostModel:
             "bia_ds_setup_insts",
             "bia_ds_setup_per_page_insts",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            check_whole(name, getattr(self, name), False, "instructions")
 
 
 DEFAULT_COSTS = CostModel()

@@ -77,6 +77,39 @@ class CTOps:
             self.traffic_hook(line_addr)
         return data, entry.existence, latency
 
+    def ctload_words(self, addrs, size: int = params.WORD_SIZE):
+        """``ctload`` over non-empty ``addrs``: ``(data, last_existence,
+        summed_latency)``.
+
+        CTLoad is a pure probe, so the batch does every tag lookup and
+        word read first; then each run of consecutive addresses in one
+        management group makes one counted :meth:`BIA.access`, which
+        allocates, evicts and touches exactly as one access per address
+        would.  No probe traffic is recorded: callers with a
+        ``traffic_hook`` use :meth:`ctload` per address.
+        """
+        lookup = self._cache.lookup
+        read = self.memory.read_word
+        mask = _LINE_BASE_MASK
+        data = [
+            read(a, size) if lookup(a & mask) is not None else 0 for a in addrs
+        ]
+        bia = self.bia
+        access = bia.access
+        shift = bia.group_bits
+        groups = [a >> shift for a in addrs]
+        n = len(groups)
+        i = 0
+        while i < n:
+            group = groups[i]
+            j = i + 1
+            while j < n and groups[j] == group:
+                j += 1
+            entry = access(group, j - i)
+            i = j
+        latency = n * (self._cache.latency + bia.latency)
+        return data, entry.existence, latency
+
     def ctstore(
         self, addr: int, data: int, size: int = params.WORD_SIZE
     ) -> Tuple[int, int]:

@@ -262,9 +262,13 @@ class Machine:
     # -- victim: bookkeeping ---------------------------------------------------------
 
     def execute(self, n_insts: int) -> None:
-        """Account ``n_insts`` non-memory instructions of victim work."""
-        if n_insts < 0:
-            raise ConfigurationError(f"negative instruction count {n_insts}")
+        """Account ``n_insts`` non-memory instructions of victim work.
+
+        ``n_insts`` must be a non-negative whole number; a plain int
+        passes the check with one type test.
+        """
+        if n_insts.__class__ is not int or n_insts < 0:
+            check_whole("n_insts", n_insts, False, "instructions")
         stats = self.stats
         stats.insts += n_insts
         stats.l1i_refs += n_insts
@@ -391,6 +395,7 @@ class Machine:
         start-level set indices (per-DS decomposition caches — see
         ``DataflowLinearizationSet``).
         """
+        check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
         if n == 0:
             return [] if collect_values else None
@@ -435,8 +440,11 @@ class Machine:
         Falls back to the scalar loop under ``silent_stores`` (the
         squash decision needs a per-element memory comparison) and on
         sliced-LLC machines.  ``addrs`` and ``values`` must have equal
-        lengths.
+        lengths.  Consecutive stores to one line are charged as one
+        run (see :meth:`CacheHierarchy.write_lines`), and the backing
+        store is written in one pass (:meth:`MainMemory.write_words`).
         """
+        check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
         if len(values) != n:
             raise ProtocolError(
@@ -457,9 +465,7 @@ class Machine:
         latency = self.hierarchy.write_lines(
             lines, start_level, not secret_dependent
         )
-        write = self.memory.write_word
-        for a, v in zip(addrs, values):
-            write(a, v, size)
+        self.memory.write_words(addrs, values, size)
         stats = self.stats
         per = pre_insts + 1
         stats.stores += n
@@ -519,6 +525,7 @@ class Machine:
         go through the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
         """
+        check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
         if n == 0:
             return []
@@ -698,9 +705,10 @@ class Machine:
         already-simulated pattern (identical cache-state effect), so
         only the counters need to move — e.g. the 2nd..k-th sweeps of
         a software-CT gather.  Each access also costs one instruction.
+        Both arguments must be non-negative whole numbers.
         """
-        if n_accesses < 0:
-            raise ConfigurationError(f"negative access count {n_accesses}")
+        check_whole("n_accesses", n_accesses, False, "accesses")
+        check_whole("latency_each", latency_each, False)
         stats = self.stats
         stats.loads += n_accesses
         stats.l1d_refs += n_accesses
@@ -756,6 +764,46 @@ class Machine:
         stats.insts += 1
         stats.l1i_refs += 1
         stats.cycles += latency
+        return data, existence
+
+    def ctload_words(self, addrs, pre_insts: int = 0):
+        """Batched ``execute(pre_insts); ctload(a)`` pairs.
+
+        Returns ``(data, existence)``: the loaded words in order and the
+        existence bitmap of the last CTLoad (``None`` for an empty
+        batch).  Each same-group run is one BIA access plus counted
+        hits (:meth:`CTOps.ctload_words`), and the counters move once
+        per batch.  Two cases take the scalar loop itself: a CT-op
+        traffic hook (a sliced LLC with an LLC-resident BIA records
+        every probe's slice), and user mode outside microcode, where
+        the first CTLoad raises with the scalar loop's counters.
+        """
+        check_whole("pre_insts", pre_insts, False, "instructions")
+        ctops = self.ctops
+        if ctops.traffic_hook is not None or (
+            self.user_mode and self._microcode_depth == 0
+        ):
+            execute = self.execute
+            ctload = self.ctload
+            data = []
+            existence = None
+            for a in addrs:
+                if pre_insts:
+                    execute(pre_insts)
+                word, existence = ctload(a)
+                data.append(word)
+            return data, existence
+        n = len(addrs)
+        if n == 0:
+            return [], None
+        data, existence, latency = ctops.ctload_words(addrs)
+        stats = self.stats
+        per = pre_insts + 1
+        stats.ct_loads += n
+        stats.l1d_refs += n
+        stats.insts += n * per
+        stats.l1i_refs += n * per
+        stats.cycles += n * pre_insts * self.costs.cpi + latency
         return data, existence
 
     def ctstore(self, addr: int, value: int, size: int = params.WORD_SIZE) -> int:

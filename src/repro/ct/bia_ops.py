@@ -40,10 +40,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro import params
 from repro.core.machine import Machine
 from repro.ct.context import MitigationContext
 from repro.ct.ds import DataflowLinearizationSet
 from repro.memory import address as addr_math
+
+#: Inlined ``addr_math.line_base`` (see repro.core.machine).
+_LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
 
 
 class BIAContext(MitigationContext):
@@ -160,19 +164,23 @@ class BIAContext(MitigationContext):
             by_group.setdefault(view.group_of(a), []).append(i)
         results = [0] * len(addrs)
         offset = addr_math.line_offset(addrs[0]) if addrs else 0
+        read = machine.memory.read_word
         for group in view.groups:
             machine.execute(costs.bia_page_insts)
             requests = by_group.get(group, ())
             pending: Dict[int, List[int]] = {}
-            for i in requests:
-                # Invisible probe: real data iff the line is resident;
-                # a miss returns fake 0 and is corrected from the fetch
-                # pass below (its line is guaranteed to be in tofetch).
-                machine.execute(costs.gather_elem_insts)
-                data, _existence = machine.ctload(addrs[i])
-                results[i] = data
-                line = addr_math.line_base(addrs[i])
-                pending.setdefault(line, []).append(i)
+            if requests:
+                # Invisible probes, one CTLoad per request: real data iff
+                # the line is resident; a miss returns fake 0 and is
+                # corrected from the fetch pass below (its line is
+                # guaranteed to be in tofetch).
+                group_addrs = [addrs[i] for i in requests]
+                data, _existence = machine.ctload_words(
+                    group_addrs, costs.gather_elem_insts
+                )
+                for i, a, word in zip(requests, group_addrs, data):
+                    results[i] = word
+                    pending.setdefault(a & _LINE_BASE_MASK, []).append(i)
             probe_addr = (group << view.group_bits) + offset
             _data, existence = machine.ctload(probe_addr)
             tofetch = view.bitmask(group) & ~existence
@@ -181,9 +189,9 @@ class BIAContext(MitigationContext):
             )
             for line, indices in pending.items():
                 if line in fetched:
+                    machine.execute(costs.gather_elem_insts * len(indices))
                     for i in indices:
-                        machine.execute(costs.gather_elem_insts)
-                        results[i] = machine.memory.read_word(addrs[i])
+                        results[i] = read(addrs[i])
         return results
 
     # -- shared fetch pass -------------------------------------------------------------

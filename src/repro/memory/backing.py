@@ -127,6 +127,38 @@ class MainMemory:
         pack_into, mask = packer
         pack_into(page, addr & _PAGE_MASK, value & mask)
 
+    def write_words(
+        self, addrs, values, size: int = params.WORD_SIZE
+    ) -> None:
+        """:meth:`write_word` for each ``(addr, value)`` pair, in order.
+
+        Resolves the codec once per call and the page once per page
+        change, keeping the per-word alignment check and copy-on-write.
+        A misaligned address raises at the same word as the scalar
+        loop, after the earlier words are written; a bad ``size``
+        raises before any write.
+        """
+        packer = _PACKERS.get(size)
+        if packer is None:
+            raise AlignmentError(_BAD_SIZE.format(size))
+        pack_into, mask = packer
+        align = size - 1
+        pages = self._pages
+        frozen = self._frozen
+        idx = page = None
+        for addr, value in zip(addrs, values):
+            if addr & align:
+                raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+            if addr >> _PAGE_BITS != idx:
+                idx = addr >> _PAGE_BITS
+                page = pages.get(idx)
+                if page is None:
+                    page = pages[idx] = bytearray(params.PAGE_SIZE)
+                elif frozen and idx in frozen:
+                    page = pages[idx] = bytearray(page)
+                    frozen.discard(idx)
+            pack_into(page, addr & _PAGE_MASK, value & mask)
+
     def read_line(self, line_addr: int) -> bytes:
         """Read the whole 64-byte line starting at ``line_addr``."""
         addr_math.check_aligned(line_addr, params.LINE_SIZE)

@@ -1,5 +1,7 @@
 """Replacement policies, including an LRU reference-model property test."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from repro.cache.replacement import (
     FIFOPolicy,
     LRUPolicy,
     RandomPolicy,
+    ReplacementPolicy,
     TreePLRUPolicy,
     make_policy,
     policy_names,
 )
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.core.bia import BIA
 from repro.core.machine import Machine, MachineConfig
 from repro.errors import ConfigurationError
 
@@ -173,3 +177,77 @@ class TestResolvedAtConstruction:
         assert type(policy) is type(expected)
         if name == "random":
             assert policy._rng.getstate() == expected._rng.getstate()
+
+
+def _policy_state(policy):
+    """Every slot of a policy, an RNG as its state (for equality)."""
+    out = {}
+    for cls in type(policy).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            value = getattr(policy, slot)
+            if isinstance(value, random.Random):
+                value = value.getstate()
+            out[slot] = value
+    return out
+
+
+def _fresh_policy(name):
+    """Two identical 8-way policies; ``bia`` is the BIA's own LRU."""
+    if name == "bia":
+        return BIA(entries=16, assoc=8)._sets[0].policy
+    return make_policy(name, 8, seed=3)
+
+
+class TestTouchN:
+    """``touch_n(w, k)`` == ``k`` ``on_access(w)`` calls, for every policy."""
+
+    @given(
+        name=st.sampled_from(policy_names() + ["bia"]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["fill", "invalidate", "touch"]),
+                st.integers(0, 7),
+                st.integers(1, 40),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=100)
+    def test_equals_repeated_on_access(self, name, ops):
+        fast, slow = _fresh_policy(name), _fresh_policy(name)
+        for op, way, k in ops:
+            if op == "fill":
+                fast.on_fill(way)
+                slow.on_fill(way)
+            elif op == "invalidate":
+                fast.on_invalidate(way)
+                slow.on_invalidate(way)
+            else:
+                fast.touch_n(way, k)
+                for _ in range(k):
+                    slow.on_access(way)
+            assert fast.victim() == slow.victim()
+            if hasattr(fast, "recency_order"):
+                assert fast.recency_order() == slow.recency_order()
+            assert _policy_state(fast.clone()) == _policy_state(slow.clone())
+
+    def test_base_class_loops_over_on_access(self):
+        """A policy defined elsewhere stays exact through the base loop."""
+
+        class CountingPolicy(ReplacementPolicy):
+            __slots__ = ("touches",)
+
+            def __init__(self, num_ways):
+                super().__init__(num_ways)
+                self.touches = 0
+
+            def _rank_touch(self, way):
+                self.touches += 1
+
+            def _rank_victim(self):
+                return 0
+
+        policy = CountingPolicy(4)
+        policy.on_fill(1)
+        policy.touch_n(1, 5)
+        assert policy.touches == 6  # the fill's touch, then five more

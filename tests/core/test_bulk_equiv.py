@@ -27,6 +27,15 @@ public min-scan and relaxation (pinned against the per-vertex loop by
 ``TestScalarPaths`` pins the scalar ``load_word``/``store_word`` (a
 direct start-level probe, the hierarchy walked only on a miss) against
 a full ``read_line``/``write_line`` walk per access.
+
+The address sequences walk consecutive words and repeat addresses, so
+the run-length kernels get real same-line runs: a listener-free
+``store_words`` charges each run as one access plus counted hits, and
+``ctload_words`` each same-group run as one BIA access plus counted
+hits.  Every comparison includes each level's resident lines, dirty
+bits and full replacement state (LRU stamps, tree-PLRU bits, FIFO fill
+times, RNG positions) and the BIA's table, counters and LRU state,
+listeners or not.
 """
 
 import dataclasses
@@ -69,14 +78,39 @@ configs = st.builds(
     cpi=st.sampled_from(CPIS),
 )
 
+
+def _segment(line, word, length, stride):
+    """``length`` arena words from ``(line, word)``, ``stride`` words
+    apart (0 repeats one address), as ``(line, word)`` pairs."""
+    start = 16 * line + word
+    return [
+        divmod((start + stride * j) % (16 * ARENA_LINES), 16)
+        for j in range(length)
+    ]
+
+
+#: Sequences of segments: single words arena-wide (misses, evictions),
+#: consecutive words (same-line runs, 16 per line) and repeated
+#: addresses.  Half the segments start on a hot line: lines 0, 128, 256
+#: and 384 share one L1d set in every geometry above, so revisiting
+#: them reorders replacement state.
 addr_seqs = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=ARENA_LINES - 1),
+    st.builds(
+        _segment,
+        st.one_of(
+            st.sampled_from([0, 128, 256, 384]),
+            st.integers(min_value=0, max_value=ARENA_LINES - 1),
+        ),
         st.integers(min_value=0, max_value=15),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([0, 1, 1, 2]),
     ),
     min_size=1,
-    max_size=120,
-)
+    max_size=12,
+).map(lambda segments: [pair for seg in segments for pair in seg])
+
+#: A fresh array's initialization: 64 consecutive words, four lines.
+CONTIGUOUS_64 = _segment(0, 0, 64, 1)
 
 
 def _twins(config, listeners):
@@ -101,16 +135,50 @@ def _twins(config, listeners):
     return machines, recorders, base
 
 
+def _policy_state(policy):
+    """Every slot of a replacement policy, an RNG as its state: LRU
+    stamps, tree-PLRU bits, FIFO fill times, the random stream."""
+    out = {}
+    for cls in type(policy).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            value = getattr(policy, slot)
+            if isinstance(value, random.Random):
+                value = value.getstate()
+            out[slot] = value
+    return out
+
+
+def _replacement_state(cache):
+    """The full policy state of every materialised set."""
+    return [
+        (idx, _policy_state(cache._sets[idx].policy))
+        for idx in sorted(cache._live)
+    ]
+
+
+def _bia_state(m):
+    """The BIA's table, counters, LRU state and bus subscription."""
+    sets, stats, live = m.bia.capture_state()
+    table = [(idx, ways, _policy_state(p)) for idx, ways, p in sets]
+    return table, stats, live, m.bia._subscribed
+
+
 def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
     assert ma.snapshot() == mb.snapshot(), where
-    for lvl in ("L1D", "L2", "LLC"):
-        sa = ma.hierarchy.level(lvl).stats
-        sb = mb.hierarchy.level(lvl).stats
+    for ca, cb in zip(ma.hierarchy.levels, mb.hierarchy.levels):
+        sa, sb = ca.stats, cb.stats
         assert (sa.hits, sa.misses, sa.fills, sa.evictions,
                 sa.dirty_evictions) == (
             sb.hits, sb.misses, sb.fills, sb.evictions, sb.dirty_evictions
-        ), (where, lvl)
-        assert dict(sa.set_accesses) == dict(sb.set_accesses), (where, lvl)
+        ), (where, ca.name)
+        assert dict(sa.set_accesses) == dict(sb.set_accesses), (where, ca.name)
+        # resident lines, dirty bits and replacement state, listeners or
+        # not: recency order, and every touch a policy counted
+        assert ca.occupied_sets() == cb.occupied_sets(), (where, ca.name)
+        assert _replacement_state(ca) == _replacement_state(cb), (
+            where, ca.name)
+    assert ma.bia.resident_pages() == mb.bia.resident_pages(), where
+    assert _bia_state(ma) == _bia_state(mb), where
     if ra is not None:
         assert ra.events == rb.events, where
         assert ra.final_state_digest() == rb.final_state_digest(), where
@@ -271,6 +339,10 @@ class TestLoadWords:
     @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
            collect=st.booleans())
+    # Always run: listener-free LRU hits, whose touches only the
+    # replacement-state comparison sees.
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
+             listeners=False, collect=True)
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar(self, config, seq, pre, secret, listeners,
                             collect):
@@ -292,24 +364,87 @@ class TestLoadWords:
         _assert_observably_equal(ma, mb, ra, rb, base, "load_words")
 
 
+def _store_config(config, extras, tiny):
+    """``config`` with machinery that makes a run's first access miss
+    again after its fill: a PLcache L1d (refused fills, see
+    :func:`_lock_set_zero`), a prefetcher (with ``tiny``, a one-line
+    L1d where the prefetch evicts the line just filled) or an inclusive
+    LLC small enough to evict, and so back-invalidate, arena lines."""
+    changes = {
+        "plcache": {"plcache": True},
+        "prefetcher": {"prefetcher": True},
+        "inclusive": {
+            "inclusive_llc": True,
+            "l2_size": 16 * 1024,
+            "l2_assoc": 4,
+            "llc_size": 16 * 1024,
+            "llc_assoc": 4,
+        },
+        "none": {},
+    }[extras]
+    if tiny:
+        changes.update(l1d_size=64, l1d_assoc=1)
+    return dataclasses.replace(config, **changes)
+
+
+store_configs = st.builds(
+    _store_config,
+    configs,
+    st.sampled_from(["none", "plcache", "prefetcher", "inclusive"]),
+    st.booleans(),
+)
+
+
+def _lock_set_zero(m, base):
+    """Pin every way of L1d set 0 with lines outside the arena, so the
+    PLcache refuses every fill of an arena line mapping there (the hot
+    lines of ``addr_seqs`` among them)."""
+    l1d = m.l1d
+    for k in range(l1d.assoc):
+        line = base + 64 * (ARENA_LINES + k * l1d.num_sets)
+        m.load_word(line)
+        assert l1d.lock(line)
+
+
 class TestStoreWords:
-    @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
-           secret=st.booleans(), listeners=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar(self, config, seq, pre, secret, listeners):
+    @given(config=store_configs, seq=addr_seqs, pre=st.integers(0, 4),
+           secret=st.booleans(), listeners=st.booleans(),
+           level=st.integers(0, 2))
+    # Always run: a fresh array's initialization, every run's first
+    # word a miss, on the Table 1 machine and on a refusing PLcache.
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
+             listeners=False, level=0)
+    @example(config=MachineConfig(plcache=True, l1d_size=64, l1d_assoc=1),
+             seq=CONTIGUOUS_64, pre=1, secret=False, listeners=False,
+             level=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar(self, config, seq, pre, secret, listeners,
+                            level):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
+        if config.plcache:
+            _lock_set_zero(ma, base)
+            _lock_set_zero(mb, base)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
         rng = random.Random(5)
         values = [rng.randrange(1 << 32) for _ in addrs]
         # Some silent-store candidates: rewrite the current contents.
         for i in range(0, len(addrs), 3):
             values[i] = ma.memory.read_word(addrs[i])
-        ma.store_words(addrs, values, pre_insts=pre, secret_dependent=secret)
+        ma.store_words(addrs, values, pre_insts=pre, secret_dependent=secret,
+                       start_level=level)
         for a, v in zip(addrs, values):
             if pre:
                 mb.execute(pre)
-            mb.store_word(a, v, secret_dependent=secret)
+            mb.store_word(a, v, secret_dependent=secret, start_level=level)
         _assert_observably_equal(ma, mb, ra, rb, base, "store_words")
+
+    def test_write_lines_compresses_set_indices_with_runs(self):
+        (ma, mb), _recorders, base = _twins(MachineConfig(), False)
+        lines = [base + 64 * (k // 16) for k in range(64)] + [base] * 5
+        set_indices = [ma.l1d.set_index(line) for line in lines]
+        got = ma.hierarchy.write_lines(lines, 0, True, True, set_indices)
+        assert got == mb.hierarchy.write_lines(lines)
+        _assert_observably_equal(ma, mb, None, None, base, "set_indices")
 
 
 @pytest.mark.parametrize("path", ["bulk", "silent-stores", "sliced-llc"])
@@ -395,6 +530,179 @@ class TestRmwWords:
         assert got == want
         assert ma.slice_trace == mb.slice_trace
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words/update_fn")
+
+
+#: ctload_words machines: a small BIA (4 sets x 2 ways, so a batch over
+#: many groups allocates and evicts entries) at each level, the LLC one
+#: at a sub-page management granularity (M = 9: eight lines per group),
+#: and a sliced LLC, whose CT-op traffic hook takes the scalar loop.
+CT_CONFIGS = {
+    "L1D": dict(bia_level="L1D"),
+    "L2": dict(bia_level="L2"),
+    "LLC-M9": dict(bia_level="LLC", ls_hash=9),
+    "LLC-sliced": dict(bia_level="LLC", llc_slices=8),
+}
+CT_PAGES = 24
+
+
+def _ct_twins(kind):
+    config = MachineConfig(bia_entries=8, bia_assoc=2, **CT_CONFIGS[kind])
+    machines = [Machine(config), Machine(config)]
+    base = None
+    for m in machines:
+        base = m.allocator.alloc(CT_PAGES * 4096, "pages")
+        rng = random.Random(7)
+        for i in range(0, CT_PAGES * 1024, 5):
+            m.memory.write_word(base + 4 * i, rng.randrange(1 << 32))
+    return machines, base
+
+
+ct_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["ctload", "ctload", "load", "store"]),
+        st.integers(0, CT_PAGES * 1024 - 1),
+        st.integers(1, 40),
+        # repeats, consecutive words, consecutive lines, one per page
+        st.sampled_from([0, 1, 16, 1024, 4100]),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestCTLoadWords:
+    """``ctload_words`` == the scalar ``execute`` + ``ctload`` loop."""
+
+    @given(kind=st.sampled_from(list(CT_CONFIGS)), ops=ct_ops,
+           pre=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar(self, kind, ops, pre):
+        (ma, mb), base = _ct_twins(kind)
+        words = CT_PAGES * 1024
+        for op, start, length, stride in ops:
+            addrs = [
+                base + 4 * ((start + stride * j) % words) for j in range(length)
+            ]
+            if op == "ctload":
+                got = ma.ctload_words(addrs, pre)
+                data, existence = [], None
+                for a in addrs:
+                    if pre:
+                        mb.execute(pre)
+                    word, existence = mb.ctload(a)
+                    data.append(word)
+                assert got == (data, existence)
+            else:
+                # plain traffic between batches: resident lines give
+                # CTLoads real data, and monitor updates move the bitmaps
+                for m in (ma, mb):
+                    for a in addrs[:4]:
+                        if op == "load":
+                            m.load_word(a)
+                        else:
+                            m.store_word(a, a & 0xFFFF)
+            assert _bia_state(ma) == _bia_state(mb), op
+        assert ma.slice_trace == mb.slice_trace
+        _assert_observably_equal(ma, mb, None, None, base, "ctload_words")
+
+    def test_empty_batch(self):
+        (ma, mb), _base = _ct_twins("L1D")
+        assert ma.ctload_words([], 5) == ([], None)
+        assert ma.snapshot() == mb.snapshot()
+
+    @pytest.mark.parametrize("kind", ["L1D", "LLC-sliced"])
+    def test_user_mode_matches_scalar_loop(self, kind):
+        """Outside microcode the first CTLoad raises, leaving the scalar
+        loop's counters; inside microcode the batch runs."""
+        (ma, mb), base = _ct_twins(kind)
+        addrs = [base + 4 * k for k in range(20)]
+        for m in (ma, mb):
+            m.user_mode = True
+        with pytest.raises(ProtocolError):
+            ma.ctload_words(addrs, 3)
+        with pytest.raises(ProtocolError):
+            for a in addrs:
+                mb.execute(3)
+                mb.ctload(a)
+        assert ma.snapshot() == mb.snapshot()
+        assert _bia_state(ma) == _bia_state(mb)
+        with ma.microcode():
+            got = ma.ctload_words(addrs, 3)
+        with mb.microcode():
+            want = []
+            for a in addrs:
+                mb.execute(3)
+                want.append(mb.ctload(a))
+        assert got == ([d for d, _ in want], want[-1][1])
+        assert ma.snapshot() == mb.snapshot()
+        assert _bia_state(ma) == _bia_state(mb)
+
+
+def reference_bia_gather(ctx, ds, addrs):
+    """``BIAContext.gather`` with one ``execute`` + ``ctload`` per
+    request and one ``execute`` per captured word."""
+    from repro.memory import address as addr_math
+
+    machine = ctx.machine
+    costs = machine.costs
+    machine.execute(costs.bia_call_insts)
+    view = ctx._view(ds)
+    by_group = {}
+    for i, a in enumerate(addrs):
+        by_group.setdefault(view.group_of(a), []).append(i)
+    results = [0] * len(addrs)
+    offset = addr_math.line_offset(addrs[0]) if addrs else 0
+    for group in view.groups:
+        machine.execute(costs.bia_page_insts)
+        pending = {}
+        for i in by_group.get(group, ()):
+            machine.execute(costs.gather_elem_insts)
+            results[i], _existence = machine.ctload(addrs[i])
+            pending.setdefault(addr_math.line_base(addrs[i]), []).append(i)
+        probe_addr = (group << view.group_bits) + offset
+        _data, existence = machine.ctload(probe_addr)
+        tofetch = view.bitmask(group) & ~existence
+        fetched = ctx._fetch_pass(
+            view, group, probe_addr, tofetch, capture_lines=set(pending)
+        )
+        for line, indices in pending.items():
+            if line in fetched:
+                for i in indices:
+                    machine.execute(costs.gather_elem_insts)
+                    results[i] = machine.memory.read_word(addrs[i])
+    return results
+
+
+class TestBIAGather:
+    """The batched BIA gather == its per-request form, observably."""
+
+    #: a 12-page DS: still more groups than the BIA has ways per set
+    PAGES = 12
+
+    @given(kind=st.sampled_from(["L1D", "L2", "LLC-M9"]), gathers=st.lists(
+        st.tuples(st.integers(0, PAGES * 1024 - 1), st.integers(1, 200),
+                  st.sampled_from([1, 16, 97])),
+        min_size=1, max_size=5,
+    ))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_request_form(self, kind, gathers):
+        from repro.ct.bia_ops import BIAContext
+
+        (ma, mb), base = _ct_twins(kind)
+        ctx_a, ctx_b = BIAContext(ma), BIAContext(mb)
+        size = self.PAGES * 4096
+        ds_a = ctx_a.register_ds(base, size, "pages")
+        ds_b = ctx_b.register_ds(base, size, "pages")
+        words = self.PAGES * 1024
+        for start, length, stride in gathers:
+            addrs = [
+                base + 4 * ((start + stride * j) % words) for j in range(length)
+            ]
+            assert ctx_a.gather(ds_a, addrs) == reference_bia_gather(
+                ctx_b, ds_b, addrs
+            )
+            assert _bia_state(ma) == _bia_state(mb)
+        _assert_observably_equal(ma, mb, None, None, base, "bia gather")
 
 
 class TestCTSweepOps:

@@ -1,9 +1,12 @@
 """Machine integration: counters, actors, configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig, build_machine
+from repro.ct.ds import DataflowLinearizationSet
 from repro.errors import ConfigurationError
 
 
@@ -201,6 +204,85 @@ def test_bad_config_rejected_at_construction(case):
     field_name, build = BAD_CONFIGS[case]
     with pytest.raises(ConfigurationError, match=field_name):
         build()
+
+
+#: CostModel's instruction counts: every field but the two cycle costs.
+INST_FIELDS = [
+    f.name
+    for f in dataclasses.fields(CostModel)
+    if f.name not in ("cpi", "ct_gather_repeat_latency")
+]
+
+
+@pytest.mark.parametrize("value", [0.5, -1, float("nan")])
+@pytest.mark.parametrize("name", INST_FIELDS)
+def test_instruction_counts_must_be_whole(name, value):
+    """A fractional count would add fractional instructions and cycles."""
+    assert len(INST_FIELDS) == 12
+    with pytest.raises(ConfigurationError, match=name):
+        CostModel(**{name: value})
+    CostModel(**{name: 2.0})  # an integral float is a whole number
+
+
+def _bad_counts(m, base):
+    """Every entry point taking a runtime count, called with a count the
+    scalar path rejects (negative) or that would charge a fraction of an
+    instruction, access or cycle."""
+    addrs = [base, base + 4, base + 64]
+    ds = DataflowLinearizationSet.from_range(base, 1024, name="b")
+    return {
+        "execute(-3)": lambda: m.execute(-3),
+        "execute(2.5)": lambda: m.execute(2.5),
+        "load_words(pre=-3)": lambda: m.load_words(addrs, pre_insts=-3),
+        "load_words(pre=0.5)": lambda: m.load_words(addrs, pre_insts=0.5),
+        "store_words(pre=-3)": lambda: m.store_words(
+            addrs, [1, 2, 3], pre_insts=-3),
+        "store_words(pre=1.5)": lambda: m.store_words(
+            addrs, [1, 2, 3], pre_insts=1.5),
+        "rmw_words(pre=-3)": lambda: m.rmw_words(
+            addrs, 0, lambda v: v + 1, pre_insts=-3),
+        "rmw_words(pre=0.5)": lambda: m.rmw_words(
+            addrs, update_fn=lambda i, v: v, pre_insts=0.5),
+        "sweep_load_lines(pre=-1)": lambda: m.sweep_load_lines(
+            ds, pre_insts=-1),
+        "sweep_store_lines(pre=0.5)": lambda: m.sweep_store_lines(
+            ds, target_idx=0, target_fn=lambda v: v, pre_insts=0.5),
+        "ctload_words(pre=-2)": lambda: m.ctload_words(addrs, -2),
+        "ctload_words(pre=0.5)": lambda: m.ctload_words(addrs, 0.5),
+        "charge_memory(3, 0.5)": lambda: m.charge_memory(3, 0.5),
+        "charge_memory(2, -7)": lambda: m.charge_memory(2, -7),
+        "charge_memory(-1, 1)": lambda: m.charge_memory(-1, 1),
+        "charge_memory(1.5, 1)": lambda: m.charge_memory(1.5, 1),
+    }
+
+
+_COUNT_CASES = list(_bad_counts(Machine(), 0x10000))
+
+
+@pytest.mark.parametrize("path", ["bulk", "silent-stores", "sliced-llc"])
+@pytest.mark.parametrize("case", _COUNT_CASES)
+def test_bad_runtime_count_rejected_before_any_charge(case, path):
+    config = {
+        "bulk": MachineConfig(),
+        "silent-stores": MachineConfig(silent_stores=True),
+        "sliced-llc": MachineConfig(bia_level="LLC", llc_slices=8),
+    }[path]
+    m = Machine(config)
+    base = m.allocator.alloc(4096, "b")
+    before = m.snapshot()
+    with pytest.raises(ConfigurationError):
+        _bad_counts(m, base)[case]()
+    assert m.snapshot() == before
+    assert m.l1d.resident_lines() == []
+    assert not list(m.memory.touched_pages())
+
+
+def test_whole_runtime_counts_accepted():
+    m = Machine()
+    m.execute(2.0)
+    m.charge_memory(3, 0)
+    m.load_words([0x10000], pre_insts=2.0)
+    assert m.stats.insts == 2 + 3 + 3
 
 
 class TestDRAMPolicy:

@@ -169,6 +169,60 @@ class TestWords:
         )
 
 
+class TestWriteWords:
+    """``write_words`` == a ``write_word`` loop, error position included."""
+
+    @given(
+        size=st.sampled_from([1, 2, 4, 8]),
+        runs=st.lists(
+            st.tuples(
+                # consecutive words from a slot (page crossings and
+                # revisits included), one run in 16 starting misaligned
+                st.integers(min_value=0, max_value=(1 << 11) - 1),
+                st.integers(min_value=1, max_value=20),
+                st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                st.integers(min_value=0, max_value=15),
+            ),
+            max_size=8,
+        ),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_matches_write_word_loop(self, size, runs, shared):
+        mems = [MainMemory(), MainMemory()]
+        snapshots = []
+        for mem in mems:
+            mem.write(0x1000, bytes(range(200)))
+            if shared:
+                snapshots.append(mem.share_pages())
+        addrs, values = [], []
+        for slot, length, value, skew in runs:
+            start = slot * size + (1 if skew == 0 and size > 1 else 0)
+            addrs += [start + size * k for k in range(length)]
+            values += [value + k for k in range(length)]
+        errors = []
+        try:
+            mems[0].write_words(addrs, values, size)
+        except AlignmentError as exc:
+            errors.append(str(exc))
+        try:
+            for a, v in zip(addrs, values):
+                mems[1].write_word(a, v, size)
+        except AlignmentError as exc:
+            errors.append(str(exc))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        assert mems[0].read(0, 1 << 15) == mems[1].read(0, 1 << 15)
+        assert sorted(mems[0].touched_pages()) == sorted(mems[1].touched_pages())
+        for snap in snapshots:  # copy-on-write left the snapshots intact
+            assert bytes(snap[1][:200]) == bytes(range(200))
+
+    def test_bad_size_raises_before_any_write(self):
+        mem = MainMemory()
+        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
+            mem.write_words([0x1000, 0x1004], [1, 2], 3)
+        assert not list(mem.touched_pages())
+
+
 class TestLines:
     def test_line_roundtrip(self):
         mem = MainMemory()
