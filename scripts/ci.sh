@@ -33,9 +33,13 @@
 #      recorded digest, so the figure workloads check every simulated
 #      counter and output a simulator speed-up must keep (a smoke, not
 #      a stable number; scripts/bench.sh runs the full benchmark).
-#      The `fig-bia` run is traced (`--trace 1`): it wraps every method
-#      perfbench/layers.py names, so renaming or deleting one fails
-#      here, and its plain and traced passes still check every digest
+#      The `fig-ct` and `fig-bia` runs are traced (`--trace 1`): the
+#      tracer wraps every method perfbench/layers.py names, so renaming
+#      or deleting one, or changing the positional arguments its
+#      wrappers read (a sweep's DS, a batch, a kernel's resume index),
+#      fails here; `fig-ct` drives the sweep wrappers and the run
+#      kernels on sweep traffic, `fig-bia` the BIA paths, and their
+#      plain and traced passes still check every digest
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -96,7 +100,7 @@ echo "== perf smoke (perfbench self-tests + a 1 s run of each workload)"
 python3 perfbench/selftest.py
 for workload in verify fig-ct fig-bia; do
     trace=0
-    if [[ "$workload" == fig-bia ]]; then
+    if [[ "$workload" == fig-* ]]; then
         trace=1
     fi
     bench_out="$(python3 perfbench/run.py --workload "$workload" --seconds 1 \

@@ -191,12 +191,16 @@ class CacheHierarchy:
         Observationally identical to the scalar loop: hit runs are
         processed inside the start level's ``access_lines`` (locals
         bound once per run), and each miss falls back to the exact
-        scalar miss walk before the batch resumes.
+        scalar miss walk before the batch resumes.  A listener-free
+        batch computes its set indices once (unless the caller supplied
+        them), so each resume of the kernel costs O(run).
         """
         first = self.levels[start_level]
         n = len(line_addrs)
         latency = n * first.latency
         access_lines = first.access_lines
+        if set_indices is None and not first.events.has_listeners:
+            set_indices = first.set_indices(line_addrs)
         i = access_lines(line_addrs, 0, update_replacement, observable, set_indices)
         while i < n:
             extra, _hit_level, _filled = self.read_miss_fill(
@@ -224,8 +228,10 @@ class CacheHierarchy:
         a resident run costs one lookup.  The gate is read once per
         batch: nothing a store batch runs can subscribe a listener (the
         BIA subscribes only when a CT op allocates an entry), so the
-        level stays listener-free to the end.  With listeners present,
-        every write is its own element and emits its own events.
+        level stays listener-free to the end.  A listener-free batch
+        without runs computes its set indices once, so each resume of
+        the kernel costs O(run).  With listeners present, every write
+        is its own element and emits its own events.
         """
         first = self.levels[start_level]
         n = len(line_addrs)
@@ -233,17 +239,21 @@ class CacheHierarchy:
         access_lines = first.access_lines
         set_dirty = first.set_dirty
         counts = None
-        if n > 1 and not first.events.has_listeners:
-            heads = [0]
-            heads += compress(
-                range(1, n), map(ne, line_addrs, islice(line_addrs, 1, None))
-            )
-            if len(heads) < n:
-                counts = list(map(sub, heads[1:] + [n], heads))
-                line_addrs = [line_addrs[h] for h in heads]
-                if set_indices is not None:
-                    set_indices = [set_indices[h] for h in heads]
-                n = len(heads)
+        if not first.events.has_listeners:
+            if n > 1:
+                heads = [0]
+                heads += compress(
+                    range(1, n),
+                    map(ne, line_addrs, islice(line_addrs, 1, None)),
+                )
+                if len(heads) < n:
+                    counts = list(map(sub, heads[1:] + [n], heads))
+                    line_addrs = [line_addrs[h] for h in heads]
+                    if set_indices is not None:
+                        set_indices = [set_indices[h] for h in heads]
+                    n = len(heads)
+            if counts is None and set_indices is None:
+                set_indices = first.set_indices(line_addrs)
         i = access_lines(
             line_addrs, 0, update_replacement, observable, set_indices, True,
             counts,

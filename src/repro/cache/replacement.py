@@ -124,7 +124,14 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used: evict the way touched longest ago."""
+    """Least-recently-used: evict the way touched longest ago.
+
+    The listener-free loops of ``SetAssociativeCache.access_lines`` and
+    ``rmw_lines`` inline :meth:`touch_n` on ``_stamp``/``_last_use``, so
+    a change to this layout must change them too;
+    ``test_listener_free_run_kernels_match_scalar_access`` in
+    tests/core/test_bulk_equiv.py pins them against this class.
+    """
 
     __slots__ = ("_stamp", "_last_use")
 

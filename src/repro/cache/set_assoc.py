@@ -20,13 +20,14 @@ Two paper-specific behaviours live here:
 
 from __future__ import annotations
 
+from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import params
 from repro.cache.events import EventBus
 from repro.cache.line import CacheLine
-from repro.cache.replacement import ReplacementPolicy, policy_factory
+from repro.cache.replacement import LRUPolicy, ReplacementPolicy, policy_factory
 from repro.errors import ConfigurationError
 
 
@@ -53,6 +54,19 @@ class CacheStats:
 
     def record_set_access(self, set_index: int) -> None:
         self.set_accesses[set_index] = self.set_accesses.get(set_index, 0) + 1
+
+    def record_set_accesses(self, set_indices) -> None:
+        """One :meth:`record_set_access` per element, in order, counted
+        at C speed.
+
+        ``collections._count_elements`` is the tally loop behind
+        ``Counter.update``.  Run on the plain-dict profile, it leaves the
+        per-access updates on CPython's exact-dict fast paths; a
+        ``Counter`` profile would not, because ``Counter`` overrides
+        ``__delitem__``, which sends every item assignment through a
+        generic slot about four times slower.
+        """
+        _count_elements(self.set_accesses, set_indices)
 
     def reset(self) -> None:
         self.hits = 0
@@ -186,7 +200,8 @@ class SetAssociativeCache:
         # Resolved once: an unknown name (or a policy that rejects this
         # associativity) fails here, not at the first lazy set fill.
         self._make_policy = policy_factory(replacement)
-        self._make_policy(assoc, replacement_seed)
+        #: stock LRU: the listener-free kernels inline its touch
+        self._lru = type(self._make_policy(assoc, replacement_seed)) is LRUPolicy
         # Hot-path geometry: line size and set count are validated
         # powers of two above, so div/mod set indexing reduces to one
         # shift + one mask.
@@ -222,6 +237,13 @@ class SetAssociativeCache:
     def set_index(self, line_addr: int) -> int:
         """Set an address maps to (index bits above the line offset)."""
         return (line_addr >> self._line_shift) & self._set_mask
+
+    def set_indices(self, line_addrs) -> List[int]:
+        """:meth:`set_index` of every address, with the shift and mask
+        inlined: a batch's decomposition, computed once per batch."""
+        shift = self._line_shift
+        smask = self._set_mask
+        return [(line_addr >> shift) & smask for line_addr in line_addrs]
 
     @property
     def geometry_key(self) -> Tuple[int, int]:
@@ -305,10 +327,10 @@ class SetAssociativeCache:
         element and resumes the batch after it.
 
         ``set_indices`` optionally supplies precomputed set indices
-        aligned with ``line_addrs`` (per-DS decomposition caches).
-        ``mark_dirty`` applies the write path's dirty transition to each
-        hit, emitting the same hit-then-dirty event order as
-        ``access`` + ``set_dirty``.
+        aligned with ``line_addrs`` (per-DS decomposition caches, or
+        :meth:`set_indices` once per batch).  ``mark_dirty`` applies the
+        write path's dirty transition to each hit, emitting the same
+        hit-then-dirty event order as ``access`` + ``set_dirty``.
 
         ``counts`` makes element ``i`` stand for ``counts[i]`` accesses
         in a row to ``line_addrs[i]`` (a same-line run).  A hit charges
@@ -321,14 +343,25 @@ class SetAssociativeCache:
         Runs emit no events: callers pass ``counts`` only when this
         level has no listeners.
 
-        Hot-path notes: all attribute lookups are hoisted out of the
-        loop, and the EventBus gate is read once per batch.  That is
-        observationally safe: with no listeners at batch start none can
-        appear mid-batch (the simulator is single-threaded and a gated-
-        off batch runs no callbacks that could subscribe); with
-        listeners present the emit helpers iterate the *live* listener
-        list per event, so a mid-batch unsubscribe from inside a
-        callback behaves exactly as in the scalar path.
+        Without ``counts``, the EventBus gate picks one of two loops per
+        call.  A listener-free level runs a loop that does only what a
+        hit changes: the way lookup, the replacement touch (inlined for
+        stock LRU) and the dirty bit.  Hits and misses move once per
+        call, and an ``observable`` call charges the per-set profile
+        once, from ``set_indices[start:stop + 1]``.  That loop indexes
+        ``set_indices`` and computes them for the whole batch when they
+        are absent, so a batch owner that resumes after misses passes
+        them and each call costs O(run), not O(start).  With listeners,
+        each element records its set access, touches its way and emits
+        its hit (and dirty) event in the scalar order.
+
+        Reading the gate once per call is observationally safe: with no
+        listeners at call start none can appear mid-call (the simulator
+        is single-threaded and a gated-off loop runs no callbacks that
+        could subscribe); with listeners present the emit helpers
+        iterate the *live* listener list per event, so a mid-batch
+        unsubscribe from inside a callback behaves exactly as in the
+        scalar path.
         """
         sets = self._sets
         shift = self._line_shift
@@ -336,7 +369,6 @@ class SetAssociativeCache:
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
         events = self.events
-        emit = events.has_listeners
         hits = 0
         i = start
         n = len(line_addrs)
@@ -366,6 +398,33 @@ class SetAssociativeCache:
                 i += 1
             stats.hits += hits
             return n
+        if not events.has_listeners:
+            if set_indices is None:
+                set_indices = self.set_indices(line_addrs)
+            lru = update_replacement and self._lru
+            touch = update_replacement and not self._lru
+            for i in range(start, n):
+                cset = sets[set_indices[i]]
+                way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
+                if way is None:
+                    break
+                if lru:
+                    policy = cset.policy
+                    stamp = policy._stamp + 1
+                    policy._stamp = stamp
+                    policy._last_use[way] = stamp
+                elif touch:
+                    cset.touch(way)
+                if mark_dirty:
+                    cset.ways[way].dirty = True
+            else:
+                i = n
+            stats.hits += i - start
+            if i < n:
+                stats.misses += 1
+            if observable:
+                stats.record_set_accesses(set_indices[start:i + 1])
+            return i
         while i < n:
             line_addr = line_addrs[i]
             if set_indices is not None:
@@ -384,12 +443,10 @@ class SetAssociativeCache:
             hits += 1
             if update_replacement:
                 cset.touch(way)
-            if emit:
-                events.hit(line_addr, line.dirty, lru_updated=update_replacement)
+            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
             if mark_dirty and not line.dirty:
                 line.dirty = True
-                if emit:
-                    events.dirty(line_addr)
+                events.dirty(line_addr)
             i += 1
         stats.hits += hits
         return n
@@ -415,9 +472,12 @@ class SetAssociativeCache:
         missing element (both phases, where a fill can be refused) and
         resumes after it.
 
-        Shares :meth:`access_lines`'s batch-gated event emission and
-        its safety argument, and skips the second tag lookup per pair —
-        the load hit already pinned down the way.
+        Shares :meth:`access_lines`'s two loops and their gate, and
+        skips the second tag lookup per pair — the load hit already
+        pinned down the way.  The listener-free loop charges a pair's
+        two touches at once (``touch_n(way, 2)``, inlined for stock
+        LRU) and profiles two accesses per completed pair plus one for
+        the missing load.
         """
         sets = self._sets
         shift = self._line_shift
@@ -425,10 +485,36 @@ class SetAssociativeCache:
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
         events = self.events
-        emit = events.has_listeners
         hits = 0
         i = start
         n = len(line_addrs)
+        if not events.has_listeners:
+            if set_indices is None:
+                set_indices = self.set_indices(line_addrs)
+            lru = update_replacement and self._lru
+            touch = update_replacement and not self._lru
+            for i in range(start, n):
+                cset = sets[set_indices[i]]
+                way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
+                if way is None:
+                    break
+                if lru:
+                    policy = cset.policy
+                    stamp = policy._stamp + 2
+                    policy._stamp = stamp
+                    policy._last_use[way] = stamp
+                elif touch:
+                    cset.policy.touch_n(way, 2)
+                cset.ways[way].dirty = True
+            else:
+                i = n
+            stats.hits += 2 * (i - start)
+            if i < n:
+                stats.misses += 1
+            if observable:
+                pairs = set_indices[start:i]
+                stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
+            return i
         while i < n:
             line_addr = line_addrs[i]
             if set_indices is not None:
@@ -447,29 +533,21 @@ class SetAssociativeCache:
                 return i
             line = cset.ways[way]
             hits += 2
-            if emit:
-                # Stepwise counter updates: a listener callback may read
-                # the per-set profile between the pair's two accesses.
-                if set_accesses is not None:
-                    set_accesses[set_idx] = count + 1
-                if update_replacement:
-                    cset.touch(way)
-                events.hit(line_addr, line.dirty, lru_updated=update_replacement)
-                if set_accesses is not None:
-                    set_accesses[set_idx] = count + 2
-                if update_replacement:
-                    cset.touch(way)
-                events.hit(line_addr, line.dirty, lru_updated=update_replacement)
-            else:
-                if set_accesses is not None:
-                    set_accesses[set_idx] = count + 2
-                if update_replacement:
-                    cset.touch(way)
-                    cset.touch(way)
+            # Stepwise counter updates: a listener callback may read the
+            # per-set profile between the pair's two accesses.
+            if set_accesses is not None:
+                set_accesses[set_idx] = count + 1
+            if update_replacement:
+                cset.touch(way)
+            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
+            if set_accesses is not None:
+                set_accesses[set_idx] = count + 2
+            if update_replacement:
+                cset.touch(way)
+            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
             if not line.dirty:
                 line.dirty = True
-                if emit:
-                    events.dirty(line_addr)
+                events.dirty(line_addr)
             i += 1
         stats.hits += hits
         return n

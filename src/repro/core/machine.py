@@ -38,7 +38,7 @@ from repro.core.bia import BIA
 from repro.core.costs import CostModel, DEFAULT_COSTS, check_whole
 from repro.core.instructions import CTOps
 from repro.core.stats import MachineStats
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import AlignmentError, ConfigurationError, ProtocolError
 from repro.memory.backing import Allocator, MainMemory
 from repro.memory.dram import DRAM
 
@@ -524,13 +524,28 @@ class Machine:
         with the loads' exactly as in the scalar path; the all-hit runs
         go through the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
+        A listener-free batch computes its set indices once, so each
+        resume of that kernel costs O(run).
+
+        In the targeted form, ``target_idx`` must lie in ``[-1, n)``
+        and a ``target_idx >= 0`` needs a ``target_fn``; anything else
+        raises :class:`ProtocolError` before any access.
         """
         check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
+        if update_fn is None:
+            if not -1 <= target_idx < n:
+                raise ProtocolError(
+                    f"rmw_words target_idx {target_idx} outside [-1, {n})"
+                )
+            if target_idx >= 0 and target_fn is None:
+                raise ProtocolError(
+                    f"rmw_words target_idx {target_idx} needs a target_fn"
+                )
+        else:
+            collect_values = True
         if n == 0:
             return []
-        if update_fn is not None:
-            collect_values = True
         if self.slice_hash is not None or self.config.silent_stores:
             execute = self.execute
             load = self.load_word
@@ -557,6 +572,8 @@ class Machine:
         first_access = first.access
         first_set_dirty = first.set_dirty
         first_events = first.events
+        if set_indices is None and not first_events.has_listeners:
+            set_indices = first.set_indices(lines)
         miss_fill = hier.read_miss_fill
         first_lat = first.latency
         update = not secret_dependent
@@ -643,16 +660,21 @@ class Machine:
     ):
         """Full-DS sweep load: one word per DS line at ``offset``.
 
-        ``offset`` must be an intra-line offset (< line size) so the
-        accessed words stay on the DS's own lines.  Returns the loaded
-        values aligned with ``ds.lines`` (``None`` with
-        ``collect_values=False``).
+        ``offset`` must be a word-aligned intra-line offset, so the
+        accessed words stay on the DS's own lines (see
+        :func:`_check_sweep_offset`).  Returns the loaded values aligned
+        with ``ds.lines`` (``None`` with ``collect_values=False``).  An
+        uncollected sweep reads no word, so it passes the DS lines
+        themselves as its addresses instead of building a list.
         """
+        _check_sweep_offset(offset)
         lines = ds.lines
         set_indices = None
         if self.slice_hash is None:
             set_indices = ds.set_indices_for(self.hierarchy.levels[start_level])
-        addrs = [line + offset for line in lines] if offset else list(lines)
+        addrs = lines
+        if offset and collect_values:
+            addrs = [line + offset for line in lines]
         return self.load_words(
             addrs,
             secret_dependent=secret_dependent,
@@ -680,12 +702,23 @@ class Machine:
         ``target_idx`` receives ``target_fn(current)``.  Returns the
         loaded values aligned with ``ds.lines`` (with
         ``collect_values=False``, only ``values[target_idx]``).
+        ``offset`` is checked as in :meth:`sweep_load_lines`.  An
+        uncollected sweep reads and writes only the target's word, so
+        only the target's address carries the offset; every other
+        element's write-back leaves memory unchanged at any offset.
         """
+        _check_sweep_offset(offset)
         lines = ds.lines
         set_indices = None
         if self.slice_hash is None:
             set_indices = ds.set_indices_for(self.hierarchy.levels[start_level])
-        addrs = [line + offset for line in lines] if offset else list(lines)
+        addrs = lines
+        if offset:
+            if collect_values:
+                addrs = [line + offset for line in lines]
+            elif 0 <= target_idx < len(lines):
+                addrs = list(lines)
+                addrs[target_idx] += offset
         return self.rmw_words(
             addrs,
             target_idx=target_idx,
@@ -972,6 +1005,19 @@ class Machine:
         # restore may adopt its policy clones instead of re-cloning.
         clone.restore_state(self.save_state(), _adopt=True)
         return clone
+
+
+def _check_sweep_offset(offset: int) -> None:
+    """A sweep's word offset must stay on each DS line: a word-aligned
+    offset in ``[0, LINE_SIZE)``.  Checked before anything is charged."""
+    if not 0 <= offset < params.LINE_SIZE:
+        raise ProtocolError(
+            f"sweep offset {offset} outside the line [0, {params.LINE_SIZE})"
+        )
+    if offset % params.WORD_SIZE:
+        raise AlignmentError(
+            f"sweep offset {offset} not aligned to {params.WORD_SIZE}"
+        )
 
 
 class MachineState:

@@ -203,9 +203,8 @@ class DataflowLinearizationSet:
         key = cache.geometry_key
         cached = self._set_index_cache.get(key)
         if cached is None:
-            set_index = cache.set_index
             cached = self._set_index_cache[key] = tuple(
-                set_index(line) for line in self.lines
+                cache.set_indices(self.lines)
             )
         return cached
 

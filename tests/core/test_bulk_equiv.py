@@ -26,7 +26,10 @@ public min-scan and relaxation (pinned against the per-vertex loop by
 
 ``TestScalarPaths`` pins the scalar ``load_word``/``store_word`` (a
 direct start-level probe, the hierarchy walked only on a miss) against
-a full ``read_line``/``write_line`` walk per access.
+a full ``read_line``/``write_line`` walk per access, and
+``test_listener_free_run_kernels_match_scalar_access`` pins the cache
+level's run kernels, on a level without listeners, against one
+``access`` per read or write under every policy, profiled or not.
 
 The address sequences walk consecutive words and repeat addresses, so
 the run-length kernels get real same-line runs: a listener-free
@@ -47,9 +50,10 @@ from hypothesis import strategies as st
 
 from repro.attacks.observer import ObservableTraceRecorder
 from repro.cache.events import CacheListener
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig
-from repro.errors import ProtocolError
+from repro.errors import AlignmentError, ProtocolError
 
 ARENA_LINES = 512  # 32 KiB arena: larger than a 4 KiB L1d, smaller than L2
 
@@ -113,8 +117,70 @@ addr_seqs = st.lists(
 CONTIGUOUS_64 = _segment(0, 0, 64, 1)
 
 
+def _store_config(config, extras, tiny):
+    """``config`` with machinery that makes a run's first access miss
+    again after its fill: a PLcache L1d (refused fills, see
+    :func:`_lock_set_zero`), a prefetcher (with ``tiny``, a one-line
+    L1d where the prefetch evicts the line just filled) or an inclusive
+    LLC small enough to evict, and so back-invalidate, arena lines."""
+    changes = {
+        "plcache": {"plcache": True},
+        "prefetcher": {"prefetcher": True},
+        "inclusive": {
+            "inclusive_llc": True,
+            "l2_size": 16 * 1024,
+            "l2_assoc": 4,
+            "llc_size": 16 * 1024,
+            "llc_assoc": 4,
+        },
+        "none": {},
+    }[extras]
+    if tiny:
+        changes.update(l1d_size=64, l1d_assoc=1)
+    return dataclasses.replace(config, **changes)
+
+
+store_configs = st.builds(
+    _store_config,
+    configs,
+    st.sampled_from(["none", "plcache", "prefetcher", "inclusive"]),
+    st.booleans(),
+)
+
+#: The same extras for load, RMW and CT-sweep batches, so a prefetch or
+#: a back-invalidation lands inside them.  The one-line L1d comes only
+#: with the prefetcher: a batch over distinct lines never hits it, so
+#: the geometries where the listener-free hit loops run keep four draws
+#: in five.
+extra_configs = st.builds(
+    lambda config, extras: _store_config(config, *extras),
+    configs,
+    st.sampled_from([
+        ("none", False),
+        ("plcache", False),
+        ("prefetcher", False),
+        ("inclusive", False),
+        ("prefetcher", True),
+    ]),
+)
+
+
+def _lock_set_zero(m, base):
+    """Pin every way of L1d set 0 with lines outside the arena, so the
+    PLcache refuses every fill of an arena line mapping there (the hot
+    lines of ``addr_seqs`` among them)."""
+    l1d = m.l1d
+    for k in range(l1d.assoc):
+        line = base + 64 * (ARENA_LINES + k * l1d.num_sets)
+        m.load_word(line)
+        assert l1d.lock(line)
+
+
 def _twins(config, listeners):
-    """Two identical machines (+ recorders), arena base, listener flag."""
+    """Two identical machines (+ recorders), arena base, listener flag.
+
+    A PLcache L1d gets set 0 pinned (:func:`_lock_set_zero`), so fills
+    of the arena lines mapping there are refused."""
     machines, recorders = [], []
     base = None
     for _ in range(2):
@@ -123,6 +189,8 @@ def _twins(config, listeners):
         rng = random.Random(99)
         for i in range(ARENA_LINES):
             m.memory.write_word(base + 64 * i, rng.randrange(1 << 32))
+        if config.plcache:
+            _lock_set_zero(m, base)
         if listeners:
             m.ctops.ctload(base)  # allocate a BIA entry: events now flow
             rec = ObservableTraceRecorder()
@@ -335,8 +403,78 @@ class TestScalarPaths:
         _assert_observably_equal(ma, mb, ra, rb, base, "scalar paths")
 
 
+def _kernel_lines(seed):
+    """Hits on three lines that share set 0 of a 32-set 2-way cache,
+    next to misses and evictions over four times its capacity."""
+    rng = random.Random(seed)
+    return [
+        rng.choice([0, 32 * 64, 64 * 64]) if rng.random() < 0.4
+        else rng.randrange(256) * 64
+        for _ in range(600)
+    ]
+
+
+def _scalar_kernel(cache, lines, kernel, update, observable):
+    for line_addr in lines:
+        if cache.access(line_addr, update, observable) is None:
+            cache.fill(line_addr)
+        if kernel == "rmw":
+            cache.access(line_addr, update, observable)
+        if kernel != "read":
+            cache.set_dirty(line_addr)
+
+
+def _batched_kernel(cache, lines, kernel, update, observable, indexed):
+    """The run kernel over ``lines``, resuming after each miss the way
+    the hierarchy and the machine do."""
+    set_indices = cache.set_indices(lines) if indexed else None
+    if kernel == "rmw":
+        run = cache.rmw_lines
+        extra = ()
+    else:
+        run = cache.access_lines
+        extra = (kernel == "write",)
+    i = run(lines, 0, update, observable, set_indices, *extra)
+    while i < len(lines):
+        line_addr = lines[i]
+        cache.fill(line_addr)
+        if kernel == "rmw":
+            cache.access(line_addr, update, observable)
+        if kernel != "read":
+            cache.set_dirty(line_addr)
+        i = run(lines, i + 1, update, observable, set_indices, *extra)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kernel", ["read", "write", "rmw"])
+@pytest.mark.parametrize("observable", [True, False])
+@pytest.mark.parametrize("update", [True, False])
+@pytest.mark.parametrize("indexed", [True, False])
+def test_listener_free_run_kernels_match_scalar_access(
+    policy, kernel, observable, update, indexed
+):
+    """``access_lines`` (``mark_dirty`` for writes) and ``rmw_lines`` on a
+    listener-free level: the same counters, per-set profile (charged
+    once per call, the missing element included), contents, dirty bits
+    and raw replacement state as one ``access`` per read or write."""
+    scalar, batched = (
+        SetAssociativeCache("C", 4 * 1024, 2, latency=1, replacement=policy)
+        for _ in range(2)
+    )
+    lines = _kernel_lines(5)
+    _scalar_kernel(scalar, lines, kernel, update, observable)
+    _batched_kernel(batched, lines, kernel, update, observable, indexed)
+    sa, sb = scalar.stats, batched.stats
+    assert sa.misses > 0 and sa.hits > 0
+    assert (sb.hits, sb.misses, sb.fills, sb.evictions) == (
+        sa.hits, sa.misses, sa.fills, sa.evictions)
+    assert sb.set_accesses == sa.set_accesses
+    assert batched.occupied_sets() == scalar.occupied_sets()
+    assert _replacement_state(batched) == _replacement_state(scalar)
+
+
 class TestLoadWords:
-    @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
+    @given(config=extra_configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
            collect=st.booleans())
     # Always run: listener-free LRU hits, whose touches only the
@@ -364,48 +502,6 @@ class TestLoadWords:
         _assert_observably_equal(ma, mb, ra, rb, base, "load_words")
 
 
-def _store_config(config, extras, tiny):
-    """``config`` with machinery that makes a run's first access miss
-    again after its fill: a PLcache L1d (refused fills, see
-    :func:`_lock_set_zero`), a prefetcher (with ``tiny``, a one-line
-    L1d where the prefetch evicts the line just filled) or an inclusive
-    LLC small enough to evict, and so back-invalidate, arena lines."""
-    changes = {
-        "plcache": {"plcache": True},
-        "prefetcher": {"prefetcher": True},
-        "inclusive": {
-            "inclusive_llc": True,
-            "l2_size": 16 * 1024,
-            "l2_assoc": 4,
-            "llc_size": 16 * 1024,
-            "llc_assoc": 4,
-        },
-        "none": {},
-    }[extras]
-    if tiny:
-        changes.update(l1d_size=64, l1d_assoc=1)
-    return dataclasses.replace(config, **changes)
-
-
-store_configs = st.builds(
-    _store_config,
-    configs,
-    st.sampled_from(["none", "plcache", "prefetcher", "inclusive"]),
-    st.booleans(),
-)
-
-
-def _lock_set_zero(m, base):
-    """Pin every way of L1d set 0 with lines outside the arena, so the
-    PLcache refuses every fill of an arena line mapping there (the hot
-    lines of ``addr_seqs`` among them)."""
-    l1d = m.l1d
-    for k in range(l1d.assoc):
-        line = base + 64 * (ARENA_LINES + k * l1d.num_sets)
-        m.load_word(line)
-        assert l1d.lock(line)
-
-
 class TestStoreWords:
     @given(config=store_configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
@@ -421,9 +517,6 @@ class TestStoreWords:
     def test_matches_scalar(self, config, seq, pre, secret, listeners,
                             level):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
-        if config.plcache:
-            _lock_set_zero(ma, base)
-            _lock_set_zero(mb, base)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
         rng = random.Random(5)
         values = [rng.randrange(1 << 32) for _ in addrs]
@@ -465,15 +558,50 @@ def test_store_words_rejects_mismatched_lengths(path, n_values):
     assert not list(m.memory.touched_pages())
 
 
+@pytest.mark.parametrize("path", ["bulk", "silent-stores", "sliced-llc"])
+@pytest.mark.parametrize("target_idx, fn, match", [
+    (3, None, "needs a target_fn"),
+    (8, lambda v: v + 1, r"outside \[-1, 8\)"),
+    (-2, lambda v: v + 1, r"outside \[-1, 8\)"),
+])
+def test_rmw_words_rejects_bad_target(path, target_idx, fn, match):
+    """Every rmw_words path refuses a target it cannot write before any
+    access: a target_idx outside [-1, n), or one without a target_fn."""
+    config = {
+        "bulk": MachineConfig(),
+        "silent-stores": MachineConfig(silent_stores=True),
+        "sliced-llc": MachineConfig(bia_level="LLC", llc_slices=8),
+    }[path]
+    m = Machine(config)
+    base = m.allocator.alloc(8 * 64, "b")
+    before = m.snapshot()
+    with pytest.raises(ProtocolError, match=match):
+        m.rmw_words([base + 64 * i for i in range(8)], target_idx=target_idx,
+                    target_fn=fn)
+    assert m.snapshot() == before
+    assert all(c.stats.accesses == 0 for c in m.hierarchy.levels)
+    assert not list(m.memory.touched_pages())
+
+
 class TestRmwWords:
-    @given(config=configs, seq=addr_seqs, pre=st.integers(0, 4),
+    # ``warm``: a load_words batch first makes the lines resident and
+    # clean, so pairs hit lines the batch has not dirtied yet.
+    @given(config=extra_configs, seq=addr_seqs, pre=st.integers(0, 4),
            secret=st.booleans(), listeners=st.booleans(),
-           collect=st.booleans(), target_frac=st.floats(0, 1))
+           collect=st.booleans(), target_frac=st.floats(0, 1),
+           warm=st.booleans())
+    # Always run: listener-free LRU pair hits on resident clean lines,
+    # whose stamps and dirty transitions only the state comparison sees.
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
+             listeners=False, collect=False, target_frac=0.5, warm=True)
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar(self, config, seq, pre, secret, listeners,
-                            collect, target_frac):
+                            collect, target_frac, warm):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
+        if warm:
+            for m in (ma, mb):
+                m.load_words(addrs, secret_dependent=secret)
         target = int(target_frac * (len(addrs) - 1))
         fn = lambda v: (v * 3 + 1) & 0xFFFFFFFF  # noqa: E731
         got = ma.rmw_words(
@@ -708,11 +836,17 @@ class TestBIAGather:
 class TestCTSweepOps:
     """The software-CT context's batched sweeps vs its scalar contract."""
 
-    @given(config=configs, ops=st.lists(
+    @given(config=extra_configs, ops=st.lists(
         st.tuples(st.sampled_from(["load", "store", "rmw", "gather"]),
                   st.integers(0, ARENA_LINES - 1)),
         min_size=1, max_size=12,
     ), listeners=st.booleans())
+    # Always run: listener-free LRU sweeps whose later ops hit lines the
+    # first sweep left resident and clean, so every pair's two LRU
+    # touches and its dirty transition show in the final state.
+    @example(config=MachineConfig(), ops=[
+        ("load", 3), ("store", 5), ("load", 7), ("rmw", 9), ("gather", 4),
+    ], listeners=False)
     @settings(max_examples=25, deadline=None)
     def test_context_ops_match_scalar_reference(self, config, ops,
                                                 listeners):
@@ -827,6 +961,45 @@ class TestSweepWrappers:
         ds = DataflowLinearizationSet.from_range(base, 1024, name="b")
         vals = m.sweep_load_lines(ds, offset=60)
         assert len(vals) == len(ds.lines)
+
+    @pytest.mark.parametrize("wrapper", ["load", "store"])
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("offset, error", [
+        (64, ProtocolError), (-4, ProtocolError), (3, AlignmentError),
+    ])
+    def test_offset_off_the_line_raises_before_any_access(
+        self, wrapper, collect, offset, error
+    ):
+        """An offset that leaves the DS line, or splits a word, is
+        refused before anything is charged: counters, cache contents
+        and memory stay as they were."""
+        from repro.ct.ds import DataflowLinearizationSet
+
+        m = Machine(MachineConfig())
+        base = m.allocator.alloc(4096, "b")
+        for i in range(64):
+            m.memory.write_word(base + 64 * i, i)
+        ds = DataflowLinearizationSet.from_range(base, 4096, name="b")
+        m.sweep_load_lines(ds)  # resident lines: the contents must hold
+
+        def state():
+            levels = [
+                (c.occupied_sets(), _replacement_state(c),
+                 dict(c.stats.set_accesses))
+                for c in m.hierarchy.levels
+            ]
+            words = [m.memory.read_word(a) for a in range(base, base + 4096 + 64, 4)]
+            return m.snapshot(), levels, words
+
+        before = state()
+        with pytest.raises(error, match="sweep offset"):
+            if wrapper == "load":
+                m.sweep_load_lines(ds, offset=offset, collect_values=collect)
+            else:
+                m.sweep_store_lines(ds, offset=offset, target_idx=0,
+                                    target_fn=lambda v: v + 100,
+                                    collect_values=collect)
+        assert state() == before
 
 
 class TestWarmPool:
