@@ -1,56 +1,27 @@
 """Benchmark harness conventions.
 
-Every benchmark regenerates one table or figure of the paper at the
-paper's full parameter sweep, prints the same rows/series the paper
-reports, and asserts the qualitative shape (who wins, what grows).
+The benchmarks here cover what the paper's figures do not: the
+Sec. 6.1, 6.4 and 6.5 ablations, the Path ORAM comparison, the
+oblivious KV store and the mini-Constantine toolchain.  Each prints
+its table and asserts the qualitative shape (who wins, what leaks).
+The paper's own tables and figures are regenerated, and their claims
+checked, by ``python -m repro.experiments`` (see
+:mod:`repro.experiments.claims`).
+
 Benchmarks run each generator once (``pedantic(rounds=1)``): the
-interesting measurement is the simulator's figure-generation cost and
-the printed reproduction, not statistical timing of a hot loop.
+interesting measurement is the simulator's generation cost and the
+printed table, not statistical timing of a hot loop.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Figure/table generation runs on the parallel experiment engine
-(:mod:`repro.experiments.parallel`): ``--engine-jobs N`` fans each
-figure's independent simulations across worker processes, and
-``--engine-cache DIR`` enables the content-addressed result cache so
-repeated benchmark runs (and cross-figure shared baselines) cost one
-simulation each.
+or, as ``scripts/ci.sh`` does, as plain tests::
+
+    pytest benchmarks/ -q --benchmark-disable
 """
 
 import pytest
-
-from repro.experiments import parallel
-from repro.experiments.store import Store
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine-jobs",
-        type=int,
-        default=1,
-        help="worker processes for the experiment engine",
-    )
-    parser.addoption(
-        "--engine-cache",
-        default=None,
-        help="directory for the engine's on-disk result cache",
-    )
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _engine_config(request):
-    """Apply the --engine-* options to the experiment engine."""
-    jobs = request.config.getoption("--engine-jobs")
-    cache_dir = request.config.getoption("--engine-cache")
-    prev = parallel.current_settings()
-    parallel.configure(
-        jobs=jobs,
-        cache=Store(cache_dir) if cache_dir else None,
-    )
-    yield
-    parallel.configure(**prev._asdict())
 
 
 @pytest.fixture

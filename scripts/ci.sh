@@ -15,19 +15,26 @@
 #   4. a run-directory round trip: fig9 (24 simulations) into a fresh
 #      `--run-dir`; `--resume` must find every result stored, and
 #      `--from-store` must print the first run's output (apart from
-#      the `done in` timing line) without simulating
-#   5. figure output is the same at any `--jobs`: every target with
-#      `--no-cache` serially and at `--jobs 2`; the two outputs must
-#      match apart from the `done in` timing lines
-#   6. the symbolic relational smoke (scripts/symrel_smoke.py):
+#      the `done in` timing line), Fig. 9's claim lines included,
+#      without simulating
+#   5. the paper's claims, and figure output that is the same at any
+#      `--jobs`: every target with `--no-cache` serially and at
+#      `--jobs 2`.  Each run prints a `[claim ...: holds|FAILED]` line
+#      per claim of repro.experiments.claims, checked on the data the
+#      target shows, and exits 1 if any claim fails; the two outputs
+#      must then match apart from the `done in` timing lines
+#   6. the benchmarks the figures do not cover (pytest benchmarks/):
+#      the Sec. 6.1, 6.4 and 6.5 ablations, Path ORAM, the oblivious
+#      KV store and the toolchain, each asserting its table's shape
+#   7. the symbolic relational smoke (scripts/symrel_smoke.py):
 #      every builtin's native variant must be refuted with a
 #      replay-confirmed secret pair (or, for the speculative fixture,
 #      refuted only by the speculative pass) and every mitigated
 #      variant proved
-#   7. the automatic repair smoke (scripts/repair_smoke.py): every
+#   8. the automatic repair smoke (scripts/repair_smoke.py): every
 #      leaky builtin must auto-repair to CT-PROVED within the 1.5x
 #      overhead budget — a residual CT-REL exits nonzero
-#   8. a perf smoke: the benchmark's self-tests, then one short run
+#   9. a perf smoke: the benchmark's self-tests, then one short run
 #      of each workload (`verify`, `fig-ct`, `fig-bia`) that must end
 #      with `"correct": true` — every op's result must match its
 #      recorded digest, so the figure workloads check every simulated
@@ -84,11 +91,14 @@ python -m repro.experiments fig9 --no-cache --from-store "$RUN_DIR" \
 diff <(grep -v "done in" "$WORK_DIR/fig9-run.txt") \
     <(grep -v "done in" "$WORK_DIR/fig9-served.txt")
 
-echo "== figure output at --jobs 1 == --jobs 2 (python -m repro.experiments --no-cache)"
+echo "== paper claims; figure output at --jobs 1 == --jobs 2 (python -m repro.experiments --no-cache)"
 python -m repro.experiments --no-cache --jobs 1 >"$WORK_DIR/all-jobs1.txt"
 python -m repro.experiments --no-cache --jobs 2 >"$WORK_DIR/all-jobs2.txt"
 diff <(grep -v "done in" "$WORK_DIR/all-jobs1.txt") \
     <(grep -v "done in" "$WORK_DIR/all-jobs2.txt")
+
+echo "== ablation, application and toolchain benchmarks (pytest benchmarks/)"
+python -m pytest benchmarks/ -q --benchmark-disable
 
 echo "== symbolic relational smoke (scripts/symrel_smoke.py)"
 python scripts/symrel_smoke.py

@@ -460,11 +460,6 @@ def not_term(term: Term) -> Term:
     return op("eq", bool_term(term), const(0))
 
 
-def and_term(a: Term, b: Term) -> Term:
-    """Logical conjunction of two truth-valued terms."""
-    return op("and", bool_term(a), bool_term(b))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

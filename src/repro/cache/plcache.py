@@ -90,9 +90,6 @@ class PartitionLockedCache(SetAssociativeCache):
                     out.append(addr)
         return sorted(out)
 
-    def locked_ways_in_set(self, set_idx: int) -> int:
-        return sum(self._locked[set_idx])
-
     # -- overridden fill: locked ways are never victims --------------------------
 
     def fill(self, line_addr: int, dirty: bool = False) -> Optional[CacheLine]:

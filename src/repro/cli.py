@@ -83,9 +83,9 @@ def _cmd_crypto(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    from repro.experiments.tables import render_table1
+    from repro.experiments.tables import render_table1, table1_rows
 
-    print(render_table1())
+    print(render_table1(table1_rows()))
     return 0
 
 

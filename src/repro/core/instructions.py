@@ -56,10 +56,6 @@ class CTOps:
         #: cache state, so the slice it travels to is observable.
         self.traffic_hook = None
 
-    def _record_traffic(self, line_addr: int) -> None:
-        if self.traffic_hook is not None:
-            self.traffic_hook(line_addr)
-
     def ctload(self, addr: int, size: int = params.WORD_SIZE) -> Tuple[int, int, int]:
         """``CTLoad``: returns ``(data, existence_bitmap, latency)``.
 

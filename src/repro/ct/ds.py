@@ -187,9 +187,6 @@ class DataflowLinearizationSet:
                 "would leak (the DS must cover every possible address)"
             )
 
-    def page_of(self, addr: int) -> int:
-        return addr_math.page_index(addr)
-
     # -- bulk-sweep support ------------------------------------------------------
 
     def set_indices_for(self, cache) -> Tuple[int, ...]:

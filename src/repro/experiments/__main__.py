@@ -11,8 +11,20 @@ Usage::
 points share :func:`add_arguments`).
 
 Targets: ``table1``, ``motivation``, ``fig2``, ``fig7``, ``fig8``,
-``fig9``, ``fig10``, ``headline``, or ``all`` (default).  Full paper
-sweeps take a few minutes; each target prints as it completes.
+``fig9``, ``fig10``, ``headline``, or ``all`` (default; ``json``, which
+writes ``experiment_results.json``, runs only when named).  The full
+paper sweeps take a few seconds; each target prints as it completes.
+
+Each target's data is computed once (:data:`TARGETS` pairs its
+generator with a renderer of that data).  Its table is printed, then
+one line per paper claim about that data
+(:mod:`repro.experiments.claims`)::
+
+    [claim fig7.dijkstra.l2-beats-l1d-at-128 (Sec. 7.3.2): holds]
+
+Exit status: 0 when every requested target ran and every claim holds;
+1 when a claim reads ``FAILED`` or a target's batch failed; 2 for a
+bad flag, an unknown target or an unusable store.
 
 ``--jobs N`` fans the independent simulations of each target across
 ``N`` worker processes.  Results are cached in
@@ -22,9 +34,9 @@ nothing; ``--no-cache`` disables the on-disk cache for this invocation,
 while an in-memory one still simulates each spec once across targets.
 
 A target whose batch fails prints the engine's per-spec failure log
-and the run continues with the next target (exit status 1 at the end).
-Completed simulations are already cached, so a re-run only simulates
-the failures.
+and the run continues with the next target (exit status 1 at the end);
+so does a failed claim.  Completed simulations are already cached, so
+a re-run only simulates the failures.
 
 Durability (checkpoint/resume):
 
@@ -55,27 +67,36 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from repro.errors import EngineError, StoreError
-from repro.experiments import figures, parallel, store, tables
-from repro.experiments.figures import headline_reduction
+from repro.experiments import claims, figures, parallel, store, tables
 from repro.experiments.report import format_table
+from repro.workloads import WORKLOADS
 
 
-def _headline() -> str:
-    data = headline_reduction()
-    rows = [(name, ratio) for name, ratio in data.items()]
-    return format_table(
-        ["workload", "CT / L1d-BIA overhead reduction (geomean)"],
-        rows,
-        title="Headline: overhead reduction vs state-of-the-art CT",
+class Target(NamedTuple):
+    """A target's data generator and the renderer of that data."""
+
+    data: Callable[[], object]
+    render: Callable[[object], str]
+
+
+def _figure7_all() -> dict:
+    return {name: figures.figure7(name) for name in WORKLOADS}
+
+
+def _render_figure7_all(data: dict) -> str:
+    return "\n\n".join(
+        figures.render_figure7(name, panel) for name, panel in data.items()
     )
 
 
-def _fig7_all() -> str:
-    return "\n\n".join(
-        figures.render_figure7(name)
-        for name in ("dijkstra", "histogram", "permutation", "binary_search", "heappop")
+def _render_headline(data: dict) -> str:
+    return format_table(
+        ["workload", "CT / L1d-BIA overhead reduction (geomean)"],
+        list(data.items()),
+        title="Headline: overhead reduction vs state-of-the-art CT",
     )
 
 
@@ -84,19 +105,21 @@ def _json_export() -> str:
 
     path = "experiment_results.json"
     export_json(path)
-    return f"wrote {path}"
+    return path
 
 
 TARGETS = {
-    "table1": tables.render_table1,
-    "motivation": tables.render_motivation_profile,
-    "fig2": figures.render_figure2,
-    "fig7": _fig7_all,
-    "fig8": figures.render_figure8,
-    "fig9": figures.render_figure9,
-    "fig10": figures.render_figure10,
-    "headline": _headline,
-    "json": _json_export,
+    "table1": Target(tables.table1_rows, tables.render_table1),
+    "motivation": Target(
+        tables.motivation_profile, tables.render_motivation_profile
+    ),
+    "fig2": Target(figures.figure2, figures.render_figure2),
+    "fig7": Target(_figure7_all, _render_figure7_all),
+    "fig8": Target(figures.figure8, figures.render_figure8),
+    "fig9": Target(figures.figure9, figures.render_figure9),
+    "fig10": Target(figures.figure10, figures.render_figure10),
+    "headline": Target(figures.headline_reduction, _render_headline),
+    "json": Target(_json_export, "wrote {}".format),
 }
 
 
@@ -224,12 +247,19 @@ def _run_targets(args) -> int:
         for name in names:
             start = time.time()
             try:
-                print(TARGETS[name]())
+                data = TARGETS[name].data()
             except EngineError as exc:
                 # Partial failure: successes are already cached; report
                 # the per-spec failure log and press on.
                 status = 1
                 print(f"[{name} FAILED] {exc}")
+            else:
+                print(TARGETS[name].render(data))
+                lines, all_hold = claims.check(name, data)
+                for line in lines:
+                    print(line)
+                if not all_hold:
+                    status = 1
             print(f"[{name} done in {time.time() - start:.1f}s]\n")
     finally:
         parallel.configure(**prev._asdict())

@@ -5,18 +5,19 @@ JSON-serializable dict (plotting scripts, CI diffs); ``export_json``
 writes it to a file.  ``quick`` shrinks the parameter sweeps to test
 scale; the default runs the paper's full sweeps.
 
-``run_dir=`` rebuilds the export offline from a crash-safe run
-directory (see :mod:`repro.experiments.store`): every engine-backed
-sweep is served from the durable store and a missing spec raises
-:class:`~repro.errors.EngineError` instead of re-simulating.  The one
-exception is ``figure10``, which profiles per-set access counts on a
-live machine and therefore always simulates.
+To rebuild the export offline from a crash-safe run directory, call
+it inside :func:`repro.experiments.store.served_from` (or run
+``python -m repro.experiments json --from-store DIR``): every
+engine-backed sweep is then served from the durable store, and a
+missing spec raises :class:`~repro.errors.EngineError` instead of
+re-simulating.  ``figure10`` profiles per-set access counts on a live
+machine and always simulates.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments import figures, tables
 
@@ -37,19 +38,8 @@ QUICK = {
 }
 
 
-def collect(
-    quick: bool = False, seed: int = 1, run_dir: Optional[str] = None
-) -> Dict[str, object]:
-    """Run every experiment; returns one nested dict of results.
-
-    With ``run_dir`` the engine-backed sweeps are rebuilt offline from
-    that run directory's store instead of simulating.
-    """
-    if run_dir is not None:
-        from repro.experiments.store import served_from
-
-        with served_from(run_dir, offline=True):
-            return collect(quick=quick, seed=seed)
+def collect(quick: bool = False, seed: int = 1) -> Dict[str, object]:
+    """Run every experiment; returns one nested dict of results."""
     fig7_sizes = QUICK["fig7_sizes"] if quick else {}
     data: Dict[str, object] = {
         "table1": tables.table1_rows(),
@@ -84,13 +74,10 @@ def collect(
 
 
 def export_json(
-    path: str,
-    quick: bool = False,
-    seed: int = 1,
-    run_dir: Optional[str] = None,
+    path: str, quick: bool = False, seed: int = 1
 ) -> Dict[str, object]:
     """Collect and write JSON; returns the collected dict."""
-    data = collect(quick=quick, seed=seed, run_dir=run_dir)
+    data = collect(quick=quick, seed=seed)
     with open(path, "w") as fh:
         json.dump(_jsonable(data), fh, indent=2, sort_keys=True)
     return data

@@ -1,10 +1,12 @@
 """Figure reproductions: one generator per figure of the paper.
 
 Every generator returns plain data structures (dicts keyed the way the
-figure's axes are) plus a ``render_*`` companion that prints the same
-rows/series the paper plots.  The benchmark harness under
-``benchmarks/`` calls these with the paper's full parameter sweeps;
-the test suite calls them with reduced sizes.
+figure's axes are), and a ``render_*`` companion formats that data as
+the rows/series the paper plots.  ``python -m repro.experiments``
+computes each figure once at the paper's full parameter sweep, renders
+it and checks the paper's claims against it
+(:mod:`repro.experiments.claims`); the test suite calls the generators
+with reduced sizes.
 
 From-store rebuilds: every ``run_many``-backed generator accepts
 ``store=`` / ``offline=`` (defaulting to the process-wide engine
@@ -62,10 +64,9 @@ def figure2(
     return out
 
 
-def render_figure2(sizes: Sequence[int] = FIG2_SIZES, seed: int = 1) -> str:
-    data = figure2(sizes, seed)
+def render_figure2(data: Dict[int, Dict[str, float]]) -> str:
     rows = [
-        (f"hist_{s}", data[s]["ct-scalar"], data[s]["ct"]) for s in sizes
+        (f"hist_{s}", row["ct-scalar"], row["ct"]) for s, row in data.items()
     ]
     return format_table(
         ["workload", "CT overhead (scalar)", "CT overhead (avx)"],
@@ -109,9 +110,7 @@ def figure7(
     return out
 
 
-def render_figure7(
-    workload: str, sizes: Optional[Sequence[int]] = None, seed: int = 1
-) -> str:
+def render_figure7(workload: str, data: Dict[str, Dict[str, float]]) -> str:
     panel = {
         "dijkstra": "a",
         "histogram": "b",
@@ -119,7 +118,6 @@ def render_figure7(
         "binary_search": "d",
         "heappop": "e",
     }.get(workload, "?")
-    data = figure7(workload, sizes, seed)
     rows = [
         (label, row["bia-l1d"], row["bia-l2"], row["ct"])
         for label, row in data.items()
@@ -184,10 +182,7 @@ def figure8(
     return out
 
 
-def render_figure8(
-    sizes: Optional[Sequence[int]] = None, seed: int = 1
-) -> str:
-    data = figure8(sizes, seed)
+def render_figure8(data: Dict[str, Dict[str, float]]) -> str:
     headers = ["workload"] + [label for label, _ in FIG8_METRICS]
     rows = [
         [label] + [row[m] for m, _ in FIG8_METRICS]
@@ -232,11 +227,8 @@ def figure9(
     return out
 
 
-def render_figure9(
-    ciphers: Sequence[str] = FIG9_CIPHERS, seed: int = 1
-) -> str:
-    data = figure9(ciphers, seed)
-    rows = [(c, data[c]["bia-l1d"], data[c]["ct"]) for c in ciphers]
+def render_figure9(data: Dict[str, Dict[str, float]]) -> str:
+    rows = [(c, row["bia-l1d"], row["ct"]) for c, row in data.items()]
     return format_table(
         ["cipher", "L1d", "CT"],
         rows,
@@ -322,12 +314,10 @@ def figure10(
 
 
 def render_figure10(
-    bins: int = 1000,
-    n_secrets: int = 10,
-    sets: Optional[Sequence[int]] = None,
-    level: str = "L1D",
+    data: Dict[str, object], bins: int = 1000, level: str = "L1D"
 ) -> str:
-    data = figure10(bins, n_secrets, sets, level)
+    """Format :func:`figure10`'s data; ``bins`` and ``level`` name the
+    run that produced it in the title."""
     chosen = data["sets"]
     rows = []
     for key in ("insecure", "secure"):
@@ -338,7 +328,7 @@ def render_figure10(
         rows,
         title=(
             f"Figure 10: accesses to {level} sets "
-            f"{chosen[0]}-{chosen[-1]}, hist_{bins // 1000}k"
+            f"{chosen[0]}-{chosen[-1]}, {WORKLOADS['histogram'].label(bins)}"
         ),
     )
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import repro
-from repro.core.machine import Machine, MachineConfig, MachineState
+from repro.core.machine import MachineConfig
 from repro.ct.context import MitigationContext
 from repro.errors import ConfigurationError, EngineError, SpecFailure
 from repro.experiments.config import build_context
@@ -237,18 +237,6 @@ class MachineTemplatePool:
             fetch_threshold=fetch_threshold,
             machine=machine,
         )
-
-    def snapshot_for(
-        self,
-        scheme: str,
-        config: Optional[MachineConfig] = None,
-        fetch_threshold: Optional[int] = None,
-    ) -> Tuple[Machine, MachineState]:
-        """The pooled ``(machine, pristine snapshot)`` pair for a prefix."""
-        key = (scheme, config, fetch_threshold)
-        if key not in self._entries:
-            self.context_for(scheme, config, fetch_threshold)
-        return self._entries[key]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -409,8 +409,9 @@ def served_from(run_dir, offline: bool = True) -> Iterator[RunDirectory]:
     :class:`~repro.errors.EngineError` instead of simulating — the
     rebuild-reports-offline mode::
 
-        with served_from("runs/fig7") as rd:
-            print(figures.render_figure7("dijkstra"))
+        with served_from("runs/fig7"):
+            data = figures.figure7("dijkstra")
+        print(figures.render_figure7("dijkstra", data))
 
     With ``offline=False`` the directory is writable and missing specs
     are simulated and appended (top-up mode).

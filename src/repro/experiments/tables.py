@@ -15,9 +15,10 @@ def table1_rows(config: Optional[MachineConfig] = None) -> Dict[str, str]:
     return (config or default_config()).describe()
 
 
-def render_table1(config: Optional[MachineConfig] = None) -> str:
-    rows = [(k, v) for k, v in table1_rows(config).items()]
-    return format_table(["Configuration", "Parameter"], rows, title="Table 1")
+def render_table1(rows: Dict[str, str]) -> str:
+    return format_table(
+        ["Configuration", "Parameter"], list(rows.items()), title="Table 1"
+    )
 
 
 def motivation_profile(
@@ -59,8 +60,11 @@ def motivation_profile(
     return out
 
 
-def render_motivation_profile(bins: int = 10000, seed: int = 1) -> str:
-    data = motivation_profile(bins, seed)
+def render_motivation_profile(
+    data: Dict[str, Dict[str, float]], bins: int = 10000
+) -> str:
+    """Format :func:`motivation_profile`'s data; ``bins`` names the run
+    that produced it in the title."""
     rows = [
         (label, row["L1d ref"], row["L1i ref"], row["LL misses"])
         for label, row in data.items()

@@ -10,6 +10,7 @@ from repro.analysis.sanitizer import (
     sanitize_workload,
 )
 from repro.lang.programs import lookup_program
+from repro.workloads import histogram
 
 SIZE = 64
 # Far enough apart to land on different cache lines.
@@ -18,6 +19,17 @@ SECRETS = (1, 33)
 
 def lookup_inputs(secret):
     return {"key": secret}, {"table": list(range(SIZE))}
+
+
+#: Figure 10's run: hist_1k under 10 random secrets.
+FIG10_BINS = 1000
+FIG10_SECRETS = tuple(range(1, 11))
+
+
+def _run_whole_profile(ctx, seed):
+    # Whole-program profile (no warm-up reset), matching the published
+    # figure: every access of the run is counted.
+    return histogram.run(ctx, FIG10_BINS, seed, reset_warmup=False)
 
 
 class TestSanitizeProgram:
@@ -63,7 +75,8 @@ class TestSanitizeProgram:
 
 
 class TestSanitizeWorkload:
-    """The acceptance pair: binary search insecure vs BIA-mitigated."""
+    """The acceptance pairs: binary search and Fig. 10's histogram,
+    insecure vs BIA-mitigated."""
 
     def test_insecure_binary_search_is_flagged(self):
         report = sanitize_workload(
@@ -80,6 +93,31 @@ class TestSanitizeWorkload:
             "binary_search", 256, "bia-l1d", secrets=(1, 2)
         )
         assert report.clean, report.describe()
+
+    def test_insecure_fig10_histogram_is_flagged(self):
+        """Fig. 10's left panel: the insecure per-set counts vary."""
+        insecure = sanitize_workload(
+            "histogram",
+            FIG10_BINS,
+            "insecure",
+            secrets=FIG10_SECRETS,
+            run_fn=_run_whole_profile,
+        )
+        assert not insecure.clean, "insecure victim should vary with secret"
+        assert any(
+            d.kind == "set-profile" for d in insecure.divergences
+        ), "the figure's per-set counts should already distinguish secrets"
+
+    def test_bia_fig10_histogram_is_clean(self):
+        """Fig. 10's right panel: the BIA run's trace is flat."""
+        secure = sanitize_workload(
+            "histogram",
+            FIG10_BINS,
+            "bia-l1d",
+            secrets=FIG10_SECRETS,
+            run_fn=_run_whole_profile,
+        )
+        assert secure.clean, secure.describe()
 
     def test_deterministic_across_repeats(self):
         # Same seeds, fresh machines: the verdict must not flap.

@@ -1,8 +1,9 @@
 """Figure generators at reduced sizes: structure + expected shapes.
 
 These tests assert the *qualitative* findings of each figure (who
-wins, what grows, what stays flat) on small parameter sweeps; the
-benchmark harness regenerates the full-scale versions.
+wins, what grows, what stays flat) on small parameter sweeps;
+``python -m repro.experiments`` regenerates the full-scale versions
+and checks the paper's claims on them (:mod:`repro.experiments.claims`).
 """
 
 import pytest
@@ -27,7 +28,7 @@ class TestFigure2:
         assert data[2000]["ct-scalar"] > data[2000]["ct"]
 
     def test_render(self):
-        text = figures.render_figure2(sizes=(500,))
+        text = figures.render_figure2(figures.figure2(sizes=(500,)))
         assert "Figure 2" in text and "hist_500" in text
 
 
@@ -56,7 +57,9 @@ class TestFigure7:
         assert data["dij_128"]["bia-l2"] < data["dij_128"]["bia-l1d"]
 
     def test_render(self):
-        text = figures.render_figure7("histogram", sizes=(500,))
+        text = figures.render_figure7(
+            "histogram", figures.figure7("histogram", sizes=(500,))
+        )
         assert "Figure 7(b)" in text
 
 
@@ -80,7 +83,8 @@ class TestFigure8:
         assert data["dij_96"]["dram"] == pytest.approx(1.0, abs=0.5)
 
     def test_render(self):
-        assert "Figure 8" in figures.render_figure8(sizes=(32,))
+        text = figures.render_figure8(figures.figure8(sizes=(32,)))
+        assert "Figure 8" in text
 
 
 class TestFigure9:
@@ -104,7 +108,8 @@ class TestFigure9:
         assert data["XOR"]["bia-l1d"] == pytest.approx(1.0, abs=0.01)
 
     def test_render(self):
-        assert "Figure 9" in figures.render_figure9(ciphers=("XOR",))
+        text = figures.render_figure9(figures.figure9(ciphers=("XOR",)))
+        assert "Figure 9" in text
 
 
 class TestFigure10:
@@ -126,8 +131,9 @@ class TestFigure10:
         assert len(rows) == 1
 
     def test_render(self):
-        text = figures.render_figure10(bins=500, n_secrets=2)
-        assert "Figure 10" in text
+        data = figures.figure10(bins=500, n_secrets=2)
+        text = figures.render_figure10(data, bins=500)
+        assert "Figure 10" in text and "hist_500" in text
 
 
 class TestHeadline:

@@ -17,7 +17,7 @@ class TestTable1:
         assert "64 KB" in rows["L1d cache"]
 
     def test_render(self):
-        text = render_table1()
+        text = render_table1(table1_rows())
         assert "Table 1" in text
         assert "Last Level cache" in text
 
@@ -45,7 +45,7 @@ class TestMotivationProfile:
         assert avx["L1d ref"] == secure["L1d ref"]
 
     def test_render(self):
-        text = render_motivation_profile(bins=600)
+        text = render_motivation_profile(motivation_profile(bins=600), 600)
         assert "L1d ref" in text and "origin" in text
 
 
