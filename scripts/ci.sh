@@ -3,7 +3,7 @@
 # that fails fastest.
 #   1. style lint (ruff, when installed; config in pyproject.toml)
 #   2. tier-1 test suite (pytest tests/ — includes the engine's
-#      failure-rule tests and the crash/resume store tests)
+#      failure-rule tests and the crash-and-re-run store tests)
 #   3. the domain lint: `python -m repro ctcheck --all --json` — the
 #      constant-time checker over every built-in IR program and every
 #      workload's registered DS linearization sets (exits 1 on
@@ -12,11 +12,12 @@
 #      byte-identical JSON (re-checking anything, or any output
 #      difference, means the content-addressed keys or the store
 #      round-trip regressed)
-#   4. a run-directory round trip: fig9 (24 simulations) into a fresh
-#      `--run-dir`; `--resume` must find every result stored, and
-#      `--from-store` must print the first run's output (apart from
-#      the `done in` timing line), Fig. 9's claim lines included,
-#      without simulating
+#   4. an on-disk result-cache round trip: fig9 (24 simulations) from a
+#      fresh working directory fills `.repro_results/records.jsonl`;
+#      a warm re-run must print the first run's output (apart from the
+#      `done in` timing line), Fig. 9's claim lines included, and leave
+#      the records file byte-identical: nothing simulated, nothing
+#      appended
 #   5. the paper's claims, and figure output that is the same at any
 #      `--jobs`: every target with `--no-cache` serially and at
 #      `--jobs 2`.  Each run prints a `[claim ...: holds|FAILED]` line
@@ -52,7 +53,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# absolute, so stage 4 can run from another working directory
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
@@ -67,7 +69,8 @@ python -m pytest tests/ -q "$@"
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 VCACHE_DIR="$WORK_DIR/vcache"
-RUN_DIR="$WORK_DIR/run"
+CACHE_CWD="$WORK_DIR/cwd"
+RECORDS="$CACHE_CWD/.repro_results/records.jsonl"
 
 echo "== constant-time check (python -m repro ctcheck --all)"
 python -m repro ctcheck --all --json --vcache "$VCACHE_DIR" \
@@ -80,16 +83,15 @@ echo "$warm_err"
 grep -q "0 target(s) checked" <<<"$warm_err"
 cmp "$WORK_DIR/ctcheck-cold.json" "$WORK_DIR/ctcheck-warm.json"
 
-echo "== run-directory round trip (fig9: --run-dir, --resume, --from-store)"
-python -m repro.experiments fig9 --no-cache --run-dir "$RUN_DIR" \
-    >"$WORK_DIR/fig9-run.txt"
-resume_out="$(python -m repro.experiments --resume "$RUN_DIR")"
-echo "$resume_out"
-grep -q "result(s) complete" <<<"$resume_out"
-python -m repro.experiments fig9 --no-cache --from-store "$RUN_DIR" \
-    >"$WORK_DIR/fig9-served.txt"
-diff <(grep -v "done in" "$WORK_DIR/fig9-run.txt") \
-    <(grep -v "done in" "$WORK_DIR/fig9-served.txt")
+echo "== result-cache round trip (fig9 cold, then warm from .repro_results/)"
+mkdir "$CACHE_CWD"
+(cd "$CACHE_CWD" && python -m repro.experiments fig9) >"$WORK_DIR/fig9-cold.txt"
+[[ "$(wc -l <"$RECORDS")" -eq 24 ]]
+cp "$RECORDS" "$WORK_DIR/fig9-records.jsonl"
+(cd "$CACHE_CWD" && python -m repro.experiments fig9) >"$WORK_DIR/fig9-warm.txt"
+diff <(grep -v "done in" "$WORK_DIR/fig9-cold.txt") \
+    <(grep -v "done in" "$WORK_DIR/fig9-warm.txt")
+cmp "$WORK_DIR/fig9-records.jsonl" "$RECORDS"
 
 echo "== paper claims; figure output at --jobs 1 == --jobs 2 (python -m repro.experiments --no-cache)"
 python -m repro.experiments --no-cache --jobs 1 >"$WORK_DIR/all-jobs1.txt"

@@ -186,7 +186,6 @@ def sanitize(
     levels: Sequence[str] = DEFAULT_LEVELS,
     check_cycles: bool = True,
     warmup: Optional[Callable[[MitigationContext], object]] = None,
-    fork: bool = True,
 ) -> SanitizerReport:
     """Run ``run_fn`` once per secret on identical machines and diff.
 
@@ -197,29 +196,20 @@ def sanitize(
     accumulate in the report.
 
     ``warmup(ctx)`` optionally prepares the secret-independent prefix
-    every run shares (DS registration, cache warming).  With
-    ``fork=True`` (the default) the factory and warmup execute ONCE and
-    each secret runs on a :meth:`~repro.ct.context.MitigationContext.fork`
-    of that warmed template — identical start states by construction,
-    and the warm-up cost is paid once instead of once per secret.
-    ``fork=False`` restores the rebuild-and-replay behaviour (factory +
-    warmup per secret), useful when a context cannot be forked.
+    every run shares (DS registration, cache warming).  The factory and
+    warmup execute ONCE and each secret runs on a
+    :meth:`~repro.ct.context.MitigationContext.fork` of that warmed
+    template — identical start states by construction, and the warm-up
+    cost is paid once instead of once per secret.
     """
     if len(secrets) < 2:
         raise ValueError("relational checking needs at least two secrets")
-    template: Optional[MitigationContext] = None
-    if fork:
-        template = context_factory()
-        if warmup is not None:
-            warmup(template)
+    template = context_factory()
+    if warmup is not None:
+        warmup(template)
     observations: List[SecretObservation] = []
     for secret in secrets:
-        if template is not None:
-            ctx = template.fork()
-        else:
-            ctx = context_factory()
-            if warmup is not None:
-                warmup(ctx)
+        ctx = template.fork()
         machine = ctx.machine
         recorder = ObservableTraceRecorder()
         for name in levels:
@@ -260,15 +250,14 @@ def sanitize_workload(
     check_cycles: bool = True,
     run_fn: Optional[Callable[[MitigationContext, object], object]] = None,
     warmup: Optional[Callable[[MitigationContext], object]] = None,
-    fork: bool = True,
 ) -> SanitizerReport:
     """Relationally check one registered workload under one scheme.
 
     The secrets are workload seeds (each seed deterministically derives
     a different secret input).  ``run_fn`` may override the default
     ``WORKLOADS[workload].run(ctx, size, seed)`` invocation, e.g. to
-    pass workload-specific keyword arguments.  ``warmup``/``fork`` are
-    forwarded to :func:`sanitize` (fork-based warm starts).
+    pass workload-specific keyword arguments.  ``warmup`` is forwarded
+    to :func:`sanitize` (fork-based warm starts).
     """
     from repro.experiments.config import build_context
     from repro.workloads import WORKLOADS
@@ -283,7 +272,6 @@ def sanitize_workload(
         levels=levels,
         check_cycles=check_cycles,
         warmup=warmup,
-        fork=fork,
     )
 
 
@@ -296,7 +284,6 @@ def sanitize_program(
     levels: Sequence[str] = DEFAULT_LEVELS,
     check_cycles: bool = True,
     warmup: Optional[Callable[[MitigationContext], object]] = None,
-    fork: bool = True,
 ) -> SanitizerReport:
     """Relationally check one IR program through the executor.
 
@@ -312,8 +299,8 @@ def sanitize_program(
     and each secret's run continues from a fork — the secret-
     independent setup prefix is paid once and drops out of the
     recorded observation window symmetrically, exactly like any other
-    ``warmup``.  Per-secret array images (or ``fork=False``) fall back
-    to full rebuild-and-replay.
+    ``warmup``.  With per-secret array images each secret's run forks
+    the template and then sets up its own arrays.
     """
     from repro.experiments.config import build_context
     from repro.lang.executor import WarmStart
@@ -322,7 +309,7 @@ def sanitize_program(
         secret: inputs_for_secret(secret) for secret in secrets
     }
     images = [arrays or {} for _, arrays in assignments.values()]
-    shared_image = fork and warmup is None and all(
+    shared_image = warmup is None and all(
         image == images[0] for image in images[1:]
     )
 
@@ -345,7 +332,6 @@ def sanitize_program(
             levels=levels,
             check_cycles=check_cycles,
             warmup=warm,
-            fork=True,
         )
 
     def run_fn(ctx: MitigationContext, secret: object) -> object:
@@ -361,5 +347,4 @@ def sanitize_program(
         levels=levels,
         check_cycles=check_cycles,
         warmup=warmup,
-        fork=fork,
     )

@@ -43,16 +43,14 @@ class AllocationError(MemoryError_):
 
 
 class StoreError(ReproError):
-    """A store, run directory or sweep manifest is unusable.
+    """A store is unusable.
 
     Raised by :mod:`repro.experiments.store`, the same way for the
-    result cache, a run directory and the verdict cache: for a
-    complete record that fails to decode, wherever it sits in the file
-    (a torn *trailing* record is dropped instead), for an OS error
-    while opening or appending, for a write to a read-only store, for
-    a read-only open of a missing directory, and for a resume attempt
-    on a directory with no manifest.  Both command lines print it as
-    one ``error:`` line and exit with status 2.
+    result cache and the verdict cache: for a complete record that
+    fails to decode, wherever it sits in the file (a torn *trailing*
+    record is dropped instead), and for an OS error while opening or
+    appending.  Both command lines print it as one ``error:`` line and
+    exit with status 2.
     """
 
 
@@ -85,9 +83,8 @@ class SpecFailure:
     :class:`EngineError` raised once the batch drains.
 
     ``kind`` distinguishes the failure mode: ``"error"`` (the spec
-    raised), ``"crash"`` (a worker process died before the spec's
-    result was delivered), or ``"missing"`` (an offline rebuild found
-    no stored result).
+    raised) or ``"crash"`` (a worker process died before the spec's
+    result was delivered).
     """
 
     spec: Any

@@ -2,10 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments [--jobs N] [--no-cache]
-                                [--run-dir DIR | --resume DIR |
-                                 --from-store DIR]
-                                [target ...]
+    python -m repro.experiments [--jobs N] [--no-cache] [target ...]
 
 ``python -m repro experiments`` takes the same arguments (both entry
 points share :func:`add_arguments`).
@@ -33,33 +30,16 @@ simulator version) so re-runs and cross-figure shared baselines cost
 nothing; ``--no-cache`` disables the on-disk cache for this invocation,
 while an in-memory one still simulates each spec once across targets.
 
-A target whose batch fails prints the engine's per-spec failure log
-and the run continues with the next target (exit status 1 at the end);
-so does a failed claim.  Completed simulations are already cached, so
-a re-run only simulates the failures.
+The cache is also what makes a run crash-safe: each result is appended
+and fsynced the moment it completes, so after a crash, an interrupt or
+a failed batch, re-running the same command simulates only what is
+missing.  A target whose batch fails prints the engine's per-spec
+failure log and the run continues with the next target (exit status 1
+at the end); so does a failed claim.
 
-Durability (checkpoint/resume):
-
-``--run-dir DIR``
-    Open ``DIR`` as a crash-safe run directory (see
-    :mod:`repro.experiments.store`): the sweep's specs are recorded in
-    ``DIR/manifest.json`` before execution and every completed result
-    is appended durably to ``DIR/records.jsonl`` as it arrives.
-    Re-running with the same ``--run-dir`` serves already-durable specs
-    from the store.
-``--resume DIR``
-    Finish an interrupted sweep: re-enqueue exactly the manifest's
-    specs (``--jobs`` defaults to the manifest's snapshot) and simulate
-    only the ones whose results are not yet durable.  No target names
-    are needed — the manifest *is* the work list.
-``--from-store DIR``
-    Rebuild the requested targets offline from ``DIR``'s store; a spec
-    missing from the store is an error, never a simulation.
-
-A store that cannot be used — a ``--resume`` directory without a
-manifest, a missing ``--from-store`` directory, a corrupt record or an
-unwritable directory — prints ``error: <message>`` to stderr and exits
-with status 2.
+A cache that cannot be used — a corrupt record or an unwritable
+directory — prints ``error: <message>`` to stderr and exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -151,35 +131,15 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int_at_least(1),
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for independent simulations (default 1; "
-        "with --resume, the manifest's value)",
+        help="worker processes for independent simulations (default 1)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disables the on-disk cache (.repro_results/); each spec is "
         "still simulated once per invocation",
-    )
-    durable = parser.add_mutually_exclusive_group()
-    durable.add_argument(
-        "--run-dir",
-        metavar="DIR",
-        help="crash-safe run directory: manifest + durable results "
-        "(resumable with --resume DIR)",
-    )
-    durable.add_argument(
-        "--resume",
-        metavar="DIR",
-        help="finish an interrupted sweep from its run directory "
-        "(already-durable specs are served from the store)",
-    )
-    durable.add_argument(
-        "--from-store",
-        metavar="DIR",
-        help="rebuild targets offline from a run directory's store "
-        "(missing specs error instead of simulating)",
     )
 
 
@@ -193,17 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resume(args) -> int:
-    """``--resume DIR``: finish the manifest, no targets involved."""
-    try:
-        results = store.resume(args.resume, jobs=args.jobs)
-    except EngineError as exc:
-        print(f"[resume FAILED] {exc}")
-        return 1
-    print(f"resumed {args.resume}: {len(results)} result(s) complete")
-    return 0
-
-
 def run(args) -> int:
     """Execute parsed experiment arguments (see :func:`add_arguments`).
 
@@ -211,7 +160,7 @@ def run(args) -> int:
     one ``error:`` line on stderr and the exit status is 2.
     """
     try:
-        return _resume(args) if args.resume else _run_targets(args)
+        return _run_targets(args)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -230,18 +179,8 @@ def _run_targets(args) -> int:
     # Under --no-cache an in-memory store still shares results across
     # targets (fig8 and headline reuse fig7's runs); nothing hits disk.
     cache = store.Store(None if args.no_cache else parallel.DEFAULT_CACHE_DIR)
-    run_dir = None
-    if args.from_store or args.run_dir:
-        run_dir = store.RunDirectory(
-            args.from_store or args.run_dir, readonly=bool(args.from_store)
-        )
     prev = parallel.current_settings()
-    parallel.configure(
-        jobs=args.jobs or 1,
-        cache=cache,
-        store=run_dir,
-        offline=bool(args.from_store),
-    )
+    parallel.configure(jobs=args.jobs, cache=cache)
     status = 0
     try:
         for name in names:

@@ -5,13 +5,10 @@ JSON-serializable dict (plotting scripts, CI diffs); ``export_json``
 writes it to a file.  ``quick`` shrinks the parameter sweeps to test
 scale; the default runs the paper's full sweeps.
 
-To rebuild the export offline from a crash-safe run directory, call
-it inside :func:`repro.experiments.store.served_from` (or run
-``python -m repro.experiments json --from-store DIR``): every
-engine-backed sweep is then served from the durable store, and a
-missing spec raises :class:`~repro.errors.EngineError` instead of
-re-simulating.  ``figure10`` profiles per-set access counts on a live
-machine and always simulates.
+Under ``python -m repro.experiments json`` every engine-backed sweep
+goes through the result cache, so an export after the figure targets
+simulates nothing new.  ``figure10`` profiles per-set access counts on
+a live machine and always simulates.
 """
 
 from __future__ import annotations

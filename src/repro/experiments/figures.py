@@ -7,14 +7,6 @@ computes each figure once at the paper's full parameter sweep, renders
 it and checks the paper's claims against it
 (:mod:`repro.experiments.claims`); the test suite calls the generators
 with reduced sizes.
-
-From-store rebuilds: every ``run_many``-backed generator accepts
-``store=`` / ``offline=`` (defaulting to the process-wide engine
-settings, i.e. whatever :func:`repro.experiments.store.served_from` or
-``configure(store=...)`` installed), so a figure can be rebuilt
-offline from a run directory without re-simulating.  ``figure10`` is
-the exception: it profiles per-set access counts on a live machine and
-never goes through the engine, so it has no from-store path.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import FIG7_SCHEMES
-from repro.experiments.parallel import _UNSET, RunSpec, run_many
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.report import format_table
 from repro.experiments.runner import overhead
 from repro.workloads import WORKLOADS
@@ -36,8 +28,7 @@ FIG2_SIZES = (1000, 2000, 4000, 6000, 8000, 10000)
 
 
 def figure2(
-    sizes: Sequence[int] = FIG2_SIZES, seed: int = 1,
-    store=_UNSET, offline=_UNSET,
+    sizes: Sequence[int] = FIG2_SIZES, seed: int = 1
 ) -> Dict[int, Dict[str, float]]:
     """Software-CT overhead growth with the dataflow linearization set.
 
@@ -50,9 +41,7 @@ def figure2(
             RunSpec("histogram", size, scheme, seed)
             for size in sizes
             for scheme in schemes
-        ],
-        store=store,
-        offline=offline,
+        ]
     )
     it = iter(results)
     out: Dict[int, Dict[str, float]] = {}
@@ -84,8 +73,6 @@ def figure7(
     workload: str,
     sizes: Optional[Sequence[int]] = None,
     seed: int = 1,
-    store=_UNSET,
-    offline=_UNSET,
 ) -> Dict[str, Dict[str, float]]:
     """One Fig. 7 panel: {label: {scheme: overhead}} for a workload."""
     descriptor = WORKLOADS[workload]
@@ -96,9 +83,7 @@ def figure7(
             RunSpec(workload, size, scheme, seed)
             for size in sizes
             for scheme in schemes
-        ],
-        store=store,
-        offline=offline,
+        ]
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}
@@ -143,8 +128,7 @@ FIG8_METRICS = (
 
 
 def figure8(
-    sizes: Optional[Sequence[int]] = None, seed: int = 1,
-    store=_UNSET, offline=_UNSET,
+    sizes: Optional[Sequence[int]] = None, seed: int = 1
 ) -> Dict[str, Dict[str, float]]:
     """Overhead-reduction ratios of CT over L1d BIA for dijkstra.
 
@@ -159,9 +143,7 @@ def figure8(
             RunSpec("dijkstra", size, scheme, seed)
             for size in sizes
             for scheme in ("ct", "bia-l1d")
-        ],
-        store=store,
-        offline=offline,
+        ]
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}
@@ -203,8 +185,7 @@ FIG9_CIPHERS = ("AES", "ARC2", "ARC4", "Blowfish", "CAST", "DES", "DES3", "XOR")
 
 
 def figure9(
-    ciphers: Sequence[str] = FIG9_CIPHERS, seed: int = 1,
-    store=_UNSET, offline=_UNSET,
+    ciphers: Sequence[str] = FIG9_CIPHERS, seed: int = 1
 ) -> Dict[str, Dict[str, float]]:
     """Crypto-library overheads: {cipher: {"bia-l1d": x, "ct": y}}."""
     schemes = ("insecure", "bia-l1d", "ct")
@@ -213,9 +194,7 @@ def figure9(
             RunSpec(cipher, 0, scheme, seed, kind="crypto")
             for cipher in ciphers
             for scheme in schemes
-        ],
-        store=store,
-        offline=offline,
+        ]
     )
     it = iter(results)
     out: Dict[str, Dict[str, float]] = {}
@@ -341,8 +320,6 @@ def render_figure10(
 def headline_reduction(
     workloads: Optional[Sequence[str]] = None,
     seed: int = 1,
-    store=_UNSET,
-    offline=_UNSET,
 ) -> Dict[str, float]:
     """Geometric-mean CT/L1d-BIA overhead-reduction per workload + overall.
 
@@ -355,7 +332,7 @@ def headline_reduction(
     per_workload: Dict[str, float] = {}
     all_ratios: List[float] = []
     for name in names:
-        data = figure7(name, seed=seed, store=store, offline=offline)
+        data = figure7(name, seed=seed)
         ratios = [
             row["ct"] / row["bia-l1d"] for row in data.values() if row["bia-l1d"]
         ]

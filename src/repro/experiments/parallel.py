@@ -13,14 +13,12 @@ on:
 * :func:`execute` — the one batch executor, shared with the
   verification engine (:mod:`repro.analysis.engine`).
 * :func:`run_many` — execute a sequence of specs, deduplicating
-  identical specs, consulting the result cache and the durable store
-  (both :class:`~repro.experiments.store.Store` maps from key to
-  result), and handing the rest to :func:`execute`.  Figures 2/7/8
-  all share the same ``insecure`` baselines; with a cache they are
-  simulated once.
-* :func:`parallel_sweep` — drop-in replacement for
-  :func:`repro.experiments.runner.sweep` returning the identical
-  ``{size: {scheme: RunResult}}`` mapping.
+  identical specs, consulting the result cache (a
+  :class:`~repro.experiments.store.Store` map from key to result), and
+  handing the rest to :func:`execute`.  Figures 2/7/8 all share the
+  same ``insecure`` baselines; with a cache they are simulated once.
+  :func:`repro.experiments.runner.sweep` builds a sizes x schemes grid
+  of specs on top of it.
 * :class:`MachineTemplatePool` — per-process warm-start pool: sweep
   points sharing a config prefix (the ``(scheme, config,
   fetch_threshold)`` triple) reuse one pooled machine restored from a
@@ -32,7 +30,7 @@ Determinism: a spec fully determines its machine (pristine state per
 run, seeded RNGs, seeded replacement policies), so a worker process
 produces bit-identical counters to an in-process run, and a pooled
 run bit-identical counters to a fresh-machine run.  The test suite
-asserts ``parallel_sweep(jobs=4)`` is counter-identical to the serial
+asserts ``run_many(jobs=2)`` is counter-identical to the serial
 ``sweep`` and pooled runs counter-identical to unpooled.
 
 Failure rule
@@ -43,25 +41,14 @@ retries nor times out.  A spec that raises is recorded as a
 :class:`~repro.errors.SpecFailure` of kind ``"error"`` while the rest
 of the batch runs on; a worker death breaks the pool, and every spec
 not yet delivered fails as ``"crash"``.  Each completed result reaches
-the cache (and the durable store) the moment it arrives, so when the
-drained batch raises :class:`~repro.errors.EngineError` the successes
-are already salvaged, and a re-run — or
-:func:`repro.experiments.store.resume` — simulates only the failures.
-
-Durability (checkpoint/resume): pass a
-:class:`~repro.experiments.store.RunDirectory` (or a bare
-:class:`~repro.experiments.store.Store`) as ``store=``.  The batch's
-unique specs are registered in the sweep manifest *before* execution
-starts, every completed result is appended durably as it arrives, and
-specs whose results are already durable are served from the store
-without re-simulation.  ``offline=True`` turns a missing
-result into an :class:`~repro.errors.EngineError` instead of a
-simulation, which is how reports are rebuilt offline from a run
-directory.
+the cache the moment it arrives (on disk, appended and fsynced), so
+when the drained batch raises :class:`~repro.errors.EngineError` the
+successes are already salvaged, and a re-run on the same cache — after
+a failed batch or a crash of the whole process — simulates only what
+is missing.
 
 Process-global defaults (used by the CLI's ``--jobs`` / ``--no-cache``
-/ ``--run-dir`` / ``--from-store`` flags) are set with
-:func:`configure`; explicit arguments always win.
+flags) are set with :func:`configure`; explicit arguments always win.
 """
 
 from __future__ import annotations
@@ -270,18 +257,12 @@ _UNSET = object()
 class EngineSettings(NamedTuple):
     """Snapshot of the process-wide engine defaults.
 
-    Field order keeps the historical ``(jobs, cache)`` unpacking of
-    :func:`current_settings` working; restore with
-    ``configure(**settings._asdict())``.
+    Restore with ``configure(**settings._asdict())``.
     """
 
     jobs: int = 1
     #: result cache (a store.Store) or None
     cache: Optional[object] = None
-    #: durable result store (a store.RunDirectory) or None
-    store: Optional[object] = None
-    #: offline mode: missing results raise instead of simulating
-    offline: bool = False
 
 
 _settings = EngineSettings()
@@ -303,8 +284,6 @@ def configure(**changes) -> None:
     global _settings
     if "jobs" in changes:
         changes["jobs"] = _check_jobs(changes["jobs"])
-    if "offline" in changes:
-        changes["offline"] = bool(changes["offline"])
     _settings = _settings._replace(**changes)
 
 
@@ -382,97 +361,28 @@ def run_many(
     specs: Sequence[RunSpec],
     jobs=_UNSET,
     cache=_UNSET,
-    store=_UNSET,
-    offline=_UNSET,
 ) -> List[RunResult]:
     """Execute ``specs``, returning results in the same order.
 
-    Identical specs (equal content keys) are simulated once; cached
-    results are reused without simulation.  With ``jobs > 1`` the
-    remaining unique specs are fanned across a process pool; see
-    :func:`execute` for the failure rule.
-
-    ``cache`` and ``store`` are :class:`~repro.experiments.store.Store`
-    objects.  Durability: with ``store=`` (a
-    :class:`~repro.experiments.store.RunDirectory`) the batch's unique
-    specs are registered in the sweep manifest before execution,
-    completed results are appended durably as they arrive, and
-    already-durable specs are served from the store without
-    re-simulation.  ``offline=True`` forbids simulation: a
-    spec not served by the cache or store raises an
-    :class:`~repro.errors.EngineError` whose failures have kind
-    ``"missing"`` (used to rebuild reports offline from a run
-    directory).
+    Identical specs (equal content keys) are simulated once; results
+    in ``cache`` (a :class:`~repro.experiments.store.Store`) are reused
+    without simulation, and every simulated result is put there the
+    moment it completes.  With ``jobs > 1`` the remaining unique specs
+    are fanned across a process pool; see :func:`execute` for the
+    failure rule.
     """
     jobs = _check_jobs(_settings.jobs if jobs is _UNSET else jobs)
     cache = _settings.cache if cache is _UNSET else cache
-    store = _settings.store if store is _UNSET else store
-    offline = bool(_settings.offline if offline is _UNSET else offline)
 
     keys = [spec.key() for spec in specs]
     unique = dict(zip(keys, specs))
     results: Dict[str, RunResult] = {}
-    for key, spec in unique.items():
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            # a cache hit still becomes durable: the store must end the
-            # batch spec-complete or a resume would re-simulate it
-            if store is not None and not offline and key not in store:
-                store.put(key, hit)
-        elif store is not None:
-            hit = store.get(key)
-        if hit is not None:
-            results[key] = hit
+    if cache is not None:
+        for key in unique:
+            hit = cache.get(key)
+            if hit is not None:
+                results[key] = hit
     pending = [(k, spec) for k, spec in unique.items() if k not in results]
-
-    if offline:
-        if pending:
-            raise EngineError(
-                [
-                    SpecFailure(spec, key, "missing",
-                                "result not in the store (offline rebuild)")
-                    for key, spec in pending
-                ],
-                completed=results,
-            )
-        return [results[key] for key in keys]
-
-    # The manifest is written before the first simulation starts, so a
-    # crash at any later point leaves enough on disk to resume from.
-    register = getattr(store, "register_specs", None)
-    if register is not None:
-        register(
-            [(spec, key) for key, spec in unique.items()],
-            settings={"jobs": jobs},
-        )
-
-    def deliver(key: str, result: RunResult) -> None:
-        if cache is not None:
-            cache.put(key, result)
-        if store is not None:
-            store.put(key, result)
-
+    deliver = None if cache is None else cache.put
     execute(pending, run_spec, jobs, results, deliver)
     return [results[key] for key in keys]
-
-
-def parallel_sweep(
-    workload: str,
-    sizes: Sequence[int],
-    schemes: Sequence[str],
-    seed: int = 1,
-    jobs=_UNSET,
-    cache=_UNSET,
-    store=_UNSET,
-) -> Dict[int, Dict[str, RunResult]]:
-    """Sizes x schemes sweep with the same shape as ``runner.sweep``."""
-    specs = [
-        RunSpec(workload=workload, size=size, scheme=scheme, seed=seed)
-        for size in sizes
-        for scheme in schemes
-    ]
-    results = run_many(specs, jobs=jobs, cache=cache, store=store)
-    it = iter(results)
-    return {
-        size: {scheme: next(it) for scheme in schemes} for size in sizes
-    }

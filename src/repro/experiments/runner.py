@@ -94,16 +94,20 @@ def sweep(
 ) -> Dict[int, Dict[str, RunResult]]:
     """Run a workload across sizes x schemes (fresh machine each run).
 
-    Delegates to the parallel engine, which honours the process-wide
-    ``configure(jobs=..., cache=..., store=..., offline=...)`` defaults
-    (serial, uncached, no store out of the box) — so figure code and
-    tests keep the old call shape while the CLI can fan the same
-    sweeps across workers and checkpoint them into a crash-safe run
-    directory (:mod:`repro.experiments.store`).  If any run fails the
-    engine raises :class:`repro.errors.EngineError` after caching (and
-    durably storing, when a store is configured) every successful run
-    of the sweep.
+    Delegates to :func:`repro.experiments.parallel.run_many`, which
+    honours the process-wide ``configure(jobs=..., cache=...)``
+    defaults (serial and uncached out of the box), so the CLI can fan
+    the same sweeps across workers.  If any run fails the engine
+    raises :class:`repro.errors.EngineError` after caching every
+    successful run of the sweep.
     """
-    from repro.experiments.parallel import parallel_sweep
+    from repro.experiments.parallel import RunSpec, run_many
 
-    return parallel_sweep(workload, sizes, schemes, seed=seed)
+    results = iter(run_many([
+        RunSpec(workload=workload, size=size, scheme=scheme, seed=seed)
+        for size in sizes
+        for scheme in schemes
+    ]))
+    return {
+        size: {scheme: next(results) for scheme in schemes} for size in sizes
+    }

@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.core.machine import MachineConfig
 from repro.experiments.config import default_config
-from repro.experiments.parallel import _UNSET, RunSpec, run_many
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.report import format_table
 
 
@@ -22,7 +22,7 @@ def render_table1(rows: Dict[str, str]) -> str:
 
 
 def motivation_profile(
-    bins: int = 10000, seed: int = 1, store=_UNSET, offline=_UNSET
+    bins: int = 10000, seed: int = 1
 ) -> Dict[str, Dict[str, float]]:
     """The Sec. 3.1 cachegrind-style table for Histogram.
 
@@ -31,10 +31,6 @@ def motivation_profile(
     L1i references, and LLC misses.  The paper's finding: the secure
     versions inflate L1d/L1i refs by orders of magnitude while LLC
     misses barely move (the overhead is not DRAM-bound).
-
-    ``store``/``offline`` follow the engine's durability contract (see
-    :mod:`repro.experiments.store`): with a store the rows land
-    durably; offline they are served from it without simulation.
     """
     versions = {
         "origin": "insecure",
@@ -45,9 +41,7 @@ def motivation_profile(
         [
             RunSpec("histogram", bins, scheme, seed)
             for scheme in versions.values()
-        ],
-        store=store,
-        offline=offline,
+        ]
     )
     out: Dict[str, Dict[str, float]] = {}
     for label, result in zip(versions, results):

@@ -152,9 +152,31 @@ class ArrayDecl:
             raise ConfigurationError(f"array {self.name!r} size {self.size}")
 
 
+def _scan(body: Tuple, arrays: set, written: set) -> None:
+    """Add the arrays ``body`` accesses and the registers it writes."""
+    for stmt in body:
+        if isinstance(stmt, If):
+            _scan(stmt.then_body, arrays, written)
+            _scan(stmt.else_body, arrays, written)
+        elif isinstance(stmt, For):
+            written.add(stmt.var)
+            _scan(stmt.body, arrays, written)
+        elif isinstance(stmt, Store):
+            arrays.add(stmt.array)
+        elif isinstance(stmt, (Const, BinOp, Select, Load)):
+            written.add(stmt.dst)
+            if isinstance(stmt, Load):
+                arrays.add(stmt.array)
+
+
 @dataclass(frozen=True)
 class Program:
-    """A complete IR program."""
+    """A complete IR program.
+
+    Construction rejects, with :class:`ConfigurationError`, a
+    ``Load``/``Store`` of an undeclared array and an output register
+    that is neither an input nor written anywhere in the body.
+    """
 
     name: str
     inputs: Tuple[str, ...] = ()
@@ -166,17 +188,33 @@ class Program:
 
     def __post_init__(self):
         names = [a.name for a in self.arrays]
-        if len(set(names)) != len(names):
+        declared = set(names)
+        if len(declared) != len(names):
             raise ConfigurationError(f"duplicate array names in {self.name!r}")
         overlap = set(self.inputs) & set(self.secret_inputs)
         if overlap:
             raise ConfigurationError(
                 f"inputs {sorted(overlap)} declared both public and secret"
             )
-        unknown = set(self.output_arrays) - set(names)
+        unknown = set(self.output_arrays) - declared
         if unknown:
             raise ConfigurationError(
                 f"output arrays {sorted(unknown)} not declared"
+            )
+        arrays: set = set()
+        defined = set(self.all_inputs)
+        _scan(self.body, arrays, defined)
+        undeclared = arrays - declared
+        if undeclared:
+            raise ConfigurationError(
+                f"program {self.name!r} accesses undeclared array(s) "
+                f"{sorted(undeclared)}"
+            )
+        unwritten = [name for name in self.outputs if name not in defined]
+        if unwritten:
+            raise ConfigurationError(
+                f"program {self.name!r} output(s) {unwritten} are neither "
+                "inputs nor written by any statement"
             )
 
     def array(self, name: str) -> ArrayDecl:

@@ -18,9 +18,10 @@ BAD_FLAGS = {
     "abc-jobs": ["--jobs=abc"],
     "0-jobs": ["--jobs", "0"],
     "typo": ["--no-cach", "table1"],
-    "dir+resume": ["--run-dir", "a", "--resume", "b"],
-    "dir+store": ["--run-dir", "a", "--from-store", "b"],
-    "resume+store": ["--resume", "a", "--from-store", "b"],
+    # the run-directory flags are gone: the result cache is the one store
+    "run-dir": ["--run-dir", "a"],
+    "resume": ["--resume", "a"],
+    "from-store": ["--from-store", "a"],
 }
 
 
@@ -76,8 +77,7 @@ class TestEngineFlags:
         assert (args.jobs, args.target, args.no_cache) == (
             3, ["fig2", "fig9"], False
         )
-        # --jobs left unset: --resume falls back to the manifest's value
-        assert build_parser().parse_args(["--resume", "d"]).jobs is None
+        assert build_parser().parse_args([]).jobs == 1
 
     @pytest.mark.parametrize("argv", list(BAD_FLAGS.values()),
                              ids=list(BAD_FLAGS))
@@ -103,52 +103,105 @@ class TestEngineFlags:
         assert "--jobs" in proc.stderr
 
 
-def _corrupt_run_dir(tmp_path):
-    run_dir = tmp_path / "corrupt"
-    run_dir.mkdir()
-    (run_dir / RECORDS_FILE).write_text("not a record\n")
-    return ["table1", "--no-cache", "--run-dir", str(run_dir)]
+def _corrupt_cache(cwd):
+    cache = cwd / parallel.DEFAULT_CACHE_DIR
+    cache.mkdir()
+    (cache / RECORDS_FILE).write_text("not a record\n")
 
 
-#: Arguments naming an unusable store, built under a temporary directory.
+def _file_for_cache(cwd):
+    (cwd / parallel.DEFAULT_CACHE_DIR).write_text("")
+
+
+#: Ways to leave an unusable result cache in the working directory.
 STORE_ERRORS = {
-    "resume-no-manifest": lambda tmp: ["--resume", str(tmp / "run")],
-    "from-store-missing": lambda tmp: [
-        "table1", "--no-cache", "--from-store", str(tmp / "run")
-    ],
-    "corrupt-run-dir": _corrupt_run_dir,
+    "corrupt-cache": _corrupt_cache,
+    "cache-is-a-file": _file_for_cache,
 }
 
 
+def _tree(root):
+    """Every file under ``root`` with its bytes."""
+    return {
+        path: path.read_bytes() for path in root.rglob("*") if path.is_file()
+    }
+
+
 class TestStoreErrors:
-    """An unusable store exits 2 with one ``error:`` line on stderr."""
+    """An unusable cache exits 2 with one ``error:`` line on stderr."""
 
     @pytest.mark.parametrize("case", list(STORE_ERRORS))
     @pytest.mark.parametrize("entry", ["module", "cli"])
-    def test_store_error_exits_2(self, entry, case, tmp_path, capsys):
-        argv = STORE_ERRORS[case](tmp_path)
-        before = sorted(os.listdir(tmp_path))
+    def test_store_error_exits_2(self, entry, case, tmp_path, monkeypatch,
+                                 capsys):
+        STORE_ERRORS[case](tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = _tree(tmp_path)
         if entry == "module":
-            code = main(argv)
+            code = main(["table1"])
         else:
-            code = repro_main(["experiments"] + argv)
+            code = repro_main(["experiments", "table1"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == before  # nothing created
+        assert _tree(tmp_path) == before  # nothing written
 
     def test_store_error_in_a_process_has_no_traceback(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        missing = tmp_path / "run"
+        _corrupt_cache(tmp_path)
+        path = os.pathsep.join(os.path.abspath(p) for p in sys.path)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "--resume",
-             str(missing)],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-m", "repro.experiments", "table1"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path), timeout=60,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: cannot resume")
-        assert not missing.exists()
+        assert proc.stderr.startswith("error: corrupt record at line 1")
+
+    @pytest.mark.parametrize("case", list(STORE_ERRORS))
+    def test_no_cache_never_reads_the_cache(self, case, tmp_path, monkeypatch,
+                                            capsys):
+        STORE_ERRORS[case](tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = _tree(tmp_path)
+        assert main(["--no-cache", "fig9"]) == 0
+        assert "fig9 done in" in capsys.readouterr().out
+        assert _tree(tmp_path) == before
+
+
+def _no_simulation(spec):
+    raise AssertionError(f"simulated {spec} on a warm cache")
+
+
+def _without_timings(out):
+    return [line for line in out.splitlines() if " done in " not in line]
+
+
+class TestCacheRoundTrip:
+    """A warm re-run is served entirely from ``.repro_results/``."""
+
+    @pytest.mark.parametrize("entry", ["module", "cli"])
+    def test_warm_rerun_prints_the_same_and_appends_nothing(
+        self, entry, tmp_path, monkeypatch, capsys
+    ):
+        def run(argv):
+            if entry == "module":
+                return main(argv)
+            return repro_main(["experiments"] + argv)
+
+        monkeypatch.chdir(tmp_path)
+        assert run(["--jobs", "2", "fig9"]) == 0
+        cold = capsys.readouterr().out
+        records = tmp_path / parallel.DEFAULT_CACHE_DIR / RECORDS_FILE
+        written = records.read_bytes()
+        assert written
+
+        # a cache written by the pool serves a serial run
+        monkeypatch.setattr(parallel, "run_spec", _no_simulation)
+        assert run(["fig9"]) == 0
+        warm = capsys.readouterr().out
+        assert _without_timings(warm) == _without_timings(cold)
+        assert records.read_bytes() == written
 
 
 class TestFormatBars:

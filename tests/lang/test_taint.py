@@ -262,3 +262,78 @@ class TestRejections:
     def test_input_both_public_and_secret_rejected(self):
         with pytest.raises(ConfigurationError):
             Program(name="bad", inputs=("k",), secret_inputs=("k",))
+
+
+class TestProgramBoundary:
+    """Undeclared arrays and unwritten outputs fail at construction."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            (Load("x", "b", 0),),
+            (Store("b", 0, 1),),
+            (If("k", then_body=(For("i", 2, (Load("x", "b", "i"),)),)),),
+            (If("k", else_body=(Store("b", 0, "k"),)),),
+            (For("i", 2, (For("j", 2, (Store("b", "j", "i"),)),)),),
+        ],
+        ids=["load", "store", "load-in-for-in-then", "store-in-else",
+             "store-in-for-in-for"],
+    )
+    def test_undeclared_array_rejected(self, body):
+        with pytest.raises(ConfigurationError,
+                           match=r"'bad' accesses undeclared array.*'b'"):
+            Program(
+                name="bad",
+                secret_inputs=("k",),
+                arrays=(ArrayDecl("a", 4),),
+                body=body,
+            )
+
+    def test_unwritten_output_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"'bad' output.*'y'.*neither"):
+            Program(
+                name="bad",
+                inputs=("k",),
+                body=(Const("x", 1),),
+                outputs=("x", "y"),
+            )
+
+    def test_every_undeclared_array_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"undeclared array\(s\) \['b', 'c'\]"):
+            Program(
+                name="bad",
+                inputs=("k",),
+                arrays=(ArrayDecl("a", 4),),
+                body=(
+                    Store("c", 0, "k"),
+                    Load("x", "a", "k"),
+                    If("k", then_body=(Load("y", "b", 0),)),
+                ),
+            )
+
+    def test_every_unwritten_output_is_named_in_order(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"output\(s\) \['z', 'y'\] are neither"):
+            Program(
+                name="bad",
+                inputs=("k",),
+                body=(Const("x", 1),),
+                outputs=("z", "k", "x", "y"),
+            )
+
+    def test_outputs_from_inputs_nested_writes_and_loop_vars_accepted(self):
+        program = Program(
+            name="ok",
+            inputs=("p",),
+            secret_inputs=("k",),
+            arrays=(ArrayDecl("a", 4),),
+            body=(
+                For("i", 4, (Store("a", "i", "p"),)),
+                If("k", then_body=(Load("x", "a", "k"),),
+                   else_body=(Select("y", "k", 1, 2),)),
+            ),
+            outputs=("p", "k", "i", "x", "y"),
+        )
+        assert program.outputs == ("p", "k", "i", "x", "y")
