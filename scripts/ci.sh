@@ -11,7 +11,13 @@
 #      warm pass must then serve every target from the cache and print
 #      byte-identical JSON (re-checking anything, or any output
 #      difference, means the content-addressed keys or the store
-#      round-trip regressed)
+#      round-trip regressed).  The same cold-then-warm round trip runs
+#      for `ctcheck --all --symbolic --spec-window 2 --repair --json`
+#      through a second verdict cache: each run must exit exactly 1
+#      (the native builtins leak by design) with JSON that parses to
+#      `exit_code` 1 and all 13 targets checked, so a crash cannot
+#      pass, and the warm run must re-check nothing and print
+#      byte-identical JSON
 #   4. an on-disk result-cache round trip: fig9 (24 simulations) from a
 #      fresh working directory fills `.repro_results/records.jsonl`;
 #      a warm re-run must print the first run's output (apart from the
@@ -82,6 +88,27 @@ warm_err="$(python -m repro ctcheck --all --json --vcache "$VCACHE_DIR" \
 echo "$warm_err"
 grep -q "0 target(s) checked" <<<"$warm_err"
 cmp "$WORK_DIR/ctcheck-cold.json" "$WORK_DIR/ctcheck-warm.json"
+
+echo "== symbolic + repair ctcheck, cold then warm through a second verdict cache"
+symbolic=(python -m repro ctcheck --all --symbolic --spec-window 2 --repair
+    --json --vcache "$WORK_DIR/vcache-symbolic")
+cold_rc=0
+"${symbolic[@]}" >"$WORK_DIR/symbolic-cold.json" || cold_rc=$?
+warm_rc=0
+warm_err="$("${symbolic[@]}" 2>&1 >"$WORK_DIR/symbolic-warm.json")" \
+    || warm_rc=$?
+echo "$warm_err"
+echo "exit codes: cold $cold_rc, warm $warm_rc (1 expected: native builtins leak)"
+[[ "$cold_rc" -eq 1 && "$warm_rc" -eq 1 ]]
+for run in cold warm; do
+    python -c 'import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["exit_code"] == 1, report["exit_code"]
+assert len(report["checked"]) == 13, report["checked"]' \
+        "$WORK_DIR/symbolic-$run.json"
+done
+grep -q "0 target(s) checked" <<<"$warm_err"
+cmp "$WORK_DIR/symbolic-cold.json" "$WORK_DIR/symbolic-warm.json"
 
 echo "== result-cache round trip (fig9 cold, then warm from .repro_results/)"
 mkdir "$CACHE_CWD"

@@ -183,7 +183,6 @@ def sanitize(
     context_factory: Callable[[], MitigationContext],
     run_fn: Callable[[MitigationContext, object], object],
     secrets: Sequence[object] = (1, 2),
-    levels: Sequence[str] = DEFAULT_LEVELS,
     check_cycles: bool = True,
     warmup: Optional[Callable[[MitigationContext], object]] = None,
 ) -> SanitizerReport:
@@ -193,7 +192,7 @@ def sanitize(
     context per call (so runs are independent and start from identical
     state); ``run_fn(ctx, secret)`` performs the program.  All secrets
     are compared against the first one, pairwise divergences
-    accumulate in the report.
+    accumulate in the report.  Every cache level is observed.
 
     ``warmup(ctx)`` optionally prepares the secret-independent prefix
     every run shares (DS registration, cache warming).  The factory and
@@ -212,7 +211,7 @@ def sanitize(
         ctx = template.fork()
         machine = ctx.machine
         recorder = ObservableTraceRecorder()
-        for name in levels:
+        for name in DEFAULT_LEVELS:
             recorder.attach(machine.hierarchy.level(name))
         result = run_fn(ctx, secret)
         observations.append(
@@ -225,15 +224,13 @@ def sanitize(
                     name: dict(
                         machine.hierarchy.level(name).stats.set_accesses
                     )
-                    for name in levels
+                    for name in DEFAULT_LEVELS
                 },
                 result=result,
             )
         )
         recorder.detach()
-    report = SanitizerReport(
-        secrets=tuple(secrets), levels=tuple(levels)
-    )
+    report = SanitizerReport(secrets=tuple(secrets), levels=DEFAULT_LEVELS)
     report.observations = observations
     base = observations[0]
     for other in observations[1:]:
@@ -246,18 +243,14 @@ def sanitize_workload(
     size: int,
     scheme: str,
     secrets: Sequence[object] = (1, 2),
-    levels: Sequence[str] = DEFAULT_LEVELS,
-    check_cycles: bool = True,
     run_fn: Optional[Callable[[MitigationContext, object], object]] = None,
-    warmup: Optional[Callable[[MitigationContext], object]] = None,
 ) -> SanitizerReport:
     """Relationally check one registered workload under one scheme.
 
     The secrets are workload seeds (each seed deterministically derives
     a different secret input).  ``run_fn`` may override the default
     ``WORKLOADS[workload].run(ctx, size, seed)`` invocation, e.g. to
-    pass workload-specific keyword arguments.  ``warmup`` is forwarded
-    to :func:`sanitize` (fork-based warm starts).
+    pass workload-specific keyword arguments.
     """
     from repro.experiments.config import build_context
     from repro.workloads import WORKLOADS
@@ -265,14 +258,7 @@ def sanitize_workload(
     descriptor = WORKLOADS[workload]
     if run_fn is None:
         run_fn = lambda ctx, seed: descriptor.run(ctx, size, seed)  # noqa: E731
-    return sanitize(
-        lambda: build_context(scheme),
-        run_fn,
-        secrets=secrets,
-        levels=levels,
-        check_cycles=check_cycles,
-        warmup=warmup,
-    )
+    return sanitize(lambda: build_context(scheme), run_fn, secrets=secrets)
 
 
 def sanitize_program(
@@ -281,9 +267,6 @@ def sanitize_program(
     scheme: str = "bia-l1d",
     mitigate: bool = True,
     secrets: Sequence[object] = (1, 2),
-    levels: Sequence[str] = DEFAULT_LEVELS,
-    check_cycles: bool = True,
-    warmup: Optional[Callable[[MitigationContext], object]] = None,
 ) -> SanitizerReport:
     """Relationally check one IR program through the executor.
 
@@ -298,7 +281,7 @@ def sanitize_program(
     on the warmed template via :class:`~repro.lang.executor.WarmStart`
     and each secret's run continues from a fork — the secret-
     independent setup prefix is paid once and drops out of the
-    recorded observation window symmetrically, exactly like any other
+    recorded observation window symmetrically, like :func:`sanitize`'s
     ``warmup``.  With per-secret array images each secret's run forks
     the template and then sets up its own arrays.
     """
@@ -309,9 +292,7 @@ def sanitize_program(
         secret: inputs_for_secret(secret) for secret in secrets
     }
     images = [arrays or {} for _, arrays in assignments.values()]
-    shared_image = warmup is None and all(
-        image == images[0] for image in images[1:]
-    )
+    shared_image = all(image == images[0] for image in images[1:])
 
     if shared_image:
         template: Dict[str, WarmStart] = {}
@@ -326,12 +307,7 @@ def sanitize_program(
             return template["t"].resume(ctx, inputs)
 
         return sanitize(
-            lambda: build_context(scheme),
-            run_fn,
-            secrets=secrets,
-            levels=levels,
-            check_cycles=check_cycles,
-            warmup=warm,
+            lambda: build_context(scheme), run_fn, secrets=secrets, warmup=warm
         )
 
     def run_fn(ctx: MitigationContext, secret: object) -> object:
@@ -340,11 +316,4 @@ def sanitize_program(
             program, ctx, inputs, arrays, mitigate=mitigate
         )
 
-    return sanitize(
-        lambda: build_context(scheme),
-        run_fn,
-        secrets=secrets,
-        levels=levels,
-        check_cycles=check_cycles,
-        warmup=warmup,
-    )
+    return sanitize(lambda: build_context(scheme), run_fn, secrets=secrets)

@@ -165,7 +165,6 @@ def check_program_relational(
     spec_window: int = 0,
     replay: bool = True,
     solver: Optional[Solver] = None,
-    granularity: str = "line",
     taint=None,
     intervals=None,
 ) -> SymRelResult:
@@ -183,7 +182,6 @@ def check_program_relational(
         mitigate=mitigate,
         solver=solver,
         spec_window=spec_window,
-        granularity=granularity,
         taint=taint,
         intervals=intervals,
     )

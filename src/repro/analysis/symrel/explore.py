@@ -192,19 +192,15 @@ class RelationalExplorer:
         mitigate: bool,
         solver: Optional[Solver] = None,
         spec_window: int = 0,
-        granularity: str = "line",
         intervals: Optional[IntervalReport] = None,
         taint: Optional[TaintReport] = None,
         max_paths: int = MAX_PATHS,
         max_steps: int = MAX_STEPS,
     ) -> None:
-        if granularity not in ("line", "word"):
-            raise ValueError(f"granularity {granularity!r}")
         self.program = program
         self.mitigate = mitigate
         self.solver = solver or Solver()
         self.spec_window = spec_window
-        self.granularity = granularity
         self.max_paths = max_paths
         self.max_steps = max_steps
         # Mitigated mode transforms where taint says to; native mode
@@ -281,9 +277,7 @@ class RelationalExplorer:
             expr.const(self.bases[array]),
             expr.op("mul", index, expr.const(params.WORD_SIZE)),
         )
-        if self.granularity == "line":
-            return expr.op("shr", addr, expr.const(params.LINE_BITS))
-        return addr
+        return expr.op("shr", addr, expr.const(params.LINE_BITS))
 
     # -- observation checking ----------------------------------------------
 

@@ -60,8 +60,6 @@ def replay_counterexample(
     side_a: SideAssignment,
     side_b: SideAssignment,
     mitigate: bool = False,
-    scheme: Optional[str] = None,
-    max_divergences: int = 4,
 ) -> ReplayResult:
     """Run both sides of a model through the dynamic sanitizer.
 
@@ -69,10 +67,10 @@ def replay_counterexample(
     refutation on the insecure machine — the configuration the
     symbolic native mode models.  ``mitigate=True`` replays against
     the full BIA-mitigated pipeline (useful to demonstrate that the
-    very pair the solver found is *closed* by the mitigation).
+    very pair the solver found is *closed* by the mitigation).  The
+    result keeps the first four divergences.
     """
-    if scheme is None:
-        scheme = "bia-l1d" if mitigate else "insecure"
+    scheme = "bia-l1d" if mitigate else "insecure"
     sides = {"A": side_a, "B": side_b}
 
     def inputs_for_secret(secret: object) -> Tuple[Dict, Optional[Dict]]:
@@ -99,7 +97,7 @@ def replay_counterexample(
         program=program.name,
         confirmed=not report.clean,
         divergences=tuple(
-            div.describe() for div in report.divergences[:max_divergences]
+            div.describe() for div in report.divergences[:4]
         ),
         cycles={str(k): v for k, v in report.cycles.items()},
     )

@@ -6,7 +6,7 @@ whether dirty — write-back traffic), invalidations, dirty-bit
 transitions, and replacement-order updates (the paper explicitly calls
 out LRU bits and dirty bits as channels PLcache fails to close,
 Sec. 6.1).  A tag lookup that changes none of these — a CTLoad /
-CTStore probe, or a replacement-suppressed hit — is invisible.
+CTStore probe — is invisible.
 
 :class:`ObservableTraceRecorder` subscribes to one or more cache
 levels and logs exactly that event stream.  The security experiments
@@ -45,17 +45,9 @@ class ObservableTraceRecorder(CacheListener):
 
     # -- CacheListener -------------------------------------------------------
 
-    def on_hit(
-        self,
-        cache_name: str,
-        line_addr: int,
-        dirty: bool,
-        lru_updated: bool = True,
-    ) -> None:
-        if lru_updated:
-            # A replacement-order update is observable state; a
-            # suppressed hit is not recorded at all.
-            self.events.append(("hit", cache_name, line_addr))
+    def on_hit(self, cache_name: str, line_addr: int, dirty: bool) -> None:
+        # Every hit updates the replacement order: observable state.
+        self.events.append(("hit", cache_name, line_addr))
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
         self.events.append(("fill", cache_name, line_addr, dirty))

@@ -10,6 +10,10 @@ BIA and the observers into the cache directly, each cache owns an
 Events carry the cache's name so one listener can watch several
 levels.  Listener methods default to no-ops, so implementations only
 override what they care about.
+
+Every event is a state change.  A hit comes from a demand access, and
+every demand access updates the replacement order; CTLoad/CTStore
+probes are pure tag lookups and emit nothing.
 """
 
 from __future__ import annotations
@@ -20,18 +24,11 @@ from typing import List
 class CacheListener:
     """Interface for components that observe a cache's state changes."""
 
-    def on_hit(
-        self,
-        cache_name: str,
-        line_addr: int,
-        dirty: bool,
-        lru_updated: bool = True,
-    ) -> None:
-        """A lookup found ``line_addr`` resident (``dirty`` = its dirty bit).
+    def on_hit(self, cache_name: str, line_addr: int, dirty: bool) -> None:
+        """A demand access found ``line_addr`` resident (``dirty`` = its
+        dirty bit) and moved it in the replacement order.
 
-        ``lru_updated`` is False for replacement-suppressed accesses
-        (the Sec. 3.2 rule): those hits change *no* cache state and are
-        invisible to an access-driven attacker.
+        CT micro-op probes are pure lookups and emit no event (Sec. 3.2).
         """
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
@@ -99,9 +96,9 @@ class EventBus:
     # (Callers should gate on ``has_listeners``; the helpers stay
     # correct either way since iterating an empty list is a no-op.)
 
-    def hit(self, line_addr: int, dirty: bool, lru_updated: bool = True) -> None:
+    def hit(self, line_addr: int, dirty: bool) -> None:
         for listener in self._listeners:
-            listener.on_hit(self.cache_name, line_addr, dirty, lru_updated)
+            listener.on_hit(self.cache_name, line_addr, dirty)
 
     def fill(self, line_addr: int, dirty: bool) -> None:
         for listener in self._listeners:

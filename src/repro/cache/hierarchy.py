@@ -31,15 +31,13 @@ from repro.memory.dram import DRAM
 class AccessResult:
     """Outcome of one line access through the hierarchy."""
 
-    __slots__ = ("latency", "hit_level", "filled")
+    __slots__ = ("latency", "hit_level")
 
-    def __init__(self, latency: int, hit_level: Optional[str], filled: bool):
+    def __init__(self, latency: int, hit_level: Optional[str]):
         #: cycles spent on this access (sum of levels touched)
         self.latency = latency
         #: name of the level that hit, or None for a DRAM access
         self.hit_level = hit_level
-        #: whether any cache fill happened
-        self.filled = filled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Access {self.hit_level or 'DRAM'} {self.latency}cy>"
@@ -122,7 +120,6 @@ class CacheHierarchy:
         self,
         line_addr: int,
         start_level: int = 0,
-        update_replacement: bool = True,
         observable: bool = True,
         _is_prefetch: bool = False,
     ) -> AccessResult:
@@ -130,19 +127,18 @@ class CacheHierarchy:
         # Fast path: hit at the start level (the overwhelmingly common
         # case for warm workloads) — no fill loop, no extra bookkeeping.
         first = self.levels[start_level]
-        line = first.access(line_addr, update_replacement, observable)
+        line = first.access(line_addr, observable)
         if line is not None:
-            return AccessResult(first.latency, first.name, False)
-        extra, hit_level, filled = self.read_miss_fill(
-            line_addr, start_level, update_replacement, observable, _is_prefetch
+            return AccessResult(first.latency, first.name)
+        extra, hit_level = self.read_miss_fill(
+            line_addr, start_level, observable, _is_prefetch
         )
-        return AccessResult(first.latency + extra, hit_level, filled)
+        return AccessResult(first.latency + extra, hit_level)
 
     def read_miss_fill(
         self,
         line_addr: int,
         start_level: int = 0,
-        update_replacement: bool = True,
         observable: bool = True,
         _is_prefetch: bool = False,
     ):
@@ -151,7 +147,7 @@ class CacheHierarchy:
         This is the miss half of :meth:`read_line`, exposed so batched
         callers (``read_lines`` and the machine's fused RMW kernel) can
         probe the start level themselves and only fall into this walk
-        on a miss.  Returns ``(extra_latency, hit_level, filled)`` where
+        on a miss.  Returns ``(extra_latency, hit_level)`` where
         ``extra_latency`` excludes the start level's own latency.
         """
         levels = self.levels
@@ -159,7 +155,7 @@ class CacheHierarchy:
         for i in range(start_level + 1, len(levels)):
             cache = levels[i]
             latency += cache.latency
-            line = cache.access(line_addr, update_replacement, observable)
+            line = cache.access(line_addr, observable)
             if line is not None:
                 break
         else:
@@ -173,18 +169,13 @@ class CacheHierarchy:
             if victim is not None and victim.dirty:
                 latency += self._write_back_victim(j, victim)
         if cache is not None:
-            return latency, cache.name, True
+            return latency, cache.name
         if self.prefetcher is not None and not _is_prefetch:
             self.prefetcher.on_demand_miss(line_addr, start_level)
-        return latency, None, True
+        return latency, None
 
     def read_lines(
-        self,
-        line_addrs,
-        start_level: int = 0,
-        update_replacement: bool = True,
-        observable: bool = True,
-        set_indices=None,
+        self, line_addrs, start_level: int = 0, set_indices=None
     ) -> int:
         """Batched :meth:`read_line`; returns the summed latency.
 
@@ -201,28 +192,17 @@ class CacheHierarchy:
         access_lines = first.access_lines
         if set_indices is None and not first.events.has_listeners:
             set_indices = first.set_indices(line_addrs)
-        i = access_lines(line_addrs, 0, update_replacement, observable, set_indices)
+        i = access_lines(line_addrs, 0, set_indices)
         while i < n:
-            extra, _hit_level, _filled = self.read_miss_fill(
-                line_addrs[i], start_level, update_replacement, observable
-            )
-            latency += extra
-            i = access_lines(
-                line_addrs, i + 1, update_replacement, observable, set_indices
-            )
+            latency += self.read_miss_fill(line_addrs[i], start_level)[0]
+            i = access_lines(line_addrs, i + 1, set_indices)
         return latency
 
-    def write_lines(
-        self,
-        line_addrs,
-        start_level: int = 0,
-        update_replacement: bool = True,
-        observable: bool = True,
-        set_indices=None,
-    ) -> int:
-        """Batched :meth:`write_line`; returns the summed latency.
+    def write_lines(self, line_addrs) -> int:
+        """Batched :meth:`write_line` at the L1d, where every store
+        batch starts; returns the summed latency.
 
-        While the start level has no listeners, consecutive writes to
+        While the L1d has no listeners, consecutive writes to
         one line (a same-line run: 16 per line for an array of 4-byte
         words) go to ``access_lines`` as one run head and its count, so
         a resident run costs one lookup.  The gate is read once per
@@ -233,12 +213,13 @@ class CacheHierarchy:
         the kernel costs O(run).  With listeners present, every write
         is its own element and emits its own events.
         """
-        first = self.levels[start_level]
+        first = self.levels[0]
         n = len(line_addrs)
         latency = n * first.latency
         access_lines = first.access_lines
         set_dirty = first.set_dirty
         counts = None
+        set_indices = None
         if not first.events.has_listeners:
             if n > 1:
                 heads = [0]
@@ -249,21 +230,13 @@ class CacheHierarchy:
                 if len(heads) < n:
                     counts = list(map(sub, heads[1:] + [n], heads))
                     line_addrs = [line_addrs[h] for h in heads]
-                    if set_indices is not None:
-                        set_indices = [set_indices[h] for h in heads]
                     n = len(heads)
-            if counts is None and set_indices is None:
+            if counts is None:
                 set_indices = first.set_indices(line_addrs)
-        i = access_lines(
-            line_addrs, 0, update_replacement, observable, set_indices, True,
-            counts,
-        )
+        i = access_lines(line_addrs, 0, set_indices, True, counts)
         while i < n:
             line_addr = line_addrs[i]
-            extra, _hit_level, _filled = self.read_miss_fill(
-                line_addr, start_level, update_replacement, observable
-            )
-            latency += extra
+            latency += self.read_miss_fill(line_addr)[0]
             set_dirty(line_addr)
             # The miss was the run's first access; the rest of the run
             # resumes at the same head.
@@ -271,36 +244,22 @@ class CacheHierarchy:
                 i += 1
             else:
                 counts[i] -= 1
-            i = access_lines(
-                line_addrs, i, update_replacement, observable, set_indices, True,
-                counts,
-            )
+            i = access_lines(line_addrs, i, set_indices, True, counts)
         return latency
 
-    def write_line(
-        self,
-        line_addr: int,
-        start_level: int = 0,
-        update_replacement: bool = True,
-        observable: bool = True,
-    ) -> AccessResult:
+    def write_line(self, line_addr: int, start_level: int = 0) -> AccessResult:
         """Write-allocate write: read path, then dirty at ``start_level``."""
-        result = self.read_line(
-            line_addr,
-            start_level=start_level,
-            update_replacement=update_replacement,
-            observable=observable,
-        )
+        result = self.read_line(line_addr, start_level)
         self.levels[start_level].set_dirty(line_addr)
         return result
 
     def read_line_uncached(self, line_addr: int) -> AccessResult:
         """Sec. 6.5 DRAM bypass: no cache state change at any level."""
-        return AccessResult(self.dram.read_line(line_addr), None, False)
+        return AccessResult(self.dram.read_line(line_addr), None)
 
     def write_line_uncached(self, line_addr: int) -> AccessResult:
         """Sec. 6.5 DRAM bypass for stores."""
-        return AccessResult(self.dram.write_line(line_addr), None, False)
+        return AccessResult(self.dram.write_line(line_addr), None)
 
     # -- coherence-style operations ------------------------------------------------
 

@@ -7,12 +7,13 @@ replacement", Sec. 4.2) share these policies.
 A policy instance manages the ways of *one* set.  The owning set calls
 
 * :meth:`on_fill` when a way is (re)populated,
-* :meth:`on_access` when a resident way is touched — note the paper's
-  security argument requires that secret-relevant accesses *skip* this
-  call ("not updating replacement bit (LRU bit) if the access is
-  secret-relevant", Sec. 3.2), which the cache model honours via its
-  ``update_replacement`` flag — or :meth:`touch_n` for ``k`` touches of
-  one way in a row (the run-length kernels),
+* :meth:`on_access` when a resident way is touched by a demand access
+  — or :meth:`touch_n` for ``k`` touches of one way in a row (the
+  run-length kernels).  The paper's security argument requires that
+  secret-relevant accesses *skip* this call ("not updating replacement
+  bit (LRU bit) if the access is secret-relevant", Sec. 3.2); in the
+  model those are the CTLoad/CTStore probes, which are pure tag
+  lookups and never reach the policy,
 * :meth:`on_invalidate` when a way is emptied, and
 * :meth:`victim` to choose a way to evict (invalid ways first).
 

@@ -8,14 +8,16 @@ experiment consumes (hits, misses, per-set access counts).
 
 Two paper-specific behaviours live here:
 
-* ``update_replacement=False`` accesses touch the line without moving
-  it in the replacement order — this is the "do not update the LRU bit
-  if the access is secret-relevant" rule (Sec. 3.2) that makes hits by
-  CTLoad/CTStore invisible to replacement side channels.
-* ``observable`` controls whether an access is counted in the per-set
-  access histogram used by the Figure 10 security test.  CT micro-op
-  probes are tag lookups that change no state and are therefore not
-  part of the access-driven attacker's view; real loads/stores are.
+* Every hit moves the line in the replacement order.  The Sec. 3.2
+  rule ("do not update the LRU bit if the access is secret-relevant")
+  is carried by CTLoad/CTStore, whose probes are pure :meth:`lookup`
+  calls that change no state at all; every demand access that reaches
+  :meth:`access` is public once the program is linearized.
+* ``observable`` controls whether a scalar :meth:`access` is counted
+  in the per-set access histogram used by the Figure 10 security test.
+  Attacker, prefetch and eviction-set probes pass ``False``; victim
+  loads and stores, and every access of the batched kernels, are
+  counted.
 """
 
 from __future__ import annotations
@@ -270,10 +272,7 @@ class SetAssociativeCache:
     # -- state-changing operations ---------------------------------------------
 
     def access(
-        self,
-        line_addr: int,
-        update_replacement: bool = True,
-        observable: bool = True,
+        self, line_addr: int, observable: bool = True
     ) -> Optional[CacheLine]:
         """Look up ``line_addr``, recording hit/miss statistics.
 
@@ -300,19 +299,16 @@ class SetAssociativeCache:
             return None
         line = cset.ways[way]
         stats.hits += 1
-        if update_replacement:
-            cset.touch(way)
+        cset.touch(way)
         events = self.events
         if events.has_listeners:
-            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
+            events.hit(line_addr, line.dirty)
         return line
 
     def access_lines(
         self,
         line_addrs,
         start: int = 0,
-        update_replacement: bool = True,
-        observable: bool = True,
         set_indices=None,
         mark_dirty: bool = False,
         counts=None,
@@ -347,8 +343,8 @@ class SetAssociativeCache:
         call.  A listener-free level runs a loop that does only what a
         hit changes: the way lookup, the replacement touch (inlined for
         stock LRU) and the dirty bit.  Hits and misses move once per
-        call, and an ``observable`` call charges the per-set profile
-        once, from ``set_indices[start:stop + 1]``.  That loop indexes
+        call, and the per-set profile is charged once, from
+        ``set_indices[start:stop + 1]``.  That loop indexes
         ``set_indices`` and computes them for the whole batch when they
         are absent, so a batch owner that resumes after misses passes
         them and each call costs O(run), not O(start).  With listeners,
@@ -367,7 +363,7 @@ class SetAssociativeCache:
         shift = self._line_shift
         smask = self._set_mask
         stats = self.stats
-        set_accesses = stats.set_accesses if observable else None
+        set_accesses = stats.set_accesses
         events = self.events
         hits = 0
         i = start
@@ -382,17 +378,14 @@ class SetAssociativeCache:
                 cset = sets[set_idx]
                 way = cset.by_addr.get(line_addr) if cset is not None else None
                 if way is None:
-                    if set_accesses is not None:
-                        set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
+                    set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
                     stats.misses += 1
                     stats.hits += hits
                     return i
                 c = counts[i]
-                if set_accesses is not None:
-                    set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
+                set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
                 hits += c
-                if update_replacement:
-                    cset.policy.touch_n(way, c)
+                cset.policy.touch_n(way, c)
                 if mark_dirty:
                     cset.ways[way].dirty = True
                 i += 1
@@ -401,8 +394,7 @@ class SetAssociativeCache:
         if not events.has_listeners:
             if set_indices is None:
                 set_indices = self.set_indices(line_addrs)
-            lru = update_replacement and self._lru
-            touch = update_replacement and not self._lru
+            lru = self._lru
             for i in range(start, n):
                 cset = sets[set_indices[i]]
                 way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
@@ -413,7 +405,7 @@ class SetAssociativeCache:
                     stamp = policy._stamp + 1
                     policy._stamp = stamp
                     policy._last_use[way] = stamp
-                elif touch:
+                else:
                     cset.touch(way)
                 if mark_dirty:
                     cset.ways[way].dirty = True
@@ -422,8 +414,7 @@ class SetAssociativeCache:
             stats.hits += i - start
             if i < n:
                 stats.misses += 1
-            if observable:
-                stats.record_set_accesses(set_indices[start:i + 1])
+            stats.record_set_accesses(set_indices[start:i + 1])
             return i
         while i < n:
             line_addr = line_addrs[i]
@@ -431,8 +422,7 @@ class SetAssociativeCache:
                 set_idx = set_indices[i]
             else:
                 set_idx = (line_addr >> shift) & smask
-            if set_accesses is not None:
-                set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
+            set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
             cset = sets[set_idx]
             way = cset.by_addr.get(line_addr) if cset is not None else None
             if way is None:
@@ -441,9 +431,8 @@ class SetAssociativeCache:
                 return i
             line = cset.ways[way]
             hits += 1
-            if update_replacement:
-                cset.touch(way)
-            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
+            cset.touch(way)
+            events.hit(line_addr, line.dirty)
             if mark_dirty and not line.dirty:
                 line.dirty = True
                 events.dirty(line_addr)
@@ -455,8 +444,6 @@ class SetAssociativeCache:
         self,
         line_addrs,
         start: int = 0,
-        update_replacement: bool = True,
-        observable: bool = True,
         set_indices=None,
     ) -> int:
         """Batched load+store :meth:`access` pairs over ``line_addrs[start:]``.
@@ -483,7 +470,7 @@ class SetAssociativeCache:
         shift = self._line_shift
         smask = self._set_mask
         stats = self.stats
-        set_accesses = stats.set_accesses if observable else None
+        set_accesses = stats.set_accesses
         events = self.events
         hits = 0
         i = start
@@ -491,8 +478,7 @@ class SetAssociativeCache:
         if not events.has_listeners:
             if set_indices is None:
                 set_indices = self.set_indices(line_addrs)
-            lru = update_replacement and self._lru
-            touch = update_replacement and not self._lru
+            lru = self._lru
             for i in range(start, n):
                 cset = sets[set_indices[i]]
                 way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
@@ -503,7 +489,7 @@ class SetAssociativeCache:
                     stamp = policy._stamp + 2
                     policy._stamp = stamp
                     policy._last_use[way] = stamp
-                elif touch:
+                else:
                     cset.policy.touch_n(way, 2)
                 cset.ways[way].dirty = True
             else:
@@ -511,9 +497,8 @@ class SetAssociativeCache:
             stats.hits += 2 * (i - start)
             if i < n:
                 stats.misses += 1
-            if observable:
-                pairs = set_indices[start:i]
-                stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
+            pairs = set_indices[start:i]
+            stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
             return i
         while i < n:
             line_addr = line_addrs[i]
@@ -521,13 +506,11 @@ class SetAssociativeCache:
                 set_idx = set_indices[i]
             else:
                 set_idx = (line_addr >> shift) & smask
-            if set_accesses is not None:
-                count = set_accesses.get(set_idx, 0)
+            count = set_accesses.get(set_idx, 0)
             cset = sets[set_idx]
             way = cset.by_addr.get(line_addr) if cset is not None else None
             if way is None:
-                if set_accesses is not None:
-                    set_accesses[set_idx] = count + 1
+                set_accesses[set_idx] = count + 1
                 stats.misses += 1
                 stats.hits += hits
                 return i
@@ -535,16 +518,12 @@ class SetAssociativeCache:
             hits += 2
             # Stepwise counter updates: a listener callback may read the
             # per-set profile between the pair's two accesses.
-            if set_accesses is not None:
-                set_accesses[set_idx] = count + 1
-            if update_replacement:
-                cset.touch(way)
-            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
-            if set_accesses is not None:
-                set_accesses[set_idx] = count + 2
-            if update_replacement:
-                cset.touch(way)
-            events.hit(line_addr, line.dirty, lru_updated=update_replacement)
+            set_accesses[set_idx] = count + 1
+            cset.touch(way)
+            events.hit(line_addr, line.dirty)
+            set_accesses[set_idx] = count + 2
+            cset.touch(way)
+            events.hit(line_addr, line.dirty)
             if not line.dirty:
                 line.dirty = True
                 events.dirty(line_addr)

@@ -73,14 +73,12 @@ class BIAStats:
     hits: int = 0
     allocations: int = 0
     evictions: int = 0
-    monitor_updates: int = 0
 
     def reset(self) -> None:
         self.lookups = 0
         self.hits = 0
         self.allocations = 0
         self.evictions = 0
-        self.monitor_updates = 0
 
     def clone(self) -> "BIAStats":
         return BIAStats(
@@ -88,7 +86,6 @@ class BIAStats:
             hits=self.hits,
             allocations=self.allocations,
             evictions=self.evictions,
-            monitor_updates=self.monitor_updates,
         )
 
     def load_from(self, other: "BIAStats") -> None:
@@ -96,7 +93,6 @@ class BIAStats:
         self.hits = other.hits
         self.allocations = other.allocations
         self.evictions = other.evictions
-        self.monitor_updates = other.monitor_updates
 
 
 class _BIASet:
@@ -264,24 +260,12 @@ class BIA(CacheListener):
             (line_addr >> params.LINE_BITS) & self._line_in_group_mask,
         )
 
-    def on_hit(
-        self,
-        cache_name: str,
-        line_addr: int,
-        dirty: bool,
-        lru_updated: bool = True,
-    ) -> None:
+    def on_hit(self, cache_name: str, line_addr: int, dirty: bool) -> None:
         if not self._live_entries:
-            return
-        if not lru_updated:
-            # Replacement-suppressed hits are secret-dependent accesses;
-            # learning from them would make the bitmaps secret-dependent
-            # and break the Sec. 5.3 induction.  Ignore them.
             return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.set_exist(bit)
         if dirty:
             entry.set_dirty(bit)
@@ -294,7 +278,6 @@ class BIA(CacheListener):
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.set_exist(bit)
         if dirty:
             entry.set_dirty(bit)
@@ -305,7 +288,6 @@ class BIA(CacheListener):
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.clear_exist(bit)
 
     def on_invalidate(self, cache_name: str, line_addr: int) -> None:
@@ -314,7 +296,6 @@ class BIA(CacheListener):
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.clear_exist(bit)
 
     def on_dirty(self, cache_name: str, line_addr: int) -> None:
@@ -323,7 +304,6 @@ class BIA(CacheListener):
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.set_dirty(bit)
 
     def on_clean(self, cache_name: str, line_addr: int) -> None:
@@ -332,7 +312,6 @@ class BIA(CacheListener):
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
-        self.stats.monitor_updates += 1
         entry.clear_dirty(bit)
 
     # -- state capture / restore (machine fork support) ------------------------------

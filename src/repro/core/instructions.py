@@ -56,7 +56,7 @@ class CTOps:
         #: cache state, so the slice it travels to is observable.
         self.traffic_hook = None
 
-    def ctload(self, addr: int, size: int = params.WORD_SIZE) -> Tuple[int, int, int]:
+    def ctload(self, addr: int) -> Tuple[int, int, int]:
         """``CTLoad``: returns ``(data, existence_bitmap, latency)``.
 
         ``data`` is the requested word if the line is resident at the
@@ -66,14 +66,14 @@ class CTOps:
         line_addr = addr & _LINE_BASE_MASK
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
-        data = self.memory.read_word(addr, size) if line is not None else 0
+        data = self.memory.read_word(addr) if line is not None else 0
         entry = bia.access(addr >> bia.group_bits)
         latency = self._cache.latency + bia.latency
         if self.traffic_hook is not None:
             self.traffic_hook(line_addr)
         return data, entry.existence, latency
 
-    def ctload_words(self, addrs, size: int = params.WORD_SIZE):
+    def ctload_words(self, addrs):
         """``ctload`` over non-empty ``addrs``: ``(data, last_existence,
         summed_latency)``.
 
@@ -87,9 +87,7 @@ class CTOps:
         lookup = self._cache.lookup
         read = self.memory.read_word
         mask = _LINE_BASE_MASK
-        data = [
-            read(a, size) if lookup(a & mask) is not None else 0 for a in addrs
-        ]
+        data = [read(a) if lookup(a & mask) is not None else 0 for a in addrs]
         bia = self.bia
         access = bia.access
         shift = bia.group_bits
@@ -106,9 +104,7 @@ class CTOps:
         latency = n * (self._cache.latency + bia.latency)
         return data, entry.existence, latency
 
-    def ctstore(
-        self, addr: int, data: int, size: int = params.WORD_SIZE
-    ) -> Tuple[int, int]:
+    def ctstore(self, addr: int, data: int) -> Tuple[int, int]:
         """``CTStore``: returns ``(dirtiness_bitmap, latency)``.
 
         The write commits only if ``addr``'s line is resident *and
@@ -120,7 +116,7 @@ class CTOps:
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
         if line is not None and line.dirty:
-            self.memory.write_word(addr, data, size)
+            self.memory.write_word(addr, data)
         entry = bia.access(addr >> bia.group_bits)
         latency = self._cache.latency + bia.latency
         if self.traffic_hook is not None:

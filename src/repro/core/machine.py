@@ -46,6 +46,8 @@ from repro.memory.dram import DRAM
 #: off the line-offset bits is identical to ``addr - addr % LINE_SIZE``
 #: for the (power-of-two) architectural line size.
 _LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
+#: A stored value is kept modulo this (one ``params.WORD_SIZE`` word).
+_WORD_MOD = 1 << (8 * params.WORD_SIZE)
 
 
 @dataclass(frozen=True)
@@ -276,26 +278,19 @@ class Machine:
 
     # -- victim: normal memory ops ------------------------------------------------------
 
-    def load_word(
-        self,
-        addr: int,
-        size: int = params.WORD_SIZE,
-        secret_dependent: bool = False,
-        start_level: int = 0,
-    ) -> int:
-        """Ordinary load.  ``secret_dependent=True`` skips the LRU update
-        (Sec. 3.2's replacement-side-channel rule)."""
+    def load_word(self, addr: int, start_level: int = 0) -> int:
+        """Ordinary load of the word at ``addr``.  ``start_level``
+        bypasses the levels above it (the BIA fetch pass, Sec. 4.2)."""
         line_addr = addr & _LINE_BASE_MASK
-        update = not secret_dependent
         # Probe the start level directly; only a miss walks the
         # hierarchy (CacheHierarchy.read_line without its AccessResult).
         first = self.hierarchy.levels[start_level]
-        if first.access(line_addr, update, True) is not None:
+        if first.access(line_addr) is not None:
             latency = first.latency
             hit_level = first.name
         else:
-            extra, hit_level, _filled = self.hierarchy.read_miss_fill(
-                line_addr, start_level, update, True
+            extra, hit_level = self.hierarchy.read_miss_fill(
+                line_addr, start_level
             )
             latency = first.latency + extra
         if self.slice_hash is not None:
@@ -307,16 +302,9 @@ class Machine:
         stats.insts += 1
         stats.l1i_refs += 1
         stats.cycles += latency
-        return self.memory.read_word(addr, size)
+        return self.memory.read_word(addr)
 
-    def store_word(
-        self,
-        addr: int,
-        value: int,
-        size: int = params.WORD_SIZE,
-        secret_dependent: bool = False,
-        start_level: int = 0,
-    ) -> None:
+    def store_word(self, addr: int, value: int, start_level: int = 0) -> None:
         """Ordinary write-allocate store.
 
         With ``silent_stores`` enabled, a store of the value already in
@@ -325,14 +313,14 @@ class Machine:
         consequences Sec. 2.4 flags and defers.
         """
         line_addr = addr & _LINE_BASE_MASK
-        update = not secret_dependent
-        silent = self.config.silent_stores and self.memory.read_word(
-            addr, size
-        ) == value % (1 << (8 * size))
+        silent = (
+            self.config.silent_stores
+            and self.memory.read_word(addr) == value % _WORD_MOD
+        )
         # Same split as load_word; the write path then dirties the line
         # at the start level (CacheHierarchy.write_line) unless squashed.
         first = self.hierarchy.levels[start_level]
-        line = first.access(line_addr, update, True)
+        line = first.access(line_addr)
         if line is not None:
             latency = first.latency
             hit_level = first.name
@@ -341,8 +329,8 @@ class Machine:
                 if first.events.has_listeners:
                     first.events.dirty(line_addr)
         else:
-            extra, hit_level, _filled = self.hierarchy.read_miss_fill(
-                line_addr, start_level, update, True
+            extra, hit_level = self.hierarchy.read_miss_fill(
+                line_addr, start_level
             )
             latency = first.latency + extra
             if not silent:
@@ -350,7 +338,7 @@ class Machine:
         if self.slice_hash is not None:
             self._record_llc_traffic(line_addr, hit_level)
         if not silent:
-            self.memory.write_word(addr, value, size)
+            self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
@@ -376,8 +364,6 @@ class Machine:
     def load_words(
         self,
         addrs,
-        size: int = params.WORD_SIZE,
-        secret_dependent: bool = False,
         start_level: int = 0,
         pre_insts: int = 0,
         lines=None,
@@ -406,14 +392,12 @@ class Machine:
             for a in addrs:
                 if pre_insts:
                     execute(pre_insts)
-                out.append(load(a, size, secret_dependent, start_level))
+                out.append(load(a, start_level))
             return out if collect_values else None
         if lines is None:
             mask = _LINE_BASE_MASK
             lines = [a & mask for a in addrs]
-        latency = self.hierarchy.read_lines(
-            lines, start_level, not secret_dependent, set_indices=set_indices
-        )
+        latency = self.hierarchy.read_lines(lines, start_level, set_indices)
         stats = self.stats
         per = pre_insts + 1
         stats.loads += n
@@ -424,25 +408,18 @@ class Machine:
         if not collect_values:
             return None
         read = self.memory.read_word
-        return [read(a, size) for a in addrs]
+        return [read(a) for a in addrs]
 
-    def store_words(
-        self,
-        addrs,
-        values,
-        size: int = params.WORD_SIZE,
-        secret_dependent: bool = False,
-        start_level: int = 0,
-        pre_insts: int = 0,
-    ) -> None:
+    def store_words(self, addrs, values, pre_insts: int = 0) -> None:
         """Batched ``execute(pre_insts); store_word(addr, value)`` pairs.
 
         Falls back to the scalar loop under ``silent_stores`` (the
         squash decision needs a per-element memory comparison) and on
-        sliced-LLC machines.  ``addrs`` and ``values`` must have equal
-        lengths.  Consecutive stores to one line are charged as one
-        run (see :meth:`CacheHierarchy.write_lines`), and the backing
-        store is written in one pass (:meth:`MainMemory.write_words`).
+        sliced-LLC machines.  Like every store batch, it starts at the
+        L1d.  ``addrs`` and ``values`` must have equal lengths.
+        Consecutive stores to one line are charged as one run (see
+        :meth:`CacheHierarchy.write_lines`), and the backing store is
+        written in one pass (:meth:`MainMemory.write_words`).
         """
         check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
@@ -458,14 +435,11 @@ class Machine:
             for a, v in zip(addrs, values):
                 if pre_insts:
                     execute(pre_insts)
-                store(a, v, size, secret_dependent, start_level)
+                store(a, v)
             return
         mask = _LINE_BASE_MASK
-        lines = [a & mask for a in addrs]
-        latency = self.hierarchy.write_lines(
-            lines, start_level, not secret_dependent
-        )
-        self.memory.write_words(addrs, values, size)
+        latency = self.hierarchy.write_lines([a & mask for a in addrs])
+        self.memory.write_words(addrs, values)
         stats = self.stats
         per = pre_insts + 1
         stats.stores += n
@@ -480,8 +454,6 @@ class Machine:
         target_idx: int = -1,
         target_fn=None,
         update_fn=None,
-        size: int = params.WORD_SIZE,
-        secret_dependent: bool = False,
         start_level: int = 0,
         pre_insts: int = 0,
         lines=None,
@@ -555,14 +527,14 @@ class Machine:
                 a = addrs[i]
                 if pre_insts:
                     execute(pre_insts)
-                v = load(a, size, secret_dependent, start_level)
+                v = load(a, start_level)
                 if collect_values or i == target_idx:
                     out[i] = v
                 if update_fn is not None:
                     new = update_fn(i, v)
                 else:
                     new = target_fn(v) if i == target_idx else v
-                store(a, new, size, secret_dependent, start_level)
+                store(a, new, start_level)
             return out
         if lines is None:
             mask = _LINE_BASE_MASK
@@ -576,7 +548,6 @@ class Machine:
             set_indices = first.set_indices(lines)
         miss_fill = hier.read_miss_fill
         first_lat = first.latency
-        update = not secret_dependent
         read = self.memory.read_word
         write = self.memory.write_word
         stats = self.stats
@@ -587,27 +558,27 @@ class Machine:
         out = [None] * n
         i = 0
         while i < n:
-            nxt = rmw_run(lines, i, update, True, set_indices)
+            nxt = rmw_run(lines, i, set_indices)
             # Completed all-hit pairs [i, nxt): one charge, then the
             # memory traffic.
             cycles += (nxt - i) * pair_cycles
             if update_fn is not None:
                 for j in range(i, nxt):
                     a = addrs[j]
-                    v = read(a, size)
+                    v = read(a)
                     out[j] = v
-                    write(a, update_fn(j, v), size)
+                    write(a, update_fn(j, v))
             elif collect_values:
                 for j in range(i, nxt):
-                    v = read(addrs[j], size)
+                    v = read(addrs[j])
                     out[j] = v
                     if j == target_idx:
-                        write(addrs[j], target_fn(v), size)
+                        write(addrs[j], target_fn(v))
             elif i <= target_idx < nxt:
                 a = addrs[target_idx]
-                v = read(a, size)
+                v = read(a)
                 out[target_idx] = v
-                write(a, target_fn(v), size)
+                write(a, target_fn(v))
             if nxt == n:
                 break
             # Element nxt's load access missed (already recorded by the
@@ -615,16 +586,15 @@ class Machine:
             # a PLcache can refuse the fill.
             a = addrs[nxt]
             line = lines[nxt]
-            extra, _hit_level, _filled = miss_fill(line, start_level, update, True)
-            cycles += pre_cycles + first_lat + extra
+            cycles += pre_cycles + first_lat + miss_fill(line, start_level)[0]
             if collect_values or nxt == target_idx:
-                v = read(a, size)
+                v = read(a)
                 out[nxt] = v
             if update_fn is not None:
                 new = update_fn(nxt, out[nxt])
             else:
                 new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
-            hit = first_access(line, update, True)
+            hit = first_access(line)
             if hit is not None:
                 cycles += first_lat
                 if not hit.dirty:
@@ -632,13 +602,10 @@ class Machine:
                     if first_events.has_listeners:
                         first_events.dirty(line)
             else:
-                extra, _hit_level, _filled = miss_fill(
-                    line, start_level, update, True
-                )
-                cycles += first_lat + extra
+                cycles += first_lat + miss_fill(line, start_level)[0]
                 first_set_dirty(line)
             if nxt == target_idx or collect_values:
-                write(a, new, size)
+                write(a, new)
             i = nxt + 1
         stats.cycles += cycles
         per = pre_insts + 2
@@ -654,8 +621,6 @@ class Machine:
         ds,
         offset: int = 0,
         pre_insts: int = 0,
-        secret_dependent: bool = False,
-        start_level: int = 0,
         collect_values: bool = True,
     ):
         """Full-DS sweep load: one word per DS line at ``offset``.
@@ -671,14 +636,12 @@ class Machine:
         lines = ds.lines
         set_indices = None
         if self.slice_hash is None:
-            set_indices = ds.set_indices_for(self.hierarchy.levels[start_level])
+            set_indices = ds.set_indices_for(self.l1d)
         addrs = lines
         if offset and collect_values:
             addrs = [line + offset for line in lines]
         return self.load_words(
             addrs,
-            secret_dependent=secret_dependent,
-            start_level=start_level,
             pre_insts=pre_insts,
             lines=lines,
             set_indices=set_indices,
@@ -692,8 +655,6 @@ class Machine:
         target_idx: int = -1,
         target_fn=None,
         pre_insts: int = 0,
-        secret_dependent: bool = False,
-        start_level: int = 0,
         collect_values: bool = True,
     ):
         """Full-DS read-modify-write sweep at ``offset``.
@@ -711,7 +672,7 @@ class Machine:
         lines = ds.lines
         set_indices = None
         if self.slice_hash is None:
-            set_indices = ds.set_indices_for(self.hierarchy.levels[start_level])
+            set_indices = ds.set_indices_for(self.l1d)
         addrs = lines
         if offset:
             if collect_values:
@@ -723,8 +684,6 @@ class Machine:
             addrs,
             target_idx=target_idx,
             target_fn=target_fn,
-            secret_dependent=secret_dependent,
-            start_level=start_level,
             pre_insts=pre_insts,
             lines=lines,
             set_indices=set_indices,
@@ -753,7 +712,7 @@ class Machine:
 
     # -- victim: Sec. 6.5 DRAM bypass ---------------------------------------------------
 
-    def load_word_uncached(self, addr: int, size: int = params.WORD_SIZE) -> int:
+    def load_word_uncached(self, addr: int) -> int:
         """Load straight from DRAM with no cache state change."""
         result = self.hierarchy.read_line_uncached(addr & _LINE_BASE_MASK)
         stats = self.stats
@@ -762,14 +721,12 @@ class Machine:
         stats.insts += 1
         stats.l1i_refs += 1
         stats.cycles += result.latency
-        return self.memory.read_word(addr, size)
+        return self.memory.read_word(addr)
 
-    def store_word_uncached(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
+    def store_word_uncached(self, addr: int, value: int) -> None:
         """Store straight to DRAM with no cache state change."""
         result = self.hierarchy.write_line_uncached(addr & _LINE_BASE_MASK)
-        self.memory.write_word(addr, value, size)
+        self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
@@ -787,10 +744,10 @@ class Machine:
                 "raw bitmap access is hidden from users (Sec. 6.2)"
             )
 
-    def ctload(self, addr: int, size: int = params.WORD_SIZE):
+    def ctload(self, addr: int):
         """Execute CTLoad; returns ``(data, existence_bitmap)``."""
         self._check_ct_privilege("CTLoad")
-        data, existence, latency = self.ctops.ctload(addr, size)
+        data, existence, latency = self.ctops.ctload(addr)
         stats = self.stats
         stats.ct_loads += 1
         stats.l1d_refs += 1
@@ -839,10 +796,10 @@ class Machine:
         stats.cycles += n * pre_insts * self.costs.cpi + latency
         return data, existence
 
-    def ctstore(self, addr: int, value: int, size: int = params.WORD_SIZE) -> int:
+    def ctstore(self, addr: int, value: int) -> int:
         """Execute CTStore; returns the dirtiness bitmap."""
         self._check_ct_privilege("CTStore")
-        dirtiness, latency = self.ctops.ctstore(addr, value, size)
+        dirtiness, latency = self.ctops.ctstore(addr, value)
         stats = self.stats
         stats.ct_stores += 1
         stats.l1d_refs += 1
@@ -858,18 +815,15 @@ class Machine:
 
     # -- attacker actor ---------------------------------------------------------------------
 
-    def attacker_load(self, addr: int, start_level: int = 0) -> int:
+    def attacker_load(self, addr: int) -> int:
         """Attacker access sharing the caches; returns its latency.
 
         Not counted in the victim's statistics; the latency is what a
         Prime+Probe attacker times.
         """
-        result = self.hierarchy.read_line(
-            addr & _LINE_BASE_MASK,
-            start_level=start_level,
-            observable=False,
-        )
-        return result.latency
+        return self.hierarchy.read_line(
+            addr & _LINE_BASE_MASK, observable=False
+        ).latency
 
     def attacker_flush(self, addr: int) -> int:
         """clflush from the attacker (Flush+Reload primitive).

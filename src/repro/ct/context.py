@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Sequence
 
-from repro import params
 from repro.core.machine import Machine
 from repro.ct.ds import DataflowLinearizationSet
 from repro.errors import ProtocolError
@@ -107,13 +106,11 @@ class MitigationContext:
 
     # -- public accesses / ALU work ----------------------------------------------------
 
-    def plain_load(self, addr: int, size: int = params.WORD_SIZE) -> int:
-        return self.machine.load_word(addr, size)
+    def plain_load(self, addr: int) -> int:
+        return self.machine.load_word(addr)
 
-    def plain_store(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
-        self.machine.store_word(addr, value, size)
+    def plain_store(self, addr: int, value: int) -> None:
+        self.machine.store_word(addr, value)
 
     def plain_load_words(self, addrs) -> List[int]:
         """Batched :meth:`plain_load` (bit-identical, see load_words)."""
@@ -140,9 +137,9 @@ class InsecureContext(MitigationContext):
     """No mitigation: secret-dependent accesses go straight to the cache.
 
     This is the "original (insecure)" baseline every figure normalizes
-    against.  Accesses are issued with ``secret_dependent=False`` —
-    the insecure program does nothing special, and its LRU updates and
-    fills are exactly what the attacker observes.
+    against.  Its secret-indexed accesses are ordinary loads and stores:
+    the insecure program does nothing special, and their LRU updates
+    and fills are exactly what the attacker observes.
     """
 
     name = "insecure"

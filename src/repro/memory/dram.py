@@ -22,7 +22,7 @@ ratio ~= 1) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro import params
 from repro.errors import ConfigurationError
@@ -77,6 +77,8 @@ class DRAM:
         conflicts under the open policy.
     row_hit_latency:
         Open-policy cost of hitting the open row (column access only).
+        Defaults to half the access latency, rounded up (100 for the
+        default 200), so every positive ``latency`` has a valid one.
     policy:
         ``"closed"`` (the paper's assumption) or ``"open"``.
     row_size / banks:
@@ -89,11 +91,13 @@ class DRAM:
     def __init__(
         self,
         latency: int = 200,
-        row_hit_latency: int = 100,
+        row_hit_latency: Optional[int] = None,
         policy: str = "closed",
         row_size: int = params.PAGE_SIZE,
         banks: int = 8,
     ) -> None:
+        if row_hit_latency is None:
+            row_hit_latency = (latency + 1) // 2
         if latency <= 0 or row_hit_latency <= 0:
             raise ConfigurationError("DRAM latencies must be positive")
         if row_hit_latency > latency:

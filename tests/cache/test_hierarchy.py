@@ -136,6 +136,39 @@ class TestBypass:
         assert h.dram.stats.writes == 1
 
 
+class TestUnobservedRead:
+    @pytest.mark.parametrize("served_by", ["L1D", "L2", None])
+    def test_profiles_nothing_but_is_a_real_access(self, served_by):
+        """``observable=False`` (attacker, prefetch and eviction-set
+        probes) keeps a read out of every level's per-set profile, and
+        only out of it: the latency, hit level, hit and miss counts,
+        fills and replacement order are those of an observed read."""
+        h, ref = build(), build()
+        conflict = 32 * LINE  # same L1 set as 0x1000
+        for hh in (h, ref):
+            if served_by is not None:
+                hh.read_line(0x1000)
+                hh.read_line(0x1000 + conflict)
+            if served_by == "L2":
+                hh.levels[0].invalidate(0x1000)
+            for cache in hh.levels:
+                cache.stats.reset()
+        got = h.read_line(0x1000, observable=False)
+        want = ref.read_line(0x1000)
+        assert (got.latency, got.hit_level) == (want.latency, want.hit_level)
+        assert got.hit_level == served_by
+        assert ref.levels[0].stats.set_accesses
+        for cache, other in zip(h.levels, ref.levels):
+            assert cache.stats.set_accesses == {}
+            assert sum(other.stats.set_accesses.values()) == other.stats.accesses
+            assert (cache.stats.hits, cache.stats.misses, cache.stats.fills) == (
+                other.stats.hits, other.stats.misses, other.stats.fills,
+            )
+            assert cache.replacement_state(cache.set_index(0x1000)) == (
+                other.replacement_state(other.set_index(0x1000))
+            )
+
+
 class TestConfig:
     def test_duplicate_names_rejected(self):
         l1 = SetAssociativeCache("X", 4096, 2, 2)

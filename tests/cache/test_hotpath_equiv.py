@@ -92,8 +92,8 @@ class _Recorder(CacheListener):
     def __init__(self):
         self.events = []
 
-    def on_hit(self, cache_name, line_addr, dirty, lru_updated=True):
-        self.events.append(("hit", line_addr, dirty, lru_updated))
+    def on_hit(self, cache_name, line_addr, dirty):
+        self.events.append(("hit", line_addr, dirty))
 
     def on_fill(self, cache_name, line_addr, dirty):
         self.events.append(("fill", line_addr, dirty))

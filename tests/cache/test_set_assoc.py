@@ -22,8 +22,8 @@ class _Recorder(CacheListener):
     def __init__(self):
         self.log = []
 
-    def on_hit(self, c, a, d, lru_updated=True):
-        self.log.append(("hit", a, lru_updated))
+    def on_hit(self, c, a, d):
+        self.log.append(("hit", a))
 
     def on_fill(self, c, a, d):
         self.log.append(("fill", a, d))
@@ -178,14 +178,6 @@ class TestEvents:
         kinds = [e[0] for e in rec.log]
         assert kinds == ["fill", "hit", "dirty", "inval"]
 
-    def test_suppressed_hit_flagged(self):
-        cache = small_cache()
-        rec = _Recorder()
-        cache.events.subscribe(rec)
-        cache.fill(0x1000)
-        cache.access(0x1000, update_replacement=False)
-        assert ("hit", 0x1000, False) in rec.log
-
     def test_unsubscribe(self):
         cache = small_cache()
         rec = _Recorder()
@@ -195,23 +187,59 @@ class TestEvents:
         assert not rec.log
 
 
-class TestLRUSuppression:
-    def test_suppressed_hit_does_not_refresh(self):
-        """The Sec. 3.2 rule: secret accesses must not move LRU state."""
-        cache = small_cache()
-        conflict = 32 * LINE
-        cache.fill(0)
-        cache.fill(conflict)  # LRU order: 0 older
-        cache.access(0, update_replacement=False)
-        victim = cache.fill(2 * conflict)
-        assert victim.line_addr == 0  # 0 still the LRU victim
+#: Every way a level can hit line 0, with the hits each path records.
+#: A ``counts`` run is the listener-free store kernel's: callers never
+#: pass runs to a level with listeners.
+_HIT_PATHS = {
+    "access": (lambda c: c.access(0), 1),
+    "access_lines": (lambda c: c.access_lines([0]), 1),
+    "access_lines/mark_dirty": (lambda c: c.access_lines([0], 0, None, True), 1),
+    "access_lines/counts": (
+        lambda c: c.access_lines([0], 0, None, True, [3]), 3,
+    ),
+    "rmw_lines": (lambda c: c.rmw_lines([0]), 2),
+}
 
+
+class TestReplacementState:
     def test_replacement_state_exposed(self):
         cache = small_cache()
         cache.fill(0)
         cache.fill(32 * LINE)
         cache.access(0)
         assert cache.replacement_state(0) == (0, 32 * LINE)
+
+    @pytest.mark.parametrize("policy, victim", [
+        ("lru", 32 * LINE), ("plru", 32 * LINE), ("fifo", 0),
+    ])
+    @pytest.mark.parametrize("path, listeners", [
+        ("access", False), ("access", True),
+        ("access_lines", False), ("access_lines", True),
+        ("access_lines/mark_dirty", False), ("access_lines/mark_dirty", True),
+        ("access_lines/counts", False),
+        ("rmw_lines", False), ("rmw_lines", True),
+    ])
+    def test_every_hit_updates_replacement_state(
+        self, policy, victim, path, listeners
+    ):
+        """No hit leaves the replacement order alone: each path, with
+        and without listeners, touches the hit way through its policy.
+        Under LRU and tree-PLRU the refreshed line 0 stops being the
+        victim of its 2-way set; under FIFO a hit moves nothing, so the
+        first fill still goes."""
+        cache = small_cache(replacement=policy)
+        rec = _Recorder()
+        if listeners:
+            cache.events.subscribe(rec)
+        conflict = 32 * LINE  # same set as 0
+        cache.fill(0)
+        cache.fill(conflict)
+        run, hits = _HIT_PATHS[path]
+        run(cache)
+        assert (cache.stats.hits, cache.stats.misses) == (hits, 0)
+        if listeners:
+            assert [e for e in rec.log if e[0] == "hit"] == [("hit", 0)] * hits
+        assert cache.fill(2 * conflict).line_addr == victim
 
 
 class TestResidency:

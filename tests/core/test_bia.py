@@ -132,13 +132,26 @@ class TestMonitoring:
         cache.access(0x40)  # a hit teaches the BIA
         assert entry.existence == 1 << 1
 
-    def test_suppressed_hit_is_ignored(self):
-        """Secret-dependent (LRU-suppressed) hits must not teach the BIA."""
+    @pytest.mark.parametrize("path, dirty", [
+        ("access_lines", False), ("access_lines/mark_dirty", True),
+        ("rmw_lines", True),
+    ])
+    def test_every_batched_hit_teaches_the_bia(self, path, dirty):
+        """The batch kernels' listener loop emits every hit, and every
+        hit reaches the monitor: a line filled before its entry existed
+        is learnt from a batch hit, and a write's dirty transition
+        follows it."""
         cache, bia = attached_pair()
         cache.fill(0x40)
         entry = bia.access(0)
-        cache.access(0x40, update_replacement=False)
-        assert entry.existence == 0
+        if path == "access_lines":
+            cache.access_lines([0x40, 0x40])
+        elif path == "access_lines/mark_dirty":
+            cache.access_lines([0x40, 0x40], 0, None, True)
+        else:
+            cache.rmw_lines([0x40])
+        assert entry.existence == 1 << 1
+        assert entry.dirtiness == (1 << 1 if dirty else 0)
 
     def test_other_cache_events_ignored(self):
         cache, bia = attached_pair()

@@ -7,9 +7,8 @@ loops they replace: same counters, same event traces (when anyone
 listens), same final cache state, same per-set access profiles, same
 memory image, same returned values.  These properties drive both paths
 on twin machines over Hypothesis-generated configurations — replacement
-policies, set geometries, silent-store machines, secret-dependent
-flags, listener presence — and diff everything an attacker (or a
-figure) could read.
+policies, set geometries, silent-store machines, listener presence —
+and diff everything an attacker (or a figure) could read.
 
 Every cycle cost is a whole number: ``CostModel`` rejects a ``cpi``
 or ``ct_gather_repeat_latency`` that is not one, and ``MachineConfig``
@@ -29,7 +28,7 @@ direct start-level probe, the hierarchy walked only on a miss) against
 a full ``read_line``/``write_line`` walk per access, and
 ``test_listener_free_run_kernels_match_scalar_access`` pins the cache
 level's run kernels, on a level without listeners, against one
-``access`` per read or write under every policy, profiled or not.
+``access`` per read or write under every policy.
 
 The address sequences walk consecutive words and repeat addresses, so
 the run-length kernels get real same-line runs: a listener-free
@@ -256,15 +255,15 @@ def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
 
 
 class _EventLog(CacheListener):
-    """Every event of every level, suppressed hits included."""
+    """Every event of every level."""
 
     def __init__(self, machine):
         self.events = []
         for cache in machine.hierarchy.levels:
             cache.events.subscribe(self)
 
-    def on_hit(self, name, line_addr, dirty, lru_updated=True):
-        self.events.append(("hit", name, line_addr, dirty, lru_updated))
+    def on_hit(self, name, line_addr, dirty):
+        self.events.append(("hit", name, line_addr, dirty))
 
     def on_fill(self, name, line_addr, dirty):
         self.events.append(("fill", name, line_addr, dirty))
@@ -295,40 +294,38 @@ def _bump(stats, kind, latency):
     stats.cycles += latency
 
 
-def reference_load_word(m, addr, size=4, secret=False, start_level=0):
+def reference_load_word(m, addr, start_level=0):
     """The scalar load as a full hierarchy walk per access."""
     line_addr = addr & ~63
-    result = m.hierarchy.read_line(line_addr, start_level, not secret)
+    result = m.hierarchy.read_line(line_addr, start_level)
     _record_slice(m, line_addr, result.hit_level)
     _bump(m.stats, "loads", result.latency)
-    return m.memory.read_word(addr, size)
+    return m.memory.read_word(addr)
 
 
-def reference_store_word(m, addr, value, size=4, secret=False, start_level=0):
+def reference_store_word(m, addr, value, start_level=0):
     """The scalar store as a full hierarchy walk per access."""
     line_addr = addr & ~63
-    if m.config.silent_stores and m.memory.read_word(addr, size) == value % (
-        1 << (8 * size)
-    ):
-        result = m.hierarchy.read_line(line_addr, start_level, not secret)
+    if m.config.silent_stores and m.memory.read_word(addr) == value % (1 << 32):
+        result = m.hierarchy.read_line(line_addr, start_level)
         _record_slice(m, line_addr, result.hit_level)
         _bump(m.stats, "stores", result.latency)
         return
-    result = m.hierarchy.write_line(line_addr, start_level, not secret)
+    result = m.hierarchy.write_line(line_addr, start_level)
     _record_slice(m, line_addr, result.hit_level)
-    m.memory.write_word(addr, value, size)
+    m.memory.write_word(addr, value)
     _bump(m.stats, "stores", result.latency)
 
 
 _HIT_PATH_OPS = [
-    ("load", 0, 0, False, 0, 0),
-    ("store", 0, 1, False, 0, 5),
-    ("same", 0, 1, False, 0, 0),
-    ("store", 0, 2, False, 0, 6),
-    ("store", 1, 0, True, 1, -3),
-    ("load", 1, 0, False, 2, 0),
-    ("same", 1, 1, False, 2, 0),
-    ("store", 1, 2, False, 2, 1 << 40),
+    ("load", 0, 0, 0, 0),
+    ("store", 0, 1, 0, 5),
+    ("same", 0, 1, 0, 0),
+    ("store", 0, 2, 0, 6),
+    ("store", 1, 0, 1, -3),
+    ("load", 1, 0, 2, 0),
+    ("same", 1, 1, 2, 0),
+    ("store", 1, 2, 2, 1 << 40),
 ]
 
 
@@ -351,7 +348,6 @@ class TestScalarPaths:
                 # dirty lines, next to misses and evictions arena-wide
                 st.one_of(st.integers(0, 7), st.integers(0, ARENA_LINES - 1)),
                 st.integers(0, 15),
-                st.booleans(),
                 st.integers(0, 2),
                 st.integers(-(1 << 40), 1 << 40),
             ),
@@ -380,21 +376,17 @@ class TestScalarPaths:
         la = lb = None
         if listeners:
             la, lb = _EventLog(ma), _EventLog(mb)
-        for kind, line, word, secret, level, value in ops:
+        for kind, line, word, level, value in ops:
             addr = base + 64 * line + 4 * word
             if kind == "load":
-                got = ma.load_word(addr, secret_dependent=secret,
-                                   start_level=level)
-                want = reference_load_word(mb, addr, secret=secret,
-                                           start_level=level)
+                got = ma.load_word(addr, start_level=level)
+                want = reference_load_word(mb, addr, start_level=level)
                 assert got == want
             else:
                 if kind == "same":  # a silent-store candidate
                     value = ma.memory.read_word(addr)
-                ma.store_word(addr, value, secret_dependent=secret,
-                              start_level=level)
-                reference_store_word(mb, addr, value, secret=secret,
-                                     start_level=level)
+                ma.store_word(addr, value, start_level=level)
+                reference_store_word(mb, addr, value, start_level=level)
         assert ma.slice_trace == mb.slice_trace
         if listeners:
             assert la.events == lb.events
@@ -414,17 +406,17 @@ def _kernel_lines(seed):
     ]
 
 
-def _scalar_kernel(cache, lines, kernel, update, observable):
+def _scalar_kernel(cache, lines, kernel):
     for line_addr in lines:
-        if cache.access(line_addr, update, observable) is None:
+        if cache.access(line_addr) is None:
             cache.fill(line_addr)
         if kernel == "rmw":
-            cache.access(line_addr, update, observable)
+            cache.access(line_addr)
         if kernel != "read":
             cache.set_dirty(line_addr)
 
 
-def _batched_kernel(cache, lines, kernel, update, observable, indexed):
+def _batched_kernel(cache, lines, kernel, indexed):
     """The run kernel over ``lines``, resuming after each miss the way
     the hierarchy and the machine do."""
     set_indices = cache.set_indices(lines) if indexed else None
@@ -434,24 +426,22 @@ def _batched_kernel(cache, lines, kernel, update, observable, indexed):
     else:
         run = cache.access_lines
         extra = (kernel == "write",)
-    i = run(lines, 0, update, observable, set_indices, *extra)
+    i = run(lines, 0, set_indices, *extra)
     while i < len(lines):
         line_addr = lines[i]
         cache.fill(line_addr)
         if kernel == "rmw":
-            cache.access(line_addr, update, observable)
+            cache.access(line_addr)
         if kernel != "read":
             cache.set_dirty(line_addr)
-        i = run(lines, i + 1, update, observable, set_indices, *extra)
+        i = run(lines, i + 1, set_indices, *extra)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("kernel", ["read", "write", "rmw"])
-@pytest.mark.parametrize("observable", [True, False])
-@pytest.mark.parametrize("update", [True, False])
 @pytest.mark.parametrize("indexed", [True, False])
 def test_listener_free_run_kernels_match_scalar_access(
-    policy, kernel, observable, update, indexed
+    policy, kernel, indexed
 ):
     """``access_lines`` (``mark_dirty`` for writes) and ``rmw_lines`` on a
     listener-free level: the same counters, per-set profile (charged
@@ -462,8 +452,8 @@ def test_listener_free_run_kernels_match_scalar_access(
         for _ in range(2)
     )
     lines = _kernel_lines(5)
-    _scalar_kernel(scalar, lines, kernel, update, observable)
-    _batched_kernel(batched, lines, kernel, update, observable, indexed)
+    _scalar_kernel(scalar, lines, kernel)
+    _batched_kernel(batched, lines, kernel, indexed)
     sa, sb = scalar.stats, batched.stats
     assert sa.misses > 0 and sa.hits > 0
     assert (sb.hits, sb.misses, sb.fills, sb.evictions) == (
@@ -475,26 +465,21 @@ def test_listener_free_run_kernels_match_scalar_access(
 
 class TestLoadWords:
     @given(config=extra_configs, seq=addr_seqs, pre=st.integers(0, 4),
-           secret=st.booleans(), listeners=st.booleans(),
-           collect=st.booleans())
+           listeners=st.booleans(), collect=st.booleans())
     # Always run: listener-free LRU hits, whose touches only the
     # replacement-state comparison sees.
-    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0,
              listeners=False, collect=True)
     @settings(max_examples=40, deadline=None)
-    def test_matches_scalar(self, config, seq, pre, secret, listeners,
-                            collect):
+    def test_matches_scalar(self, config, seq, pre, listeners, collect):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
-        got = ma.load_words(
-            addrs, pre_insts=pre, secret_dependent=secret,
-            collect_values=collect,
-        )
+        got = ma.load_words(addrs, pre_insts=pre, collect_values=collect)
         want = []
         for a in addrs:
             if pre:
                 mb.execute(pre)
-            want.append(mb.load_word(a, secret_dependent=secret))
+            want.append(mb.load_word(a))
         if collect:
             assert got == want
         else:
@@ -504,18 +489,15 @@ class TestLoadWords:
 
 class TestStoreWords:
     @given(config=store_configs, seq=addr_seqs, pre=st.integers(0, 4),
-           secret=st.booleans(), listeners=st.booleans(),
-           level=st.integers(0, 2))
+           listeners=st.booleans())
     # Always run: a fresh array's initialization, every run's first
     # word a miss, on the Table 1 machine and on a refusing PLcache.
-    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
-             listeners=False, level=0)
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0,
+             listeners=False)
     @example(config=MachineConfig(plcache=True, l1d_size=64, l1d_assoc=1),
-             seq=CONTIGUOUS_64, pre=1, secret=False, listeners=False,
-             level=0)
+             seq=CONTIGUOUS_64, pre=1, listeners=False)
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar(self, config, seq, pre, secret, listeners,
-                            level):
+    def test_matches_scalar(self, config, seq, pre, listeners):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
         rng = random.Random(5)
@@ -523,21 +505,12 @@ class TestStoreWords:
         # Some silent-store candidates: rewrite the current contents.
         for i in range(0, len(addrs), 3):
             values[i] = ma.memory.read_word(addrs[i])
-        ma.store_words(addrs, values, pre_insts=pre, secret_dependent=secret,
-                       start_level=level)
+        ma.store_words(addrs, values, pre_insts=pre)
         for a, v in zip(addrs, values):
             if pre:
                 mb.execute(pre)
-            mb.store_word(a, v, secret_dependent=secret, start_level=level)
+            mb.store_word(a, v)
         _assert_observably_equal(ma, mb, ra, rb, base, "store_words")
-
-    def test_write_lines_compresses_set_indices_with_runs(self):
-        (ma, mb), _recorders, base = _twins(MachineConfig(), False)
-        lines = [base + 64 * (k // 16) for k in range(64)] + [base] * 5
-        set_indices = [ma.l1d.set_index(line) for line in lines]
-        got = ma.hierarchy.write_lines(lines, 0, True, True, set_indices)
-        assert got == mb.hierarchy.write_lines(lines)
-        _assert_observably_equal(ma, mb, None, None, base, "set_indices")
 
 
 @pytest.mark.parametrize("path", ["bulk", "silent-stores", "sliced-llc"])
@@ -587,35 +560,33 @@ class TestRmwWords:
     # ``warm``: a load_words batch first makes the lines resident and
     # clean, so pairs hit lines the batch has not dirtied yet.
     @given(config=extra_configs, seq=addr_seqs, pre=st.integers(0, 4),
-           secret=st.booleans(), listeners=st.booleans(),
-           collect=st.booleans(), target_frac=st.floats(0, 1),
-           warm=st.booleans())
+           listeners=st.booleans(), collect=st.booleans(),
+           target_frac=st.floats(0, 1), warm=st.booleans())
     # Always run: listener-free LRU pair hits on resident clean lines,
     # whose stamps and dirty transitions only the state comparison sees.
-    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0, secret=False,
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0,
              listeners=False, collect=False, target_frac=0.5, warm=True)
     @settings(max_examples=40, deadline=None)
-    def test_matches_scalar(self, config, seq, pre, secret, listeners,
-                            collect, target_frac, warm):
+    def test_matches_scalar(self, config, seq, pre, listeners, collect,
+                            target_frac, warm):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
         if warm:
             for m in (ma, mb):
-                m.load_words(addrs, secret_dependent=secret)
+                m.load_words(addrs)
         target = int(target_frac * (len(addrs) - 1))
         fn = lambda v: (v * 3 + 1) & 0xFFFFFFFF  # noqa: E731
         got = ma.rmw_words(
             addrs, target_idx=target, target_fn=fn, pre_insts=pre,
-            secret_dependent=secret, collect_values=collect,
+            collect_values=collect,
         )
         want = []
         for i, a in enumerate(addrs):
             if pre:
                 mb.execute(pre)
-            v = mb.load_word(a, secret_dependent=secret)
+            v = mb.load_word(a)
             want.append(v)
-            mb.store_word(a, fn(v) if i == target else v,
-                          secret_dependent=secret)
+            mb.store_word(a, fn(v) if i == target else v)
         if collect:
             assert got == want
         else:
@@ -625,11 +596,11 @@ class TestRmwWords:
 
 
     @given(config=configs, sliced=st.booleans(), seq=addr_seqs,
-           pre=st.integers(0, 4), secret=st.booleans(),
-           listeners=st.booleans(), collect=st.booleans())
+           pre=st.integers(0, 4), listeners=st.booleans(),
+           collect=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_per_element_form_matches_scalar(self, config, sliced, seq, pre,
-                                             secret, listeners, collect):
+                                             listeners, collect):
         """``update_fn`` writes ``fn(i, v)`` at every element, as a
         scalar load + store loop does — silent stores included, where a
         value-identical result must be squashed and any other stored."""
@@ -645,16 +616,15 @@ class TestRmwWords:
             return v if i % 3 == 0 else v - 7 * i + ((i & 1) << 40)
 
         got = ma.rmw_words(
-            addrs, update_fn=fn, pre_insts=pre, secret_dependent=secret,
-            collect_values=collect,
+            addrs, update_fn=fn, pre_insts=pre, collect_values=collect
         )
         want = []
         for i, a in enumerate(addrs):
             if pre:
                 mb.execute(pre)
-            v = mb.load_word(a, secret_dependent=secret)
+            v = mb.load_word(a)
             want.append(v)
-            mb.store_word(a, fn(i, v), secret_dependent=secret)
+            mb.store_word(a, fn(i, v))
         assert got == want
         assert ma.slice_trace == mb.slice_trace
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words/update_fn")

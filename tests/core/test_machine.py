@@ -4,10 +4,15 @@ import dataclasses
 
 import pytest
 
+from repro import params
+from repro.cache.events import CacheListener
 from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig, build_machine
 from repro.ct.ds import DataflowLinearizationSet
 from repro.errors import ConfigurationError
+
+LINE = params.LINE_SIZE
+WORD = params.WORD_SIZE
 
 
 class TestCounters:
@@ -66,6 +71,77 @@ class TestCounters:
         assert 0x10000 in machine.l1d
 
 
+#: Machine word stores of ``v`` at ``a``.  CTStore commits only to a
+#: line that is resident and dirty at the BIA's level, so its row
+#: dirties the line first.
+_WORD_STORES = {
+    "store_word": lambda m, a, v: m.store_word(a, v),
+    "store_words": lambda m, a, v: m.store_words([a], [v]),
+    "rmw_words": lambda m, a, v: m.rmw_words([a], update_fn=lambda i, old: v),
+    "store_word_uncached": lambda m, a, v: m.store_word_uncached(a, v),
+    "ctstore": lambda m, a, v: (m.store_word(a, 0), m.ctstore(a, v)),
+}
+
+#: Machine word loads at ``a``; CTLoad reads only a resident line.
+_WORD_LOADS = {
+    "load_word": lambda m, a: m.load_word(a),
+    "load_words": lambda m, a: m.load_words([a])[0],
+    "load_word_uncached": lambda m, a: m.load_word_uncached(a),
+    "ctload": lambda m, a: (m.load_word(a), m.ctload(a)[0])[1],
+}
+
+
+class TestWordSize:
+    """Every machine word op moves one ``params.WORD_SIZE`` word."""
+
+    WIDE = (0xDEAD << (8 * WORD)) | 0x12345678  # wider than a word
+
+    @staticmethod
+    def _line_of_words(m, fill):
+        base = m.allocator.alloc(LINE, "w")
+        for k in range(LINE // WORD):
+            m.memory.write_word(base + k * WORD, fill(k))
+        return base
+
+    @pytest.mark.parametrize("op", sorted(_WORD_STORES))
+    def test_store_writes_one_word(self, machine, op):
+        """A stored value is kept modulo ``2**(8 * WORD_SIZE)`` and the
+        neighbouring words of the line keep their contents."""
+        base = self._line_of_words(machine, lambda k: 0x01010101 * (k + 1))
+        addr = base + 2 * WORD
+        _WORD_STORES[op](machine, addr, self.WIDE)
+        assert machine.memory.read_word(addr) == 0x12345678
+        for k in range(LINE // WORD):
+            if k != 2:
+                assert machine.memory.read_word(base + k * WORD) == (
+                    0x01010101 * (k + 1)
+                )
+
+    @pytest.mark.parametrize("op", sorted(_WORD_LOADS))
+    def test_load_reads_one_word(self, machine, op):
+        """A load returns its own word, whatever its neighbours hold."""
+        base = self._line_of_words(machine, lambda k: 0xFFFFFFFF)
+        addr = base + 2 * WORD
+        machine.memory.write_word(addr, 0x12345678)
+        assert _WORD_LOADS[op](machine, addr) == 0x12345678
+
+    @pytest.mark.parametrize("op", ["store_word", "store_words", "rmw_words"])
+    def test_silent_store_compares_one_word(self, op):
+        """A silent-store machine squashes a store equal to the word
+        modulo ``2**(8 * WORD_SIZE)``: the resident line stays clean.
+        Any other word value is stored and dirties it."""
+        m = Machine(MachineConfig(silent_stores=True))
+        addr = m.allocator.alloc(LINE, "s")
+        m.memory.write_word(addr, 0x12345678)
+        m.load_word(addr)  # resident and clean
+        _WORD_STORES[op](m, addr, self.WIDE)
+        assert not m.l1d.is_dirty(addr)
+        assert m.memory.read_word(addr) == 0x12345678
+        _WORD_STORES[op](m, addr, 0x12345679)
+        assert m.l1d.is_dirty(addr)
+        assert m.memory.read_word(addr) == 0x12345679
+
+
 class TestSnapshot:
     def test_snapshot_keys(self, machine):
         machine.load_word(0x10000)
@@ -110,6 +186,118 @@ class TestAttackerActor:
         machine.load_word(0x10000)
         machine.attacker_evict("L1D", 0x10000)
         assert machine.hierarchy.where(0x10000) == ["L2", "LLC"]
+
+    @pytest.mark.parametrize("served_by, latency", [
+        ("L1D", 2), ("L2", 2 + 15), (None, 2 + 15 + 41 + 200),
+    ])
+    def test_attacker_probe_is_in_no_profile(self, machine, served_by,
+                                             latency):
+        """Attacker probes are unobserved: whichever level serves one,
+        no level's per-set profile (what Fig. 10 plots) moves, yet the
+        probe costs and fills what a victim load would."""
+        if served_by is not None:
+            machine.load_word(0x10000)
+        if served_by == "L2":
+            machine.attacker_evict("L1D", 0x10000)
+        levels = machine.hierarchy.levels
+        before = [dict(c.stats.set_accesses) for c in levels]
+        assert machine.attacker_load(0x10000) == latency
+        assert [dict(c.stats.set_accesses) for c in levels] == before
+        assert machine.hierarchy.where(0x10000) == ["L1D", "L2", "LLC"]
+
+
+class _HitLog(CacheListener):
+    def __init__(self):
+        self.hits = []
+
+    def on_hit(self, cache_name, line_addr, dirty):
+        self.hits.append(line_addr)
+
+
+#: Every machine path that can hit line ``a`` at the L1d.  ``ds`` is
+#: the one-line DS of ``a``; ``/silent`` runs on a silent-store machine
+#: and rewrites the word's own value.
+_L1D_HIT_PATHS = {
+    "load_word": lambda m, a, ds: m.load_word(a),
+    "store_word": lambda m, a, ds: m.store_word(a, 5),
+    "store_word/silent": lambda m, a, ds: m.store_word(a, m.memory.read_word(a)),
+    "load_words": lambda m, a, ds: m.load_words([a, a + WORD]),
+    "store_words": lambda m, a, ds: m.store_words([a, a + WORD], [5, 6]),
+    "rmw_words": lambda m, a, ds: m.rmw_words(
+        [a, a + WORD], 1, lambda v: v + 1
+    ),
+    "rmw_words/update_fn": lambda m, a, ds: m.rmw_words(
+        [a], update_fn=lambda i, v: v + 1
+    ),
+    "sweep_load_lines": lambda m, a, ds: m.sweep_load_lines(ds),
+    "sweep_store_lines": lambda m, a, ds: m.sweep_store_lines(
+        ds, 0, 0, lambda v: v + 1
+    ),
+    "attacker_load": lambda m, a, ds: m.attacker_load(a),
+}
+
+
+@pytest.mark.parametrize("listeners", [False, True])
+@pytest.mark.parametrize("path", sorted(_L1D_HIT_PATHS))
+def test_every_hit_updates_l1d_replacement_state(tiny_machine, path,
+                                                 listeners):
+    """No demand access is replacement-suppressed: every path that hits
+    a line moves it in the L1d's LRU order, listeners or not, so the
+    line that was least recently used survives the next conflict fill.
+    (The Sec. 3.2 rule is CTLoad/CTStore's: their probes are pure
+    lookups, see tests/core/test_instructions.py.)"""
+    m = tiny_machine
+    if path.endswith("/silent"):
+        m = Machine(dataclasses.replace(m.config, silent_stores=True))
+    stride = m.l1d.num_sets * LINE  # one 2-way L1d set
+    a = m.allocator.alloc(3 * stride, "a")
+    b, c = a + stride, a + 2 * stride
+    m.load_word(a)
+    m.load_word(b)  # a is now the LRU line of its set
+    log = _HitLog()
+    if listeners:
+        m.l1d.events.subscribe(log)
+    hits = m.l1d.stats.hits
+    _L1D_HIT_PATHS[path](m, a, DataflowLinearizationSet.from_range(a, LINE))
+    assert m.l1d.stats.misses == 2 and m.l1d.stats.hits > hits
+    if listeners:
+        assert log.hits == [a] * (m.l1d.stats.hits - hits)
+    m.load_word(c)
+    assert a in m.l1d and b not in m.l1d
+
+
+#: The ops that take ``start_level``: (run, L1d-level accesses, writes).
+_START_LEVEL_OPS = {
+    "load_word": (lambda m, a, k: m.load_word(a, start_level=k), 1, False),
+    "store_word": (
+        lambda m, a, k: m.store_word(a, 7, start_level=k), 1, True,
+    ),
+    "load_words": (lambda m, a, k: m.load_words([a], start_level=k), 1, False),
+    "rmw_words": (
+        lambda m, a, k: m.rmw_words([a], 0, lambda v: v + 1, start_level=k),
+        2, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("op", sorted(_START_LEVEL_OPS))
+def test_start_level_bypasses_the_levels_above(machine, op, level):
+    """``start_level`` (the BIA fetch pass, Sec. 4.2, and its sliced-LLC
+    fallback) begins an access at that level: a cold line is filled
+    there and below but not above, a write dirties it there only, and
+    the cost is the walk from that level to DRAM (an RMW's store then
+    hits at the start level)."""
+    run, accesses, writes = _START_LEVEL_OPS[op]
+    levels = machine.hierarchy.levels
+    names = [c.name for c in levels]
+    addr = machine.allocator.alloc(LINE, "x")
+    run(machine, addr, level)
+    assert machine.hierarchy.where(addr) == names[level:]
+    dirty = [c.name for c in levels if c.is_dirty(addr)]
+    assert dirty == (names[level:level + 1] if writes else [])
+    walk = sum(c.latency for c in levels[level:]) + machine.dram.latency
+    assert machine.stats.cycles == walk + (accesses - 1) * levels[level].latency
 
 
 class TestConfig:
@@ -326,6 +514,24 @@ class TestDRAMPolicy:
         m.load_word_uncached(0x10040)  # same row, but freshly precharged
         assert m.stats.cycles == m.dram.latency
         assert m.dram.stats.row_conflicts == 1
+
+    @pytest.mark.parametrize("policy", ["closed", "open"])
+    @pytest.mark.parametrize("latency", [1, 50, 99, 100, 200])
+    def test_any_positive_dram_latency_builds(self, policy, latency):
+        """The row-hit latency is derived from ``dram_latency``, so a
+        latency below the old fixed row-hit cost of 100 still builds.
+        A closed-row access costs exactly ``dram_latency``; an open-row
+        hit costs at most that."""
+        m = Machine(MachineConfig(dram_latency=latency, dram_policy=policy))
+        m.load_word_uncached(0x10000)
+        assert m.stats.cycles == latency  # cold: a conflict when open
+        m.load_word_uncached(0x10040)  # same row
+        second = m.stats.cycles - latency
+        if policy == "closed":
+            assert second == latency
+        else:
+            assert second == m.dram.row_hit_latency
+            assert 0 < second <= latency
 
 
 class TestAttackerLatencySignals:

@@ -121,3 +121,11 @@ class TestOpenPagePolicy:
     def test_invalid_hit_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             DRAM(latency=100, row_hit_latency=150)
+
+    @pytest.mark.parametrize("latency, row_hit", [
+        (1, 1), (50, 25), (99, 50), (100, 50), (200, 100),
+    ])
+    def test_row_hit_latency_derived_from_latency(self, latency, row_hit):
+        """Half the access latency, rounded up: positive and never above
+        the access latency, so no valid ``latency`` is rejected."""
+        assert DRAM(latency=latency).row_hit_latency == row_hit
