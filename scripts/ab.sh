@@ -1,0 +1,115 @@
+#!/usr/bin/env bash
+# A/B benchmark of the working tree against a git revision: perfbench's
+# five end-to-end metrics (all lower-is-better), one pair of runs per
+# seed, alternating which side runs first so host drift hits both sides
+# alike.
+#
+# Usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS]
+#   REV       the baseline revision (a commit, a branch, HEAD, ...)
+#   WORKLOAD  fig-ct, fig-bia or verify
+#   PAIRS     pairs of runs, seeds 1..PAIRS (default 10)
+#   SECONDS   perfbench --seconds per run (default 30)
+#
+# REV's committed files are exported to a temporary directory with
+# `git archive` (removed on exit, and nothing is registered with git),
+# so only the working-tree side sees uncommitted changes.  Each run is
+# `python3 perfbench/run.py --trace 0` in its own checkout.  Prints
+# every pair's metrics, then per metric each side's median and
+# quartiles and how many pairs the working tree won.  Exits 1 if any
+# run is not `"correct": true`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [[ $# -lt 2 || $# -gt 4 ]]; then
+    echo "usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS]" >&2
+    exit 2
+fi
+rev="$1"
+workload="$2"
+pairs="${3:-10}"
+seconds="${4:-30}"
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git archive "$(git rev-parse --verify "$rev^{commit}")" | tar -x -C "$work/base"
+
+run_side() {  # run_side SIDE SEED: last perfbench line -> $work/SIDE-SEED.json
+    local dir=.
+    [[ "$1" == base ]] && dir="$work/base"
+    (cd "$dir" && python3 perfbench/run.py --workload "$workload" \
+        --seed "$2" --seconds "$seconds" --trace 0) \
+        | tail -n 1 >"$work/$1-$2.json" || true
+}
+
+for ((seed = 1; seed <= pairs; seed++)); do
+    if ((seed % 2)); then
+        run_side base "$seed"
+        run_side change "$seed"
+    else
+        run_side change "$seed"
+        run_side base "$seed"
+    fi
+    echo "pair $seed done" >&2
+done
+
+python3 - "$work" "$pairs" "$rev" "$workload" <<'EOF'
+import json
+import statistics
+import sys
+
+work, pairs, rev, workload = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
+METRICS = ("wall_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
+SIDES = ("base", "change")
+
+
+def load(side, seed):
+    try:
+        with open(f"{work}/{side}-{seed}.json") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError):
+        return {"correct": False, "metrics": {}}
+
+
+runs = {(side, seed): load(side, seed)
+        for side in SIDES for seed in range(1, pairs + 1)}
+bad = [f"{side} seed {seed}" for (side, seed), run in sorted(runs.items())
+       if run.get("correct") is not True]
+
+
+def value(side, seed, metric):
+    entry = runs[side, seed]["metrics"].get(metric)
+    return None if entry is None else entry["value"]
+
+
+print(f"A/B {workload}: base = {rev}, change = working tree, {pairs} pairs")
+print(f"{'pair':<5} {'side':<7} " + " ".join(f"{m:>12}" for m in METRICS))
+for seed in range(1, pairs + 1):
+    for side in SIDES:
+        cells = [value(side, seed, m) for m in METRICS]
+        print(f"{seed:<5} {side:<7} " + " ".join(
+            f"{c:>12.4f}" if c is not None else f"{'-':>12}" for c in cells))
+print()
+print(f"{'metric':<12} {'base median [q1, q3]':>30} "
+      f"{'change median [q1, q3]':>30} {'wins':>8}")
+for metric in METRICS:
+    cols = []
+    for side in SIDES:
+        vals = [v for seed in range(1, pairs + 1)
+                if (v := value(side, seed, metric)) is not None]
+        if not vals:
+            cols.append(f"{'-':>30}")
+            continue
+        q1, _, q3 = (statistics.quantiles(vals, n=4) if len(vals) > 1
+                     else (vals[0],) * 3)
+        cols.append(f"{statistics.median(vals):>12.4f} "
+                    f"[{q1:.4f}, {q3:.4f}]".rjust(30))
+    wins = sum(
+        1 for seed in range(1, pairs + 1)
+        if None not in (b := value("base", seed, metric),
+                        c := value("change", seed, metric)) and c < b)
+    print(f"{metric:<12} {cols[0]} {cols[1]} {f'{wins}/{pairs}':>8}")
+if bad:
+    print("not correct: " + ", ".join(bad))
+    sys.exit(1)
+EOF

@@ -195,20 +195,21 @@ def sanitize(
     accumulate in the report.  Every cache level is observed.
 
     ``warmup(ctx)`` optionally prepares the secret-independent prefix
-    every run shares (DS registration, cache warming).  The factory and
-    warmup execute ONCE and each secret runs on a
-    :meth:`~repro.ct.context.MitigationContext.fork` of that warmed
-    template — identical start states by construction, and the warm-up
-    cost is paid once instead of once per secret.
+    every run shares (DS registration, cache warming).  Each secret
+    gets a fresh context from the factory with ``warmup`` run on it, so
+    the runs start from identical states; the observers attach after
+    the warm-up, which therefore stays out of the recorded events (its
+    cycles and set-profile counts are in every run alike).  Building
+    and warming per secret is cheaper than forking one warmed template
+    at the sizes checked here (EXPERIMENTS.md).
     """
     if len(secrets) < 2:
         raise ValueError("relational checking needs at least two secrets")
-    template = context_factory()
-    if warmup is not None:
-        warmup(template)
     observations: List[SecretObservation] = []
     for secret in secrets:
-        ctx = template.fork()
+        ctx = context_factory()
+        if warmup is not None:
+            warmup(ctx)
         machine = ctx.machine
         recorder = ObservableTraceRecorder()
         for name in DEFAULT_LEVELS:
@@ -277,13 +278,12 @@ def sanitize_program(
     closes).
 
     When every secret shares one initial array image (the common case:
-    the secret lives in an input register) the arrays are set up once
-    on the warmed template via :class:`~repro.lang.executor.WarmStart`
-    and each secret's run continues from a fork — the secret-
-    independent setup prefix is paid once and drops out of the
-    recorded observation window symmetrically, like :func:`sanitize`'s
-    ``warmup``.  With per-secret array images each secret's run forks
-    the template and then sets up its own arrays.
+    the secret lives in an input register) the arrays are set up by
+    :func:`sanitize`'s ``warmup`` on each secret's fresh context, via
+    :class:`~repro.lang.executor.WarmStart`, so the secret-independent
+    setup prefix drops out of the recorded observation window
+    symmetrically.  With per-secret array images each secret's run
+    sets up its own arrays inside the window.
     """
     from repro.experiments.config import build_context
     from repro.lang.executor import WarmStart
@@ -295,16 +295,18 @@ def sanitize_program(
     shared_image = all(image == images[0] for image in images[1:])
 
     if shared_image:
-        template: Dict[str, WarmStart] = {}
+        # The warm-up sets up the arrays of the context it is given; the
+        # run that follows on the same context resumes from it.
+        warmed: Dict[str, WarmStart] = {}
 
         def warm(ctx: MitigationContext) -> None:
-            template["t"] = WarmStart(
+            warmed["t"] = WarmStart(
                 program, ctx, images[0], mitigate=mitigate
             )
 
         def run_fn(ctx: MitigationContext, secret: object) -> object:
             inputs, _ = assignments[secret]
-            return template["t"].resume(ctx, inputs)
+            return warmed["t"].resume(ctx, inputs)
 
         return sanitize(
             lambda: build_context(scheme), run_fn, secrets=secrets, warmup=warm

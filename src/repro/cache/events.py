@@ -14,6 +14,14 @@ override what they care about.
 Every event is a state change.  A hit comes from a demand access, and
 every demand access updates the replacement order; CTLoad/CTStore
 probes are pure tag lookups and emit nothing.
+
+A listener that needs only the net effect of a run of hits (the BIA:
+existence and the end-of-run dirty bit) overrides
+:meth:`CacheListener.on_hit_run`.  While every listener on a bus
+does, the caches' run kernels keep their listener-free loops and hand
+each all-hit stretch to ``on_hit_run`` in one call, before the caller
+fills the line that ended it; fills, evictions, invalidations, dirty
+and clean transitions and scalar hits still go one event at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +37,18 @@ class CacheListener:
         dirty bit) and moved it in the replacement order.
 
         CT micro-op probes are pure lookups and emit no event (Sec. 3.2).
+        """
+
+    def on_hit_run(self, cache_name: str, line_addrs) -> None:
+        """A run kernel's demand accesses hit every line of
+        ``line_addrs``, in order, with no other event in between.
+
+        A listener class that overrides this method takes hit runs:
+        while every listener on the bus does, each run kernel's all-hit
+        stretch arrives as this one call in place of the run's
+        :meth:`on_hit` and :meth:`on_dirty` events.  A write or
+        read-modify-write run has already set each line's dirty bit,
+        so the cache holds each line's end-of-run state.
         """
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
@@ -47,18 +67,30 @@ class CacheListener:
         """``line_addr``'s dirty bit transitioned 1 -> 0 (write-back)."""
 
 
+def _per_event(listener: CacheListener) -> bool:
+    """Whether ``listener`` needs every hit as its own event: its class
+    keeps the default :meth:`CacheListener.on_hit_run`."""
+    return type(listener).on_hit_run is CacheListener.on_hit_run
+
+
 class EventBus:
     """Fan-out of cache events to listeners, tagged with the cache name.
 
     Hot-path design: the owning cache checks :attr:`has_listeners`
     before even *calling* an emit helper, so a listener-free cache
     (every ``insecure``/software-CT run) pays zero fan-out cost per
-    access.  Membership is tracked in a parallel ``set`` of listener
-    ids so subscribe/unsubscribe are O(1) while ``_listeners`` keeps
-    deterministic insertion order for fan-out.
+    access.  The run kernels gate on :attr:`per_event` instead: while
+    it is False they run their listener-free loops and deliver each
+    all-hit stretch with :meth:`hit_run`.  Membership is tracked in a
+    parallel ``set`` of listener ids so subscribe/unsubscribe are O(1)
+    while ``_listeners`` keeps deterministic insertion order for
+    fan-out.
     """
 
-    __slots__ = ("cache_name", "_listeners", "_member_ids", "has_listeners")
+    __slots__ = (
+        "cache_name", "_listeners", "_member_ids", "has_listeners",
+        "per_event",
+    )
 
     def __init__(self, cache_name: str) -> None:
         self.cache_name = cache_name
@@ -67,12 +99,18 @@ class EventBus:
         #: maintained on subscribe/unsubscribe; hot-path callers gate
         #: emission on this flag instead of probing the list each time.
         self.has_listeners = False
+        #: some listener keeps the default ``on_hit_run`` and so needs
+        #: every hit as its own event; maintained alongside
+        #: ``has_listeners``.
+        self.per_event = False
 
     def subscribe(self, listener: CacheListener) -> None:
         if id(listener) not in self._member_ids:
             self._member_ids.add(id(listener))
             self._listeners.append(listener)
             self.has_listeners = True
+            if _per_event(listener):
+                self.per_event = True
 
     def unsubscribe(self, listener: CacheListener) -> None:
         """Remove ``listener``; a never-subscribed listener is a no-op.
@@ -91,6 +129,7 @@ class EventBus:
                 del self._listeners[index]
                 break
         self.has_listeners = bool(self._listeners)
+        self.per_event = any(map(_per_event, self._listeners))
 
     # The emit helpers are hot-path: keep them branchless and tiny.
     # (Callers should gate on ``has_listeners``; the helpers stay
@@ -99,6 +138,11 @@ class EventBus:
     def hit(self, line_addr: int, dirty: bool) -> None:
         for listener in self._listeners:
             listener.on_hit(self.cache_name, line_addr, dirty)
+
+    def hit_run(self, line_addrs) -> None:
+        """One all-hit run; called only while :attr:`per_event` is False."""
+        for listener in self._listeners:
+            listener.on_hit_run(self.cache_name, line_addrs)
 
     def fill(self, line_addr: int, dirty: bool) -> None:
         for listener in self._listeners:

@@ -336,28 +336,36 @@ class SetAssociativeCache:
         ``i``; the caller fills, decrements ``counts[i]`` and resumes at
         ``i`` while accesses remain, so the rest of the run hits or
         misses again (a refused fill) exactly as the scalar loop would.
-        Runs emit no events: callers pass ``counts`` only when this
-        level has no listeners.
+        Callers pass ``counts`` only while no listener on this level
+        needs per-event delivery (:attr:`EventBus.per_event`).
 
-        Without ``counts``, the EventBus gate picks one of two loops per
-        call.  A listener-free level runs a loop that does only what a
-        hit changes: the way lookup, the replacement touch (inlined for
-        stock LRU) and the dirty bit.  Hits and misses move once per
-        call, and the per-set profile is charged once, from
-        ``set_indices[start:stop + 1]``.  That loop indexes
-        ``set_indices`` and computes them for the whole batch when they
-        are absent, so a batch owner that resumes after misses passes
-        them and each call costs O(run), not O(start).  With listeners,
-        each element records its set access, touches its way and emits
-        its hit (and dirty) event in the scalar order.
+        Without ``counts``, that gate picks one of two loops per call.
+        The listener-free loop does only what a hit changes: the way
+        lookup, the replacement touch (inlined for stock LRU) and the
+        dirty bit.  Hits and misses move once per call, and the per-set
+        profile is charged once, from ``set_indices[start:stop + 1]``.
+        That loop indexes ``set_indices`` and computes them for the
+        whole batch when they are absent, so a batch owner that resumes
+        after misses passes them and each call costs O(run), not
+        O(start).  With a per-event listener, each element records its
+        set access, touches its way and emits its hit (and dirty) event
+        in the scalar order.
 
-        Reading the gate once per call is observationally safe: with no
-        listeners at call start none can appear mid-call (the simulator
-        is single-threaded and a gated-off loop runs no callbacks that
-        could subscribe); with listeners present the emit helpers
-        iterate the *live* listener list per event, so a mid-batch
-        unsubscribe from inside a callback behaves exactly as in the
-        scalar path.
+        The ``counts`` loop and the listener-free loop end by handing
+        ``line_addrs[start:stop]`` to the level's hit-run listeners (the
+        BIA) in one :meth:`EventBus.hit_run` call, before returning and
+        so before the caller fills the missing line.  That equals the
+        run's per-event hits and dirty transitions: a hit run changes
+        no residency, so each line ends the run resident with its
+        end-of-run dirty bit, and only a CT op, never a hit, allocates
+        or evicts a BIA entry.
+
+        Reading the gate once per call is observationally safe: no
+        per-event listener can appear mid-call (the simulator is
+        single-threaded, and a hit-run delivery comes after the loop);
+        with per-event listeners present the emit helpers iterate the
+        *live* listener list per event, so a mid-batch unsubscribe from
+        inside a callback behaves exactly as in the scalar path.
         """
         sets = self._sets
         shift = self._line_shift
@@ -380,8 +388,7 @@ class SetAssociativeCache:
                 if way is None:
                     set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
                     stats.misses += 1
-                    stats.hits += hits
-                    return i
+                    break
                 c = counts[i]
                 set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
                 hits += c
@@ -390,8 +397,10 @@ class SetAssociativeCache:
                     cset.ways[way].dirty = True
                 i += 1
             stats.hits += hits
-            return n
-        if not events.has_listeners:
+            if events.has_listeners and i > start:
+                events.hit_run(line_addrs[start:i])
+            return i
+        if not events.per_event:
             if set_indices is None:
                 set_indices = self.set_indices(line_addrs)
             lru = self._lru
@@ -415,6 +424,8 @@ class SetAssociativeCache:
             if i < n:
                 stats.misses += 1
             stats.record_set_accesses(set_indices[start:i + 1])
+            if events.has_listeners and i > start:
+                events.hit_run(line_addrs[start:i])
             return i
         while i < n:
             line_addr = line_addrs[i]
@@ -459,12 +470,12 @@ class SetAssociativeCache:
         missing element (both phases, where a fill can be refused) and
         resumes after it.
 
-        Shares :meth:`access_lines`'s two loops and their gate, and
-        skips the second tag lookup per pair — the load hit already
-        pinned down the way.  The listener-free loop charges a pair's
-        two touches at once (``touch_n(way, 2)``, inlined for stock
-        LRU) and profiles two accesses per completed pair plus one for
-        the missing load.
+        Shares :meth:`access_lines`'s two loops, their gate and the
+        hit-run delivery, and skips the second tag lookup per pair —
+        the load hit already pinned down the way.  The listener-free
+        loop charges a pair's two touches at once (``touch_n(way, 2)``,
+        inlined for stock LRU) and profiles two accesses per completed
+        pair plus one for the missing load.
         """
         sets = self._sets
         shift = self._line_shift
@@ -475,7 +486,7 @@ class SetAssociativeCache:
         hits = 0
         i = start
         n = len(line_addrs)
-        if not events.has_listeners:
+        if not events.per_event:
             if set_indices is None:
                 set_indices = self.set_indices(line_addrs)
             lru = self._lru
@@ -499,6 +510,8 @@ class SetAssociativeCache:
                 stats.misses += 1
             pairs = set_indices[start:i]
             stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
+            if events.has_listeners and i > start:
+                events.hit_run(line_addrs[start:i])
             return i
         while i < n:
             line_addr = line_addrs[i]

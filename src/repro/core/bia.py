@@ -10,7 +10,11 @@ page: *existence* (line valid in the monitored cache) and *dirtiness*
   safe because the algorithms treat a zero bit as "must fetch"), and
 * passively monitors the cache it is attached to via the cache's event
   bus: hits and fills set existence bits, evictions/invalidations clear
-  both bits, dirty-bit transitions update dirtiness.
+  both bits, dirty-bit transitions update dirtiness.  The BIA takes
+  hit runs: a run kernel's all-hit stretch arrives as one
+  :meth:`BIA.on_hit_run` call, which sets each line's existence bit
+  and copies its end-of-run dirty bit, the net effect of the run's hit
+  and dirty events.
 
 Monitor updates only touch *already-allocated* entries, and CT-op
 probes never feed back into the bitmaps.  Both restrictions preserve
@@ -107,6 +111,12 @@ class _BIASet:
 class BIA(CacheListener):
     """The bitmap table, attached to one cache level.
 
+    It takes hit runs: a run kernel's all-hit stretch changes no
+    residency and cannot allocate or evict an entry (only CT ops do),
+    so applying the stretch's net effect once, before the fill that
+    ends it, leaves the same table as one :meth:`on_hit` and
+    :meth:`on_dirty` per access.
+
     Parameters
     ----------
     entries / assoc:
@@ -154,6 +164,8 @@ class BIA(CacheListener):
         self.stats = BIAStats()
         self._monitored: Optional[str] = None
         self._monitored_bus = None
+        #: the monitored cache's tag lookup (end-of-run dirty bits)
+        self._monitored_lookup = None
         self._subscribed = False
         #: number of live table entries.  Monitor updates only ever
         #: touch already-allocated entries, so while the table is empty
@@ -180,6 +192,7 @@ class BIA(CacheListener):
         """
         self._monitored = cache.name
         self._monitored_bus = cache.events
+        self._monitored_lookup = cache.lookup
         self._sync_subscription()
 
     def _sync_subscription(self) -> None:
@@ -271,6 +284,35 @@ class BIA(CacheListener):
             entry.set_dirty(bit)
         else:
             entry.clear_dirty(bit)
+
+    def on_hit_run(self, cache_name: str, line_addrs) -> None:
+        """Net effect of one all-hit run: every line whose group has an
+        entry gets its existence bit, and its dirtiness bit becomes the
+        line's dirty bit at the end of the run."""
+        if not self._live_entries or cache_name != self._monitored:
+            return
+        lookup = self._monitored_lookup
+        group_bits = self.group_bits
+        sets = self._sets
+        num_sets = self.num_sets
+        in_group = self._line_in_group_mask
+        line_bits = params.LINE_BITS
+        group = entry = None
+        for line_addr in line_addrs:
+            group_idx = line_addr >> group_bits
+            if group_idx != group:
+                group = group_idx
+                bset = sets[group_idx % num_sets]
+                way = bset.by_page.get(group_idx)
+                entry = None if way is None else bset.ways[way]
+            if entry is None:
+                continue
+            bit = 1 << ((line_addr >> line_bits) & in_group)
+            entry.existence |= bit
+            if lookup(line_addr).dirty:
+                entry.dirtiness |= bit
+            else:
+                entry.dirtiness &= ~bit
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
         if not self._live_entries:

@@ -496,8 +496,8 @@ class Machine:
         with the loads' exactly as in the scalar path; the all-hit runs
         go through the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
-        A listener-free batch computes its set indices once, so each
-        resume of that kernel costs O(run).
+        A batch with no per-event listener computes its set indices
+        once, so each resume of that kernel costs O(run).
 
         In the targeted form, ``target_idx`` must lie in ``[-1, n)``
         and a ``target_idx >= 0`` needs a ``target_fn``; anything else
@@ -544,7 +544,7 @@ class Machine:
         first_access = first.access
         first_set_dirty = first.set_dirty
         first_events = first.events
-        if set_indices is None and not first_events.has_listeners:
+        if set_indices is None and not first_events.per_event:
             set_indices = first.set_indices(lines)
         miss_fill = hier.read_miss_fill
         first_lat = first.latency

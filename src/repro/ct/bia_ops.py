@@ -211,8 +211,11 @@ class BIAContext(MitigationContext):
 
         Returns ``{key: word}`` for captured addresses: keys are the
         exact addresses in ``capture`` and/or the line base addresses
-        in ``capture_lines`` (gather batching).
+        in ``capture_lines`` (gather batching).  An empty fetch set
+        issues no access and no instruction, so it returns at once.
         """
+        if not tofetch:
+            return {}
         machine = self.machine
         fetchset = view.generate_addrs(group, orig_addr, tofetch)
         use_dram = (

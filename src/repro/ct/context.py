@@ -64,11 +64,12 @@ class MitigationContext:
     def fork(self) -> "MitigationContext":
         """A clone of this context on a forked machine.
 
-        The warm-start primitive behind the fork-based sanitizer and
-        the experiment engine's snapshot reuse: register and warm the
-        DSs once, then fork per run instead of rebuild + replay.  The
-        clone's machine continues from this machine's exact simulated
-        state (:meth:`repro.core.machine.Machine.fork`); DS handles are
+        The warm-start primitive behind
+        :meth:`repro.lang.executor.WarmStart.run` (the repair driver's
+        overhead triple): register and warm the DSs once, then fork per
+        run instead of rebuild + replay.  The clone's machine continues
+        from this machine's exact simulated state
+        (:meth:`repro.core.machine.Machine.fork`); DS handles are
         shared — they are immutable address sets whose decomposition
         caches are geometry-keyed, hence fork-safe.  Subclasses holding
         machine-derived references override this to re-bind them.

@@ -274,10 +274,9 @@ class WarmStart:
     hierarchy, and for the short programs the analysis pipeline
     executes it dominates the run.  When several runs share one
     initial array image (the repair driver's native/repaired/manual
-    overhead triple, the sanitizer's two sides of a relational pair),
-    the stores — and the simulated state and statistics they produce —
-    are identical, so they execute once on this template's machine and
-    each run continues from a
+    overhead triple), the stores — and the simulated state and
+    statistics they produce — are identical, so they execute once on
+    this template's machine and each run continues from a
     :meth:`~repro.ct.context.MitigationContext.fork`.  Forking
     preserves the machine's exact state *and counters*, so cycle
     counts, digests and outputs are bit-identical to rebuilding and
@@ -312,7 +311,8 @@ class WarmStart:
         program: Optional[ir.Program] = None,
         mitigate: Optional[bool] = None,
     ) -> Dict[str, object]:
-        """Execute on ``ctx`` (a fork of the template's context)."""
+        """Execute on ``ctx``: the template's own context (the
+        sanitizer's warm-up, one template per secret) or a fork of it."""
         program = program or self.program
         if program.arrays != self.program.arrays:
             raise ProtocolError(

@@ -34,6 +34,22 @@ class TestHasListenersFlag:
         bus.unsubscribe(b)  # double-unsubscribe stays consistent
         assert not bus.has_listeners
 
+    def test_per_event_follows_the_listener_class(self):
+        class HitRuns(CacheListener):
+            def on_hit_run(self, cache_name, line_addrs):
+                pass
+
+        bus = EventBus("L1D")
+        runs, plain = HitRuns(), CacheListener()
+        bus.subscribe(runs)
+        assert bus.has_listeners and not bus.per_event
+        bus.subscribe(plain)
+        assert bus.per_event
+        bus.unsubscribe(plain)
+        assert not bus.per_event
+        bus.unsubscribe(runs)
+        assert not bus.has_listeners and not bus.per_event
+
     def test_mid_run_subscribe_sees_only_later_events(self):
         m = Machine(MachineConfig())
         base = m.allocator.alloc(8 * 1024, "a")

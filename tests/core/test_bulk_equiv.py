@@ -28,7 +28,10 @@ direct start-level probe, the hierarchy walked only on a miss) against
 a full ``read_line``/``write_line`` walk per access, and
 ``test_listener_free_run_kernels_match_scalar_access`` pins the cache
 level's run kernels, on a level without listeners, against one
-``access`` per read or write under every policy.
+``access`` per read or write under every policy.  ``TestBatchedMonitor``
+pins the BIA's hit-run delivery against its per-event delivery, and
+``TestFetchPass`` the BIA context's batched fetch pass against the
+scalar fetch loop of Algorithms 2 and 3.
 
 The address sequences walk consecutive words and repeat addresses, so
 the run-length kernels get real same-line runs: a listener-free
@@ -801,6 +804,190 @@ class TestBIAGather:
             )
             assert _bia_state(ma) == _bia_state(mb)
         _assert_observably_equal(ma, mb, None, None, base, "bia gather")
+
+
+#: Pages of the DS the BIA ops below work on; plain traffic spans all
+#: ``CT_PAGES``.  Six groups fit the 8-entry BIA at page granularity,
+#: and at M = 9 (48 groups) they make it allocate and evict.
+DS_PAGES = 6
+
+#: Plain batches, scalar accesses and BIA ops over the ``_ct_twins``
+#: pages: repeated words, consecutive words and lines, lines 8 KiB
+#: apart (one L1d set), one word per page.
+monitor_ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "load_words", "store_words", "rmw_words", "load", "store",
+            "bia_load", "bia_store", "bia_gather",
+        ]),
+        st.integers(0, CT_PAGES * 1024 - 1),
+        st.integers(1, 40),
+        st.sampled_from([0, 1, 16, 2048, 1024, 4100]),
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def _monitor_op(ctx, ds, base, op, start, length, stride):
+    """One ``monitor_ops`` op on ``ctx``'s machine; returns its result."""
+    m = ctx.machine
+    words = CT_PAGES * 1024
+    if op.startswith("bia"):
+        words = DS_PAGES * 1024  # DS members only
+    addrs = [base + 4 * ((start + stride * j) % words) for j in range(length)]
+    values = [(start + 7 * j) & 0xFFFF for j in range(length)]
+    if op == "load_words":
+        return m.load_words(addrs)
+    if op == "store_words":
+        return m.store_words(addrs, values)
+    if op == "rmw_words":
+        return m.rmw_words(addrs, update_fn=lambda i, v: v + i + 1)
+    if op == "load":
+        return [m.load_word(a) for a in addrs[:4]]
+    if op == "store":
+        return [m.store_word(a, v) for a, v in zip(addrs[:4], values)]
+    if op == "bia_load":
+        return ctx.load(ds, addrs[0])
+    if op == "bia_store":
+        return ctx.store(ds, addrs[0], values[0])
+    return ctx.gather(ds, addrs)
+
+
+def _image(m, base):
+    """The memory image of the ``_ct_twins`` pages."""
+    return m.memory.read(base, CT_PAGES * 4096)
+
+
+def _bia_twins(kind, context_classes, fetch_threshold=None):
+    """``_ct_twins`` machines with one BIA context each over a
+    ``DS_PAGES`` DS: ``[(ctx, ds), (ctx, ds)], base``."""
+    machines, base = _ct_twins(kind)
+    sides = []
+    for m, cls in zip(machines, context_classes):
+        ctx = cls(m, fetch_threshold=fetch_threshold)
+        sides.append((ctx, ctx.register_ds(base, DS_PAGES * 4096, "pages")))
+    return sides, base
+
+
+class _EveryEvent(CacheListener):
+    """A no-op listener that keeps the default ``on_hit_run``:
+    subscribed to a level, it keeps that level's run kernels on their
+    per-event loops."""
+
+
+class TestBatchedMonitor:
+    """The BIA's hit-run delivery leaves the same table as one
+    ``on_hit`` (and ``on_dirty``) per access: twin machines, one with a
+    per-event listener on the BIA's level, driven through the same
+    plain, scalar and BIA ops."""
+
+    @given(kind=st.sampled_from(["L1D", "L2", "LLC-M9"]), ops=monitor_ops)
+    # Always run: eight dirty lines of one L1d set, which the BIA load's
+    # fetch pass then hits as a read run (their dirtiness bits must
+    # follow), hit again as one run, then a miss in that set whose fill
+    # evicts the run's first line.  The run reaches the BIA before the
+    # fill, so the eviction clears the bit the run set; delivered after
+    # it, the bit would claim an absent line.
+    @example(kind="L1D", ops=[
+        ("store_words", 0, 8, 2048), ("bia_load", 0, 1, 0),
+        ("load_words", 0, 9, 2048),
+    ])
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_event_monitor(self, kind, ops):
+        from repro.ct.bia_ops import BIAContext
+
+        ((ctx_a, ds_a), (ctx_b, ds_b)), base = _bia_twins(
+            kind, (BIAContext, BIAContext))
+        ma, mb = ctx_a.machine, ctx_b.machine
+        level_a = ma.hierarchy.level(ma.config.bia_level)
+        level_b = mb.hierarchy.level(mb.config.bia_level)
+        level_b.events.subscribe(_EveryEvent())
+        for op in ops:
+            got = _monitor_op(ctx_a, ds_a, base, *op)
+            assert got == _monitor_op(ctx_b, ds_b, base, *op), op
+            assert _bia_state(ma) == _bia_state(mb), op
+            assert ma.bia.check_subset_of(level_a), op
+            assert _image(ma, base) == _image(mb, base), op
+        # the BIA, live or not, never sends its level to per-event loops
+        assert not level_a.events.per_event and level_b.events.per_event
+        assert level_a.events.has_listeners == (ma.bia._live_entries > 0)
+        _assert_observably_equal(ma, mb, None, None, base, "bia monitor")
+
+
+def reference_fetch_pass(ctx, view, group, orig_addr, tofetch, capture=None,
+                         capture_lines=None, store_value=None,
+                         store_addr=None):
+    """Alg. 2/3's fetch loop as written: per fetched address one
+    ``execute(bia_fetch_elem_insts)`` and one ``load_word`` at the BIA's
+    level (the DRAM-bypass load at or above the fetch threshold),
+    capturing the fetched word, and for stores one ``store_word`` of it,
+    or of the new value at the true target address (line 14)."""
+    m = ctx.machine
+    fetchset = view.generate_addrs(group, orig_addr, tofetch)
+    use_dram = (ctx.fetch_threshold is not None
+                and len(fetchset) >= ctx.fetch_threshold)
+    start = m.ds_start_level
+    out = {}
+    for address in fetchset:
+        m.execute(m.costs.bia_fetch_elem_insts)
+        if use_dram:
+            tmpdata = m.load_word_uncached(address)
+        else:
+            tmpdata = m.load_word(address, start)
+        if capture is not None and address in capture:
+            out[address] = tmpdata
+        if capture_lines is not None and address & ~63 in capture_lines:
+            out[address & ~63] = tmpdata
+        if store_value is not None:
+            if address == store_addr:
+                tmpdata = store_value
+            if use_dram:
+                m.store_word_uncached(address, tmpdata)
+            else:
+                m.store_word(address, tmpdata, start)
+    return out
+
+
+class TestFetchPass:
+    """``BIAContext``'s batched fetch pass == the scalar fetch loop, for
+    Alg. 2 loads, Alg. 3 stores and gathers, with the Sec. 6.5 fetch
+    threshold off and on."""
+
+    @given(kind=st.sampled_from(["L1D", "L2", "LLC-M9"]),
+           threshold=st.sampled_from([None, 1, 8, 40]), ops=monitor_ops)
+    # Always run, on the L1d BIA: the BIA load fetches all six pages,
+    # and eight lines 8 KiB apart then evict line 0 of pages 0, 2 and
+    # 4.  The next BIA load has one-line fetch sets and captures its
+    # word from one; the BIA store's fetch pass writes its target.
+    @example(kind="L1D", threshold=None, ops=[
+        ("bia_load", 0, 1, 0), ("load_words", 6144, 8, 2048),
+        ("bia_load", 1, 1, 0), ("bia_store", 9, 1, 0),
+    ])
+    # Lines 0 and 1 of pages 0, 2 and 4 evicted: the gather captures
+    # two fetched lines of one group.
+    @example(kind="L1D", threshold=None, ops=[
+        ("bia_load", 0, 1, 0), ("load_words", 6144, 8, 2048),
+        ("load_words", 6160, 8, 2048), ("bia_gather", 0, 2, 16),
+    ])
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_fetch_loop(self, kind, threshold, ops):
+        from repro.ct.bia_ops import BIAContext
+
+        class ScalarFetchContext(BIAContext):
+            def _fetch_pass(self, *args, **kwargs):
+                return reference_fetch_pass(self, *args, **kwargs)
+
+        ((ctx_a, ds_a), (ctx_b, ds_b)), base = _bia_twins(
+            kind, (BIAContext, ScalarFetchContext), threshold)
+        ma, mb = ctx_a.machine, ctx_b.machine
+        for op in ops:
+            got = _monitor_op(ctx_a, ds_a, base, *op)
+            assert got == _monitor_op(ctx_b, ds_b, base, *op), op
+            assert _bia_state(ma) == _bia_state(mb), op
+            assert ma.snapshot() == mb.snapshot(), op
+            assert _image(ma, base) == _image(mb, base), op
+        _assert_observably_equal(ma, mb, None, None, base, "fetch pass")
 
 
 class TestCTSweepOps:

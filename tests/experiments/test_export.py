@@ -1,15 +1,31 @@
 """JSON export of the full experiment set."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments.export import collect, export_json
 
+#: SHA-256 of the quick export (``json.dumps(..., sort_keys=True,
+#: default=repr)``).  A simulator speed-up must leave it unchanged; it
+#: covers what the benchmark's per-run digests do not, such as Fig. 10's
+#: per-set profiles.  A change that moves figure data on purpose
+#: updates this value and says so in CHANGES.md.
+QUICK_DATA_SHA256 = (
+    "97d617137e4a705c8a6091c3ae35ed6e359b64a99a9ea0603d0706a48ac10fa0"
+)
+
 
 @pytest.fixture(scope="module")
 def quick_data():
     return collect(quick=True)
+
+
+def test_quick_data_matches_pinned_digest(quick_data):
+    blob = json.dumps(quick_data, sort_keys=True, default=repr)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        QUICK_DATA_SHA256)
 
 
 class TestCollect:
