@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The one-command CI gate: everything a PR must pass, in the order
 # that fails fastest.
-#   1. style lint (ruff, when installed; config in pyproject.toml)
+#   1. style lint (ruff, when installed; config in pyproject.toml);
+#      without ruff, scripts/check_imports.py, an offline check for
+#      imported names a module never uses (ruff's F401)
 #   2. tier-1 test suite (pytest tests/ — includes the engine's
 #      failure-rule tests and the crash-and-re-run store tests)
 #   3. the domain lint: `python -m repro ctcheck --all --json` — the
@@ -66,7 +68,8 @@ if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
     ruff check src tests benchmarks examples
 else
-    echo "== ruff not installed; skipping style lint"
+    echo "== ruff not installed; unused-import check (scripts/check_imports.py)"
+    python scripts/check_imports.py src tests benchmarks examples
 fi
 
 echo "== tier-1 tests (pytest tests/)"

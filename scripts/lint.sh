@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One entry point for both lints:
 #   * the repo's own style lint (ruff, when installed — config lives in
-#     pyproject.toml [tool.ruff]); skipped gracefully offline;
+#     pyproject.toml [tool.ruff]); without ruff, the offline
+#     unused-import check scripts/check_imports.py (ruff's F401);
 #   * the domain lint: `python -m repro ctcheck --all`, the
 #     constant-time checker over every built-in IR program and every
 #     workload's registered dataflow linearization sets (exits 1 on
@@ -21,7 +22,8 @@ if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
     ruff check src tests benchmarks examples
 else
-    echo "== ruff not installed; skipping style lint"
+    echo "== ruff not installed; unused-import check (scripts/check_imports.py)"
+    python scripts/check_imports.py src tests benchmarks examples
 fi
 
 echo "== python -m repro ctcheck --all"

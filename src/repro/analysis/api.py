@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.ctlint import Finding, lint, max_severity
-from repro.analysis.facts import ProgramFacts, program_facts
+# ``program_facts`` is re-exported: the engine and perfbench reach it
+# as ``api.program_facts``.
+from repro.analysis.facts import ProgramFacts, program_facts  # noqa: F401
 from repro.ct.context import MitigationContext
 from repro.ct.ds import DataflowLinearizationSet
 from repro.lang import ir
@@ -132,11 +134,6 @@ class DSAuditContext(MitigationContext):
     ) -> None:
         self._check(ds, addr)
         self.machine.store_word(addr, value)
-
-    def gather(
-        self, ds: DataflowLinearizationSet, addrs: Sequence[int]
-    ) -> List[int]:
-        return [self.load(ds, a) for a in addrs]
 
 
 #: Per-workload audit sizes: small enough for a fast unmitigated run,

@@ -29,7 +29,7 @@ never an artifact of the search strategy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.symrel import expr

@@ -18,10 +18,15 @@ probes are pure tag lookups and emit nothing.
 A listener that needs only the net effect of a run of hits (the BIA:
 existence and the end-of-run dirty bit) overrides
 :meth:`CacheListener.on_hit_run`.  While every listener on a bus
-does, the caches' run kernels keep their listener-free loops and hand
-each all-hit stretch to ``on_hit_run`` in one call, before the caller
-fills the line that ended it; fills, evictions, invalidations, dirty
-and clean transitions and scalar hits still go one event at a time.
+does, the caches' run kernels serve that level and hand each all-hit
+stretch to ``on_hit_run`` in one call, before the caller fills the
+line that ended it; fills, evictions, invalidations, dirty and clean
+transitions and scalar hits still go one event at a time.  A listener
+that keeps the default ``on_hit_run`` (the sanitizer's trace
+recorder, the attack observers, the inclusive-LLC back-invalidator)
+needs every hit as its own event: a batch that starts at its level
+takes the machine's scalar ``access`` loop, and the run kernels
+refuse that level.
 """
 
 from __future__ import annotations
@@ -44,11 +49,14 @@ class CacheListener:
         ``line_addrs``, in order, with no other event in between.
 
         A listener class that overrides this method takes hit runs:
-        while every listener on the bus does, each run kernel's all-hit
-        stretch arrives as this one call in place of the run's
-        :meth:`on_hit` and :meth:`on_dirty` events.  A write or
-        read-modify-write run has already set each line's dirty bit,
-        so the cache holds each line's end-of-run state.
+        while every listener on the bus does, batches at that level
+        run on the run kernels, and each all-hit stretch arrives as
+        this one call in place of the run's :meth:`on_hit` and
+        :meth:`on_dirty` events.  A write or read-modify-write run has
+        already set each line's dirty bit, so the cache holds each
+        line's end-of-run state.  A class that keeps this default
+        receives every hit as an :meth:`on_hit` call: batches starting
+        at its level take the scalar loop.
         """
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
@@ -79,9 +87,11 @@ class EventBus:
     Hot-path design: the owning cache checks :attr:`has_listeners`
     before even *calling* an emit helper, so a listener-free cache
     (every ``insecure``/software-CT run) pays zero fan-out cost per
-    access.  The run kernels gate on :attr:`per_event` instead: while
-    it is False they run their listener-free loops and deliver each
-    all-hit stretch with :meth:`hit_run`.  Membership is tracked in a
+    access.  :attr:`per_event` decides where a batch runs: while it is
+    False the run kernels serve the level and deliver each all-hit
+    stretch with :meth:`hit_run`; while it is True the machine sends
+    batches that start at the level to its scalar loop, and the run
+    kernels refuse the level.  Membership is tracked in a
     parallel ``set`` of listener ids so subscribe/unsubscribe are O(1)
     while ``_listeners`` keeps deterministic insertion order for
     fan-out.
@@ -100,8 +110,8 @@ class EventBus:
         #: emission on this flag instead of probing the list each time.
         self.has_listeners = False
         #: some listener keeps the default ``on_hit_run`` and so needs
-        #: every hit as its own event; maintained alongside
-        #: ``has_listeners``.
+        #: every hit as its own event (batches at this level take the
+        #: scalar loop); maintained alongside ``has_listeners``.
         self.per_event = False
 
     def subscribe(self, listener: CacheListener) -> None:

@@ -182,16 +182,18 @@ class CacheHierarchy:
         Observationally identical to the scalar loop: hit runs are
         processed inside the start level's ``access_lines`` (locals
         bound once per run), and each miss falls back to the exact
-        scalar miss walk before the batch resumes.  A batch with no
-        per-event listener computes its set indices once (unless the
-        caller supplied them), so each resume of the kernel costs
-        O(run).
+        scalar miss walk before the batch resumes.  The batch computes
+        its set indices once (unless the caller supplied them), so each
+        resume of the kernel costs O(run).  A start level with a
+        per-event listener refuses the batch
+        (:meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines`);
+        listeners below it see the miss walk's scalar events.
         """
         first = self.levels[start_level]
         n = len(line_addrs)
         latency = n * first.latency
         access_lines = first.access_lines
-        if set_indices is None and not first.events.per_event:
+        if set_indices is None:
             set_indices = first.set_indices(line_addrs)
         i = access_lines(line_addrs, 0, set_indices)
         while i < n:
@@ -203,19 +205,14 @@ class CacheHierarchy:
         """Batched :meth:`write_line` at the L1d, where every store
         batch starts; returns the summed latency.
 
-        While no listener on the L1d needs per-event delivery
-        (:attr:`EventBus.per_event`), consecutive writes to one line (a
-        same-line run: 16 per line for an array of 4-byte words) go to
-        ``access_lines`` as one run head and its count, so a resident
-        run costs one lookup; a hit-run listener such as an L1d BIA
-        gets each all-hit stretch of run heads in one call, before the
-        fill that ends it.  The gate is read once per batch: nothing a
-        store batch runs can subscribe a listener (the BIA subscribes
-        only when a CT op allocates an entry, and takes hit runs).  A
-        batch without runs computes its set indices once, so each
-        resume of the kernel costs O(run).  With a per-event listener
-        present, every write is its own element and emits its own
-        events.
+        Consecutive writes to one line (a same-line run: 16 per line
+        for an array of 4-byte words) go to ``access_lines`` as one run
+        head and its count, so a resident run costs one lookup; a
+        hit-run listener such as an L1d BIA gets each all-hit stretch
+        of run heads in one call, before the fill that ends it.  The
+        run heads' set indices are computed once, so each resume of the
+        kernel costs O(run).  An L1d with a per-event listener refuses
+        the batch, as in :meth:`read_lines`.
         """
         first = self.levels[0]
         n = len(line_addrs)
@@ -223,20 +220,17 @@ class CacheHierarchy:
         access_lines = first.access_lines
         set_dirty = first.set_dirty
         counts = None
-        set_indices = None
-        if not first.events.per_event:
-            if n > 1:
-                heads = [0]
-                heads += compress(
-                    range(1, n),
-                    map(ne, line_addrs, islice(line_addrs, 1, None)),
-                )
-                if len(heads) < n:
-                    counts = list(map(sub, heads[1:] + [n], heads))
-                    line_addrs = [line_addrs[h] for h in heads]
-                    n = len(heads)
-            if counts is None:
-                set_indices = first.set_indices(line_addrs)
+        if n > 1:
+            heads = [0]
+            heads += compress(
+                range(1, n),
+                map(ne, line_addrs, islice(line_addrs, 1, None)),
+            )
+            if len(heads) < n:
+                counts = list(map(sub, heads[1:] + [n], heads))
+                line_addrs = [line_addrs[h] for h in heads]
+                n = len(heads)
+        set_indices = first.set_indices(line_addrs)
         i = access_lines(line_addrs, 0, set_indices, True, counts)
         while i < n:
             line_addr = line_addrs[i]

@@ -127,10 +127,10 @@ class ReplacementPolicy:
 class LRUPolicy(ReplacementPolicy):
     """Least-recently-used: evict the way touched longest ago.
 
-    The listener-free loops of ``SetAssociativeCache.access_lines`` and
-    ``rmw_lines`` inline :meth:`touch_n` on ``_stamp``/``_last_use``, so
-    a change to this layout must change them too;
-    ``test_listener_free_run_kernels_match_scalar_access`` in
+    The loops of ``SetAssociativeCache.access_lines`` (without
+    ``counts``) and ``rmw_lines`` inline :meth:`touch_n` on
+    ``_stamp``/``_last_use``, so a change to this layout must change
+    them too; ``test_listener_free_run_kernels_match_scalar_access`` in
     tests/core/test_bulk_equiv.py pins them against this class.
     """
 

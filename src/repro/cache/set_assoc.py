@@ -30,7 +30,7 @@ from repro import params
 from repro.cache.events import EventBus
 from repro.cache.line import CacheLine
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy, policy_factory
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 
 
 @dataclass(slots=True)
@@ -103,6 +103,12 @@ class CacheStats:
         self.dirty_evictions = other.dirty_evictions
         self.invalidations = other.invalidations
         self.set_accesses = dict(other.set_accesses)
+
+
+_PER_EVENT = (
+    "{}: {} is a listener-free run kernel, but a listener on this level "
+    "needs every hit as its own event; take the scalar access loop"
+)
 
 
 class _CacheSet:
@@ -322,11 +328,13 @@ class SetAssociativeCache:
         ``read_lines``/``write_lines``) handles the fill for the missing
         element and resumes the batch after it.
 
-        ``set_indices`` optionally supplies precomputed set indices
-        aligned with ``line_addrs`` (per-DS decomposition caches, or
-        :meth:`set_indices` once per batch).  ``mark_dirty`` applies the
-        write path's dirty transition to each hit, emitting the same
-        hit-then-dirty event order as ``access`` + ``set_dirty``.
+        ``set_indices`` supplies the set indices aligned with
+        ``line_addrs`` (per-DS decomposition caches, or
+        :meth:`set_indices` once per batch); without them the call
+        computes them for the whole batch, so a batch owner that resumes
+        after misses passes them and each call costs O(run), not
+        O(start).  ``mark_dirty`` applies the write path's dirty
+        transition to each hit.
 
         ``counts`` makes element ``i`` stand for ``counts[i]`` accesses
         in a row to ``line_addrs[i]`` (a same-line run).  A hit charges
@@ -336,55 +344,41 @@ class SetAssociativeCache:
         ``i``; the caller fills, decrements ``counts[i]`` and resumes at
         ``i`` while accesses remain, so the rest of the run hits or
         misses again (a refused fill) exactly as the scalar loop would.
-        Callers pass ``counts`` only while no listener on this level
-        needs per-event delivery (:attr:`EventBus.per_event`).
 
-        Without ``counts``, that gate picks one of two loops per call.
-        The listener-free loop does only what a hit changes: the way
-        lookup, the replacement touch (inlined for stock LRU) and the
-        dirty bit.  Hits and misses move once per call, and the per-set
-        profile is charged once, from ``set_indices[start:stop + 1]``.
-        That loop indexes ``set_indices`` and computes them for the
-        whole batch when they are absent, so a batch owner that resumes
-        after misses passes them and each call costs O(run), not
-        O(start).  With a per-event listener, each element records its
-        set access, touches its way and emits its hit (and dirty) event
-        in the scalar order.
+        Each loop does only what a hit changes: the way lookup, the
+        replacement touch (inlined for stock LRU without ``counts``)
+        and the dirty bit.  Hits and misses move once per call, and
+        without ``counts`` the per-set profile is charged once, from
+        ``set_indices[start:stop + 1]``.  Both loops end by handing
+        ``line_addrs[start:stop]`` to the level's hit-run listeners
+        (the BIA) in one :meth:`EventBus.hit_run` call, before
+        returning and so before the caller fills the missing line.
+        That equals the run's per-event hits and dirty transitions: a
+        hit run changes no residency, so each line ends the run
+        resident with its end-of-run dirty bit, and only a CT op, never
+        a hit, allocates or evicts a BIA entry.
 
-        The ``counts`` loop and the listener-free loop end by handing
-        ``line_addrs[start:stop]`` to the level's hit-run listeners (the
-        BIA) in one :meth:`EventBus.hit_run` call, before returning and
-        so before the caller fills the missing line.  That equals the
-        run's per-event hits and dirty transitions: a hit run changes
-        no residency, so each line ends the run resident with its
-        end-of-run dirty bit, and only a CT op, never a hit, allocates
-        or evicts a BIA entry.
-
-        Reading the gate once per call is observationally safe: no
-        per-event listener can appear mid-call (the simulator is
-        single-threaded, and a hit-run delivery comes after the loop);
-        with per-event listeners present the emit helpers iterate the
-        *live* listener list per event, so a mid-batch unsubscribe from
-        inside a callback behaves exactly as in the scalar path.
+        A level with a per-event listener (:attr:`EventBus.per_event`)
+        raises :class:`ProtocolError` before any access: its batches
+        take the scalar ``access`` loop (``Machine.load_words`` and its
+        siblings send them there).
         """
-        sets = self._sets
-        shift = self._line_shift
-        smask = self._set_mask
-        stats = self.stats
-        set_accesses = stats.set_accesses
         events = self.events
-        hits = 0
-        i = start
+        if events.per_event:
+            raise ProtocolError(_PER_EVENT.format(self.name, "access_lines"))
+        sets = self._sets
+        stats = self.stats
+        if set_indices is None:
+            set_indices = self.set_indices(line_addrs)
         n = len(line_addrs)
         if counts is not None:
+            set_accesses = stats.set_accesses
+            hits = 0
+            i = start
             while i < n:
-                line_addr = line_addrs[i]
-                if set_indices is not None:
-                    set_idx = set_indices[i]
-                else:
-                    set_idx = (line_addr >> shift) & smask
+                set_idx = set_indices[i]
                 cset = sets[set_idx]
-                way = cset.by_addr.get(line_addr) if cset is not None else None
+                way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
                 if way is None:
                     set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
                     stats.misses += 1
@@ -400,56 +394,30 @@ class SetAssociativeCache:
             if events.has_listeners and i > start:
                 events.hit_run(line_addrs[start:i])
             return i
-        if not events.per_event:
-            if set_indices is None:
-                set_indices = self.set_indices(line_addrs)
-            lru = self._lru
-            for i in range(start, n):
-                cset = sets[set_indices[i]]
-                way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
-                if way is None:
-                    break
-                if lru:
-                    policy = cset.policy
-                    stamp = policy._stamp + 1
-                    policy._stamp = stamp
-                    policy._last_use[way] = stamp
-                else:
-                    cset.touch(way)
-                if mark_dirty:
-                    cset.ways[way].dirty = True
-            else:
-                i = n
-            stats.hits += i - start
-            if i < n:
-                stats.misses += 1
-            stats.record_set_accesses(set_indices[start:i + 1])
-            if events.has_listeners and i > start:
-                events.hit_run(line_addrs[start:i])
-            return i
-        while i < n:
-            line_addr = line_addrs[i]
-            if set_indices is not None:
-                set_idx = set_indices[i]
-            else:
-                set_idx = (line_addr >> shift) & smask
-            set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
-            cset = sets[set_idx]
-            way = cset.by_addr.get(line_addr) if cset is not None else None
+        lru = self._lru
+        for i in range(start, n):
+            cset = sets[set_indices[i]]
+            way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
             if way is None:
-                stats.misses += 1
-                stats.hits += hits
-                return i
-            line = cset.ways[way]
-            hits += 1
-            cset.touch(way)
-            events.hit(line_addr, line.dirty)
-            if mark_dirty and not line.dirty:
-                line.dirty = True
-                events.dirty(line_addr)
-            i += 1
-        stats.hits += hits
-        return n
+                break
+            if lru:
+                policy = cset.policy
+                stamp = policy._stamp + 1
+                policy._stamp = stamp
+                policy._last_use[way] = stamp
+            else:
+                cset.touch(way)
+            if mark_dirty:
+                cset.ways[way].dirty = True
+        else:
+            i = n
+        stats.hits += i - start
+        if i < n:
+            stats.misses += 1
+        stats.record_set_accesses(set_indices[start:i + 1])
+        if events.has_listeners and i > start:
+            events.hit_run(line_addrs[start:i])
+        return i
 
     def rmw_lines(
         self,
@@ -470,79 +438,45 @@ class SetAssociativeCache:
         missing element (both phases, where a fill can be refused) and
         resumes after it.
 
-        Shares :meth:`access_lines`'s two loops, their gate and the
-        hit-run delivery, and skips the second tag lookup per pair —
-        the load hit already pinned down the way.  The listener-free
-        loop charges a pair's two touches at once (``touch_n(way, 2)``,
+        Shares :meth:`access_lines`'s ``set_indices`` handling, its
+        per-event guard and its hit-run delivery, and skips the second
+        tag lookup per pair — the load hit already pinned down the way.
+        It charges a pair's two touches at once (``touch_n(way, 2)``,
         inlined for stock LRU) and profiles two accesses per completed
         pair plus one for the missing load.
         """
-        sets = self._sets
-        shift = self._line_shift
-        smask = self._set_mask
-        stats = self.stats
-        set_accesses = stats.set_accesses
         events = self.events
-        hits = 0
-        i = start
+        if events.per_event:
+            raise ProtocolError(_PER_EVENT.format(self.name, "rmw_lines"))
+        sets = self._sets
+        stats = self.stats
+        if set_indices is None:
+            set_indices = self.set_indices(line_addrs)
         n = len(line_addrs)
-        if not events.per_event:
-            if set_indices is None:
-                set_indices = self.set_indices(line_addrs)
-            lru = self._lru
-            for i in range(start, n):
-                cset = sets[set_indices[i]]
-                way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
-                if way is None:
-                    break
-                if lru:
-                    policy = cset.policy
-                    stamp = policy._stamp + 2
-                    policy._stamp = stamp
-                    policy._last_use[way] = stamp
-                else:
-                    cset.policy.touch_n(way, 2)
-                cset.ways[way].dirty = True
-            else:
-                i = n
-            stats.hits += 2 * (i - start)
-            if i < n:
-                stats.misses += 1
-            pairs = set_indices[start:i]
-            stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
-            if events.has_listeners and i > start:
-                events.hit_run(line_addrs[start:i])
-            return i
-        while i < n:
-            line_addr = line_addrs[i]
-            if set_indices is not None:
-                set_idx = set_indices[i]
-            else:
-                set_idx = (line_addr >> shift) & smask
-            count = set_accesses.get(set_idx, 0)
-            cset = sets[set_idx]
-            way = cset.by_addr.get(line_addr) if cset is not None else None
+        lru = self._lru
+        for i in range(start, n):
+            cset = sets[set_indices[i]]
+            way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
             if way is None:
-                set_accesses[set_idx] = count + 1
-                stats.misses += 1
-                stats.hits += hits
-                return i
-            line = cset.ways[way]
-            hits += 2
-            # Stepwise counter updates: a listener callback may read the
-            # per-set profile between the pair's two accesses.
-            set_accesses[set_idx] = count + 1
-            cset.touch(way)
-            events.hit(line_addr, line.dirty)
-            set_accesses[set_idx] = count + 2
-            cset.touch(way)
-            events.hit(line_addr, line.dirty)
-            if not line.dirty:
-                line.dirty = True
-                events.dirty(line_addr)
-            i += 1
-        stats.hits += hits
-        return n
+                break
+            if lru:
+                policy = cset.policy
+                stamp = policy._stamp + 2
+                policy._stamp = stamp
+                policy._last_use[way] = stamp
+            else:
+                cset.policy.touch_n(way, 2)
+            cset.ways[way].dirty = True
+        else:
+            i = n
+        stats.hits += 2 * (i - start)
+        if i < n:
+            stats.misses += 1
+        pairs = set_indices[start:i]
+        stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
+        if events.has_listeners and i > start:
+            events.hit_run(line_addrs[start:i])
+        return i
 
     def fill(
         self, line_addr: int, dirty: bool = False

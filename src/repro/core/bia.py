@@ -38,7 +38,6 @@ from repro.cache.events import CacheListener
 from repro.cache.replacement import make_policy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import ConfigurationError
-from repro.memory import address as addr_math
 
 
 @dataclass(slots=True)
@@ -117,6 +116,11 @@ class BIA(CacheListener):
     ends it, leaves the same table as one :meth:`on_hit` and
     :meth:`on_dirty` per access.
 
+    The BIA is on its cache's event bus only while it holds a live
+    entry (:meth:`_sync_subscription`, called by :meth:`access` and
+    :meth:`restore_state`), so every monitor callback it receives
+    finds a non-empty table and none tests for an empty one.
+
     Parameters
     ----------
     entries / assoc:
@@ -169,10 +173,9 @@ class BIA(CacheListener):
         self._subscribed = False
         #: number of live table entries.  Monitor updates only ever
         #: touch already-allocated entries, so while the table is empty
-        #: (every run that never issues a CT op) each monitor callback
-        #: can return immediately — a large hot-path win for the
-        #: insecure/software-CT schemes whose caches the BIA still
-        #: observes.
+        #: (every run that never issues a CT op) the BIA stays off its
+        #: cache's bus — a large hot-path win for the insecure and
+        #: software-CT schemes, whose caches it would otherwise observe.
         self._live_entries = 0
         #: bitmask for line-in-group extraction (inlined addr math).
         self._line_in_group_mask = self.lines_per_group - 1
@@ -274,8 +277,6 @@ class BIA(CacheListener):
         )
 
     def on_hit(self, cache_name: str, line_addr: int, dirty: bool) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
@@ -289,7 +290,7 @@ class BIA(CacheListener):
         """Net effect of one all-hit run: every line whose group has an
         entry gets its existence bit, and its dirtiness bit becomes the
         line's dirty bit at the end of the run."""
-        if not self._live_entries or cache_name != self._monitored:
+        if cache_name != self._monitored:
             return
         lookup = self._monitored_lookup
         group_bits = self.group_bits
@@ -315,8 +316,6 @@ class BIA(CacheListener):
                 entry.dirtiness &= ~bit
 
     def on_fill(self, cache_name: str, line_addr: int, dirty: bool) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
@@ -325,32 +324,24 @@ class BIA(CacheListener):
             entry.set_dirty(bit)
 
     def on_evict(self, cache_name: str, line_addr: int, dirty: bool) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
         entry.clear_exist(bit)
 
     def on_invalidate(self, cache_name: str, line_addr: int) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
         entry.clear_exist(bit)
 
     def on_dirty(self, cache_name: str, line_addr: int) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return
         entry.set_dirty(bit)
 
     def on_clean(self, cache_name: str, line_addr: int) -> None:
-        if not self._live_entries:
-            return
         entry, bit = self._entry_for_line(cache_name, line_addr)
         if entry is None:
             return

@@ -273,7 +273,6 @@ class Machine:
             check_whole("n_insts", n_insts, False, "instructions")
         stats = self.stats
         stats.insts += n_insts
-        stats.l1i_refs += n_insts
         stats.cycles += n_insts * self.costs.cpi
 
     # -- victim: normal memory ops ------------------------------------------------------
@@ -295,12 +294,10 @@ class Machine:
             latency = first.latency + extra
         if self.slice_hash is not None:
             self._record_llc_traffic(line_addr, hit_level)
-        # One bound-attribute block for all five counters (hot path).
+        # One bound-attribute block for all three counters (hot path).
         stats = self.stats
         stats.loads += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += latency
         return self.memory.read_word(addr)
 
@@ -341,9 +338,7 @@ class Machine:
             self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += latency
 
     # -- victim: bulk-access kernels -----------------------------------------------------
@@ -357,9 +352,15 @@ class Machine:
     # the per-element counter updates into one batch update recovers
     # most of that overhead.  Every cycle cost is a whole number
     # (checked by CostModel and MachineConfig), so a batch's cycles are
-    # charged as one sum.  Machines with a sliced LLC fall back to the
-    # scalar loop: slice-traffic recording depends on each access's
-    # individual hit level.
+    # charged as one sum.  Two kinds of batch take the scalar loop
+    # itself: those on machines with a sliced LLC, whose slice-traffic
+    # recording depends on each access's individual hit level, and
+    # observed ones, whose start level has a listener that needs every
+    # hit as its own event (``EventBus.per_event``: the sanitizer's
+    # trace recorder, the attack observers, the inclusive-LLC
+    # back-invalidator).  The scalar loop is the reference every bulk
+    # test compares against, so an observed batch is exact by
+    # construction, and the run kernels need no per-event loop.
 
     def load_words(
         self,
@@ -379,13 +380,16 @@ class Machine:
         ``lines`` optionally supplies the precomputed line base
         addresses aligned with ``addrs``; ``set_indices`` the
         start-level set indices (per-DS decomposition caches — see
-        ``DataflowLinearizationSet``).
+        ``DataflowLinearizationSet``).  Sliced-LLC machines and a start
+        level with a per-event listener take the scalar loop (see the
+        section comment above).
         """
         check_whole("pre_insts", pre_insts, False, "instructions")
         n = len(addrs)
         if n == 0:
             return [] if collect_values else None
-        if self.slice_hash is not None:
+        if (self.slice_hash is not None
+                or self.hierarchy.levels[start_level].events.per_event):
             execute = self.execute
             load = self.load_word
             out = []
@@ -401,9 +405,7 @@ class Machine:
         stats = self.stats
         per = pre_insts + 1
         stats.loads += n
-        stats.l1d_refs += n
         stats.insts += n * per
-        stats.l1i_refs += n * per
         stats.cycles += n * pre_insts * self.costs.cpi + latency
         if not collect_values:
             return None
@@ -414,9 +416,10 @@ class Machine:
         """Batched ``execute(pre_insts); store_word(addr, value)`` pairs.
 
         Falls back to the scalar loop under ``silent_stores`` (the
-        squash decision needs a per-element memory comparison) and on
-        sliced-LLC machines.  Like every store batch, it starts at the
-        L1d.  ``addrs`` and ``values`` must have equal lengths.
+        squash decision needs a per-element memory comparison), on
+        sliced-LLC machines and while the L1d has a per-event listener.
+        Like every store batch, it starts at the L1d.  ``addrs`` and
+        ``values`` must have equal lengths.
         Consecutive stores to one line are charged as one run (see
         :meth:`CacheHierarchy.write_lines`), and the backing store is
         written in one pass (:meth:`MainMemory.write_words`).
@@ -429,7 +432,8 @@ class Machine:
             )
         if n == 0:
             return
-        if self.slice_hash is not None or self.config.silent_stores:
+        if (self.slice_hash is not None or self.config.silent_stores
+                or self.l1d.events.per_event):
             execute = self.execute
             store = self.store_word
             for a, v in zip(addrs, values):
@@ -443,9 +447,7 @@ class Machine:
         stats = self.stats
         per = pre_insts + 1
         stats.stores += n
-        stats.l1d_refs += n
         stats.insts += n * per
-        stats.l1i_refs += n * per
         stats.cycles += n * pre_insts * self.costs.cpi + latency
 
     def rmw_words(
@@ -484,20 +486,22 @@ class Machine:
         word just read.  The per-element form reads and writes every
         element whatever ``collect_values`` says.
 
-        Sliced-LLC and silent-store machines take one scalar fallback,
-        the ``execute`` + ``load_word`` + ``store_word`` loop itself:
-        slice traffic depends on each access's hit level, and a silent
-        store's squash decision on each element's memory comparison.
-        It returns the same values, ``None`` at non-target positions
-        under ``collect_values=False`` included.
+        Sliced-LLC and silent-store machines, and a start level with a
+        per-event listener, take one scalar fallback, the ``execute`` +
+        ``load_word`` + ``store_word`` loop itself: slice traffic
+        depends on each access's hit level, a silent store's squash
+        decision on each element's memory comparison, and a per-event
+        listener needs every hit as its own event.  It returns the same
+        values, ``None`` at non-target positions under
+        ``collect_values=False`` included.
 
         The pairs stay fused (load and store of element i before the
-        load of element i+1) because the store's events must interleave
-        with the loads' exactly as in the scalar path; the all-hit runs
-        go through the cache's fused pair kernel
+        load of element i+1) because a miss's fill and its store must
+        come before the next element's load, exactly as in the scalar
+        path; the all-hit runs go through the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
-        A batch with no per-event listener computes its set indices
-        once, so each resume of that kernel costs O(run).
+        The batch computes its set indices once (unless the caller
+        supplied them), so each resume of that kernel costs O(run).
 
         In the targeted form, ``target_idx`` must lie in ``[-1, n)``
         and a ``target_idx >= 0`` needs a ``target_fn``; anything else
@@ -518,7 +522,11 @@ class Machine:
             collect_values = True
         if n == 0:
             return []
-        if self.slice_hash is not None or self.config.silent_stores:
+        hier = self.hierarchy
+        first = hier.levels[start_level]
+        first_events = first.events
+        if (self.slice_hash is not None or self.config.silent_stores
+                or first_events.per_event):
             execute = self.execute
             load = self.load_word
             store = self.store_word
@@ -539,12 +547,9 @@ class Machine:
         if lines is None:
             mask = _LINE_BASE_MASK
             lines = [a & mask for a in addrs]
-        hier = self.hierarchy
-        first = hier.levels[start_level]
         first_access = first.access
         first_set_dirty = first.set_dirty
-        first_events = first.events
-        if set_indices is None and not first_events.per_event:
+        if set_indices is None:
             set_indices = first.set_indices(lines)
         miss_fill = hier.read_miss_fill
         first_lat = first.latency
@@ -611,9 +616,7 @@ class Machine:
         per = pre_insts + 2
         stats.loads += n
         stats.stores += n
-        stats.l1d_refs += 2 * n
         stats.insts += n * per
-        stats.l1i_refs += n * per
         return out
 
     def sweep_load_lines(
@@ -703,9 +706,7 @@ class Machine:
         check_whole("latency_each", latency_each, False)
         stats = self.stats
         stats.loads += n_accesses
-        stats.l1d_refs += n_accesses
         stats.insts += n_accesses
-        stats.l1i_refs += n_accesses
         # Like load_word, a memory instruction's cycle cost IS its
         # latency; no separate cpi charge.
         stats.cycles += n_accesses * latency_each
@@ -717,9 +718,7 @@ class Machine:
         result = self.hierarchy.read_line_uncached(addr & _LINE_BASE_MASK)
         stats = self.stats
         stats.loads += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += result.latency
         return self.memory.read_word(addr)
 
@@ -729,9 +728,7 @@ class Machine:
         self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += result.latency
 
     # -- victim: CT micro-ops -------------------------------------------------------------
@@ -750,9 +747,7 @@ class Machine:
         data, existence, latency = self.ctops.ctload(addr)
         stats = self.stats
         stats.ct_loads += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += latency
         return data, existence
 
@@ -790,9 +785,7 @@ class Machine:
         stats = self.stats
         per = pre_insts + 1
         stats.ct_loads += n
-        stats.l1d_refs += n
         stats.insts += n * per
-        stats.l1i_refs += n * per
         stats.cycles += n * pre_insts * self.costs.cpi + latency
         return data, existence
 
@@ -802,9 +795,7 @@ class Machine:
         dirtiness, latency = self.ctops.ctstore(addr, value)
         stats = self.stats
         stats.ct_stores += 1
-        stats.l1d_refs += 1
         stats.insts += 1
-        stats.l1i_refs += 1
         stats.cycles += latency
         return dirtiness
 
@@ -888,19 +879,18 @@ class Machine:
         """Snapshot the complete simulated state of this machine.
 
         The snapshot is structural (cache/BIA/DRAM metadata, counters)
-        plus copy-on-write backing memory: the machine's current pages
-        are frozen and shared with the snapshot, and whichever side
-        writes first copies the page.  Taking a snapshot is therefore
-        cheap even for large warmed footprints, and a snapshot can be
-        restored onto any machine of the same configuration any number
-        of times.
+        plus a copy of every backing-memory page, so later writes on
+        either side leave it byte-exact, and it can be restored onto
+        any machine of the same configuration any number of times.  A
+        page copy costs about a microsecond; capturing the cache sets
+        costs far more.
         """
         state = MachineState()
         state.config = self.config
         state.caches = [c.capture_state() for c in self.hierarchy.levels]
         state.bia = self.bia.capture_state()
         state.dram = self.dram.capture_state()
-        state.pages = self.memory.share_pages()
+        state.pages = self.memory.copy_pages()
         state.alloc_next = self.allocator._next
         state.stats = self.stats.clone()
         state.slice_trace = list(self.slice_trace)
@@ -920,9 +910,10 @@ class Machine:
         wiring) is construction-time plumbing and is left untouched.
 
         ``_adopt=True`` (:meth:`fork`'s private fast path) lets the
-        restore take ownership of the snapshot's mutable pieces
-        instead of re-cloning them; the caller promises the snapshot
-        is ephemeral and never restored again.
+        restore take ownership of the snapshot's mutable pieces (its
+        replacement policies and its pages) instead of re-copying them;
+        the caller promises the snapshot is ephemeral and never
+        restored again.
         """
         if state.config != self.config:
             raise ConfigurationError(
@@ -933,7 +924,11 @@ class Machine:
             cache.restore_state(cache_state, adopt=_adopt)
         self.bia.restore_state(state.bia)
         self.dram.restore_state(state.dram)
-        self.memory.adopt_pages(state.pages)
+        memory = self.memory
+        memory.install_pages(state.pages)
+        if not _adopt:
+            # keep the snapshot restorable: write into a copy of it
+            memory.install_pages(memory.copy_pages())
         self.allocator._next = state.alloc_next
         self.stats.load_from(state.stats)
         self.slice_trace[:] = state.slice_trace
@@ -947,16 +942,16 @@ class Machine:
         """A new, independent machine continuing from this exact state.
 
         The warm-start primitive: build (and warm) one machine, then
-        fork per run instead of rebuild + replay.  The clone shares
-        backing-memory pages copy-on-write with the parent; caches,
-        BIA, DRAM and counters are copied.  External listeners attached
-        to the parent's event buses are NOT carried over — the clone
-        has only its own construction-time wiring, so each fork can be
-        instrumented independently.
+        fork per run instead of rebuild + replay.  The clone gets copies
+        of the parent's backing-memory pages, caches, BIA, DRAM and
+        counters.  External listeners attached to the parent's event
+        buses are NOT carried over — the clone has only its own
+        construction-time wiring, so each fork can be instrumented
+        independently.
         """
         clone = Machine(self.config)
         # The snapshot is ephemeral (never restored again), so the
-        # restore may adopt its policy clones instead of re-cloning.
+        # restore may adopt its policy clones and page copies.
         clone.restore_state(self.save_state(), _adopt=True)
         return clone
 

@@ -152,8 +152,3 @@ class InsecureContext(MitigationContext):
     def store(self, ds: DataflowLinearizationSet, addr: int, value: int) -> None:
         ds.require_member(addr)
         self.machine.store_word(addr, value)
-
-    def gather(
-        self, ds: DataflowLinearizationSet, addrs: Sequence[int]
-    ) -> List[int]:
-        return [self.load(ds, a) for a in addrs]

@@ -20,21 +20,14 @@ from repro import params
 from repro.errors import AlignmentError, AllocationError, MemoryError_
 from repro.memory import address as addr_math
 
-#: Little-endian unsigned word codecs by size.  Words are 1, 2, 4 or 8
-#: bytes (the machine issues 4, tests also use 8); any other size is
-#: rejected at the boundary.
-_CODECS: Dict[int, struct.Struct] = {
-    1: struct.Struct("<B"),
-    2: struct.Struct("<H"),
-    4: struct.Struct("<I"),
-    8: struct.Struct("<Q"),
-}
-#: ``(pack_into, mask)`` per size; the mask wraps wide and negative values.
-_PACKERS = {
-    size: (codec.pack_into, (1 << (8 * size)) - 1)
-    for size, codec in _CODECS.items()
-}
-_BAD_SIZE = "access size {} is not a 1-, 2-, 4- or 8-byte word"
+#: The little-endian unsigned codec of one ``params.WORD_SIZE`` word;
+#: the mask wraps wide and negative values.
+_WORD = struct.Struct("<I")
+assert _WORD.size == params.WORD_SIZE
+_pack_into = _WORD.pack_into
+_unpack_from = _WORD.unpack_from
+_WORD_MASK = (1 << (8 * params.WORD_SIZE)) - 1
+_ALIGN = params.WORD_SIZE - 1
 _PAGE_BITS = params.PAGE_BITS
 _PAGE_MASK = params.PAGE_SIZE - 1
 
@@ -44,13 +37,13 @@ class MainMemory:
 
     Pages are materialised lazily on first write; reads of untouched
     memory return zero bytes, like freshly mapped anonymous pages.
+    Words are little-endian unsigned ``params.WORD_SIZE``-byte values
+    at aligned addresses.  A machine snapshot holds a copy of the pages
+    (:meth:`copy_pages`), so no page is ever shared between memories.
     """
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
-        #: page indices shared (copy-on-write) with a machine snapshot
-        #: or fork; a writer must replace the page before mutating it.
-        self._frozen: set = set()
 
     # -- raw byte interface -------------------------------------------------
 
@@ -80,9 +73,6 @@ class MainMemory:
             page = self._pages.get(idx)
             if page is None:
                 page = self._pages[idx] = bytearray(params.PAGE_SIZE)
-            elif idx in self._frozen:
-                page = self._pages[idx] = bytearray(page)
-                self._frozen.discard(idx)
             off = addr_math.page_offset(a)
             chunk = min(size - pos, params.PAGE_SIZE - off)
             page[off : off + chunk] = data[pos : pos + chunk]
@@ -90,88 +80,55 @@ class MainMemory:
 
     # -- typed word interface ----------------------------------------------
 
-    def read_word(self, addr: int, size: int = params.WORD_SIZE) -> int:
-        """Read an unsigned little-endian integer of ``size`` bytes.
+    def read_word(self, addr: int) -> int:
+        """Read the word at ``addr``.
 
-        Hot path: an aligned word of at most 8 bytes never crosses a
-        page boundary, so the read is one dict probe plus one
-        ``struct`` decode straight out of the page buffer.
+        Hot path: an aligned word never crosses a page boundary, so the
+        read is one dict probe plus one ``struct`` decode straight out
+        of the page buffer.
         """
-        codec = _CODECS.get(size)
-        if codec is None:
-            raise AlignmentError(_BAD_SIZE.format(size))
-        if addr & (size - 1):
-            raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+        if addr & _ALIGN:
+            raise AlignmentError(
+                f"address {addr:#x} not aligned to {params.WORD_SIZE}"
+            )
         page = self._pages.get(addr >> _PAGE_BITS)
         if page is None:
             return 0
-        return codec.unpack_from(page, addr & _PAGE_MASK)[0]
+        return _unpack_from(page, addr & _PAGE_MASK)[0]
 
-    def write_word(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
-        """Write ``value`` modulo ``2**(8*size)`` as a little-endian word."""
-        packer = _PACKERS.get(size)
-        if packer is None:
-            raise AlignmentError(_BAD_SIZE.format(size))
-        if addr & (size - 1):
-            raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+    def write_word(self, addr: int, value: int) -> None:
+        """Write ``value`` modulo ``2**(8*WORD_SIZE)`` as the word at
+        ``addr``."""
+        if addr & _ALIGN:
+            raise AlignmentError(
+                f"address {addr:#x} not aligned to {params.WORD_SIZE}"
+            )
         idx = addr >> _PAGE_BITS
         page = self._pages.get(idx)
         if page is None:
             page = self._pages[idx] = bytearray(params.PAGE_SIZE)
-        elif self._frozen and idx in self._frozen:
-            # Copy-on-write: this page is shared with a snapshot.
-            page = self._pages[idx] = bytearray(page)
-            self._frozen.discard(idx)
-        pack_into, mask = packer
-        pack_into(page, addr & _PAGE_MASK, value & mask)
+        _pack_into(page, addr & _PAGE_MASK, value & _WORD_MASK)
 
-    def write_words(
-        self, addrs, values, size: int = params.WORD_SIZE
-    ) -> None:
+    def write_words(self, addrs, values) -> None:
         """:meth:`write_word` for each ``(addr, value)`` pair, in order.
 
-        Resolves the codec once per call and the page once per page
-        change, keeping the per-word alignment check and copy-on-write.
-        A misaligned address raises at the same word as the scalar
-        loop, after the earlier words are written; a bad ``size``
-        raises before any write.
+        Resolves the page once per page change and keeps the per-word
+        alignment check: a misaligned address raises at the same word
+        as the scalar loop, after the earlier words are written.
         """
-        packer = _PACKERS.get(size)
-        if packer is None:
-            raise AlignmentError(_BAD_SIZE.format(size))
-        pack_into, mask = packer
-        align = size - 1
         pages = self._pages
-        frozen = self._frozen
         idx = page = None
         for addr, value in zip(addrs, values):
-            if addr & align:
-                raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+            if addr & _ALIGN:
+                raise AlignmentError(
+                    f"address {addr:#x} not aligned to {params.WORD_SIZE}"
+                )
             if addr >> _PAGE_BITS != idx:
                 idx = addr >> _PAGE_BITS
                 page = pages.get(idx)
                 if page is None:
                     page = pages[idx] = bytearray(params.PAGE_SIZE)
-                elif frozen and idx in frozen:
-                    page = pages[idx] = bytearray(page)
-                    frozen.discard(idx)
-            pack_into(page, addr & _PAGE_MASK, value & mask)
-
-    def read_line(self, line_addr: int) -> bytes:
-        """Read the whole 64-byte line starting at ``line_addr``."""
-        addr_math.check_aligned(line_addr, params.LINE_SIZE)
-        return self.read(line_addr, params.LINE_SIZE)
-
-    def write_line(self, line_addr: int, data: bytes) -> None:
-        """Write a whole 64-byte line (used by cache write-back)."""
-        addr_math.check_aligned(line_addr, params.LINE_SIZE)
-        if len(data) != params.LINE_SIZE:
-            raise MemoryError_(
-                f"line write of {len(data)} bytes (expected {params.LINE_SIZE})"
-            )
-        self.write(line_addr, data)
+            _pack_into(page, addr & _PAGE_MASK, value & _WORD_MASK)
 
     # -- introspection ------------------------------------------------------
 
@@ -179,24 +136,18 @@ class MainMemory:
         """Indices of pages that have been written at least once."""
         return self._pages.keys()
 
-    # -- snapshot / fork support (copy-on-write) -----------------------------------
+    # -- snapshot / fork support --------------------------------------------
 
-    def share_pages(self) -> Dict[int, bytearray]:
-        """Freeze the current pages for sharing with a snapshot.
+    def copy_pages(self) -> Dict[int, bytearray]:
+        """A copy of every page, by page index: a snapshot's memory
+        image, which later writes to this memory leave intact."""
+        return {idx: bytearray(page) for idx, page in self._pages.items()}
 
-        Marks every live page copy-on-write in *this* memory and
-        returns a shallow copy of the page table.  The caller hands the
-        returned dict to :meth:`adopt_pages` on another (or the same)
-        memory; neither side ever mutates a shared page in place, so
-        the snapshot stays byte-exact no matter who writes afterwards.
-        """
-        self._frozen.update(self._pages)
-        return dict(self._pages)
-
-    def adopt_pages(self, pages: Dict[int, bytearray]) -> None:
-        """Install a page table from :meth:`share_pages` (all CoW)."""
-        self._pages = dict(pages)
-        self._frozen = set(pages)
+    def install_pages(self, pages: Dict[int, bytearray]) -> None:
+        """Make ``pages`` (a :meth:`copy_pages` image) this memory's
+        pages.  Later writes go into them, so install a copy of an
+        image that must stay intact."""
+        self._pages = pages
 
 
 class Allocator:

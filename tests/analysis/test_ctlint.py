@@ -1,7 +1,5 @@
 """ctlint: every rule ID firing — and *not* firing — plus plumbing."""
 
-import pytest
-
 from repro import params
 from repro.analysis.ctlint import RULES, Finding, lint, max_severity
 from repro.ct.ds import DataflowLinearizationSet

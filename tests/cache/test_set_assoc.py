@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro import params
 from repro.cache.events import CacheListener
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 
 LINE = params.LINE_SIZE
 
@@ -188,8 +188,7 @@ class TestEvents:
 
 
 #: Every way a level can hit line 0, with the hits each path records.
-#: A ``counts`` run is the listener-free store kernel's: callers never
-#: pass runs to a level with listeners.
+#: The run kernels serve only levels without a per-event listener.
 _HIT_PATHS = {
     "access": (lambda c: c.access(0), 1),
     "access_lines": (lambda c: c.access_lines([0]), 1),
@@ -214,19 +213,19 @@ class TestReplacementState:
     ])
     @pytest.mark.parametrize("path, listeners", [
         ("access", False), ("access", True),
-        ("access_lines", False), ("access_lines", True),
-        ("access_lines/mark_dirty", False), ("access_lines/mark_dirty", True),
+        ("access_lines", False),
+        ("access_lines/mark_dirty", False),
         ("access_lines/counts", False),
-        ("rmw_lines", False), ("rmw_lines", True),
+        ("rmw_lines", False),
     ])
     def test_every_hit_updates_replacement_state(
         self, policy, victim, path, listeners
     ):
-        """No hit leaves the replacement order alone: each path, with
-        and without listeners, touches the hit way through its policy.
-        Under LRU and tree-PLRU the refreshed line 0 stops being the
-        victim of its 2-way set; under FIFO a hit moves nothing, so the
-        first fill still goes."""
+        """No hit leaves the replacement order alone: each path touches
+        the hit way through its policy, the scalar one with and without
+        a listener.  Under LRU and tree-PLRU the refreshed line 0 stops
+        being the victim of its 2-way set; under FIFO a hit moves
+        nothing, so the first fill still goes."""
         cache = small_cache(replacement=policy)
         rec = _Recorder()
         if listeners:
@@ -240,6 +239,38 @@ class TestReplacementState:
         if listeners:
             assert [e for e in rec.log if e[0] == "hit"] == [("hit", 0)] * hits
         assert cache.fill(2 * conflict).line_addr == victim
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "fifo"])
+    @pytest.mark.parametrize("path", [
+        "access_lines", "access_lines/mark_dirty", "access_lines/counts",
+        "rmw_lines",
+    ])
+    def test_run_kernels_refuse_a_per_event_listener(self, policy, path):
+        """A run kernel on a level with a per-event listener raises
+        before any access (the machine sends such batches to its
+        scalar loop): counters, per-set profile, dirty bits, events and
+        replacement state stay as they were, so line 0, filled first,
+        is still every policy's victim."""
+        cache = small_cache(replacement=policy)
+        rec = _Recorder()
+        cache.events.subscribe(rec)
+        conflict = 32 * LINE  # same set as 0
+        cache.fill(0)
+        cache.fill(conflict)
+
+        def state():
+            return (
+                cache.stats.hits, cache.stats.misses,
+                dict(cache.stats.set_accesses), cache.set_contents(0),
+                cache.replacement_state(0), list(rec.log),
+            )
+
+        before = state()
+        run, _hits = _HIT_PATHS[path]
+        with pytest.raises(ProtocolError, match="its own event"):
+            run(cache)
+        assert state() == before
+        assert cache.fill(2 * conflict).line_addr == 0
 
 
 class TestResidency:

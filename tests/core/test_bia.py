@@ -137,10 +137,9 @@ class TestMonitoring:
         ("rmw_lines", True),
     ])
     def test_every_batched_hit_teaches_the_bia(self, path, dirty):
-        """The batch kernels' listener loop emits every hit, and every
-        hit reaches the monitor: a line filled before its entry existed
-        is learnt from a batch hit, and a write's dirty transition
-        follows it."""
+        """The batch kernels hand every hit run to the monitor: a line
+        filled before its entry existed is learnt from a batch hit, and
+        a write's dirty transition follows it."""
         cache, bia = attached_pair()
         cache.fill(0x40)
         entry = bia.access(0)

@@ -31,10 +31,14 @@ level's run kernels, on a level without listeners, against one
 ``access`` per read or write under every policy.  ``TestBatchedMonitor``
 pins the BIA's hit-run delivery against its per-event delivery, and
 ``TestFetchPass`` the BIA context's batched fetch pass against the
-scalar fetch loop of Algorithms 2 and 3.
+scalar fetch loop of Algorithms 2 and 3.  A batch whose start level has
+a per-event listener takes the scalar loop itself;
+``TestObservedBatches`` pins that the gate reads the start level, not
+the levels below it.  ``test_reference_counts_derive_from_op_counts``
+pins ``l1i_refs`` and ``l1d_refs`` to the op counts they follow from.
 
 The address sequences walk consecutive words and repeat addresses, so
-the run-length kernels get real same-line runs: a listener-free
+the run-length kernels get real same-line runs: an unobserved
 ``store_words`` charges each run as one access plus counted hits, and
 ``ctload_words`` each same-group run as one BIA access plus counted
 hits.  Every comparison includes each level's resident lines, dirty
@@ -181,8 +185,14 @@ def _lock_set_zero(m, base):
 def _twins(config, listeners):
     """Two identical machines (+ recorders), arena base, listener flag.
 
-    A PLcache L1d gets set 0 pinned (:func:`_lock_set_zero`), so fills
-    of the arena lines mapping there are refused."""
+    With ``listeners`` each machine gets a live BIA entry (the BIA
+    takes hit runs) and a trace recorder on the L2 and the LLC, below
+    the L1d where the batches here start: they stay on the run kernels,
+    and the recorder sees their miss walks' events.  (A
+    per-event listener on the start level sends a batch to the scalar
+    loop itself; ``TestObservedBatches`` covers that gate.)  A PLcache
+    L1d gets set 0 pinned (:func:`_lock_set_zero`), so fills of the
+    arena lines mapping there are refused."""
     machines, recorders = [], []
     base = None
     for _ in range(2):
@@ -196,7 +206,7 @@ def _twins(config, listeners):
         if listeners:
             m.ctops.ctload(base)  # allocate a BIA entry: events now flow
             rec = ObservableTraceRecorder()
-            for lvl in ("L1D", "L2", "LLC"):
+            for lvl in ("L2", "LLC"):
                 rec.attach(m.hierarchy.level(lvl))
         else:
             rec = None
@@ -290,10 +300,10 @@ def _record_slice(m, line_addr, hit_level):
 
 
 def _bump(stats, kind, latency):
+    """One load or store's counters; ``l1d_refs`` and ``l1i_refs``
+    follow from them."""
     setattr(stats, kind, getattr(stats, kind) + 1)
-    stats.l1d_refs += 1
     stats.insts += 1
-    stats.l1i_refs += 1
     stats.cycles += latency
 
 
@@ -872,15 +882,17 @@ def _bia_twins(kind, context_classes, fetch_threshold=None):
 
 class _EveryEvent(CacheListener):
     """A no-op listener that keeps the default ``on_hit_run``:
-    subscribed to a level, it keeps that level's run kernels on their
-    per-event loops."""
+    subscribed to a level, it sends the batches that start there to
+    the machine's scalar loop."""
 
 
 class TestBatchedMonitor:
     """The BIA's hit-run delivery leaves the same table as one
     ``on_hit`` (and ``on_dirty``) per access: twin machines, one with a
     per-event listener on the BIA's level, driven through the same
-    plain, scalar and BIA ops."""
+    plain, scalar and BIA ops.  The listener sends that twin's batches
+    at the BIA's level to the scalar loop, so its BIA sees every hit as
+    its own event."""
 
     @given(kind=st.sampled_from(["L1D", "L2", "LLC-M9"]), ops=monitor_ops)
     # Always run: eight dirty lines of one L1d set, which the BIA load's
@@ -909,10 +921,191 @@ class TestBatchedMonitor:
             assert _bia_state(ma) == _bia_state(mb), op
             assert ma.bia.check_subset_of(level_a), op
             assert _image(ma, base) == _image(mb, base), op
-        # the BIA, live or not, never sends its level to per-event loops
+        # the BIA, live or not, never sends its level's batches to the
+        # scalar loop
         assert not level_a.events.per_event and level_b.events.per_event
         assert level_a.events.has_listeners == (ma.bia._live_entries > 0)
         _assert_observably_equal(ma, mb, None, None, base, "bia monitor")
+
+
+class TestObservedBatches:
+    """The scalar-loop gate reads the batch's *start* level: an L2-only
+    per-event listener sends L2-start batches to the scalar loop and
+    leaves L1d-start batches on the run kernels, whose misses reach it
+    through the scalar miss walk.  Both equal the scalar loop, events
+    included, on a live L2 BIA machine."""
+
+    @staticmethod
+    def _twins():
+        config = MachineConfig(bia_level="L2")
+        (ma, mb), _recorders, base = _twins(config, False)
+        recorders = []
+        for m in (ma, mb):
+            m.ctops.ctload(base)  # a live BIA entry: hit runs flow to it
+            rec = ObservableTraceRecorder()
+            rec.attach(m.l2)
+            recorders.append(rec)
+        assert ma.l2.events.per_event and not ma.l1d.events.per_event
+        return ma, mb, recorders, base
+
+    @staticmethod
+    def _spy(cache):
+        """Record every ``access_lines`` call on ``cache``."""
+        calls = []
+        kernel = cache.access_lines
+
+        def spy(*args):
+            calls.append(args[1] if len(args) > 1 else 0)
+            return kernel(*args)
+
+        cache.access_lines = spy
+        return calls
+
+    @given(seq=addr_seqs, pre=st.integers(0, 3), target_frac=st.floats(0, 1))
+    @settings(max_examples=20, deadline=None)
+    def test_l2_start_batches_take_the_scalar_loop(self, seq, pre,
+                                                   target_frac):
+        ma, mb, (ra, rb), base = self._twins()
+        calls = self._spy(ma.l2)
+        addrs = [base + 64 * line + 4 * word for line, word in seq]
+        got = ma.load_words(addrs, start_level=1, pre_insts=pre)
+        want = []
+        for a in addrs:
+            if pre:
+                mb.execute(pre)
+            want.append(mb.load_word(a, 1))
+        assert got == want
+        _assert_observably_equal(ma, mb, ra, rb, base, "load_words@L2")
+        target = int(target_frac * (len(addrs) - 1))
+        fn = lambda v: (v ^ 0x5A5A) + 1  # noqa: E731
+        got = ma.rmw_words(addrs, target_idx=target, target_fn=fn,
+                           start_level=1, pre_insts=pre)
+        want = []
+        for i, a in enumerate(addrs):
+            if pre:
+                mb.execute(pre)
+            v = mb.load_word(a, 1)
+            want.append(v)
+            mb.store_word(a, fn(v) if i == target else v, 1)
+        assert got == want
+        assert calls == []
+        assert ra.events
+        _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words@L2")
+
+    @given(seq=addr_seqs, pre=st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_l1d_start_batches_keep_the_kernels(self, seq, pre):
+        ma, mb, (ra, rb), base = self._twins()
+        calls = self._spy(ma.l1d)
+        addrs = [base + 64 * line + 4 * word for line, word in seq]
+        values = [(a * 7) & 0xFFFF for a in addrs]
+        got = ma.load_words(addrs, pre_insts=pre)
+        assert calls[:1] == [0]  # the batch started on the kernel
+        calls.clear()
+        ma.store_words(addrs, values, pre_insts=pre)
+        assert calls[:1] == [0]
+        want = []
+        for a in addrs:
+            if pre:
+                mb.execute(pre)
+            want.append(mb.load_word(a))
+        for a, v in zip(addrs, values):
+            if pre:
+                mb.execute(pre)
+            mb.store_word(a, v)
+        assert got == want
+        assert ra.events
+        _assert_observably_equal(ma, mb, ra, rb, base, "L1d batches")
+
+
+#: ``Machine().snapshot()``'s keys before ``l1i_refs`` and ``l1d_refs``
+#: became properties.
+SNAPSHOT_KEYS = [
+    "bia_lookups", "ct_loads", "ct_stores", "cycles", "dram_accesses",
+    "dram_reads", "dram_writes", "insts", "l1d_hits", "l1d_misses",
+    "l1d_refs", "l1i_refs", "l2_hits", "l2_misses", "llc_hits",
+    "llc_miss_total", "llc_misses", "loads", "stores",
+]
+
+
+@given(kind=st.sampled_from(["L1D", "L2"]), ops=st.lists(
+    st.tuples(
+        st.sampled_from([
+            "execute", "load", "store", "load_words", "store_words",
+            "rmw_words", "ctload", "ctstore", "ctload_words",
+            "charge_memory", "load_uncached", "store_uncached", "fork",
+        ]),
+        st.integers(0, CT_PAGES * 1024 - 1),
+        st.integers(1, 20),
+        st.integers(0, 3),
+    ),
+    min_size=1, max_size=15,
+))
+@settings(max_examples=30, deadline=None)
+def test_reference_counts_derive_from_op_counts(kind, ops):
+    """``l1i_refs`` is ``insts`` and ``l1d_refs`` is ``loads + stores +
+    ct_loads + ct_stores`` after every scalar, batch and CT op, across
+    forks, and both move by what each op's charge site used to add to
+    them by hand; neither can be assigned, and the snapshot keeps its
+    keys."""
+    (m, _), base = _ct_twins(kind)
+    words = CT_PAGES * 1024
+    want = (0, 0)  # (l1i_refs, l1d_refs)
+    for op, start, n, pre in ops:
+        addrs = [base + 4 * ((start + 5 * j) % words) for j in range(n)]
+        a = addrs[0]
+        if op == "execute":
+            m.execute(n)
+            delta = (n, 0)
+        elif op == "load":
+            m.load_word(a, m.ds_start_level)
+            delta = (1, 1)
+        elif op == "store":
+            m.store_word(a, start)
+            delta = (1, 1)
+        elif op == "load_words":
+            m.load_words(addrs, pre_insts=pre)
+            delta = (n * (pre + 1), n)
+        elif op == "store_words":
+            m.store_words(addrs, list(range(n)), pre_insts=pre)
+            delta = (n * (pre + 1), n)
+        elif op == "rmw_words":
+            m.rmw_words(addrs, update_fn=lambda i, v: v + i, pre_insts=pre)
+            delta = (n * (pre + 2), 2 * n)
+        elif op == "ctload":
+            m.ctload(a)
+            delta = (1, 1)
+        elif op == "ctstore":
+            m.ctstore(a, start)
+            delta = (1, 1)
+        elif op == "ctload_words":
+            m.ctload_words(addrs, pre_insts=pre)
+            delta = (n * (pre + 1), n)
+        elif op == "charge_memory":
+            m.charge_memory(n, 2)
+            delta = (n, n)
+        elif op == "load_uncached":
+            m.load_word_uncached(a)
+            delta = (1, 1)
+        elif op == "store_uncached":
+            m.store_word_uncached(a, start)
+            delta = (1, 1)
+        else:
+            m = m.fork()
+            delta = (0, 0)
+        want = (want[0] + delta[0], want[1] + delta[1])
+        stats = m.stats
+        assert (stats.l1i_refs, stats.l1d_refs) == want, op
+        assert stats.l1i_refs == stats.insts, op
+        assert stats.l1d_refs == (
+            stats.loads + stats.stores + stats.ct_loads + stats.ct_stores
+        ), op
+        snap = m.snapshot()
+        assert (snap["l1i_refs"], snap["l1d_refs"]) == want, op
+    for name in ("l1i_refs", "l1d_refs"):
+        with pytest.raises(AttributeError):
+            setattr(m.stats, name, 0)
+    assert sorted(Machine().snapshot()) == SNAPSHOT_KEYS
 
 
 def reference_fetch_pass(ctx, view, group, orig_addr, tofetch, capture=None,

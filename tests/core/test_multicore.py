@@ -1,7 +1,5 @@
 """Cross-core sharing: remote attacker on the victim's LLC."""
 
-import pytest
-
 from repro import params
 from repro.core.machine import Machine, MachineConfig
 from repro.core.multicore import RemoteCore

@@ -6,7 +6,7 @@ import pytest
 
 from repro import params
 from repro.core.machine import Machine, MachineConfig
-from repro.ct.oram import BUCKET_SIZE, ORAMContext, PathORAM
+from repro.ct.oram import ORAMContext, PathORAM
 from repro.errors import ConfigurationError, ProtocolError
 
 LINE = params.LINE_SIZE

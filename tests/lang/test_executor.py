@@ -9,7 +9,7 @@ from repro.ct.context import InsecureContext
 from repro.ct.linearize import SoftwareCTContext
 from repro.errors import ProtocolError, SecurityViolationError
 from repro.lang.executor import run_program
-from repro.lang.ir import ArrayDecl, BinOp, Const, If, Load, Program, Store
+from repro.lang.ir import ArrayDecl, BinOp, Const, If, Load, Program
 from repro.lang.programs import (
     conditional_sum_program,
     demo_inputs,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import params
+from repro.core.machine import Machine, MachineConfig
 from repro.errors import AlignmentError, AllocationError, MemoryError_
 from repro.memory.backing import Allocator, MainMemory
 
@@ -80,27 +81,19 @@ class TestWords:
         with pytest.raises(AlignmentError):
             mem.write_word(0x1001, 5)
 
-    def test_8_byte_words(self):
+    def test_unmapped_word_reads_zero(self):
         mem = MainMemory()
-        mem.write_word(0x1000, 0xAABBCCDD11223344, size=8)
-        assert mem.read_word(0x1000, size=8) == 0xAABBCCDD11223344
-
-
-    @pytest.mark.parametrize("size", [0, 3, 16, 64, -4])
-    def test_unsupported_word_sizes_rejected(self, size):
-        mem = MainMemory()
-        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
-            mem.read_word(0x1000, size)
-        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
-            mem.write_word(0x1000, 1, size)
+        mem.write_word(0x1000, 7)
+        assert mem.read_word(0x2000) == 0  # a page never written
+        assert mem.read_word(0x1004) == 0  # a written page's other word
+        assert sorted(mem.touched_pages()) == [1]
 
     @given(
         st.lists(
             st.one_of(
                 st.tuples(
                     st.just("word"),
-                    st.sampled_from([1, 2, 4, 8]),
-                    st.integers(min_value=0, max_value=(1 << 14) - 1),
+                    st.integers(min_value=0, max_value=(1 << 12) - 1),
                     st.integers(min_value=-(1 << 70), max_value=1 << 70),
                 ),
                 st.tuples(
@@ -114,66 +107,35 @@ class TestWords:
     )
     @settings(max_examples=100)
     def test_words_and_raw_writes_match_flat_reference(self, ops):
-        """Little-endian word codec vs a flat bytearray, sizes 1..8.
-
-        Values wider than the word and negative values wrap modulo
-        ``2**(8*size)``; every word read (at every size) and the raw
-        bytes agree with the reference after each step.
-        """
+        """The little-endian word codec vs a flat bytearray over four
+        pages.  Values wider than a word and negative values wrap
+        modulo ``2**32``; raw writes may straddle pages and split
+        words; every word read and the raw bytes agree with the
+        reference after each step."""
         span = 1 << 14  # four pages
         mem = MainMemory()
         reference = bytearray(span)
         for op in ops:
             if op[0] == "word":
-                _, size, slot, value = op
-                addr = (slot * size) % span
-                mem.write_word(addr, value, size)
-                wrapped = value % (1 << (8 * size))
-                reference[addr : addr + size] = wrapped.to_bytes(size, "little")
-                assert mem.read_word(addr, size) == wrapped
+                _, slot, value = op
+                addr = 4 * slot
+                mem.write_word(addr, value)
+                wrapped = value % (1 << 32)
+                reference[addr : addr + 4] = wrapped.to_bytes(4, "little")
+                assert mem.read_word(addr) == wrapped
             else:
                 _, addr, data = op
                 mem.write(addr, data)
                 reference[addr : addr + len(data)] = data
-            for size in (1, 2, 4, 8):
-                a = (addr // size) * size
-                want = int.from_bytes(reference[a : a + size], "little")
-                assert mem.read_word(a, size) == want
+            a = addr // 4 * 4
+            assert mem.read_word(a) == int.from_bytes(reference[a : a + 4], "little")
         assert mem.read(0, span) == bytes(reference)
-
-    @pytest.mark.parametrize("size", [1, 2, 4, 8])
-    def test_word_writes_copy_shared_pages(self, size):
-        """After ``share_pages()``, word writes leave the shared page
-        byte-exact and land in this memory's private copy only."""
-        mem = MainMemory()
-        mem.write(0x1000, bytes(range(64)))
-        mem.write(0x3000, b"\xff" * 16)
-        shared = mem.share_pages()
-        frozen = {idx: bytes(page) for idx, page in shared.items()}
-        mem.write_word(0x1008, -1, size)
-        mem.write_word(0x1010, 1 << 70, size)
-        mem.write_word(0x2000, 0x1234, size)  # a page the snapshot lacks
-        assert {idx: bytes(page) for idx, page in shared.items()} == frozen
-        assert mem.read_word(0x1008, size) == (1 << (8 * size)) - 1
-        assert mem.read_word(0x1010, size) == 0
-        assert mem.read_word(0x2000, size) == 0x1234 % (1 << (8 * size))
-        assert mem.read(0x3000, 16) == b"\xff" * 16  # untouched page shared
-        # a second memory adopting the snapshot still sees the old bytes
-        other = MainMemory()
-        other.adopt_pages(shared)
-        assert other.read(0x1000, 64) == bytes(range(64))
-        other.write_word(0x1000, 0, size)
-        assert frozen[1] == bytes(shared[1])
-        assert mem.read_word(0x1000, size) == int.from_bytes(
-            bytes(range(size)), "little"
-        )
 
 
 class TestWriteWords:
     """``write_words`` == a ``write_word`` loop, error position included."""
 
     @given(
-        size=st.sampled_from([1, 2, 4, 8]),
         runs=st.lists(
             st.tuples(
                 # consecutive words from a slot (page crossings and
@@ -185,59 +147,148 @@ class TestWriteWords:
             ),
             max_size=8,
         ),
-        shared=st.booleans(),
+        snapshot=st.booleans(),
     )
     @settings(max_examples=100)
-    def test_matches_write_word_loop(self, size, runs, shared):
+    def test_matches_write_word_loop(self, runs, snapshot):
         mems = [MainMemory(), MainMemory()]
-        snapshots = []
+        images = []
         for mem in mems:
             mem.write(0x1000, bytes(range(200)))
-            if shared:
-                snapshots.append(mem.share_pages())
+            if snapshot:
+                images.append(mem.copy_pages())
         addrs, values = [], []
         for slot, length, value, skew in runs:
-            start = slot * size + (1 if skew == 0 and size > 1 else 0)
-            addrs += [start + size * k for k in range(length)]
+            start = 4 * slot + (1 if skew == 0 else 0)
+            addrs += [start + 4 * k for k in range(length)]
             values += [value + k for k in range(length)]
         errors = []
         try:
-            mems[0].write_words(addrs, values, size)
+            mems[0].write_words(addrs, values)
         except AlignmentError as exc:
             errors.append(str(exc))
         try:
             for a, v in zip(addrs, values):
-                mems[1].write_word(a, v, size)
+                mems[1].write_word(a, v)
         except AlignmentError as exc:
             errors.append(str(exc))
         assert len(errors) in (0, 2) and len(set(errors)) <= 1
         assert mems[0].read(0, 1 << 15) == mems[1].read(0, 1 << 15)
         assert sorted(mems[0].touched_pages()) == sorted(mems[1].touched_pages())
-        for snap in snapshots:  # copy-on-write left the snapshots intact
-            assert bytes(snap[1][:200]) == bytes(range(200))
+        for image in images:  # a copy taken before the writes is intact
+            assert list(image) == [1]
+            assert bytes(image[1][:200]) == bytes(range(200))
+            assert not any(image[1][200:])
 
-    def test_bad_size_raises_before_any_write(self):
+
+#: Each way to write one word's value into a :class:`MainMemory`.
+_WRITERS = {
+    "write": lambda mem, a, v: mem.write(a, v.to_bytes(4, "little")),
+    "write_word": lambda mem, a, v: mem.write_word(a, v),
+    "write_words": lambda mem, a, v: mem.write_words([a], [v]),
+}
+
+
+class TestPageImages:
+    """``copy_pages`` images: no write method reaches an image taken
+    before the write, and an installed image becomes the pages."""
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_writes_leave_a_copied_image_intact(self, writer):
         mem = MainMemory()
-        with pytest.raises(AlignmentError, match="1-, 2-, 4- or 8-byte"):
-            mem.write_words([0x1000, 0x1004], [1, 2], 3)
-        assert not list(mem.touched_pages())
+        mem.write(0x1000, bytes(range(64)))
+        mem.write(0x3000, b"\xff" * 16)
+        image = mem.copy_pages()
+        frozen = {idx: bytes(page) for idx, page in image.items()}
+        write = _WRITERS[writer]
+        write(mem, 0x1008, 0xDEADBEEF)  # a page the image holds
+        write(mem, 0x2000, 0x1234)  # a page it lacks
+        assert {idx: bytes(page) for idx, page in image.items()} == frozen
+        assert mem.read_word(0x1008) == 0xDEADBEEF
+        assert mem.read_word(0x2000) == 0x1234
+        assert mem.read(0x3000, 16) == b"\xff" * 16
+        assert sorted(mem.touched_pages()) == [1, 2, 3]
 
-
-class TestLines:
-    def test_line_roundtrip(self):
+    def test_installed_image_becomes_the_pages(self):
+        source = MainMemory()
+        source.write(0x1000, bytes(range(64)))
+        image = source.copy_pages()
         mem = MainMemory()
-        data = bytes(range(64))
-        mem.write_line(0x1000, data)
-        assert mem.read_line(0x1000) == data
+        mem.write_word(0x5000, 9)  # a page the image lacks
+        mem.install_pages(image)
+        assert sorted(mem.touched_pages()) == [1]
+        assert mem.read_word(0x5000) == 0
+        assert mem.read(0x1000, 64) == bytes(range(64))
+        mem.write_word(0x1000, 0)
+        # later writes go into the installed pages, not the source's
+        assert bytes(image[1][:4]) == bytes(4)
+        assert source.read(0x1000, 4) == bytes(range(4))
 
-    def test_line_rejects_misaligned(self):
-        with pytest.raises(AlignmentError):
-            MainMemory().read_line(0x1010)
 
-    def test_line_rejects_wrong_size(self):
-        with pytest.raises(MemoryError_):
-            MainMemory().write_line(0x1000, b"short")
+def _machine_with_words(words):
+    """A Table 1 machine with ``{addr: value}`` written to memory."""
+    m = Machine(MachineConfig())
+    for addr, value in words.items():
+        m.memory.write_word(addr, value)
+    return m
 
+
+def _image(m):
+    """Every written page of ``m``'s memory, as bytes."""
+    return {
+        idx: m.memory.read(idx * params.PAGE_SIZE, params.PAGE_SIZE)
+        for idx in sorted(m.memory.touched_pages())
+    }
+
+
+class TestSnapshotPages:
+    """Machine snapshots hold copies of the pages: no write on any
+    machine reaches a saved image or another machine's memory."""
+
+    WORDS = {0x10000: 1, 0x10004: 2, 0x13000: 3}
+
+    def test_saved_image_survives_writes_to_source_and_target(self):
+        source = _machine_with_words(self.WORDS)
+        saved = _image(source)
+        state = source.save_state()
+        source.memory.write_word(0x10000, 99)  # a page the image holds
+        source.memory.write_word(0x20000, 98)  # a page it lacks
+        source.store_word(0x13000, 97)
+        target = Machine(MachineConfig())
+        target.restore_state(state)
+        assert _image(target) == saved
+        target.memory.write_word(0x10004, 96)
+        target.store_word(0x13000, 95)
+        assert source.memory.read_word(0x10004) == 2
+        again = Machine(MachineConfig())
+        again.restore_state(state)
+        assert _image(again) == saved
+
+    def test_restoring_one_snapshot_twice_gives_the_same_memory(self):
+        m = _machine_with_words(self.WORDS)
+        saved = _image(m)
+        state = m.save_state()
+        for value in (50, 60):
+            m.memory.write_word(0x10000, value)
+            m.memory.write(0x13FFE, b"xyzw")  # straddles pages 0x13, 0x14
+            m.restore_state(state)
+            assert _image(m) == saved
+            assert sorted(m.memory.touched_pages()) == [0x10, 0x13]
+
+    def test_fork_writes_leave_the_parent_intact(self):
+        parent = _machine_with_words(self.WORDS)
+        saved = _image(parent)
+        child = parent.fork()
+        assert _image(child) == saved
+        child.memory.write_word(0x10000, 77)
+        child.store_words([0x13000, 0x13004, 0x30000], [5, 6, 7])
+        assert _image(parent) == saved
+        parent.memory.write_word(0x10004, 88)
+        assert child.memory.read_word(0x10004) == 2
+        assert child.memory.read_word(0x10000) == 77
+
+
+class TestTouchedPages:
     def test_touched_pages(self):
         mem = MainMemory()
         mem.write(0x1000, b"x")

@@ -1,7 +1,5 @@
 """Crypto plumbing: _SimTable routing and Feistel-kernel structure."""
 
-import pytest
-
 from repro.experiments.config import build_context
 from repro.workloads import crypto
 
