@@ -15,8 +15,12 @@
 # so only the working-tree side sees uncommitted changes.  Each run is
 # `python3 perfbench/run.py --trace 0` in its own checkout.  Prints
 # every pair's metrics, then per metric each side's median and
-# quartiles and how many pairs the working tree won.  Exits 1 if any
-# run is not `"correct": true`.
+# quartiles, how many pairs the working tree won, the median gap (base
+# minus change) divided by the base's quartile spread, and the claim
+# verdict: `claim holds` when the working tree won at least 9 pairs in
+# 10 and that ratio is above 1 (the gap exceeds the base's spread),
+# else `claim fails`.  A gain claim can be read straight off that line.
+# Exits 1 if any run is not `"correct": true`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,9 +95,10 @@ for seed in range(1, pairs + 1):
             f"{c:>12.4f}" if c is not None else f"{'-':>12}" for c in cells))
 print()
 print(f"{'metric':<12} {'base median [q1, q3]':>30} "
-      f"{'change median [q1, q3]':>30} {'wins':>8}")
+      f"{'change median [q1, q3]':>30} {'wins':>8} {'gap/IQR':>8}  claim")
 for metric in METRICS:
     cols = []
+    quarts = {}  # side -> (q1, median, q3)
     for side in SIDES:
         vals = [v for seed in range(1, pairs + 1)
                 if (v := value(side, seed, metric)) is not None]
@@ -102,13 +107,22 @@ for metric in METRICS:
             continue
         q1, _, q3 = (statistics.quantiles(vals, n=4) if len(vals) > 1
                      else (vals[0],) * 3)
-        cols.append(f"{statistics.median(vals):>12.4f} "
-                    f"[{q1:.4f}, {q3:.4f}]".rjust(30))
+        med = statistics.median(vals)
+        quarts[side] = q1, med, q3
+        cols.append(f"{med:>12.4f} [{q1:.4f}, {q3:.4f}]".rjust(30))
     wins = sum(
         1 for seed in range(1, pairs + 1)
         if None not in (b := value("base", seed, metric),
                         c := value("change", seed, metric)) and c < b)
-    print(f"{metric:<12} {cols[0]} {cols[1]} {f'{wins}/{pairs}':>8}")
+    ratio, holds = "-", False
+    if len(quarts) == 2:
+        q1, base_median, q3 = quarts["base"]
+        gap = base_median - quarts["change"][1]
+        iqr = q3 - q1
+        ratio = f"{gap / iqr:.2f}" if iqr > 0 else "-"
+        holds = 10 * wins >= 9 * pairs and gap > iqr
+    print(f"{metric:<12} {cols[0]} {cols[1]} {f'{wins}/{pairs}':>8} "
+          f"{ratio:>8}  claim {'holds' if holds else 'fails'}")
 if bad:
     print("not correct: " + ", ".join(bad))
     sys.exit(1)

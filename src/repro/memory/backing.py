@@ -27,8 +27,10 @@ assert _WORD.size == params.WORD_SIZE
 _pack_into = _WORD.pack_into
 _unpack_from = _WORD.unpack_from
 _WORD_MASK = (1 << (8 * params.WORD_SIZE)) - 1
+_WORD_SIZE = params.WORD_SIZE
 _ALIGN = params.WORD_SIZE - 1
 _PAGE_BITS = params.PAGE_BITS
+_PAGE_SIZE = params.PAGE_SIZE
 _PAGE_MASK = params.PAGE_SIZE - 1
 
 
@@ -112,10 +114,28 @@ class MainMemory:
     def write_words(self, addrs, values) -> None:
         """:meth:`write_word` for each ``(addr, value)`` pair, in order.
 
-        Resolves the page once per page change and keeps the per-word
+        ``addrs`` and ``values`` are equal-length lists.  A contiguous
+        batch (aligned consecutive words, as every array
+        initialisation writes) takes :meth:`_write_run`, one
+        multi-word ``struct`` pack per in-page stretch.  Any other
+        batch, and the rest of a contiguous one from a stretch whose
+        values do not all fit a word, takes the per-word loop, which
+        resolves the page once per page change and keeps the per-word
         alignment check: a misaligned address raises at the same word
         as the scalar loop, after the earlier words are written.
         """
+        n = len(addrs)
+        if n > 1 and len(values) == n:
+            first = addrs[0]
+            if (not first & _ALIGN
+                    and addrs[-1] == first + _WORD_SIZE * (n - 1)
+                    and addrs == list(range(first, first + _WORD_SIZE * n,
+                                            _WORD_SIZE))):
+                done = self._write_run(first, values)
+                if done == n:
+                    return
+                addrs = addrs[done:]
+                values = values[done:]
         pages = self._pages
         idx = page = None
         for addr, value in zip(addrs, values):
@@ -129,6 +149,36 @@ class MainMemory:
                 if page is None:
                     page = pages[idx] = bytearray(params.PAGE_SIZE)
             _pack_into(page, addr & _PAGE_MASK, value & _WORD_MASK)
+
+    def _write_run(self, addr: int, values) -> int:
+        """Write ``values`` as consecutive words from the aligned
+        ``addr``, one ``struct`` pack per in-page stretch.
+
+        Returns how many words it wrote: all of them, or the words
+        before the first stretch holding a value that does not pack as
+        an unsigned word (a negative or wide value, which
+        :meth:`write_word` wraps, or a non-integer, which it rejects).
+        A failed pack writes nothing, so the caller's per-word loop
+        resumes at that stretch with nothing of it written.
+        """
+        pages = self._pages
+        n = len(values)
+        pos = 0
+        while pos < n:
+            off = addr & _PAGE_MASK
+            k = min(n - pos, (_PAGE_SIZE - off) // _WORD_SIZE)
+            try:
+                data = struct.pack(f"<{k}I", *values[pos:pos + k])
+            except struct.error:
+                return pos
+            idx = addr >> _PAGE_BITS
+            page = pages.get(idx)
+            if page is None:
+                page = pages[idx] = bytearray(_PAGE_SIZE)
+            page[off:off + len(data)] = data
+            pos += k
+            addr += len(data)
+        return n
 
     # -- introspection ------------------------------------------------------
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from itertools import repeat
+from typing import Any, Callable, List, Tuple
 
 from repro.ct.context import MitigationContext
 
@@ -49,3 +50,29 @@ class Workload:
 def make_rng(size: int, seed: int) -> random.Random:
     """Deterministic per-(size, seed) input generator."""
     return random.Random(1_000_003 * seed + size)
+
+
+def randints(rng: random.Random, n: int, lo: int, hi: int) -> List[int]:
+    """``[rng.randint(lo, hi) for _ in range(n)]``, drawn in batches.
+
+    ``randint`` runs a rejection loop: ``getrandbits(k)`` with ``k`` the
+    bit length of the range's width, redrawn while the draw is not below
+    the width.  The accepted draws are therefore the first ``n`` stream
+    values below the width.  Each batch asks for exactly as many draws
+    as values are still missing, so the helper makes the same
+    ``getrandbits`` calls as the loop, returns the same values and
+    leaves ``rng`` in the same state, without ``randint``'s per-value
+    argument checks and call frames.
+    """
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range for randints ({lo}, {hi})")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out: List[int] = []
+    need = n
+    while need > 0:
+        kept = [lo + r for r in map(getrandbits, repeat(k, need)) if r < width]
+        out += kept
+        need -= len(kept)
+    return out

@@ -34,7 +34,7 @@ from typing import List
 
 from repro import params
 from repro.ct.context import MitigationContext
-from repro.workloads.base import make_rng
+from repro.workloads.base import make_rng, randints
 
 #: "Infinite" distance (fits a u32 after any number of relaxations).
 INF = 1 << 28
@@ -47,12 +47,18 @@ RELAX_INSTS = 4
 
 
 def generate_weights(size: int, seed: int) -> List[List[int]]:
-    """Secret dense weight matrix, weights in [1, 100]."""
-    rng = make_rng(size, seed)
-    return [
-        [0 if i == j else rng.randint(1, 100) for j in range(size)]
-        for i in range(size)
-    ]
+    """Secret dense weight matrix, weights in [1, 100].
+
+    The off-diagonal weights are drawn in row-major order; the zero
+    diagonal draws nothing.
+    """
+    draws = randints(make_rng(size, seed), size * (size - 1), 1, 100)
+    rows = []
+    for i in range(size):
+        row = draws[i * (size - 1) : (i + 1) * (size - 1)]
+        row.insert(i, 0)
+        rows.append(row)
+    return rows
 
 
 def run(ctx: MitigationContext, size: int, seed: int) -> List[int]:

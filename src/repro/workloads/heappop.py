@@ -23,7 +23,7 @@ from typing import List
 from repro import params
 from repro.ct import cfl
 from repro.ct.context import MitigationContext
-from repro.workloads.base import make_rng
+from repro.workloads.base import make_rng, randints
 
 #: Elements popped per run (simulation-budget knob).
 N_POPS = 9
@@ -38,25 +38,33 @@ LEVEL_INSTS = 8
 
 def generate_values(size: int, seed: int) -> List[int]:
     """The secret heap contents."""
-    rng = make_rng(size, seed)
-    return [rng.randint(0, 1 << 30) for _ in range(size)]
+    return randints(make_rng(size, seed), size, 0, 1 << 30)
 
 
 def _build_heap(values: List[int]) -> List[int]:
-    """Textbook heapify (public setup phase, done at input-load time)."""
+    """Textbook heapify (public setup phase, done at input-load time).
+
+    Each sift-down holds the sifted value and moves larger children up
+    into the hole, writing the value once where it stops: the array a
+    pairwise swap per level leaves.  The right child wins only when it
+    is strictly larger, so ties go to the left one.
+    """
     heap = list(values)
     n = len(heap)
     for start in range(n // 2 - 1, -1, -1):
+        item = heap[start]
         i = start
-        while True:
-            largest = i
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < n and heap[child] > heap[largest]:
-                    largest = child
-            if largest == i:
+        child = 2 * i + 1
+        while child < n:
+            right = child + 1
+            if right < n and heap[right] > heap[child]:
+                child = right
+            if heap[child] <= item:
                 break
-            heap[i], heap[largest] = heap[largest], heap[i]
-            i = largest
+            heap[i] = heap[child]
+            i = child
+            child = 2 * i + 1
+        heap[i] = item
     return heap
 
 

@@ -27,7 +27,7 @@ from typing import List
 from repro import params
 from repro.ct import cfl
 from repro.ct.context import MitigationContext
-from repro.workloads.base import make_rng
+from repro.workloads.base import make_rng, randints
 
 #: Secret input elements processed per run (simulation-budget knob).
 N_INPUTS = 56
@@ -55,8 +55,7 @@ def generate_inputs(
     """
     if n_inputs is None:
         n_inputs = N_INPUTS
-    rng = make_rng(size, seed)
-    return [rng.randint(-4 * size, 4 * size) for _ in range(n_inputs)]
+    return randints(make_rng(size, seed), n_inputs, -4 * size, 4 * size)
 
 
 def run(

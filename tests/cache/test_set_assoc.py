@@ -1,11 +1,14 @@
 """Single-level set-associative cache model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import params
 from repro.cache.events import CacheListener
+from repro.cache.plcache import PartitionLockedCache
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import ConfigurationError, ProtocolError
 
@@ -300,3 +303,81 @@ class TestResidency:
         # every resident line is one we touched
         touched = {idx * LINE for idx in line_indices}
         assert set(cache.resident_lines()) <= touched
+
+
+def _policy_state(policy):
+    """Every slot of a policy, an RNG as its state (for equality)."""
+    out = {}
+    for cls in type(policy).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            value = getattr(policy, slot)
+            if isinstance(value, random.Random):
+                value = value.getstate()
+            out[slot] = value
+    return out
+
+
+def _line(line):
+    return None if line is None else (line.line_addr, line.dirty)
+
+
+class TestLazySets:
+    """A set materialises at its first fill.  Its twin cache gets the
+    same operations, but some of the sets they fill were built empty
+    beforehand.  The two caches must agree on everything: a set built
+    at its first fill is the set an eager constructor would have
+    built, under every policy (the random one's per-set seed included)
+    and under PLcache's own fill."""
+
+    @pytest.mark.parametrize(
+        "cls", [SetAssociativeCache, PartitionLockedCache],
+        ids=["plain", "plcache"],
+    )
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random", "plru"])
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["fill", "fill-dirty", "access", "lock"]),
+                # 24 lines over 4 sets of 2 ways: evictions, and under
+                # PLcache fully locked sets that refuse fills
+                st.integers(min_value=0, max_value=23),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        prebuilt=st.sets(st.integers(min_value=0, max_value=3), min_size=1),
+    )
+    @settings(max_examples=40)
+    def test_first_fill_matches_fill_into_built_empty_set(
+        self, cls, policy, ops, prebuilt
+    ):
+        filled = {line % 4 for kind, line in ops if kind.startswith("fill")}
+        results = []
+        for build in ((), prebuilt & filled):
+            cache = cls("T", 4 * 2 * LINE, 2, 1, replacement=policy,
+                        replacement_seed=9)
+            rec = _Recorder()
+            cache.events.subscribe(rec)
+            for set_idx in build:
+                cache._set_at(set_idx)
+            returned = []
+            for kind, line in ops:
+                addr = line * LINE
+                if kind == "access":
+                    returned.append(_line(cache.access(addr)))
+                elif kind == "lock":
+                    if cls is PartitionLockedCache:
+                        returned.append(cache.lock(addr))
+                else:
+                    returned.append(
+                        _line(cache.fill(addr, dirty=kind == "fill-dirty"))
+                    )
+            state = cache.capture_state()
+            results.append((
+                [(idx, ways, _policy_state(p)) for idx, ways, p in state.sets],
+                state.stats,
+                state.extra,
+                rec.log,
+                returned,
+            ))
+        assert results[0] == results[1]

@@ -1,7 +1,7 @@
 """Backing memory and allocator."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import params
@@ -132,24 +132,55 @@ class TestWords:
         assert mem.read(0, span) == bytes(reference)
 
 
+#: A run's first value: in range for the whole run, crossing ``2**32``
+#: or 0 inside it (the words past the crossing wrap), or wide.
+_RUN_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 32) - 1200),
+    st.integers(min_value=(1 << 32) - 1200, max_value=(1 << 32) + 8),
+    st.integers(min_value=-1200, max_value=0),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+
+
 class TestWriteWords:
-    """``write_words`` == a ``write_word`` loop, error position included."""
+    """``write_words`` == a ``write_word`` loop, error position included.
+
+    A contiguous aligned batch takes the one-pack-per-page path, any
+    other batch the per-word loop; both are compared with the loop."""
 
     @given(
-        runs=st.lists(
-            st.tuples(
-                # consecutive words from a slot (page crossings and
-                # revisits included), one run in 16 starting misaligned
-                st.integers(min_value=0, max_value=(1 << 11) - 1),
-                st.integers(min_value=1, max_value=20),
-                st.integers(min_value=-(1 << 70), max_value=1 << 70),
-                st.integers(min_value=0, max_value=15),
+        runs=st.one_of(
+            st.lists(
+                st.tuples(
+                    # consecutive words from a slot (page crossings and
+                    # revisits included), one run in 16 starting
+                    # misaligned
+                    st.integers(min_value=0, max_value=(1 << 11) - 1),
+                    st.integers(min_value=1, max_value=20),
+                    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                    st.integers(min_value=0, max_value=15),
+                ),
+                max_size=8,
             ),
-            max_size=8,
+            # one contiguous batch of up to ~1,100 words from any word
+            # of two pages: it crosses one or two page boundaries
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 11) - 1),
+                st.integers(min_value=1, max_value=1100),
+                _RUN_VALUES,
+                st.integers(min_value=0, max_value=15),
+            ).map(lambda run: [run]),
         ),
         snapshot=st.booleans(),
     )
-    @settings(max_examples=100)
+    @example(runs=[(1000, 1100, 7, 1)], snapshot=False)
+    @example(runs=[(1000, 1100, (1 << 32) - 500, 1)], snapshot=False)
+    @example(runs=[(1000, 1100, -700, 1)], snapshot=False)
+    @example(runs=[(1000, 1100, 7, 0)], snapshot=False)
+    # first and last address as in a contiguous batch, middle permuted
+    @example(runs=[(0, 1, 5, 1), (2, 1, 6, 1), (1, 1, 7, 1), (3, 1, 8, 1)],
+             snapshot=False)
+    @settings(max_examples=150)
     def test_matches_write_word_loop(self, runs, snapshot):
         mems = [MainMemory(), MainMemory()]
         images = []
@@ -179,6 +210,22 @@ class TestWriteWords:
             assert list(image) == [1]
             assert bytes(image[1][:200]) == bytes(range(200))
             assert not any(image[1][200:])
+
+    @pytest.mark.parametrize("bad_at", [0, 500, 1023, 1024, 1099])
+    def test_non_integer_value_raises_at_the_loops_word(self, bad_at):
+        """A value that cannot be a word fails the stretch's pack, which
+        writes nothing; the loop then writes up to it and raises."""
+        addrs = [0x1800 + 4 * k for k in range(1100)]
+        values = list(range(1, 1101))
+        values[bad_at] = 1.5
+        mems = [MainMemory(), MainMemory()]
+        with pytest.raises(TypeError):
+            mems[0].write_words(addrs, values)
+        with pytest.raises(TypeError):
+            for a, v in zip(addrs, values):
+                mems[1].write_word(a, v)
+        assert mems[0].read(0, 1 << 15) == mems[1].read(0, 1 << 15)
+        assert sorted(mems[0].touched_pages()) == sorted(mems[1].touched_pages())
 
 
 #: Each way to write one word's value into a :class:`MainMemory`.
