@@ -4,11 +4,14 @@
 # seed, alternating which side runs first so host drift hits both sides
 # alike.
 #
-# Usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS]
-#   REV       the baseline revision (a commit, a branch, HEAD, ...)
-#   WORKLOAD  fig-ct, fig-bia or verify
-#   PAIRS     pairs of runs, seeds 1..PAIRS (default 10)
-#   SECONDS   perfbench --seconds per run (default 30)
+# Usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS] [FIRST_SEED]
+#   REV         the baseline revision (a commit, a branch, HEAD, ...)
+#   WORKLOAD    fig-ct, fig-bia or verify
+#   PAIRS       pairs of runs (default 10)
+#   SECONDS     perfbench --seconds per run (default 30)
+#   FIRST_SEED  the pairs run seeds FIRST_SEED..FIRST_SEED+PAIRS-1
+#               (default 1); a later first seed checks a claim on
+#               seeds held out while the change was developed
 #
 # REV's committed files are exported to a temporary directory with
 # `git archive` (removed on exit, and nothing is registered with git),
@@ -24,14 +27,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS]" >&2
+if [[ $# -lt 2 || $# -gt 5 ]]; then
+    echo "usage: scripts/ab.sh REV WORKLOAD [PAIRS] [SECONDS] [FIRST_SEED]" >&2
     exit 2
 fi
 rev="$1"
 workload="$2"
 pairs="${3:-10}"
 seconds="${4:-30}"
+first="${5:-1}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -46,8 +50,8 @@ run_side() {  # run_side SIDE SEED: last perfbench line -> $work/SIDE-SEED.json
         | tail -n 1 >"$work/$1-$2.json" || true
 }
 
-for ((seed = 1; seed <= pairs; seed++)); do
-    if ((seed % 2)); then
+for ((seed = first; seed < first + pairs; seed++)); do
+    if (((seed - first) % 2 == 0)); then
         run_side base "$seed"
         run_side change "$seed"
     else
@@ -57,12 +61,14 @@ for ((seed = 1; seed <= pairs; seed++)); do
     echo "pair $seed done" >&2
 done
 
-python3 - "$work" "$pairs" "$rev" "$workload" <<'EOF'
+python3 - "$work" "$pairs" "$first" "$rev" "$workload" <<'EOF'
 import json
 import statistics
 import sys
 
-work, pairs, rev, workload = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
+work, pairs, first, rev, workload = (
+    sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), *sys.argv[4:])
+SEEDS = range(first, first + pairs)
 METRICS = ("wall_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
 SIDES = ("base", "change")
 
@@ -75,8 +81,7 @@ def load(side, seed):
         return {"correct": False, "metrics": {}}
 
 
-runs = {(side, seed): load(side, seed)
-        for side in SIDES for seed in range(1, pairs + 1)}
+runs = {(side, seed): load(side, seed) for side in SIDES for seed in SEEDS}
 bad = [f"{side} seed {seed}" for (side, seed), run in sorted(runs.items())
        if run.get("correct") is not True]
 
@@ -86,9 +91,10 @@ def value(side, seed, metric):
     return None if entry is None else entry["value"]
 
 
-print(f"A/B {workload}: base = {rev}, change = working tree, {pairs} pairs")
+print(f"A/B {workload}: base = {rev}, change = working tree, {pairs} pairs, "
+      f"seeds {first}..{first + pairs - 1}")
 print(f"{'pair':<5} {'side':<7} " + " ".join(f"{m:>12}" for m in METRICS))
-for seed in range(1, pairs + 1):
+for seed in SEEDS:
     for side in SIDES:
         cells = [value(side, seed, m) for m in METRICS]
         print(f"{seed:<5} {side:<7} " + " ".join(
@@ -100,7 +106,7 @@ for metric in METRICS:
     cols = []
     quarts = {}  # side -> (q1, median, q3)
     for side in SIDES:
-        vals = [v for seed in range(1, pairs + 1)
+        vals = [v for seed in SEEDS
                 if (v := value(side, seed, metric)) is not None]
         if not vals:
             cols.append(f"{'-':>30}")
@@ -111,7 +117,7 @@ for metric in METRICS:
         quarts[side] = q1, med, q3
         cols.append(f"{med:>12.4f} [{q1:.4f}, {q3:.4f}]".rjust(30))
     wins = sum(
-        1 for seed in range(1, pairs + 1)
+        1 for seed in SEEDS
         if None not in (b := value("base", seed, metric),
                         c := value("change", seed, metric)) and c < b)
     ratio, holds = "-", False

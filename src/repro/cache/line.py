@@ -33,6 +33,9 @@ class CacheLine:
     line_addr: int
     dirty: bool = False
 
+    def clone(self) -> "CacheLine":
+        return CacheLine(self.line_addr, self.dirty)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "D" if self.dirty else " "
         return f"<Line {self.line_addr:#x} {flag}>"

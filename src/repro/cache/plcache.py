@@ -101,7 +101,7 @@ class PartitionLockedCache(SetAssociativeCache):
         allowed = [
             way for way in range(self.assoc) if not self._locked[set_idx][way]
         ]
-        victim_way = cset.policy.victim_among(allowed)
+        victim_way = cset.victim_among(allowed)
         if victim_way is None:
             # Every way is pinned: serve the request uncached.
             self.uncached_fills += 1
@@ -113,10 +113,9 @@ class PartitionLockedCache(SetAssociativeCache):
             if victim.dirty:
                 self.stats.dirty_evictions += 1
             self.events.evict(victim.line_addr, victim.dirty)
-        new_line = CacheLine(line_addr, dirty=dirty)
-        cset.ways[victim_way] = new_line
+        cset.ways[victim_way] = CacheLine(line_addr, dirty)
         cset.by_addr[line_addr] = victim_way
-        cset.policy.on_fill(victim_way)
+        cset.on_fill(victim_way)
         self.stats.fills += 1
         self.events.fill(line_addr, dirty)
         return victim

@@ -4,90 +4,90 @@ Both the caches and the BIA (which the paper says uses "a
 set-associative policy for placement and an LRU policy for
 replacement", Sec. 4.2) share these policies.
 
-A policy instance manages the ways of *one* set.  The owning set calls
+A policy instance *is* one set: it holds the set's ``ways`` (an item
+per way, ``None`` when empty) and its key -> way index ``by_addr``
+next to its ranking state.  The owner keeps ``ways`` and ``by_addr``
+in step (a fill writes both, an invalidation clears both), and
+occupancy is read off them.  The owner calls
 
 * :meth:`on_fill` when a way is (re)populated,
-* :meth:`on_access` when a resident way is touched by a demand access
+* :meth:`_rank_touch` when a resident way is touched by a demand access
   — or :meth:`touch_n` for ``k`` touches of one way in a row (the
   run-length kernels).  The paper's security argument requires that
   secret-relevant accesses *skip* this call ("not updating replacement
   bit (LRU bit) if the access is secret-relevant", Sec. 3.2); in the
   model those are the CTLoad/CTStore probes, which are pure tag
-  lookups and never reach the policy,
-* :meth:`on_invalidate` when a way is emptied, and
-* :meth:`victim` to choose a way to evict (invalid ways first).
+  lookups and never reach the policy, and
+* :meth:`victim` to choose a way to evict (empty ways first).
 
-``make_policy`` builds a policy from its registry name so experiment
-configs can select policies by string.
+An invalidation is the owner's alone: emptying a way changes no
+ranking state.  ``make_policy`` builds a policy from its registry name
+so experiment configs can select policies by string.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from repro.errors import ConfigurationError
 
 
 class ReplacementPolicy:
-    """Base class: tracks which ways are occupied; subclasses rank them."""
+    """Base class: one set's ways and key index; subclasses rank the ways.
 
-    __slots__ = ("num_ways", "_occupied", "_num_occupied")
+    ``seed`` seeds the random policy; the others ignore it, so every
+    policy class builds a set as ``cls(num_ways, seed)``.  Subclass
+    constructors call ``ReplacementPolicy.__init__`` by name: every
+    cache set is built through them, and on CPython 3.11 a zero-argument
+    ``super()`` costs about as much as the rest of an LRU set's build.
+    """
 
-    def __init__(self, num_ways: int) -> None:
+    __slots__ = ("num_ways", "ways", "by_addr")
+
+    def __init__(self, num_ways: int, seed: int = 0) -> None:
         if num_ways <= 0:
             raise ConfigurationError(f"num_ways must be positive: {num_ways}")
         self.num_ways = num_ways
-        self._occupied: List[bool] = [False] * num_ways
-        #: occupancy count so the steady-state ``victim()`` call (every
-        #: way valid — the common case once a set warms up) skips the
-        #: O(ways) scan for an invalid way.
-        self._num_occupied = 0
+        #: the item in each way (a cache line, a BIA entry), or None
+        self.ways: List[Optional[object]] = [None] * num_ways
+        #: key (line address, BIA page index) -> way of every item
+        self.by_addr: Dict[int, int] = {}
 
     # -- hooks ---------------------------------------------------------------
 
     def on_fill(self, way: int) -> None:
-        if not self._occupied[way]:
-            self._occupied[way] = True
-            self._num_occupied += 1
-        self._rank_touch(way)
-
-    def on_access(self, way: int) -> None:
         self._rank_touch(way)
 
     def touch_n(self, way: int, k: int) -> None:
-        """Exactly ``k`` :meth:`on_access` calls on ``way`` (``k >= 1``).
+        """Exactly ``k`` :meth:`_rank_touch` calls on ``way`` (``k >= 1``).
 
         The run-length kernels charge a run of same-line (or same-group)
         hits with one call.  This loop keeps a policy defined outside
         this module exact; the stock policies override it in O(1).
         """
-        on_access = self.on_access
+        rank_touch = self._rank_touch
         for _ in range(k):
-            on_access(way)
-
-    def on_invalidate(self, way: int) -> None:
-        if self._occupied[way]:
-            self._occupied[way] = False
-            self._num_occupied -= 1
+            rank_touch(way)
 
     def victim(self) -> int:
-        """Way to evict: any invalid way first, else the policy's choice."""
-        if self._num_occupied < self.num_ways:
-            return self._occupied.index(False)
+        """Way to evict: the first empty way, else the policy's choice."""
+        if len(self.by_addr) < self.num_ways:
+            return self.ways.index(None)
         return self._rank_victim()
 
     def victim_among(self, allowed: Sequence[int]) -> Optional[int]:
         """Victim restricted to ``allowed`` ways (locking support).
 
         Used by PLcache-style designs where some ways are pinned:
-        invalid allowed ways first, then the policy's preference among
+        empty allowed ways first, then the policy's preference among
         the allowed ones.  Returns None when ``allowed`` is empty.
         """
         if not allowed:
             return None
+        ways = self.ways
         for way in allowed:
-            if not self._occupied[way]:
+            if ways[way] is None:
                 return way
         return self._rank_victim_among(allowed)
 
@@ -98,17 +98,18 @@ class ReplacementPolicy:
     # -- state cloning (machine fork/restore support) --------------------------
 
     def clone(self) -> "ReplacementPolicy":
-        """Deep copy of the policy's ranking state.
+        """Deep copy of the set: its items, key index and ranking state.
 
         Used by :meth:`repro.core.machine.Machine.save_state` /
         ``fork``: a restored set must continue choosing *exactly* the
         victims the original would have chosen, which for the random
-        policy includes the RNG stream position.
+        policy includes the RNG stream position.  Each item is copied
+        by its own ``clone()``.
         """
         new = type(self).__new__(type(self))
         new.num_ways = self.num_ways
-        new._occupied = list(self._occupied)
-        new._num_occupied = self._num_occupied
+        new.ways = [None if item is None else item.clone() for item in self.ways]
+        new.by_addr = self.by_addr.copy()
         self._clone_rank_state(new)
         return new
 
@@ -136,8 +137,8 @@ class LRUPolicy(ReplacementPolicy):
 
     __slots__ = ("_stamp", "_last_use")
 
-    def __init__(self, num_ways: int) -> None:
-        super().__init__(num_ways)
+    def __init__(self, num_ways: int, seed: int = 0) -> None:
+        ReplacementPolicy.__init__(self, num_ways)
         self._stamp = 0
         self._last_use: List[int] = [0] * num_ways
 
@@ -170,7 +171,8 @@ class LRUPolicy(ReplacementPolicy):
         checker hashes it to verify that mitigated programs leave
         secret-independent LRU state behind.
         """
-        occupied = [w for w in range(self.num_ways) if self._occupied[w]]
+        ways = self.ways
+        occupied = [w for w in range(self.num_ways) if ways[w] is not None]
         return sorted(occupied, key=self._last_use.__getitem__, reverse=True)
 
 
@@ -179,15 +181,12 @@ class FIFOPolicy(ReplacementPolicy):
 
     __slots__ = ("_stamp", "_fill_time")
 
-    def __init__(self, num_ways: int) -> None:
-        super().__init__(num_ways)
+    def __init__(self, num_ways: int, seed: int = 0) -> None:
+        ReplacementPolicy.__init__(self, num_ways)
         self._stamp = 0
         self._fill_time: List[int] = [0] * num_ways
 
     def on_fill(self, way: int) -> None:
-        if not self._occupied[way]:
-            self._occupied[way] = True
-            self._num_occupied += 1
         self._stamp += 1
         self._fill_time[way] = self._stamp
 
@@ -214,7 +213,7 @@ class RandomPolicy(ReplacementPolicy):
     __slots__ = ("_rng",)
 
     def __init__(self, num_ways: int, seed: int = 0) -> None:
-        super().__init__(num_ways)
+        ReplacementPolicy.__init__(self, num_ways)
         self._rng = random.Random(seed)
 
     def _rank_touch(self, way: int) -> None:
@@ -241,8 +240,8 @@ class TreePLRUPolicy(ReplacementPolicy):
 
     __slots__ = ("_bits",)
 
-    def __init__(self, num_ways: int) -> None:
-        super().__init__(num_ways)
+    def __init__(self, num_ways: int, seed: int = 0) -> None:
+        ReplacementPolicy.__init__(self, num_ways)
         if num_ways & (num_ways - 1):
             raise ConfigurationError(
                 f"tree PLRU needs power-of-two ways, got {num_ways}"
@@ -286,7 +285,7 @@ class TreePLRUPolicy(ReplacementPolicy):
         new._bits = list(self._bits)
 
 
-_REGISTRY: Dict[str, Callable[[int], ReplacementPolicy]] = {
+_REGISTRY: Dict[str, Type[ReplacementPolicy]] = {
     "lru": LRUPolicy,
     "fifo": FIFOPolicy,
     "random": RandomPolicy,
@@ -294,26 +293,23 @@ _REGISTRY: Dict[str, Callable[[int], ReplacementPolicy]] = {
 }
 
 
-def policy_factory(name: str) -> Callable[..., ReplacementPolicy]:
-    """Resolve a registry name to ``factory(num_ways, seed=None)``.
+def policy_factory(name: str) -> Type[ReplacementPolicy]:
+    """Resolve a registry name to its policy class.
 
-    Raises :class:`ConfigurationError` for an unknown name, so owners
-    that build policies lazily (one per cache set) can resolve the name
-    once, at construction.  Only the random policy uses ``seed``.
+    ``cls(num_ways, seed)`` builds one set.  Raises
+    :class:`ConfigurationError` for an unknown name, so owners that
+    build sets lazily can resolve the name once, at construction.
     """
     try:
-        cls = _REGISTRY[name.lower()]
+        return _REGISTRY[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown replacement policy {name!r}; "
             f"choices: {sorted(_REGISTRY)}"
         ) from None
-    if cls is RandomPolicy:
-        return lambda num_ways, seed=None: RandomPolicy(num_ways, seed or 0)
-    return lambda num_ways, seed=None: cls(num_ways)
 
 
-def make_policy(name: str, num_ways: int, seed: Optional[int] = None):
+def make_policy(name: str, num_ways: int, seed: int = 0) -> ReplacementPolicy:
     """Instantiate a replacement policy by registry name."""
     return policy_factory(name)(num_ways, seed)
 

@@ -4,7 +4,10 @@ One :class:`SetAssociativeCache` models one level of the hierarchy.
 It tracks which lines are resident and dirty, fires events through its
 :class:`~repro.cache.events.EventBus`, chooses victims through a
 pluggable replacement policy, and keeps the statistics every
-experiment consumes (hits, misses, per-set access counts).
+experiment consumes (hits, misses, per-set access counts).  Each set
+is one object, an instance of the policy class
+(:mod:`repro.cache.replacement`): its ways, its line address -> way
+index and its ranking state, built at the set's first fill.
 
 Two paper-specific behaviours live here:
 
@@ -111,26 +114,6 @@ _PER_EVENT = (
 )
 
 
-class _CacheSet:
-    """Ways + replacement state for one set."""
-
-    __slots__ = ("ways", "policy", "by_addr", "touch")
-
-    def __init__(self, num_ways: int, policy: ReplacementPolicy) -> None:
-        self.ways: List[Optional[CacheLine]] = [None] * num_ways
-        self.policy = policy
-        self.by_addr: Dict[int, int] = {}  # line_addr -> way
-        # Devirtualized replacement-touch for the hot hit path: every
-        # stock policy's ``on_access`` is the base-class trampoline to
-        # ``_rank_touch``, so bind the target directly and skip one
-        # call frame per hit.  Policies that *override* ``on_access``
-        # keep their override (semantics unchanged).
-        if type(policy).on_access is ReplacementPolicy.on_access:
-            self.touch = policy._rank_touch
-        else:  # pragma: no cover - no stock policy overrides on_access
-            self.touch = policy.on_access
-
-
 class CacheState:
     """Immutable-by-convention snapshot of one cache level's state.
 
@@ -144,8 +127,8 @@ class CacheState:
     __slots__ = ("sets", "stats", "extra")
 
     def __init__(self, sets, stats, extra=None) -> None:
-        #: list of (set_idx, ways, policy_clone); ways is a tuple of
-        #: ``None | (line_addr, dirty)`` per way
+        #: list of (set_idx, set clone): each a deep copy of a
+        #: materialised set (:meth:`ReplacementPolicy.clone`)
         self.sets = sets
         self.stats = stats
         #: subclass payload (PLcache lock state, ...)
@@ -207,21 +190,22 @@ class SetAssociativeCache:
         self.replacement_seed = replacement_seed
         # Resolved once: an unknown name (or a policy that rejects this
         # associativity) fails here, not at the first lazy set fill.
-        self._make_policy = policy_factory(replacement)
+        self._set_class = policy_factory(replacement)
+        self._set_class(assoc)
         #: stock LRU: the listener-free kernels inline its touch
-        self._lru = type(self._make_policy(assoc, replacement_seed)) is LRUPolicy
+        self._lru = self._set_class is LRUPolicy
         # Hot-path geometry: line size and set count are validated
         # powers of two above, so div/mod set indexing reduces to one
         # shift + one mask.
         self._line_shift = line_size.bit_length() - 1
         self._set_mask = num_sets - 1
         # Sets materialise lazily on first touch.  A 16 MiB LLC has
-        # 16384 sets; building a policy object per set up front made
+        # 16384 sets; building a set object per set up front made
         # Machine construction (and therefore fork/warm-start) pay for
         # capacity the run never touches.  ``_set_at`` builds each set
         # with the same per-set seed the eager constructor used, so
         # randomized-replacement streams are unchanged.
-        self._sets: List[Optional[_CacheSet]] = [None] * num_sets
+        self._sets: List[Optional[ReplacementPolicy]] = [None] * num_sets
         #: indices of materialised sets, in materialisation order — the
         #: digest/snapshot paths iterate these instead of scanning all
         #: ``num_sets`` entries (a 16 MiB LLC has 16384, mostly None)
@@ -229,13 +213,12 @@ class SetAssociativeCache:
         self.events = EventBus(name)
         self.stats = CacheStats()
 
-    def _set_at(self, set_idx: int) -> _CacheSet:
+    def _set_at(self, set_idx: int) -> ReplacementPolicy:
         """The set object for ``set_idx``, materialising it if needed."""
         cset = self._sets[set_idx]
         if cset is None:
-            cset = self._sets[set_idx] = _CacheSet(
-                self.assoc,
-                self._make_policy(self.assoc, self.replacement_seed + set_idx),
+            cset = self._sets[set_idx] = self._set_class(
+                self.assoc, self.replacement_seed + set_idx
             )
             self._live.append(set_idx)
         return cset
@@ -286,8 +269,9 @@ class SetAssociativeCache:
         caller (hierarchy) is responsible for filling on miss.
         """
         # Hot path: inlined shift/mask indexing, one bound ``stats``
-        # lookup for all counter updates, devirtualized LRU touch, and
-        # event emission skipped entirely when nobody is listening.
+        # lookup for all counter updates, the policy's rank touch called
+        # directly, and event emission skipped entirely when nobody is
+        # listening.
         set_idx = (line_addr >> self._line_shift) & self._set_mask
         cset = self._sets[set_idx]
         stats = self.stats
@@ -305,7 +289,7 @@ class SetAssociativeCache:
             return None
         line = cset.ways[way]
         stats.hits += 1
-        cset.touch(way)
+        cset._rank_touch(way)
         events = self.events
         if events.has_listeners:
             events.hit(line_addr, line.dirty)
@@ -386,7 +370,7 @@ class SetAssociativeCache:
                 c = counts[i]
                 set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
                 hits += c
-                cset.policy.touch_n(way, c)
+                cset.touch_n(way, c)
                 if mark_dirty:
                     cset.ways[way].dirty = True
                 i += 1
@@ -401,12 +385,11 @@ class SetAssociativeCache:
             if way is None:
                 break
             if lru:
-                policy = cset.policy
-                stamp = policy._stamp + 1
-                policy._stamp = stamp
-                policy._last_use[way] = stamp
+                stamp = cset._stamp + 1
+                cset._stamp = stamp
+                cset._last_use[way] = stamp
             else:
-                cset.touch(way)
+                cset._rank_touch(way)
             if mark_dirty:
                 cset.ways[way].dirty = True
         else:
@@ -460,12 +443,11 @@ class SetAssociativeCache:
             if way is None:
                 break
             if lru:
-                policy = cset.policy
-                stamp = policy._stamp + 2
-                policy._stamp = stamp
-                policy._last_use[way] = stamp
+                stamp = cset._stamp + 2
+                cset._stamp = stamp
+                cset._last_use[way] = stamp
             else:
-                cset.policy.touch_n(way, 2)
+                cset.touch_n(way, 2)
             cset.ways[way].dirty = True
         else:
             i = n
@@ -493,28 +475,29 @@ class SetAssociativeCache:
         stats = self.stats
         events = self.events
         emit = events.has_listeners
-        existing_way = cset.by_addr.get(line_addr)
+        by_addr = cset.by_addr
+        existing_way = by_addr.get(line_addr)
         if existing_way is not None:
             line = cset.ways[existing_way]
-            cset.touch(existing_way)
+            cset._rank_touch(existing_way)
             if dirty and not line.dirty:
                 line.dirty = True
                 if emit:
                     events.dirty(line_addr)
             return None
-        victim_way = cset.policy.victim()
-        victim = cset.ways[victim_way]
+        victim_way = cset.victim()
+        ways = cset.ways
+        victim = ways[victim_way]
         if victim is not None:
-            del cset.by_addr[victim.line_addr]
+            del by_addr[victim.line_addr]
             stats.evictions += 1
             if victim.dirty:
                 stats.dirty_evictions += 1
             if emit:
                 events.evict(victim.line_addr, victim.dirty)
-        new_line = CacheLine(line_addr, dirty=dirty)
-        cset.ways[victim_way] = new_line
-        cset.by_addr[line_addr] = victim_way
-        cset.policy.on_fill(victim_way)
+        ways[victim_way] = CacheLine(line_addr, dirty)
+        by_addr[line_addr] = victim_way
+        cset.on_fill(victim_way)
         stats.fills += 1
         if emit:
             events.fill(line_addr, dirty)
@@ -551,7 +534,6 @@ class SetAssociativeCache:
             return None
         line = cset.ways[way]
         cset.ways[way] = None
-        cset.policy.on_invalidate(way)
         self.stats.invalidations += 1
         self.events.invalidate(line_addr)
         return line
@@ -601,13 +583,9 @@ class SetAssociativeCache:
                     if line is not None
                 )
             )
-            policy = cset.policy
-            if hasattr(policy, "recency_order"):
-                order = tuple(
-                    cset.ways[w].line_addr
-                    for w in policy.recency_order()
-                    if cset.ways[w] is not None
-                )
+            if hasattr(cset, "recency_order"):
+                ways = cset.ways
+                order = tuple(ways[w].line_addr for w in cset.recency_order())
             else:
                 order = tuple(sorted(cset.by_addr))
             out.append((set_idx, contents, order))
@@ -624,12 +602,9 @@ class SetAssociativeCache:
         cset = self._sets[set_idx]
         if cset is None:
             return tuple()
-        policy = cset.policy
-        if hasattr(policy, "recency_order"):
-            order = policy.recency_order()
-            return tuple(
-                cset.ways[w].line_addr for w in order if cset.ways[w] is not None
-            )
+        if hasattr(cset, "recency_order"):
+            ways = cset.ways
+            return tuple(ways[w].line_addr for w in cset.recency_order())
         return tuple(sorted(cset.by_addr))
 
     # -- state capture / restore (machine fork support) --------------------------
@@ -643,38 +618,27 @@ class SetAssociativeCache:
         are deliberately NOT part of the snapshot — restoring simulated
         state must not detach observers (or the BIA) from a live bus.
         """
-        sets = []
-        for set_idx in sorted(self._live):
-            cset = self._sets[set_idx]
-            ways = tuple(
-                None if line is None else (line.line_addr, line.dirty)
-                for line in cset.ways
-            )
-            sets.append((set_idx, ways, cset.policy.clone()))
-        return CacheState(sets, self.stats.clone(), self._capture_extra())
+        sets = self._sets
+        return CacheState(
+            [(set_idx, sets[set_idx].clone()) for set_idx in sorted(self._live)],
+            self.stats.clone(),
+            self._capture_extra(),
+        )
 
     def restore_state(self, state: CacheState, adopt: bool = False) -> None:
         """Install a snapshot taken by :meth:`capture_state`.
 
-        ``adopt=True`` takes ownership of the snapshot's replacement
-        policies instead of cloning them — valid only when the caller
-        guarantees the snapshot is ephemeral and never restored again
+        ``adopt=True`` takes ownership of the snapshot's sets instead of
+        cloning them — valid only when the caller guarantees the
+        snapshot is ephemeral and never restored again
         (:meth:`Machine.fork` round-trips capture→restore, and cloning
-        each policy twice per fork dominated the fork cost).
+        each set twice per fork dominated the fork cost).
         """
-        sets: List[Optional[_CacheSet]] = [None] * self.num_sets
-        assoc = self.assoc
-        for set_idx, ways, policy in state.sets:
-            cset = _CacheSet(assoc, policy if adopt else policy.clone())
-            cset_ways = cset.ways
-            by_addr = cset.by_addr
-            for way, rec in enumerate(ways):
-                if rec is not None:
-                    cset_ways[way] = CacheLine(rec[0], rec[1])
-                    by_addr[rec[0]] = way
-            sets[set_idx] = cset
+        sets: List[Optional[ReplacementPolicy]] = [None] * self.num_sets
+        for set_idx, cset in state.sets:
+            sets[set_idx] = cset if adopt else cset.clone()
         self._sets = sets
-        self._live = [set_idx for set_idx, _, _ in state.sets]
+        self._live = [set_idx for set_idx, _ in state.sets]
         self.stats.load_from(state.stats)
         self._restore_extra(state.extra)
 

@@ -31,11 +31,11 @@ never correctness or security).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import params
 from repro.cache.events import CacheListener
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import LRUPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import ConfigurationError
 
@@ -66,6 +66,9 @@ class BIAEntry:
 
     def clear_dirty(self, bit: int) -> None:
         self.dirtiness &= ~(1 << bit)
+
+    def clone(self) -> "BIAEntry":
+        return BIAEntry(self.page_idx, self.existence, self.dirtiness)
 
 
 @dataclass(slots=True)
@@ -98,15 +101,6 @@ class BIAStats:
         self.evictions = other.evictions
 
 
-class _BIASet:
-    __slots__ = ("ways", "policy", "by_page")
-
-    def __init__(self, assoc: int) -> None:
-        self.ways: List[Optional[BIAEntry]] = [None] * assoc
-        self.policy = make_policy("lru", assoc)
-        self.by_page: Dict[int, int] = {}
-
-
 class BIA(CacheListener):
     """The bitmap table, attached to one cache level.
 
@@ -115,6 +109,11 @@ class BIA(CacheListener):
     so applying the stretch's net effect once, before the fill that
     ends it, leaves the same table as one :meth:`on_hit` and
     :meth:`on_dirty` per access.
+
+    Each table set is an :class:`~repro.cache.replacement.LRUPolicy`,
+    the same one-object set the caches use: its ways hold
+    :class:`BIAEntry` items and its key index (``by_addr``) maps page
+    (group) indices to ways.
 
     The BIA is on its cache's event bus only while it holds a live
     entry (:meth:`_sync_subscription`, called by :meth:`access` and
@@ -164,7 +163,7 @@ class BIA(CacheListener):
         self.group_bits = group_bits
         self.lines_per_group = 1 << (group_bits - params.LINE_BITS)
         self.num_sets = num_sets
-        self._sets = [_BIASet(assoc) for _ in range(num_sets)]
+        self._sets = [LRUPolicy(assoc) for _ in range(num_sets)]
         self.stats = BIAStats()
         self._monitored: Optional[str] = None
         self._monitored_bus = None
@@ -217,13 +216,13 @@ class BIA(CacheListener):
 
     # -- table access -------------------------------------------------------------
 
-    def _set_of(self, page_idx: int) -> _BIASet:
+    def _set_of(self, page_idx: int) -> LRUPolicy:
         return self._sets[page_idx % self.num_sets]
 
     def lookup(self, page_idx: int) -> Optional[BIAEntry]:
         """Pure lookup (monitor path): no allocation, no LRU update."""
         bset = self._set_of(page_idx)
-        way = bset.by_page.get(page_idx)
+        way = bset.by_addr.get(page_idx)
         return None if way is None else bset.ways[way]
 
     def access(self, page_idx: int, count: int = 1) -> BIAEntry:
@@ -236,24 +235,24 @@ class BIA(CacheListener):
         bset = self._sets[page_idx % self.num_sets]
         stats = self.stats
         stats.lookups += count
-        way = bset.by_page.get(page_idx)
+        way = bset.by_addr.get(page_idx)
         if way is not None:
             stats.hits += count
-            bset.policy.touch_n(way, count)
+            bset.touch_n(way, count)
             return bset.ways[way]
-        victim_way = bset.policy.victim()
+        victim_way = bset.victim()
         victim = bset.ways[victim_way]
         if victim is not None:
-            del bset.by_page[victim.page_idx]
+            del bset.by_addr[victim.page_idx]
             self.stats.evictions += 1
             self._live_entries -= 1
         entry = BIAEntry(page_idx)
         bset.ways[victim_way] = entry
-        bset.by_page[page_idx] = victim_way
-        bset.policy.on_fill(victim_way)
+        bset.by_addr[page_idx] = victim_way
+        bset.on_fill(victim_way)
         if count > 1:
             stats.hits += count - 1
-            bset.policy.touch_n(victim_way, count - 1)
+            bset.touch_n(victim_way, count - 1)
         self.stats.allocations += 1
         self._live_entries += 1
         if not self._subscribed:
@@ -268,7 +267,7 @@ class BIA(CacheListener):
         # Inlined group_index / line_in_group (hot monitor path).
         group_idx = line_addr >> self.group_bits
         bset = self._sets[group_idx % self.num_sets]
-        way = bset.by_page.get(group_idx)
+        way = bset.by_addr.get(group_idx)
         if way is None:
             return None, 0
         return (
@@ -304,7 +303,7 @@ class BIA(CacheListener):
             if group_idx != group:
                 group = group_idx
                 bset = sets[group_idx % num_sets]
-                way = bset.by_page.get(group_idx)
+                way = bset.by_addr.get(group_idx)
                 entry = None if way is None else bset.ways[way]
             if entry is None:
                 continue
@@ -350,18 +349,16 @@ class BIA(CacheListener):
     # -- state capture / restore (machine fork support) ------------------------------
 
     def capture_state(self):
-        """Snapshot the bitmap table, LRU state and counters."""
-        sets = []
-        for set_idx, bset in enumerate(self._sets):
-            if not bset.by_page:
-                continue
-            ways = tuple(
-                None
-                if entry is None
-                else (entry.page_idx, entry.existence, entry.dirtiness)
-                for entry in bset.ways
-            )
-            sets.append((set_idx, ways, bset.policy.clone()))
+        """Snapshot the bitmap table, LRU state and counters.
+
+        Only non-empty sets are recorded, each as its own clone: a set
+        that never held an entry is still in its built state.
+        """
+        sets = [
+            (set_idx, bset.clone())
+            for set_idx, bset in enumerate(self._sets)
+            if bset.by_addr
+        ]
         return (sets, self.stats.clone(), self._live_entries)
 
     def restore_state(self, state) -> None:
@@ -373,14 +370,9 @@ class BIA(CacheListener):
         """
         sets_state, stats, live_entries = state
         assoc = self.assoc
-        fresh = [_BIASet(assoc) for _ in range(self.num_sets)]
-        for set_idx, ways, policy in sets_state:
-            bset = fresh[set_idx]
-            bset.policy = policy.clone()
-            for way, rec in enumerate(ways):
-                if rec is not None:
-                    bset.ways[way] = BIAEntry(rec[0], rec[1], rec[2])
-                    bset.by_page[rec[0]] = way
+        fresh = [LRUPolicy(assoc) for _ in range(self.num_sets)]
+        for set_idx, bset in sets_state:
+            fresh[set_idx] = bset.clone()
         self._sets = fresh
         self.stats.load_from(stats)
         self._live_entries = live_entries
@@ -392,7 +384,7 @@ class BIA(CacheListener):
         """Page indices of all allocated entries (sorted, for tests)."""
         out: List[int] = []
         for bset in self._sets:
-            out.extend(bset.by_page)
+            out.extend(bset.by_addr)
         return sorted(out)
 
     def check_subset_of(self, cache: SetAssociativeCache) -> bool:

@@ -305,20 +305,23 @@ class TestResidency:
         assert set(cache.resident_lines()) <= touched
 
 
-def _policy_state(policy):
-    """Every slot of a policy, an RNG as its state (for equality)."""
+def _line(line):
+    return None if line is None else (line.line_addr, line.dirty)
+
+
+def _set_state(cset):
+    """Every slot of a set, for equality: each way as (address, dirty),
+    the key index, the ranking state with an RNG as its state."""
     out = {}
-    for cls in type(policy).__mro__:
+    for cls in type(cset).__mro__:
         for slot in getattr(cls, "__slots__", ()):
-            value = getattr(policy, slot)
-            if isinstance(value, random.Random):
+            value = getattr(cset, slot)
+            if slot == "ways":
+                value = [_line(line) for line in value]
+            elif isinstance(value, random.Random):
                 value = value.getstate()
             out[slot] = value
     return out
-
-
-def _line(line):
-    return None if line is None else (line.line_addr, line.dirty)
 
 
 class TestLazySets:
@@ -374,7 +377,7 @@ class TestLazySets:
                     )
             state = cache.capture_state()
             results.append((
-                [(idx, ways, _policy_state(p)) for idx, ways, p in state.sets],
+                [(idx, _set_state(cset)) for idx, cset in state.sets],
                 state.stats,
                 state.extra,
                 rec.log,

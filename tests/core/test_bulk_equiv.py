@@ -34,8 +34,10 @@ pins the BIA's hit-run delivery against its per-event delivery, and
 scalar fetch loop of Algorithms 2 and 3.  A batch whose start level has
 a per-event listener takes the scalar loop itself;
 ``TestObservedBatches`` pins that the gate reads the start level, not
-the levels below it.  ``test_reference_counts_derive_from_op_counts``
-pins ``l1i_refs`` and ``l1d_refs`` to the op counts they follow from.
+the levels below it.  ``TestForkContinuation`` pins that a ``fork()``
+and a restored ``save_state`` continue exactly as the original.
+``test_reference_counts_derive_from_op_counts`` pins ``l1i_refs`` and
+``l1d_refs`` to the op counts they follow from.
 
 The address sequences walk consecutive words and repeat addresses, so
 the run-length kernels get real same-line runs: an unobserved
@@ -215,31 +217,35 @@ def _twins(config, listeners):
     return machines, recorders, base
 
 
-def _policy_state(policy):
-    """Every slot of a replacement policy, an RNG as its state: LRU
-    stamps, tree-PLRU bits, FIFO fill times, the random stream."""
+def _set_state(cset):
+    """Every slot of a set (a replacement policy): each way's line or
+    BIA entry as a tuple of its fields, the key index, and the ranking
+    state with an RNG as its state (LRU stamps, tree-PLRU bits, FIFO
+    fill times, the random stream)."""
     out = {}
-    for cls in type(policy).__mro__:
+    for cls in type(cset).__mro__:
         for slot in getattr(cls, "__slots__", ()):
-            value = getattr(policy, slot)
-            if isinstance(value, random.Random):
+            value = getattr(cset, slot)
+            if slot == "ways":
+                value = [None if item is None else dataclasses.astuple(item)
+                         for item in value]
+            elif isinstance(value, random.Random):
                 value = value.getstate()
             out[slot] = value
     return out
 
 
 def _replacement_state(cache):
-    """The full policy state of every materialised set."""
+    """The full state of every materialised set."""
     return [
-        (idx, _policy_state(cache._sets[idx].policy))
-        for idx in sorted(cache._live)
+        (idx, _set_state(cache._sets[idx])) for idx in sorted(cache._live)
     ]
 
 
 def _bia_state(m):
     """The BIA's table, counters, LRU state and bus subscription."""
     sets, stats, live = m.bia.capture_state()
-    table = [(idx, ways, _policy_state(p)) for idx, ways, p in sets]
+    table = [(idx, _set_state(bset)) for idx, bset in sets]
     return table, stats, live, m.bia._subscribed
 
 
@@ -1350,6 +1356,130 @@ class TestSweepWrappers:
                                     target_fn=lambda v: v + 100,
                                     collect_values=collect)
         assert state() == before
+
+
+#: Machines for the fork test: every policy with its seed, PLcache,
+#: prefetcher and inclusive-LLC extras, and caches small enough that
+#: the arena evicts at every level (an L1d of 8 sets x 2 ways, 1 x 8 or
+#: 1 x 1, an L2 of 16 and an LLC of 32 sets x 4 ways) under a 2-set,
+#: 2-way BIA, each of whose sets four of the arena's eight pages share.
+fork_configs = st.builds(
+    lambda config, l1d: dataclasses.replace(
+        config, l1d_size=l1d[0], l1d_assoc=l1d[1], l2_size=4096,
+        l2_assoc=4, llc_size=8192, llc_assoc=4, bia_entries=4,
+        bia_assoc=2,
+    ),
+    extra_configs,
+    st.sampled_from([(1024, 2), (512, 8), (64, 1)]),
+)
+
+#: Machine traffic for the fork test: scalar and batched loads and
+#: stores, RMW batches, attacker flushes and evictions (which leave
+#: empty ways behind them), and CTLoad/CTStore, which allocate and
+#: evict BIA entries.  ``(kind, line, word, length, stride, level)``:
+#: a batch takes ``length`` words ``stride`` words apart (same-line
+#: runs, consecutive lines, or lines 17 words apart).
+fork_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "store", "load_words", "store_words",
+                         "rmw_words", "flush", "evict", "ctload",
+                         "ctstore"]),
+        st.one_of(
+            st.sampled_from([0, 128, 256, 384]),
+            st.integers(min_value=0, max_value=ARENA_LINES - 1),
+        ),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([1, 16, 17]),
+        st.sampled_from(["L1D", "L2", "LLC"]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _fork_state(m, base):
+    """What a fork test compares at the split: the snapshot, every
+    set's full state, the BIA's state and the arena's memory."""
+    return (
+        m.snapshot(),
+        [_replacement_state(cache) for cache in m.hierarchy.levels],
+        _bia_state(m),
+        m.memory.read(base, 64 * ARENA_LINES),
+    )
+
+
+def _fork_op(m, base, op):
+    """Apply one ``fork_ops`` op to ``m``; returns what it returned."""
+    kind, line, word, length, stride, level = op
+    addr = base + 64 * line + 4 * word
+    words = [
+        base + (64 * line + 4 * (word + stride * j)) % (64 * ARENA_LINES)
+        for j in range(length)
+    ]
+    if kind == "load":
+        return m.load_word(addr)
+    if kind == "store":
+        return m.store_word(addr, line * length + word)
+    if kind == "load_words":
+        return m.load_words(words)
+    if kind == "store_words":
+        return m.store_words(words, [line + j for j in range(length)])
+    if kind == "rmw_words":
+        return m.rmw_words(words, update_fn=lambda i, v: v + i + 1)
+    if kind == "flush":
+        return m.attacker_flush(addr)
+    if kind == "evict":
+        result = m.attacker_evict(level, addr)
+        return bool(result), result.latency
+    if kind == "ctload":
+        return m.ctload(addr)
+    return m.ctstore(addr, line)
+
+
+class TestForkContinuation:
+    """A ``fork()`` and a ``save_state`` restored onto two fresh
+    machines, taken midway, continue exactly as the original: after
+    the same remaining ops all four agree in every return value,
+    the snapshot, per-level stats and set profiles, ``occupied_sets()``,
+    every set's ways, key index and ranking state (RNG state included),
+    PLcache lock state and the BIA table.  The original runs its
+    remaining ops first, and the three copies must come out of that
+    untouched, so a line, a BIA entry or a piece of ranking state that a
+    copy still shared with the original (or with the snapshot another
+    copy was restored from) shows."""
+
+    # ``warm``: the first lines of the arena loaded, and a CTLoad on
+    # each of their pages, before the ops; with the whole arena every
+    # set is full, so each fill evicts, and so is the BIA
+    @given(config=fork_configs, ops=fork_ops, split=st.floats(0, 1),
+           warm=st.sampled_from([0, 96, ARENA_LINES]))
+    @settings(max_examples=60, deadline=None)
+    def test_fork_and_restore_continue_exactly(self, config, ops, split,
+                                               warm):
+        split = round(split * len(ops))
+        (m, _), _, base = _twins(config, False)
+        m.load_words([base + 64 * i for i in range(warm)])
+        for page in range(0, 64 * warm, 4096):
+            m.ctload(base + page)
+        for op in ops[:split]:
+            _fork_op(m, base, op)
+        forked = m.fork()
+        saved = m.save_state()
+        copies = (forked, Machine(config), Machine(config))
+        for other in copies[1:]:
+            other.restore_state(saved)
+        at_split = [_fork_state(mm, base) for mm in copies]
+        results = [_fork_op(m, base, op) for op in ops[split:]]
+        assert [_fork_state(mm, base) for mm in copies] == at_split
+        for other, where in zip(copies, ("fork", "restore", "restore 2")):
+            got = [_fork_op(other, base, op) for op in ops[split:]]
+            assert got == results, where
+            _assert_observably_equal(m, other, None, None, base, where)
+            for ca, cb in zip(m.hierarchy.levels, other.hierarchy.levels):
+                assert ca.stats.invalidations == cb.stats.invalidations
+                assert sorted(ca._live) == sorted(cb._live), (where, ca.name)
+                assert ca._capture_extra() == cb._capture_extra(), where
 
 
 class TestWarmPool:
