@@ -212,7 +212,7 @@ def check_program_relational(
         exploration=exploration,
         solver_stats=solver.stats.as_dict(),
         notes=list(exploration.truncated)
-        + list(exploration.unknown_observations),
+        + [obs.describe() for obs in exploration.unknown_obs],
     )
     if exploration.refutation is not None:
         result.model = RelationalModel.from_solver_model(

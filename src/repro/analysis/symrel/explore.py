@@ -80,14 +80,12 @@ MAX_UNROLL = 64
 #: Total symbolic statement budget across all paths.
 MAX_STEPS = 200_000
 
-SIDES = ("A", "B")
-
 
 @dataclass(frozen=True)
 class Observation:
     """One attacker observable, as a term pair plus provenance."""
 
-    kind: str  # "addr" | "branch" | "ds"
+    kind: str  # "addr" | "branch"
     a: Term
     b: Term
     stmt_path: str
@@ -123,10 +121,8 @@ class ExplorationResult:
     #: True iff additionally every transient observation proved equal
     spec_complete: bool = True
     truncated: List[str] = field(default_factory=list)
-    unknown_observations: List[str] = field(default_factory=list)
-    #: the undecided observations themselves (same order as the
-    #: descriptions above) — the repair driver localizes from these
-    #: when the solver can neither prove nor refute
+    #: the observations the solver could neither prove nor refute, in
+    #: check order; the repair driver localizes from these
     unknown_obs: List[Observation] = field(default_factory=list)
     paths: int = 0
     steps: int = 0
@@ -261,13 +257,6 @@ class RelationalExplorer:
                 f"(symbolic, program {self.program.name!r})"
             ) from None
 
-    def _is_secret_operand(self, operand: ir.Operand) -> bool:
-        return (
-            self.taint is not None
-            and isinstance(operand, str)
-            and operand in self.taint.tainted_regs
-        )
-
     def _stmt_path(self, stmt) -> str:
         return self.paths_of.get(id(stmt), "")
 
@@ -283,8 +272,6 @@ class RelationalExplorer:
 
     def _check_observation(self, state: _State, obs: Observation) -> None:
         """Solve one observation pair; record refutations/unknowns."""
-        if obs.kind == "ds":
-            return  # equal by construction (whole-DS sweep)
         if obs.speculative and self.result.spec_refutation is not None:
             return  # one speculative witness is enough
         self.result.observations_checked += 1
@@ -299,44 +286,18 @@ class RelationalExplorer:
                     self.result.refutation = refutation
                 raise _SequentialLeak()
         elif not outcome.proved:
-            self.result.unknown_observations.append(obs.describe())
             self.result.unknown_obs.append(obs)
             if obs.speculative:
                 self.result.spec_complete = False
             else:
                 self.result.complete = False
 
-    def _observe_access(
-        self,
-        state: _State,
-        stmt,
-        index_a: Term,
-        index_b: Term,
-        ds_routed: bool,
-        speculative: bool = False,
-    ) -> None:
-        stmt_path = self._stmt_path(stmt)
-        if ds_routed:
-            marker = expr.const(self.bases[stmt.array])
-            obs = Observation(
-                "ds", marker, marker, stmt_path, speculative
-            )
-        else:
-            obs = Observation(
-                "addr",
-                self._addr_term(stmt.array, index_a),
-                self._addr_term(stmt.array, index_b),
-                stmt_path,
-                speculative,
-            )
-        self._check_observation(state, obs)
-
     # -- execution ---------------------------------------------------------
 
     def run(self) -> ExplorationResult:
         state = self._initial_state()
         try:
-            self._walk(self.program.body, state, pred=None, depth=0)
+            self._walk(self.program.body, state)
         except _SequentialLeak:
             pass
         except _PathBudgetExceeded:
@@ -353,14 +314,7 @@ class RelationalExplorer:
         if self.result.steps > self.max_steps:
             raise _PathBudgetExceeded()
 
-    def _walk(
-        self,
-        body: Tuple,
-        state: _State,
-        pred: Optional[Term],
-        depth: int,
-        rest: Tuple = (),
-    ) -> None:
+    def _walk(self, body: Tuple, state: _State, rest: Tuple = ()) -> None:
         """Execute ``body`` then ``rest`` stacks of statements.
 
         ``rest`` is the continuation beyond the current structured
@@ -389,318 +343,45 @@ class RelationalExplorer:
             i += 1
             self._step()
             if isinstance(stmt, ir.If):
-                self._exec_if(stmt, state, pred, depth, (body[i:],) + rest)
+                self._exec_if(stmt, state, (body[i:],) + rest)
                 return
             if isinstance(stmt, ir.For):
-                self._exec_for(stmt, state, pred, depth, (body[i:],) + rest)
+                self._exec_for(stmt, state, (body[i:],) + rest)
                 return
-            self._exec_simple(stmt, state, pred)
+            self._exec_simple(stmt, state)
 
     # -- straight-line statements ------------------------------------------
+    #
+    # One executor serves all three walks.  ``preds`` is the per-side
+    # merge-predicate pair of a linearized region (``None`` outside
+    # one): register writes merge through ``ite`` and stores commit
+    # only where the predicate holds.  ``speculative`` marks the
+    # transient walk: its observations are checked as transient and
+    # its accesses add no in-bounds constraint.
 
     def _assign(
-        self, state: _State, pred: Optional[Term], dst: str, values: Tuple[Term, Term]
+        self,
+        state: _State,
+        preds: Optional[Tuple[Term, Term]],
+        dst: str,
+        values: Tuple[Term, Term],
     ) -> None:
         for side in (0, 1):
             value = values[side]
-            if pred is not None:
+            if preds is not None:
                 old = state.regs[side].get(dst, expr.const(0))
-                value = expr.ite(pred, value, old)
+                value = expr.ite(preds[side], value, old)
             state.regs[side][dst] = value
 
-    def _exec_simple(self, stmt, state: _State, pred: Optional[Term]) -> None:
-        if isinstance(stmt, ir.Const):
-            value = expr.const(stmt.value & 0xFFFFFFFF)
-            self._assign(state, pred, stmt.dst, (value, value))
-        elif isinstance(stmt, ir.BinOp):
-            self._assign(
-                state,
-                pred,
-                stmt.dst,
-                tuple(
-                    expr.op(
-                        stmt.op,
-                        self._value(state, side, stmt.a),
-                        self._value(state, side, stmt.b),
-                    )
-                    for side in (0, 1)
-                ),
-            )
-        elif isinstance(stmt, ir.Select):
-            self._assign(
-                state,
-                pred,
-                stmt.dst,
-                tuple(
-                    expr.ite(
-                        expr.bool_term(self._value(state, side, stmt.cond)),
-                        self._value(state, side, stmt.if_true),
-                        self._value(state, side, stmt.if_false),
-                    )
-                    for side in (0, 1)
-                ),
-            )
-        elif isinstance(stmt, ir.Load):
-            self._exec_load(stmt, state, pred)
-        elif isinstance(stmt, ir.Store):
-            self._exec_store(stmt, state, pred)
-        else:  # pragma: no cover - exhaustive over the IR
-            raise ProtocolError(f"unknown statement {stmt!r}")
-
-    def _ds_routed(self, stmt, pred: Optional[Term]) -> bool:
-        """Mirror :meth:`Executor._secure_access`.
-
-        An explicit ``ds`` flag (the repair pipeline's output) routes
-        the access in *every* mode — including the native variant the
-        repair driver re-proves — otherwise routing is the
-        mitigated-mode taint rule.
-        """
-        if stmt.ds:
-            return True
-        return self.mitigate and (
-            self._is_secret_operand(stmt.index) or pred is not None
-        )
-
-    def _bound_index(
-        self, state: _State, stmt, pred: Optional[Term]
-    ) -> Tuple[Term, Term]:
-        """Index terms for both sides, constraining them in bounds.
-
-        The native executor raises ``ProtocolError`` on an
-        out-of-bounds access, so completed runs — the ones the
-        relational property quantifies over — satisfy the bound; under
-        a linearized predicate the dead side decoys to index 0 instead
-        of trapping, so the constraint is predicated.
-        """
-        size = self.sizes[stmt.array]
-        index_a = self._value(state, 0, stmt.index)
-        index_b = self._value(state, 1, stmt.index)
-        constraints = []
-        for index in (index_a, index_b):
-            in_bounds = expr.op("lt", index, expr.const(size))
-            if pred is not None:
-                in_bounds = expr.op(
-                    "or", expr.not_term(pred), in_bounds
-                )
-            if not (in_bounds.is_const and in_bounds.value):
-                constraints.append(in_bounds)
-        if constraints:
-            state.path = state.path + tuple(constraints)
-        return index_a, index_b
-
-    def _exec_load(self, stmt: ir.Load, state: _State, pred: Optional[Term]) -> None:
-        index_a, index_b = self._bound_index(state, stmt, pred)
-        self._observe_access(
-            state, stmt, index_a, index_b, self._ds_routed(stmt, pred)
-        )
-        values = (
-            expr.read(state.arrays[0][stmt.array], index_a),
-            expr.read(state.arrays[1][stmt.array], index_b),
-        )
-        self._assign(state, pred, stmt.dst, values)
-
-    def _exec_store(self, stmt: ir.Store, state: _State, pred: Optional[Term]) -> None:
-        index_a, index_b = self._bound_index(state, stmt, pred)
-        self._observe_access(
-            state, stmt, index_a, index_b, self._ds_routed(stmt, pred)
-        )
-        for side, index in ((0, index_a), (1, index_b)):
-            value = self._value(state, side, stmt.value)
-            current = state.arrays[side][stmt.array]
-            if pred is not None:
-                # Predicated store: commit only if the predicate holds
-                # (the executor's rmw with identical footprint).
-                value = expr.ite(
-                    pred, value, expr.read(current, index)
-                )
-            state.arrays[side][stmt.array] = expr.array_write(
-                current, index, value
-            )
-
-    # -- branches ----------------------------------------------------------
-
-    def _exec_if(
+    def _exec_simple(
         self,
-        stmt: ir.If,
+        stmt,
         state: _State,
-        pred: Optional[Term],
-        depth: int,
-        rest: Tuple,
+        preds: Optional[Tuple[Term, Term]] = None,
+        speculative: bool = False,
     ) -> None:
-        cond_a = self._value(state, 0, stmt.cond)
-        cond_b = self._value(state, 1, stmt.cond)
-        linearize = (
-            self.mitigate
-            and self.taint is not None
-            and self.taint.is_secret_branch(stmt)
-        )
-        if linearize or pred is not None:
-            # Control-flow linearization: both sides execute under a
-            # folded predicate; no branch, no observation, no fork.
-            # Lockstep linearization uses each side's own condition for
-            # its own merges; walk statements inline (no forking means
-            # plain sequential execution of both bodies).
-            self._walk_linearized(stmt, state, pred, cond_a, cond_b, depth)
-            self._walk(rest[0], state, pred, depth, rest[1:])
-            return
-        bool_a = expr.bool_term(cond_a)
-        bool_b = expr.bool_term(cond_b)
-        obs = Observation(
-            "branch", bool_a, bool_b, self._stmt_path(stmt)
-        )
-        self._check_observation(state, obs)
-        directions = []
-        if not (bool_a.is_const and bool_a.value == 0) and not (
-            bool_b.is_const and bool_b.value == 0
-        ):
-            directions.append(True)
-        if not (bool_a.is_const and bool_a.value == 1) and not (
-            bool_b.is_const and bool_b.value == 1
-        ):
-            directions.append(False)
-        if self.spec_window > 0:
-            # Transient execution of each direction this path will not
-            # (or may not) take architecturally, under the path
-            # condition WITHOUT the branch constraint.
-            for taken in (True, False):
-                body = stmt.then_body if taken else stmt.else_body
-                if body:
-                    self._transient_walk(state, body, pred)
-        for taken in directions:
-            branch_state = (
-                state if taken is directions[-1] else state.copy()
-            )
-            constraints = []
-            for cond in (bool_a, bool_b):
-                constraint = (
-                    cond if taken else expr.not_term(cond)
-                )
-                if not (constraint.is_const and constraint.value):
-                    constraints.append(constraint)
-            if any(c.is_const and c.value == 0 for c in constraints):
-                continue
-            branch_state.path = branch_state.path + tuple(constraints)
-            if len(directions) > 1 and self.solver.satisfiable(
-                branch_state.path
-            ) is False:
-                continue
-            body = stmt.then_body if taken else stmt.else_body
-            self._walk(body, branch_state, pred, depth + 1, rest)
-
-    def _walk_linearized(
-        self,
-        stmt: ir.If,
-        state: _State,
-        pred: Optional[Term],
-        cond_a: Term,
-        cond_b: Term,
-        depth: int,
-    ) -> None:
-        """Execute both sides of a linearized branch sequentially."""
-        conds = (expr.bool_term(cond_a), expr.bool_term(cond_b))
-        for body, negate in ((stmt.then_body, False), (stmt.else_body, True)):
-            if not body:
-                continue
-            side_preds = tuple(
-                expr.not_term(c) if negate else c for c in conds
-            )
-            self._walk_predicated(body, state, pred, side_preds, depth)
-
-    def _walk_predicated(
-        self,
-        body: Tuple,
-        state: _State,
-        pred: Optional[Term],
-        side_preds: Tuple[Term, Term],
-        depth: int,
-    ) -> None:
-        """Straight-line walk under per-side predicates (no forking).
-
-        Inside a linearized region nested ``If``s are themselves
-        linearized (taint marks every branch under a secret one as
-        secret) and ``For`` trip counts are public-and-equal — the
-        strict taint pass rejects the rest before execution.
-        """
-        for stmt in body:
-            self._step()
-            if isinstance(stmt, ir.If):
-                nested_a = expr.bool_term(self._value(state, 0, stmt.cond))
-                nested_b = expr.bool_term(self._value(state, 1, stmt.cond))
-                for nested_body, negate in (
-                    (stmt.then_body, False),
-                    (stmt.else_body, True),
-                ):
-                    if not nested_body:
-                        continue
-                    preds = (
-                        expr.op(
-                            "and",
-                            side_preds[0],
-                            expr.not_term(nested_a) if negate else nested_a,
-                        ),
-                        expr.op(
-                            "and",
-                            side_preds[1],
-                            expr.not_term(nested_b) if negate else nested_b,
-                        ),
-                    )
-                    self._walk_predicated(
-                        nested_body, state, pred, preds, depth
-                    )
-            elif isinstance(stmt, ir.For):
-                raise ProtocolError(
-                    f"loop over {stmt.var!r} under a secret branch in "
-                    f"{self.program.name!r}: strict taint rejects this "
-                    "program; the symbolic linearizer cannot model it"
-                )
-            else:
-                self._exec_predicated(stmt, state, side_preds)
-
-    def _exec_predicated(
-        self, stmt, state: _State, side_preds: Tuple[Term, Term]
-    ) -> None:
-        """One simple statement with per-side merge predicates."""
         if isinstance(stmt, (ir.Load, ir.Store)):
-            # Under a (secret) predicate every access is DS-routed.
-            size = self.sizes[stmt.array]
-            indexes = tuple(
-                self._value(state, side, stmt.index) for side in (0, 1)
-            )
-            constraints = []
-            for side, index in enumerate(indexes):
-                in_bounds = expr.op(
-                    "or",
-                    expr.not_term(side_preds[side]),
-                    expr.op("lt", index, expr.const(size)),
-                )
-                if not (in_bounds.is_const and in_bounds.value):
-                    constraints.append(in_bounds)
-            if constraints:
-                state.path = state.path + tuple(constraints)
-            if self.mitigate:
-                self._observe_access(
-                    state, stmt, indexes[0], indexes[1], ds_routed=True
-                )
-            if isinstance(stmt, ir.Load):
-                for side in (0, 1):
-                    old = state.regs[side].get(stmt.dst, expr.const(0))
-                    loaded = expr.read(
-                        state.arrays[side][stmt.array], indexes[side]
-                    )
-                    state.regs[side][stmt.dst] = expr.ite(
-                        side_preds[side], loaded, old
-                    )
-            else:
-                for side in (0, 1):
-                    current = state.arrays[side][stmt.array]
-                    value = expr.ite(
-                        side_preds[side],
-                        self._value(state, side, stmt.value),
-                        expr.read(current, indexes[side]),
-                    )
-                    state.arrays[side][stmt.array] = expr.array_write(
-                        current, indexes[side], value
-                    )
+            self._exec_access(stmt, state, preds, speculative)
             return
         if isinstance(stmt, ir.Const):
             value = expr.const(stmt.value & 0xFFFFFFFF)
@@ -725,22 +406,201 @@ class RelationalExplorer:
             )
         else:  # pragma: no cover - exhaustive over the IR
             raise ProtocolError(f"unknown statement {stmt!r}")
-        for side in (0, 1):
-            old = state.regs[side].get(stmt.dst, expr.const(0))
-            state.regs[side][stmt.dst] = expr.ite(
-                side_preds[side], values[side], old
+        self._assign(state, preds, stmt.dst, values)
+
+    def _ds_routed(self, stmt, preds: Optional[Tuple[Term, Term]]) -> bool:
+        """Mirror :meth:`Executor._secure_access`.
+
+        An explicit ``ds`` flag (the repair pipeline's output) routes
+        the access in *every* mode — including the native variant the
+        repair driver re-proves — otherwise routing is the
+        mitigated-mode taint rule: a secret index or a linearized
+        region.
+        """
+        if stmt.ds:
+            return True
+        return self.mitigate and (
+            preds is not None
+            or (
+                isinstance(stmt.index, str)
+                and stmt.index in self.taint.tainted_regs
             )
+        )
+
+    def _exec_access(
+        self,
+        stmt,
+        state: _State,
+        preds: Optional[Tuple[Term, Term]],
+        speculative: bool,
+    ) -> None:
+        """One ``Load``/``Store``: bound, observe, then read or write.
+
+        The native executor raises ``ProtocolError`` on an
+        out-of-bounds access, so completed runs — the ones the
+        relational property quantifies over — satisfy the bound; under
+        a linearized predicate the dead side decoys to index 0 instead
+        of trapping, so the constraint is predicated.  Transiently the
+        trap does not fire before the cache is touched (that is the
+        whole Spectre point), so a speculative access adds none.  A
+        DS-routed access observes a constant (the whole-DS sweep), so
+        there is nothing to check, in the transient walk too: the
+        hardware sweep covers transient accesses.
+        """
+        indexes = (
+            self._value(state, 0, stmt.index),
+            self._value(state, 1, stmt.index),
+        )
+        if not speculative:
+            size = expr.const(self.sizes[stmt.array])
+            constraints = []
+            for side in (0, 1):
+                in_bounds = expr.op("lt", indexes[side], size)
+                if preds is not None:
+                    in_bounds = expr.op(
+                        "or", expr.not_term(preds[side]), in_bounds
+                    )
+                if not (in_bounds.is_const and in_bounds.value):
+                    constraints.append(in_bounds)
+            if constraints:
+                state.path = state.path + tuple(constraints)
+        if not self._ds_routed(stmt, preds):
+            self._check_observation(
+                state,
+                Observation(
+                    "addr",
+                    self._addr_term(stmt.array, indexes[0]),
+                    self._addr_term(stmt.array, indexes[1]),
+                    self._stmt_path(stmt),
+                    speculative,
+                ),
+            )
+        if isinstance(stmt, ir.Load):
+            values = tuple(
+                expr.read(state.arrays[side][stmt.array], indexes[side])
+                for side in (0, 1)
+            )
+            self._assign(state, preds, stmt.dst, values)
+            return
+        for side in (0, 1):
+            current = state.arrays[side][stmt.array]
+            value = self._value(state, side, stmt.value)
+            if preds is not None:
+                # Predicated store: commit only if the predicate holds
+                # (the executor's rmw with identical footprint).
+                value = expr.ite(
+                    preds[side], value, expr.read(current, indexes[side])
+                )
+            state.arrays[side][stmt.array] = expr.array_write(
+                current, indexes[side], value
+            )
+
+    # -- branches ----------------------------------------------------------
+
+    def _exec_if(self, stmt: ir.If, state: _State, rest: Tuple) -> None:
+        if self.mitigate and self.taint.is_secret_branch(stmt):
+            # Control-flow linearization: both sides execute under a
+            # folded predicate; no branch, no observation, no fork.
+            self._linearize(stmt, state, None)
+            self._walk(rest[0], state, rest[1:])
+            return
+        bool_a = expr.bool_term(self._value(state, 0, stmt.cond))
+        bool_b = expr.bool_term(self._value(state, 1, stmt.cond))
+        obs = Observation(
+            "branch", bool_a, bool_b, self._stmt_path(stmt)
+        )
+        self._check_observation(state, obs)
+        directions = []
+        if not (bool_a.is_const and bool_a.value == 0) and not (
+            bool_b.is_const and bool_b.value == 0
+        ):
+            directions.append(True)
+        if not (bool_a.is_const and bool_a.value == 1) and not (
+            bool_b.is_const and bool_b.value == 1
+        ):
+            directions.append(False)
+        if self.spec_window > 0:
+            # Transient execution of each direction this path will not
+            # (or may not) take architecturally, under the path
+            # condition WITHOUT the branch constraint.
+            for taken in (True, False):
+                body = stmt.then_body if taken else stmt.else_body
+                if body:
+                    self._transient_walk(state, body)
+        for taken in directions:
+            branch_state = (
+                state if taken is directions[-1] else state.copy()
+            )
+            constraints = []
+            for cond in (bool_a, bool_b):
+                constraint = (
+                    cond if taken else expr.not_term(cond)
+                )
+                if not (constraint.is_const and constraint.value):
+                    constraints.append(constraint)
+            if any(c.is_const and c.value == 0 for c in constraints):
+                continue
+            branch_state.path = branch_state.path + tuple(constraints)
+            if len(directions) > 1 and self.solver.satisfiable(
+                branch_state.path
+            ) is False:
+                continue
+            body = stmt.then_body if taken else stmt.else_body
+            self._walk(body, branch_state, rest)
+
+    def _linearize(
+        self,
+        stmt: ir.If,
+        state: _State,
+        preds: Optional[Tuple[Term, Term]],
+    ) -> None:
+        """Execute both arms of a secret ``If`` under merge predicates.
+
+        Each side merges through its own condition, conjoined with the
+        enclosing region's ``preds`` when the ``If`` is nested in one
+        (``None`` at the top of a region).
+        """
+        conds = (
+            expr.bool_term(self._value(state, 0, stmt.cond)),
+            expr.bool_term(self._value(state, 1, stmt.cond)),
+        )
+        for body, negate in ((stmt.then_body, False), (stmt.else_body, True)):
+            if not body:
+                continue
+            arm = tuple(expr.not_term(c) if negate else c for c in conds)
+            if preds is not None:
+                arm = (
+                    expr.op("and", preds[0], arm[0]),
+                    expr.op("and", preds[1], arm[1]),
+                )
+            self._walk_predicated(body, state, arm)
+
+    def _walk_predicated(
+        self, body: Tuple, state: _State, preds: Tuple[Term, Term]
+    ) -> None:
+        """Straight-line walk under per-side predicates (no forking).
+
+        Inside a linearized region nested ``If``s are themselves
+        linearized (taint marks every branch under a secret one as
+        secret) and ``For`` trip counts are public-and-equal — the
+        strict taint pass rejects the rest before execution.
+        """
+        for stmt in body:
+            self._step()
+            if isinstance(stmt, ir.If):
+                self._linearize(stmt, state, preds)
+            elif isinstance(stmt, ir.For):
+                raise ProtocolError(
+                    f"loop over {stmt.var!r} under a secret branch in "
+                    f"{self.program.name!r}: strict taint rejects this "
+                    "program; the symbolic linearizer cannot model it"
+                )
+            else:
+                self._exec_simple(stmt, state, preds)
 
     # -- loops -------------------------------------------------------------
 
-    def _exec_for(
-        self,
-        stmt: ir.For,
-        state: _State,
-        pred: Optional[Term],
-        depth: int,
-        rest: Tuple,
-    ) -> None:
+    def _exec_for(self, stmt: ir.For, state: _State, rest: Tuple) -> None:
         count_a = self._value(state, 0, stmt.count)
         count_b = self._value(state, 1, stmt.count)
         if count_a.is_const and count_b.is_const:
@@ -753,7 +613,7 @@ class RelationalExplorer:
             for i in range(count_a.value):
                 parts.append(ir.Const(stmt.var, i))
                 parts.extend(stmt.body)
-            self._walk(tuple(parts), state, pred, depth, rest)
+            self._walk(tuple(parts), state, rest)
             return
         # Symbolic trip count: take the unroll bound from the interval
         # analysis' trip-count facts (plus the term's own range), and
@@ -771,10 +631,10 @@ class RelationalExplorer:
                 f"bound {bound} exceeds MAX_UNROLL={MAX_UNROLL}; "
                 "not unrolled"
             )
-            self._walk((), state, pred, depth, rest)
+            self._walk((), state, rest)
             return
         body = self._guarded_unroll(stmt, int(bound))
-        self._walk(body, state, pred, depth, rest)
+        self._walk(body, state, rest)
 
     def _interval_trip_bound(self, stmt: ir.For) -> float:
         interval = self.intervals.for_count_intervals.get(id(stmt))
@@ -794,15 +654,10 @@ class RelationalExplorer:
 
     # -- speculation -------------------------------------------------------
 
-    def _transient_walk(
-        self, state: _State, body: Tuple, pred: Optional[Term]
-    ) -> None:
+    def _transient_walk(self, state: _State, body: Tuple) -> None:
         """Mispredicted-direction execution on a scratch state."""
-        scratch = state.copy()
         try:
-            self._transient_body(scratch, body, pred, [self.spec_window])
-        except _PathBudgetExceeded:
-            raise
+            self._transient_body(state.copy(), body, [self.spec_window])
         except ProtocolError:
             # A transient walk can read registers the architectural
             # path never defines (the direction is dead code) — the
@@ -810,11 +665,7 @@ class RelationalExplorer:
             pass
 
     def _transient_body(
-        self,
-        state: _State,
-        body: Tuple,
-        pred: Optional[Term],
-        budget: List[int],
+        self, state: _State, body: Tuple, budget: List[int]
     ) -> None:
         for stmt in body:
             if budget[0] <= 0:
@@ -830,58 +681,18 @@ class RelationalExplorer:
                     chosen = (
                         stmt.then_body if cond_a.value else stmt.else_body
                     )
-                    self._transient_body(state, chosen, pred, budget)
+                    self._transient_body(state, chosen, budget)
                 else:
-                    for nested in (stmt.then_body, stmt.else_body):
-                        self._transient_body(
-                            state.copy() if nested is stmt.then_body else state,
-                            nested,
-                            pred,
-                            budget,
-                        )
+                    self._transient_body(state.copy(), stmt.then_body, budget)
+                    self._transient_body(state, stmt.else_body, budget)
             elif isinstance(stmt, ir.For):
                 count = self._value(state, 0, stmt.count)
                 trips = count.value if count.is_const else budget[0]
                 for i in range(min(trips, budget[0])):
                     unrolled = (ir.Const(stmt.var, i),) + stmt.body
-                    self._transient_body(state, unrolled, pred, budget)
-            elif isinstance(stmt, (ir.Load, ir.Store)):
-                self._transient_access(state, stmt, pred)
+                    self._transient_body(state, unrolled, budget)
             else:
-                self._exec_simple(stmt, state, pred=None)
-
-    def _transient_access(
-        self, state: _State, stmt, pred: Optional[Term]
-    ) -> None:
-        """A transient Load/Store: observe, update scratch state.
-
-        Transiently the bounds trap does not fire before the cache is
-        touched (that is the whole Spectre point), so no in-bounds
-        constraint is added — but DS routing still applies in
-        mitigated mode: the hardware sweep covers transient accesses.
-        """
-        index_a = self._value(state, 0, stmt.index)
-        index_b = self._value(state, 1, stmt.index)
-        self._observe_access(
-            state,
-            stmt,
-            index_a,
-            index_b,
-            ds_routed=self._ds_routed(stmt, pred),
-            speculative=True,
-        )
-        if isinstance(stmt, ir.Load):
-            for side, index in ((0, index_a), (1, index_b)):
-                state.regs[side][stmt.dst] = expr.read(
-                    state.arrays[side][stmt.array], index
-                )
-        else:
-            for side, index in ((0, index_a), (1, index_b)):
-                state.arrays[side][stmt.array] = expr.array_write(
-                    state.arrays[side][stmt.array],
-                    index,
-                    self._value(state, side, stmt.value),
-                )
+                self._exec_simple(stmt, state, speculative=True)
 
 
 class _SequentialLeak(Exception):

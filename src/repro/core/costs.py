@@ -55,8 +55,6 @@ class CostModel:
     cpi:
         Cycles per bookkeeping instruction (1.0 = simple in-order ALU);
         a positive whole number, int or integral float.
-    plain_access_insts:
-        Address-generation overhead of an ordinary load/store.
     ct_visit_insts:
         Fixed per-DS-visit overhead of the software-CT sweep (loop
         setup, base/bound registers).
@@ -106,7 +104,6 @@ class CostModel:
     """
 
     cpi: float = 1.0
-    plain_access_insts: int = 2
     ct_visit_insts: int = 6
     ct_elem_insts: int = 4
     ct_simd_elem_insts: int = 1
@@ -126,7 +123,6 @@ class CostModel:
             "ct_gather_repeat_latency", self.ct_gather_repeat_latency, False
         )
         for name in (
-            "plain_access_insts",
             "ct_visit_insts",
             "ct_elem_insts",
             "ct_simd_elem_insts",

@@ -619,36 +619,23 @@ class Machine:
         stats.insts += n * per
         return out
 
-    def sweep_load_lines(
-        self,
-        ds,
-        offset: int = 0,
-        pre_insts: int = 0,
-        collect_values: bool = True,
-    ):
-        """Full-DS sweep load: one word per DS line at ``offset``.
+    def sweep_load_lines(self, ds, pre_insts: int = 0) -> None:
+        """Full-DS sweep load: one access per DS line.
 
-        ``offset`` must be a word-aligned intra-line offset, so the
-        accessed words stay on the DS's own lines (see
-        :func:`_check_sweep_offset`).  Returns the loaded values aligned
-        with ``ds.lines`` (``None`` with ``collect_values=False``).  An
-        uncollected sweep reads no word, so it passes the DS lines
-        themselves as its addresses instead of building a list.
+        The loaded words are discarded (a CT load keeps only the word
+        it wants, which its caller reads from memory), so the sweep
+        reads none and passes the DS lines themselves as its
+        addresses.
         """
-        _check_sweep_offset(offset)
-        lines = ds.lines
         set_indices = None
         if self.slice_hash is None:
             set_indices = ds.set_indices_for(self.l1d)
-        addrs = lines
-        if offset and collect_values:
-            addrs = [line + offset for line in lines]
-        return self.load_words(
-            addrs,
+        self.load_words(
+            ds.lines,
             pre_insts=pre_insts,
-            lines=lines,
+            lines=ds.lines,
             set_indices=set_indices,
-            collect_values=collect_values,
+            collect_values=False,
         )
 
     def sweep_store_lines(
@@ -658,18 +645,17 @@ class Machine:
         target_idx: int = -1,
         target_fn=None,
         pre_insts: int = 0,
-        collect_values: bool = True,
     ):
-        """Full-DS read-modify-write sweep at ``offset``.
+        """Full-DS read-modify-write sweep.
 
         Every DS line's word is read and written back; only position
-        ``target_idx`` receives ``target_fn(current)``.  Returns the
-        loaded values aligned with ``ds.lines`` (with
-        ``collect_values=False``, only ``values[target_idx]``).
-        ``offset`` is checked as in :meth:`sweep_load_lines`.  An
-        uncollected sweep reads and writes only the target's word, so
-        only the target's address carries the offset; every other
-        element's write-back leaves memory unchanged at any offset.
+        ``target_idx`` receives ``target_fn(current)``, at ``offset``
+        in its line, which must be a word-aligned intra-line offset
+        (see :func:`_check_sweep_offset`).  Returns a list aligned with
+        ``ds.lines`` that holds only ``values[target_idx]``.  The sweep
+        reads and writes only the target's word, so only the target's
+        address carries the offset; every other element's write-back
+        leaves memory unchanged at any offset.
         """
         _check_sweep_offset(offset)
         lines = ds.lines
@@ -677,12 +663,9 @@ class Machine:
         if self.slice_hash is None:
             set_indices = ds.set_indices_for(self.l1d)
         addrs = lines
-        if offset:
-            if collect_values:
-                addrs = [line + offset for line in lines]
-            elif 0 <= target_idx < len(lines):
-                addrs = list(lines)
-                addrs[target_idx] += offset
+        if offset and 0 <= target_idx < len(lines):
+            addrs = list(lines)
+            addrs[target_idx] += offset
         return self.rmw_words(
             addrs,
             target_idx=target_idx,
@@ -690,7 +673,7 @@ class Machine:
             pre_insts=pre_insts,
             lines=lines,
             set_indices=set_indices,
-            collect_values=collect_values,
+            collect_values=False,
         )
 
     def charge_memory(self, n_accesses: int, latency_each: float) -> None:

@@ -44,12 +44,7 @@ class SoftwareCTContext(MitigationContext):
         ds.require_member(addr)
         machine = self.machine
         machine.execute(machine.costs.ct_visit_insts)
-        machine.sweep_load_lines(
-            ds,
-            addr_math.line_offset(addr),
-            pre_insts=self._elem_insts(),
-            collect_values=False,
-        )
+        machine.sweep_load_lines(ds, pre_insts=self._elem_insts())
         # the cmov the sweep performs: keep only the requested word
         return machine.memory.read_word(addr)
 
@@ -65,7 +60,6 @@ class SoftwareCTContext(MitigationContext):
             target_idx=ds.line_index(addr_math.line_base(addr)),
             target_fn=lambda current: value,
             pre_insts=elem_insts,
-            collect_values=False,
         )
 
     def rmw(self, ds: DataflowLinearizationSet, addr: int, fn) -> int:
@@ -89,7 +83,6 @@ class SoftwareCTContext(MitigationContext):
             target_idx=target_idx,
             target_fn=fn,
             pre_insts=elem_insts,
-            collect_values=False,
         )
         return values[target_idx]
 
@@ -113,9 +106,7 @@ class SoftwareCTContext(MitigationContext):
         for i, a in enumerate(addrs):
             wanted.setdefault(addr_math.line_base(a), []).append(i)
         results = [0] * len(addrs)
-        machine.sweep_load_lines(
-            ds, pre_insts=self._elem_insts(), collect_values=False
-        )
+        machine.sweep_load_lines(ds, pre_insts=self._elem_insts())
         # per-requested-word selects out of the swept lines
         machine.execute(machine.costs.gather_elem_insts * len(addrs))
         read_word = machine.memory.read_word

@@ -152,21 +152,58 @@ class ArrayDecl:
             raise ConfigurationError(f"array {self.name!r} size {self.size}")
 
 
-def _scan(body: Tuple, arrays: set, written: set) -> None:
-    """Add the arrays ``body`` accesses and the registers it writes."""
+def _read(operand: Operand, defined: set, program: str) -> None:
+    if isinstance(operand, str) and operand not in defined:
+        raise ConfigurationError(
+            f"program {program!r} reads register {operand!r} before it is "
+            "assigned on every path to the read"
+        )
+
+
+def _scan(
+    body: Tuple, arrays: set, written: set, defined: set, program: str
+) -> None:
+    """Walk ``body`` once: collect what it touches, check what it reads.
+
+    ``arrays`` gains the arrays ``body`` accesses and ``written`` every
+    register it writes anywhere.  ``defined`` holds the registers
+    assigned on every path to the start of ``body`` and ends holding
+    those assigned on every path through it: an ``If`` defines what
+    both arms define, and a ``For`` body's writes (its variable
+    included) outlive the loop only for a positive literal count.
+    """
     for stmt in body:
         if isinstance(stmt, If):
-            _scan(stmt.then_body, arrays, written)
-            _scan(stmt.else_body, arrays, written)
+            _read(stmt.cond, defined, program)
+            then_defined = set(defined)
+            else_defined = set(defined)
+            _scan(stmt.then_body, arrays, written, then_defined, program)
+            _scan(stmt.else_body, arrays, written, else_defined, program)
+            defined |= then_defined & else_defined
         elif isinstance(stmt, For):
+            _read(stmt.count, defined, program)
             written.add(stmt.var)
-            _scan(stmt.body, arrays, written)
+            body_defined = defined | {stmt.var}
+            _scan(stmt.body, arrays, written, body_defined, program)
+            if isinstance(stmt.count, int) and stmt.count > 0:
+                defined |= body_defined
         elif isinstance(stmt, Store):
+            _read(stmt.index, defined, program)
+            _read(stmt.value, defined, program)
             arrays.add(stmt.array)
         elif isinstance(stmt, (Const, BinOp, Select, Load)):
-            written.add(stmt.dst)
-            if isinstance(stmt, Load):
+            if isinstance(stmt, BinOp):
+                _read(stmt.a, defined, program)
+                _read(stmt.b, defined, program)
+            elif isinstance(stmt, Select):
+                _read(stmt.cond, defined, program)
+                _read(stmt.if_true, defined, program)
+                _read(stmt.if_false, defined, program)
+            elif isinstance(stmt, Load):
+                _read(stmt.index, defined, program)
                 arrays.add(stmt.array)
+            written.add(stmt.dst)
+            defined.add(stmt.dst)
 
 
 @dataclass(frozen=True)
@@ -174,8 +211,10 @@ class Program:
     """A complete IR program.
 
     Construction rejects, with :class:`ConfigurationError`, a
-    ``Load``/``Store`` of an undeclared array and an output register
-    that is neither an input nor written anywhere in the body.
+    ``Load``/``Store`` of an undeclared array, an operand register that
+    is not assigned on every path to its read, and an output register
+    that is neither an input nor written anywhere in the body (the
+    executor reads an unwritten output as 0).
     """
 
     name: str
@@ -202,15 +241,15 @@ class Program:
                 f"output arrays {sorted(unknown)} not declared"
             )
         arrays: set = set()
-        defined = set(self.all_inputs)
-        _scan(self.body, arrays, defined)
+        written = set(self.all_inputs)
+        _scan(self.body, arrays, written, set(written), self.name)
         undeclared = arrays - declared
         if undeclared:
             raise ConfigurationError(
                 f"program {self.name!r} accesses undeclared array(s) "
                 f"{sorted(undeclared)}"
             )
-        unwritten = [name for name in self.outputs if name not in defined]
+        unwritten = [name for name in self.outputs if name not in written]
         if unwritten:
             raise ConfigurationError(
                 f"program {self.name!r} output(s) {unwritten} are neither "

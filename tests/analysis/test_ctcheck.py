@@ -1,5 +1,6 @@
 """The ctcheck gate: every shipped target is clean, leaks exit 1."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,16 @@ from repro.lang.ir import ArrayDecl, Load, Program
 from repro.workloads import WORKLOADS
 
 pytestmark = pytest.mark.ctcheck
+
+#: SHA-256 of the stdout of ``ctcheck --all --symbolic --spec-window 2
+#: --repair --json``.  It carries every finding, relational model,
+#: path and observation count and solver statistic of the symbolic
+#: checkers and the repair loop; a refactor of them must leave it
+#: unchanged.  A change that moves a finding on purpose updates this
+#: value and says so in CHANGES.md.
+SYMBOLIC_JSON_SHA256 = (
+    "891d10331d3b73a20cbb8881ab363f34e97caad5993dd40b66102205526a0af7"
+)
 
 
 def bad_program():
@@ -147,6 +158,17 @@ class TestCLI:
         assert "CT-REL" in out
         assert "CT-PROVED" in out
         assert "mitigated execution proved constant-time" in out
+
+    def test_symbolic_json_matches_pinned_digest(self, capsys):
+        code = main(
+            ["ctcheck", "--all", "--symbolic", "--spec-window", "2",
+             "--repair", "--json"]
+        )
+        # The native variant of every builtin leaks by design.
+        assert code == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            SYMBOLIC_JSON_SHA256)
 
     def test_single_workload_audit(self, capsys):
         # --workload narrows the audit but the static program checks

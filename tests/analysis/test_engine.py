@@ -235,9 +235,8 @@ class TestSolverStatsAggregation:
 
 
 class TestDigestFastPath:
-    def test_occupied_sets_matches_dense_scan(self, monkeypatch):
+    def test_occupied_sets_matches_dense_scan(self):
         from repro.attacks.observer import ObservableTraceRecorder
-        from repro.cache.set_assoc import SetAssociativeCache
         from repro.core.machine import Machine, MachineConfig
 
         machine = Machine(MachineConfig())
@@ -249,7 +248,14 @@ class TestDigestFastPath:
             machine.load_word(base + 64 * i)
             machine.store_word(base + 64 * i, i)
         fast = rec.final_state_digest()
-        monkeypatch.delattr(SetAssociativeCache, "occupied_sets")
-        dense = rec.final_state_digest()
-        assert fast == dense
+        # The reference: every set of every level, scanned densely.
+        dense = []
+        for name in ("L1D", "L2", "LLC"):
+            cache = machine.hierarchy.level(name)
+            for set_idx in range(cache.num_sets):
+                contents = tuple(sorted(cache.set_contents(set_idx)))
+                if contents:
+                    order = cache.replacement_state(set_idx)
+                    dense.append((cache.name, set_idx, contents, order))
+        assert fast == tuple(dense)
         assert fast  # a non-trivial digest, not vacuous equality

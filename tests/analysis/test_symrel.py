@@ -11,7 +11,18 @@ from repro.analysis.symrel import (
 from repro.analysis.symrel import expr
 from repro.analysis.symrel.explore import array_bases
 from repro.core.machine import Machine, MachineConfig
-from repro.lang.ir import ArrayDecl, BinOp, Const, For, Load, Program
+from repro.errors import ProtocolError
+from repro.lang.ir import (
+    ArrayDecl,
+    BinOp,
+    Const,
+    For,
+    If,
+    Load,
+    Program,
+    Select,
+    Store,
+)
 from repro.lang.programs import (
     lookup_program,
     speculative_lookup_program,
@@ -222,6 +233,139 @@ class TestLoopHandling:
         )
         assert result.verdict == "unknown"
         assert result.notes
+
+
+def nested_secret_if_program():
+    """A secret ``If`` nesting another, with a predicated ``Store`` and
+    ``Select``, and a raw public index whose bound does not fold."""
+    return Program(
+        name="nested_secret_if",
+        inputs=("p",),
+        secret_inputs=("s",),
+        arrays=(ArrayDecl("t", 16),),
+        body=(
+            Load("y", "t", "p"),
+            BinOp("c", "and", "s", 1),
+            BinOp("d", "and", "s", 2),
+            Const("x", 0),
+            If(
+                "c",
+                then_body=(
+                    If(
+                        "d",
+                        then_body=(Load("x", "t", 3),),
+                        else_body=(Store("t", "p", "s"),),
+                    ),
+                ),
+                else_body=(Select("x", "d", 7, "x"),),
+            ),
+        ),
+        outputs=("x", "y"),
+    )
+
+
+def secret_loop_program():
+    """A loop under a secret branch, which the linearizer rejects."""
+    return Program(
+        name="secret_loop",
+        secret_inputs=("s",),
+        arrays=(ArrayDecl("t", 4),),
+        body=(
+            Const("x", 0),
+            If("s", then_body=(For("i", 2, (Load("x", "t", "i"),)),)),
+        ),
+        outputs=("x",),
+    )
+
+
+def transient_shapes_program():
+    """A never-taken public branch whose body holds an ``If`` and a
+    ``For`` around a secret-indexed ``Store``: only a transient walk
+    reaches them."""
+    return Program(
+        name="transient_shapes",
+        inputs=("p",),
+        secret_inputs=("s",),
+        arrays=(ArrayDecl("t", 64),),
+        body=(
+            BinOp("m", "and", "s", 63),
+            BinOp("q", "and", "p", 63),
+            BinOp("dead", "gt", "q", 63),
+            If(
+                "dead",
+                then_body=(
+                    If(
+                        "p",
+                        then_body=(Load("w", "t", 1),),
+                        else_body=(Load("w", "t", 2),),
+                    ),
+                    For("i", 1, (Store("t", "m", "i"),)),
+                ),
+            ),
+            Load("out", "t", 0),
+        ),
+        outputs=("out",),
+    )
+
+
+class TestExplorerStatements:
+    """Explorer statements that no shipped program reaches."""
+
+    #: (program, mitigate, spec_window) -> verdict, spec_verdict,
+    #: paths, steps, observations_checked
+    PINS = [
+        (nested_secret_if_program, False, 2, "refuted", None, 0, 5, 2),
+        (nested_secret_if_program, True, 2, "proved", "proved", 1, 9, 1),
+        (secret_loop_program, False, 2, "refuted", None, 0, 2, 1),
+        (transient_shapes_program, False, 2, "proved", "proved", 1, 7, 3),
+        (transient_shapes_program, True, 2, "proved", "proved", 1, 7, 3),
+        (transient_shapes_program, False, 6, "proved", "refuted", 1, 11, 5),
+        (transient_shapes_program, True, 6, "proved", "proved", 1, 11, 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "build, mitigate, window, verdict, spec_verdict, paths, steps, "
+        "observations",
+        PINS,
+        ids=[
+            f"{build.__name__[:-8]}-"
+            f"{'mitigated' if mitigate else 'native'}-w{window}"
+            for build, mitigate, window, *_ in PINS
+        ],
+    )
+    def test_pinned_exploration(
+        self, build, mitigate, window, verdict, spec_verdict, paths,
+        steps, observations,
+    ):
+        program = build()
+        result = check_program_relational(
+            program, mitigate=mitigate, spec_window=window,
+            replay=not mitigate,
+        )
+        exploration = result.exploration
+        assert (
+            result.verdict,
+            result.spec_verdict,
+            exploration.paths,
+            exploration.steps,
+            exploration.observations_checked,
+        ) == (verdict, spec_verdict, paths, steps, observations)
+        if result.verdict == "refuted":
+            assert result.replay.confirmed
+
+    def test_transient_walk_reaches_the_store_in_the_loop(self):
+        result = check_program_relational(
+            transient_shapes_program(), spec_window=6, replay=False
+        )
+        assert result.spec_observation == (
+            "transient addr observation at body[3].then[1].body[0]"
+        )
+
+    def test_loop_under_secret_branch_is_rejected(self):
+        with pytest.raises(ProtocolError, match="under a secret branch"):
+            check_program_relational(
+                secret_loop_program(), mitigate=True, replay=False
+            )
 
 
 class TestFindings:

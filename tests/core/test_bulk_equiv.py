@@ -1288,11 +1288,10 @@ class TestSweepWrappers:
         ds = DataflowLinearizationSet.from_range(base, 8 * 1024, name="b")
         ref = Machine(MachineConfig())
         ref.allocator.alloc(8 * 1024, "b")
-        vals = m.sweep_load_lines(ds, offset=8)
+        m.sweep_load_lines(ds)
         for line in ds.lines:
-            ref.load_word(line + 8)
+            ref.load_word(line)
         assert m.snapshot() == ref.snapshot()
-        assert vals == [m.memory.read_word(line + 8) for line in ds.lines]
 
     def test_sweep_store_lines_applies_target_only(self):
         from repro.ct.ds import DataflowLinearizationSet
@@ -1300,13 +1299,16 @@ class TestSweepWrappers:
         m = Machine(MachineConfig())
         base = m.allocator.alloc(4 * 1024, "b")
         for i in range(64):
-            m.memory.write_word(base + 64 * i, i)
+            m.memory.write_word(base + 64 * i + 8, i)
         ds = DataflowLinearizationSet.from_range(base, 4 * 1024, name="b")
-        old = m.sweep_store_lines(ds, target_idx=5, target_fn=lambda v: 777)
+        old = m.sweep_store_lines(
+            ds, offset=8, target_idx=5, target_fn=lambda v: 777
+        )
         assert old[5] == 5
         for i in range(64):
             expect = 777 if i == 5 else i
-            assert m.memory.read_word(base + 64 * i) == expect
+            assert m.memory.read_word(base + 64 * i + 8) == expect
+            assert m.memory.read_word(base + 64 * i) == 0
 
     def test_offset_must_stay_intra_line(self):
         # documented contract: offset < line size keeps words on DS lines
@@ -1315,16 +1317,15 @@ class TestSweepWrappers:
         m = Machine(MachineConfig())
         base = m.allocator.alloc(1024, "b")
         ds = DataflowLinearizationSet.from_range(base, 1024, name="b")
-        vals = m.sweep_load_lines(ds, offset=60)
-        assert len(vals) == len(ds.lines)
+        m.sweep_store_lines(ds, offset=60, target_idx=3,
+                            target_fn=lambda v: v + 9)
+        assert m.memory.read_word(ds.lines[3] + 60) == 9
 
-    @pytest.mark.parametrize("wrapper", ["load", "store"])
-    @pytest.mark.parametrize("collect", [True, False])
     @pytest.mark.parametrize("offset, error", [
         (64, ProtocolError), (-4, ProtocolError), (3, AlignmentError),
     ])
     def test_offset_off_the_line_raises_before_any_access(
-        self, wrapper, collect, offset, error
+        self, offset, error
     ):
         """An offset that leaves the DS line, or splits a word, is
         refused before anything is charged: counters, cache contents
@@ -1349,12 +1350,8 @@ class TestSweepWrappers:
 
         before = state()
         with pytest.raises(error, match="sweep offset"):
-            if wrapper == "load":
-                m.sweep_load_lines(ds, offset=offset, collect_values=collect)
-            else:
-                m.sweep_store_lines(ds, offset=offset, target_idx=0,
-                                    target_fn=lambda v: v + 100,
-                                    collect_values=collect)
+            m.sweep_store_lines(ds, offset=offset, target_idx=0,
+                                target_fn=lambda v: v + 100)
         assert state() == before
 
 

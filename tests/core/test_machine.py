@@ -406,7 +406,7 @@ INST_FIELDS = [
 @pytest.mark.parametrize("name", INST_FIELDS)
 def test_instruction_counts_must_be_whole(name, value):
     """A fractional count would add fractional instructions and cycles."""
-    assert len(INST_FIELDS) == 12
+    assert len(INST_FIELDS) == 11
     with pytest.raises(ConfigurationError, match=name):
         CostModel(**{name: value})
     CostModel(**{name: 2.0})  # an integral float is a whole number

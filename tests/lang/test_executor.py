@@ -7,7 +7,11 @@ from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
 from repro.ct.linearize import SoftwareCTContext
-from repro.errors import ProtocolError, SecurityViolationError
+from repro.errors import (
+    ConfigurationError,
+    ProtocolError,
+    SecurityViolationError,
+)
 from repro.lang.executor import run_program
 from repro.lang.ir import ArrayDecl, BinOp, Const, If, Load, Program
 from repro.lang.programs import (
@@ -170,9 +174,9 @@ class TestErrors:
             )
 
     def test_unassigned_register(self):
-        program = Program(name="bad", body=(BinOp("x", "add", "nope", 1),))
-        with pytest.raises(ProtocolError):
-            run_program(program, make_ctx("insecure"), {}, {})
+        # Rejected when the program is built, before anything runs.
+        with pytest.raises(ConfigurationError, match="'nope'"):
+            Program(name="bad", body=(BinOp("x", "add", "nope", 1),))
 
     def test_default_zero_arrays(self):
         program = Program(

@@ -222,10 +222,10 @@ class TestSelectRefinement:
         inner = If(1, then_body=(Const("c", 1),))
         outer = If("k", then_body=(inner,))
         report = analyze(
-            prog([outer, stmt], secret_inputs=("k",))
+            prog([Const("c", 0), outer, stmt], secret_inputs=("k",))
         )
-        # c was written under a secret branch, so the later select has
-        # a secret condition.
+        # c was public before the branch but written under a secret
+        # one, so the later select has a secret condition.
         assert report.is_secret_cond_select(stmt)
 
 
@@ -337,3 +337,53 @@ class TestProgramBoundary:
             outputs=("p", "k", "i", "x", "y"),
         )
         assert program.outputs == ("p", "k", "i", "x", "y")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            (If("k", then_body=(Const("y", 1),)), BinOp("z", "add", "y", 1)),
+            (If("y", then_body=(Const("z", 1),)),),
+            (For("i", "y", ()),),
+            (Load("z", "a", "y"),),
+            (Store("a", 0, "y"),),
+            (Select("z", "k", 1, "y"),),
+            (For("i", "p", (Const("y", 1),)), BinOp("z", "add", "y", 1)),
+            (For("i", 0, (Const("y", 1),)), BinOp("z", "add", "y", 1)),
+            (For("i", 2, (BinOp("y", "add", "y", "i"),)),),
+        ],
+        ids=["one-arm-write", "if-cond", "for-count", "load-index",
+             "store-value", "select-operand", "after-symbolic-loop",
+             "after-zero-loop", "loop-carried"],
+    )
+    def test_read_before_assignment_rejected(self, body):
+        with pytest.raises(ConfigurationError,
+                           match=r"'bad' reads register 'y' before"):
+            Program(
+                name="bad",
+                inputs=("p",),
+                secret_inputs=("k",),
+                arrays=(ArrayDecl("a", 4),),
+                body=body,
+            )
+
+    def test_reads_assigned_on_every_path_accepted(self):
+        # Both arms write y; a positive literal loop leaves its writes
+        # and its variable behind; a loop variable is defined in its
+        # body; an output written in one arm only still reads as 0.
+        program = Program(
+            name="ok",
+            inputs=("p",),
+            secret_inputs=("k",),
+            arrays=(ArrayDecl("a", 4),),
+            body=(
+                If("k", then_body=(Const("y", 1),),
+                   else_body=(Load("y", "a", 0),)),
+                For("i", 2, (Const("w", 1),)),
+                For("j", "p", (Store("a", "j", "y"),)),
+                BinOp("z", "add", "y", "w"),
+                BinOp("z", "add", "z", "i"),
+                If("k", then_body=(Const("u", 1),)),
+            ),
+            outputs=("z", "u"),
+        )
+        assert program.outputs == ("z", "u")
