@@ -45,6 +45,10 @@ from repro.lang.pretty import path_index
 
 INF = math.inf
 MASK32 = 0xFFFFFFFF
+#: Register width: a shift amount of this or more bounds nothing useful,
+#: so the shift transfers treat it as unbounded instead of building
+#: ``2 ** amount`` (about 512 MiB for an amount near ``2 ** 32``).
+WORD_BITS = 32
 
 #: Plain joins before widening kicks in (precision/termination knob).
 WIDEN_DELAY = 3
@@ -199,7 +203,7 @@ def _binop_interval(op: str, a: Interval, b: Interval) -> Interval:
             return Interval(0, (1 << bits) - 1)
         return Interval.top()
     if op == "shl":
-        if b.lo >= 0 and b.hi < INF:
+        if b.lo >= 0 and b.hi < WORD_BITS:
             lo = min(
                 _mul_bound(a.lo, 2 ** int(b.lo)),
                 _mul_bound(a.lo, 2 ** int(b.hi)),
@@ -212,12 +216,17 @@ def _binop_interval(op: str, a: Interval, b: Interval) -> Interval:
         return Interval.top()
     if op == "shr":
         if b.lo >= 0:
-            shifted = _binop_interval(
+            # A right shift is floor division by ``2 ** b``.  Amounts of
+            # WORD_BITS or more leave the divisor unbounded above, and
+            # ``2 ** WORD_BITS`` still bounds it below.
+            return _binop_interval(
                 "div",
                 a,
-                Interval(2 ** int(b.lo), INF if b.hi == INF else 2 ** int(b.hi)),
+                Interval(
+                    2 ** int(min(b.lo, WORD_BITS)),
+                    INF if b.hi >= WORD_BITS else 2 ** int(b.hi),
+                ),
             )
-            return shifted
         return Interval.top()
     return Interval.top()  # pragma: no cover - exhaustive over OPS
 

@@ -188,6 +188,12 @@ class CacheHierarchy:
         per-event listener refuses the batch
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines`);
         listeners below it see the miss walk's scalar events.
+
+        The start level's profile is charged once, one access per
+        line (:meth:`~repro.cache.set_assoc.CacheStats.charge`): the
+        miss walk records only the levels below.  A caller-supplied
+        ``set_indices`` tuple (a DS sweep's cached decomposition) is
+        charged without being counted until the profile is read.
         """
         first = self.levels[start_level]
         n = len(line_addrs)
@@ -196,6 +202,8 @@ class CacheHierarchy:
         if set_indices is None:
             set_indices = first.set_indices(line_addrs)
         i = access_lines(line_addrs, 0, set_indices)
+        # After the first run: a refused (per-event) batch charges none.
+        first.stats.charge(set_indices)
         while i < n:
             latency += self.read_miss_fill(line_addrs[i], start_level)[0]
             i = access_lines(line_addrs, i + 1, set_indices)
@@ -213,6 +221,10 @@ class CacheHierarchy:
         run heads' set indices are computed once, so each resume of the
         kernel costs O(run).  An L1d with a per-event listener refuses
         the batch, as in :meth:`read_lines`.
+
+        The L1d's profile is charged once per batch, ``counts[i]``
+        accesses to run head ``i``, before the loop below spends the
+        counts on the run's remaining accesses.
         """
         first = self.levels[0]
         n = len(line_addrs)
@@ -232,6 +244,7 @@ class CacheHierarchy:
                 n = len(heads)
         set_indices = first.set_indices(line_addrs)
         i = access_lines(line_addrs, 0, set_indices, True, counts)
+        first.stats.charge(set_indices, 1 if counts is None else counts)
         while i < n:
             line_addr = line_addrs[i]
             latency += self.read_miss_fill(line_addr)[0]

@@ -19,8 +19,8 @@ Two paper-specific behaviours live here:
 * ``observable`` controls whether a scalar :meth:`access` is counted
   in the per-set access histogram used by the Figure 10 security test.
   Attacker, prefetch and eviction-set probes pass ``False``; victim
-  loads and stores, and every access of the batched kernels, are
-  counted.
+  loads and stores are counted, and every access of a batch is charged
+  once per batch by the batch's owner (:meth:`CacheStats.charge`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,17 @@ class CacheStats:
     ``slots=True``: two to four of these counters move on every
     simulated access; fixed-offset attribute writes keep the per-access
     accounting cheap.
+
+    The per-set access profile, :attr:`set_accesses`, is kept in two
+    parts.  ``counted`` is a plain dict of set index -> accesses: an
+    observable scalar :meth:`SetAssociativeCache.access` adds one
+    there, and a batch is charged there by its owner (:meth:`charge`).
+    ``pending`` holds the charges of DS sweeps that are not counted
+    yet: the sweep's set-index tuple and how many times it was
+    charged, expanded into ``counted`` only when the profile is read
+    (:attr:`set_accesses`), cloned or loaded, and dropped by
+    :meth:`reset`.  Counts add, so the expansion order changes only
+    the dict's key order, which no reader depends on.
     """
 
     hits: int = 0
@@ -51,27 +62,62 @@ class CacheStats:
     evictions: int = 0
     dirty_evictions: int = 0
     invalidations: int = 0
-    set_accesses: Dict[int, int] = field(default_factory=dict)
+    #: set index -> accesses counted so far; read :attr:`set_accesses`
+    counted: Dict[int, int] = field(default_factory=dict)
+    #: ``id(set_indices)`` -> ``[set_indices, times]``, not yet counted
+    pending: Dict[int, list] = field(default_factory=dict, repr=False)
 
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def record_set_access(self, set_index: int) -> None:
-        self.set_accesses[set_index] = self.set_accesses.get(set_index, 0) + 1
+    @property
+    def set_accesses(self) -> Dict[int, int]:
+        """Accesses per set index since the last :meth:`reset`: the
+        Figure 10 histogram.  Expands the pending sweep charges first,
+        so the dict holds every charge made so far."""
+        pending = self.pending
+        if pending:
+            counted = self.counted
+            for set_indices, times in pending.values():
+                per_set: Dict[int, int] = {}
+                _count_elements(per_set, set_indices)
+                for set_idx, n in per_set.items():
+                    counted[set_idx] = counted.get(set_idx, 0) + n * times
+            pending.clear()
+        return self.counted
 
-    def record_set_accesses(self, set_indices) -> None:
-        """One :meth:`record_set_access` per element, in order, counted
-        at C speed.
+    def charge(self, set_indices, times=1) -> None:
+        """Charge a batch's accesses at this level: ``times`` per
+        element of ``set_indices``, or ``times[i]`` for element ``i``
+        when ``times`` is a list (a store batch's same-line run
+        lengths).
 
-        ``collections._count_elements`` is the tally loop behind
-        ``Counter.update``.  Run on the plain-dict profile, it leaves the
-        per-access updates on CPython's exact-dict fast paths; a
-        ``Counter`` profile would not, because ``Counter`` overrides
-        ``__delitem__``, which sends every item assignment through a
+        A tuple is a DS's cached decomposition
+        (:meth:`~repro.ct.ds.DataflowLinearizationSet.set_indices_for`),
+        immutable and shared by every sweep of its DS, so it is not
+        counted here: its multiplicity in ``pending`` rises by
+        ``times`` in O(1).  Any other sequence is counted now with
+        ``collections._count_elements``, the C tally loop behind
+        ``Counter.update``, on the plain-dict profile.  A ``Counter``
+        profile would slow every scalar access: ``Counter`` overrides
+        ``__delitem__``, which sends each item assignment through a
         generic slot about four times slower.
         """
-        _count_elements(self.set_accesses, set_indices)
+        if type(set_indices) is tuple:
+            entry = self.pending.get(id(set_indices))
+            if entry is None:
+                # the entry holds the tuple, so its id is not reused
+                self.pending[id(set_indices)] = [set_indices, times]
+            else:
+                entry[1] += times
+        elif isinstance(times, int):
+            for _ in range(times):
+                _count_elements(self.counted, set_indices)
+        else:
+            counted = self.counted
+            for set_idx, n in zip(set_indices, times):
+                counted[set_idx] = counted.get(set_idx, 0) + n
 
     def reset(self) -> None:
         self.hits = 0
@@ -80,7 +126,8 @@ class CacheStats:
         self.evictions = 0
         self.dirty_evictions = 0
         self.invalidations = 0
-        self.set_accesses.clear()
+        self.counted.clear()
+        self.pending.clear()
 
     def clone(self) -> "CacheStats":
         return CacheStats(
@@ -90,7 +137,7 @@ class CacheStats:
             evictions=self.evictions,
             dirty_evictions=self.dirty_evictions,
             invalidations=self.invalidations,
-            set_accesses=dict(self.set_accesses),
+            counted=dict(self.set_accesses),
         )
 
     def load_from(self, other: "CacheStats") -> None:
@@ -105,7 +152,8 @@ class CacheStats:
         self.evictions = other.evictions
         self.dirty_evictions = other.dirty_evictions
         self.invalidations = other.invalidations
-        self.set_accesses = dict(other.set_accesses)
+        self.counted = dict(other.set_accesses)
+        self.pending.clear()
 
 
 _PER_EVENT = (
@@ -276,8 +324,8 @@ class SetAssociativeCache:
         cset = self._sets[set_idx]
         stats = self.stats
         if observable:
-            accesses = stats.set_accesses
-            accesses[set_idx] = accesses.get(set_idx, 0) + 1
+            counted = stats.counted
+            counted[set_idx] = counted.get(set_idx, 0) + 1
         if cset is None:
             # Never-touched set: a guaranteed miss, and no state to
             # update yet — defer materialisation to the fill.
@@ -303,14 +351,19 @@ class SetAssociativeCache:
         mark_dirty: bool = False,
         counts=None,
     ) -> int:
-        """Batched :meth:`access` over ``line_addrs[start:]``.
+        """Batched :meth:`access` over ``line_addrs[start:]``, without
+        the per-set profile.
 
         Processes elements in order exactly as repeated ``access``
         calls would, stopping at (and *recording*) the first miss:
         returns the index of the missing element, or ``len(line_addrs)``
         when every remaining element hits.  The caller (the hierarchy's
         ``read_lines``/``write_lines``) handles the fill for the missing
-        element and resumes the batch after it.
+        element and resumes the batch after it.  The caller also
+        charges the profile, once for the whole batch
+        (:meth:`CacheStats.charge`): a batch's profile is one access per
+        element whatever hits or misses, and nothing reads it inside
+        the batch.
 
         ``set_indices`` supplies the set indices aligned with
         ``line_addrs`` (per-DS decomposition caches, or
@@ -322,21 +375,20 @@ class SetAssociativeCache:
 
         ``counts`` makes element ``i`` stand for ``counts[i]`` accesses
         in a row to ``line_addrs[i]`` (a same-line run).  A hit charges
-        the whole run at once: ``counts[i]`` set accesses and hits, one
+        the whole run at once: ``counts[i]`` hits, one
         :meth:`~repro.cache.replacement.ReplacementPolicy.touch_n`, and
-        one dirty transition.  A miss records *one* access and returns
+        one dirty transition.  A miss records *one* miss and returns
         ``i``; the caller fills, decrements ``counts[i]`` and resumes at
         ``i`` while accesses remain, so the rest of the run hits or
         misses again (a refused fill) exactly as the scalar loop would.
 
         Each loop does only what a hit changes: the way lookup, the
         replacement touch (inlined for stock LRU without ``counts``)
-        and the dirty bit.  Hits and misses move once per call, and
-        without ``counts`` the per-set profile is charged once, from
-        ``set_indices[start:stop + 1]``.  Both loops end by handing
-        ``line_addrs[start:stop]`` to the level's hit-run listeners
-        (the BIA) in one :meth:`EventBus.hit_run` call, before
-        returning and so before the caller fills the missing line.
+        and the dirty bit.  Hits and misses move once per call.  Both
+        loops end by handing ``line_addrs[start:stop]`` to the level's
+        hit-run listeners (the BIA) in one :meth:`EventBus.hit_run`
+        call, before returning and so before the caller fills the
+        missing line.
         That equals the run's per-event hits and dirty transitions: a
         hit run changes no residency, so each line ends the run
         resident with its end-of-run dirty bit, and only a CT op, never
@@ -356,19 +408,15 @@ class SetAssociativeCache:
             set_indices = self.set_indices(line_addrs)
         n = len(line_addrs)
         if counts is not None:
-            set_accesses = stats.set_accesses
             hits = 0
             i = start
             while i < n:
-                set_idx = set_indices[i]
-                cset = sets[set_idx]
+                cset = sets[set_indices[i]]
                 way = cset.by_addr.get(line_addrs[i]) if cset is not None else None
                 if way is None:
-                    set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
                     stats.misses += 1
                     break
                 c = counts[i]
-                set_accesses[set_idx] = set_accesses.get(set_idx, 0) + c
                 hits += c
                 cset.touch_n(way, c)
                 if mark_dirty:
@@ -397,7 +445,6 @@ class SetAssociativeCache:
         stats.hits += i - start
         if i < n:
             stats.misses += 1
-        stats.record_set_accesses(set_indices[start:i + 1])
         if events.has_listeners and i > start:
             events.hit_run(line_addrs[start:i])
         return i
@@ -422,11 +469,12 @@ class SetAssociativeCache:
         resumes after it.
 
         Shares :meth:`access_lines`'s ``set_indices`` handling, its
-        per-event guard and its hit-run delivery, and skips the second
-        tag lookup per pair — the load hit already pinned down the way.
-        It charges a pair's two touches at once (``touch_n(way, 2)``,
-        inlined for stock LRU) and profiles two accesses per completed
-        pair plus one for the missing load.
+        per-event guard, its hit-run delivery and its profile rule (the
+        batch owner, ``Machine.rmw_words``, charges two accesses per
+        pair for the whole batch), and skips the second tag lookup per
+        pair — the load hit already pinned down the way.  It charges a
+        pair's two touches at once (``touch_n(way, 2)``, inlined for
+        stock LRU).
         """
         events = self.events
         if events.per_event:
@@ -454,8 +502,6 @@ class SetAssociativeCache:
         stats.hits += 2 * (i - start)
         if i < n:
             stats.misses += 1
-        pairs = set_indices[start:i]
-        stats.record_set_accesses(pairs + pairs + set_indices[i:i + 1])
         if events.has_listeners and i > start:
             events.hit_run(line_addrs[start:i])
         return i

@@ -501,7 +501,13 @@ class Machine:
         path; the all-hit runs go through the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
         The batch computes its set indices once (unless the caller
-        supplied them), so each resume of that kernel costs O(run).
+        supplied them), so each resume of that kernel costs O(run), and
+        charges the start level's profile once, two accesses per pair
+        (:meth:`~repro.cache.set_assoc.CacheStats.charge`; a
+        caller-supplied tuple, a DS sweep's cached decomposition, is
+        not counted until the profile is read).  A missed pair's store
+        half therefore probes the start level unobserved; a miss walk
+        records only the levels below.
 
         In the targeted form, ``target_idx`` must lie in ``[-1, n)``
         and a ``target_idx >= 0`` needs a ``target_fn``; anything else
@@ -560,6 +566,7 @@ class Machine:
         pair_cycles = pre_cycles + 2 * first_lat
         cycles = 0
         rmw_run = first.rmw_lines
+        first.stats.charge(set_indices, 2)
         out = [None] * n
         i = 0
         while i < n:
@@ -599,7 +606,7 @@ class Machine:
                 new = update_fn(nxt, out[nxt])
             else:
                 new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
-            hit = first_access(line)
+            hit = first_access(line, False)  # charged with the batch
             if hit is not None:
                 cycles += first_lat
                 if not hit.dirty:
@@ -625,7 +632,10 @@ class Machine:
         The loaded words are discarded (a CT load keeps only the word
         it wants, which its caller reads from memory), so the sweep
         reads none and passes the DS lines themselves as its
-        addresses.
+        addresses.  It hands over the DS's cached set-index tuple, so
+        its profile charge is a multiplicity of that tuple, counted
+        only when the profile is read
+        (:meth:`~repro.cache.set_assoc.CacheStats.charge`).
         """
         set_indices = None
         if self.slice_hash is None:
@@ -655,7 +665,9 @@ class Machine:
         ``ds.lines`` that holds only ``values[target_idx]``.  The sweep
         reads and writes only the target's word, so only the target's
         address carries the offset; every other element's write-back
-        leaves memory unchanged at any offset.
+        leaves memory unchanged at any offset.  Like the load sweep, it
+        hands over the DS's cached set-index tuple, whose profile
+        charge (two accesses per line) is counted only when read.
         """
         _check_sweep_offset(offset)
         lines = ds.lines

@@ -1,5 +1,8 @@
 """Interval domain, widening termination, and DS coverage proofs."""
 
+import dataclasses
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,11 @@ from repro.analysis.intervals import (
     analyze_intervals,
     prove_ds_covers,
 )
-from repro.lang import ir
+from repro.core.machine import Machine, MachineConfig
+from repro.ct.context import InsecureContext
 from repro.ct.ds import DataflowLinearizationSet
+from repro.lang import ir
+from repro.lang.executor import run_program
 from repro.lang.ir import (
     ArrayDecl,
     BinOp,
@@ -123,6 +129,67 @@ class TestTransfer:
             [Load("v", "a", 0)], "v", arrays=(ArrayDecl("a", 4),)
         )
         assert iv == Interval(0, MASK32)
+
+
+class TestWideShifts:
+    """Shift amounts whose interval reaches the word width: the
+    transfers treat them as unbounded and build no ``2 ** amount``,
+    while amounts below the width keep their exact intervals."""
+
+    #: ``(s0, s1, p1)``: products ``s1 * p1`` (masked) of 0, 5, 31, 32,
+    #: 33, 64, 2**31 and 2**32 - 1 as shift amounts
+    SAMPLES = [
+        (0x12345678, 0, 7), (0xFFFFFFFF, 5, 1), (1, 31, 1),
+        (0x80000000, 4, 8), (0xFFFFFFFF, 3, 11), (7, 8, 8),
+        (0xDEADBEEF, 1 << 16, 1 << 15), (0xFFFFFFFF, MASK32, 1),
+    ]
+
+    def test_transfer_builds_no_huge_power(self):
+        amount = Interval(0, MASK32)
+        start = time.perf_counter()
+        shr = _binop_interval("shr", Interval.word(), amount)
+        shl = _binop_interval("shl", Interval.word(), amount)
+        beyond = _binop_interval("shr", Interval.word(), Interval(40, MASK32))
+        assert time.perf_counter() - start < 1.0
+        assert shr == Interval(0, MASK32)
+        assert shl == Interval.top()
+        assert beyond == Interval(0, 0)
+        for a, _s1, _p1 in self.SAMPLES:
+            for b in (0, 1, 31, 32, 40, MASK32):
+                assert shr.contains(a >> b)
+                assert beyond.contains(a >> max(b, 40))
+
+    def test_amounts_below_the_width_stay_exact(self):
+        assert _binop_interval(
+            "shr", Interval(0, 1000), Interval(2, 3)
+        ) == Interval(0, 250)
+        assert _binop_interval(
+            "shl", Interval(1, 3), Interval(0, 31)
+        ) == Interval(1, 3 << 31)
+
+    def test_register_shift_by_a_product(self):
+        program = prog(
+            [
+                BinOp("r12", "mul", "s1", "p1"),
+                BinOp("r30", "shr", "s0", "r12"),
+                BinOp("r13", "and", "r12", 0xFFFF),
+                BinOp("r31", "shl", "s0", "r13"),
+            ],
+            secret_inputs=("s0", "s1"),
+            inputs=("p1",),
+        )
+        program = dataclasses.replace(program, outputs=("r30", "r31"))
+        start = time.perf_counter()
+        env = analyze_intervals(program).final_env
+        assert time.perf_counter() - start < 1.0
+        assert env["r30"] == Interval(0, MASK32)
+        for s0, s1, p1 in self.SAMPLES:
+            ctx = InsecureContext(Machine(MachineConfig()))
+            out = run_program(
+                program, ctx, {"s0": s0, "s1": s1, "p1": p1}, mitigate=False
+            )
+            assert env["r30"].contains(out["r30"]), (s0, s1, p1)
+            assert env["r31"].contains(out["r31"]), (s0, s1, p1)
 
 
 class TestLoops:

@@ -437,8 +437,13 @@ def _scalar_kernel(cache, lines, kernel):
 
 def _batched_kernel(cache, lines, kernel, indexed):
     """The run kernel over ``lines``, resuming after each miss the way
-    the hierarchy and the machine do."""
-    set_indices = cache.set_indices(lines) if indexed else None
+    the hierarchy and the machine do, and charging the batch's profile
+    once the way they do: one access per line, two per RMW pair, so a
+    missed pair's store half probes unobserved.  ``indexed`` passes a
+    cached decomposition, a tuple as a DS keeps, whose charge is
+    deferred; otherwise the kernel computes the indices and the batch
+    is counted from a list."""
+    set_indices = tuple(cache.set_indices(lines)) if indexed else None
     if kernel == "rmw":
         run = cache.rmw_lines
         extra = ()
@@ -446,11 +451,14 @@ def _batched_kernel(cache, lines, kernel, indexed):
         run = cache.access_lines
         extra = (kernel == "write",)
     i = run(lines, 0, set_indices, *extra)
+    cache.stats.charge(
+        set_indices or cache.set_indices(lines), 2 if kernel == "rmw" else 1
+    )
     while i < len(lines):
         line_addr = lines[i]
         cache.fill(line_addr)
         if kernel == "rmw":
-            cache.access(line_addr)
+            cache.access(line_addr, observable=False)
         if kernel != "read":
             cache.set_dirty(line_addr)
         i = run(lines, i + 1, set_indices, *extra)
@@ -464,8 +472,9 @@ def test_listener_free_run_kernels_match_scalar_access(
 ):
     """``access_lines`` (``mark_dirty`` for writes) and ``rmw_lines`` on a
     listener-free level: the same counters, per-set profile (charged
-    once per call, the missing element included), contents, dirty bits
-    and raw replacement state as one ``access`` per read or write."""
+    once per batch by its owner, not by the kernels), contents, dirty
+    bits and raw replacement state as one ``access`` per read or
+    write."""
     scalar, batched = (
         SetAssociativeCache("C", 4 * 1024, 2, latency=1, replacement=policy)
         for _ in range(2)
