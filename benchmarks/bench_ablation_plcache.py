@@ -8,11 +8,10 @@ workload.
 """
 
 from repro import params
-from repro.attacks.analysis import check_trace_equivalence
+from repro.analysis.sanitizer import sanitize
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.plcache_ctx import PLCachePreloadContext
-from repro.errors import SecurityViolationError
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_workload
 from repro.workloads import WORKLOADS
@@ -27,24 +26,16 @@ def _run_plcache_histogram(bins: int, seed: int = 1):
 
 def _leaks(scheme: str, bins: int = 300) -> bool:
     def factory():
-        return Machine(MachineConfig(plcache=(scheme == "plcache")))
+        if scheme == "plcache":
+            return PLCachePreloadContext(Machine(MachineConfig(plcache=True)))
+        return BIAContext(Machine(MachineConfig()))
 
-    def victim_factory(secret):
-        def victim(machine):
-            ctx = (
-                PLCachePreloadContext(machine)
-                if scheme == "plcache"
-                else BIAContext(machine)
-            )
-            WORKLOADS["histogram"].run(ctx, bins, secret)
-
-        return victim
-
-    try:
-        check_trace_equivalence(factory, victim_factory, [1, 2, 3])
-        return False
-    except SecurityViolationError:
-        return True
+    report = sanitize(
+        factory,
+        lambda ctx, secret: WORKLOADS["histogram"].run(ctx, bins, secret),
+        secrets=(1, 2, 3),
+    )
+    return not report.clean
 
 
 def _co_runner_misses(machine) -> int:

@@ -13,7 +13,8 @@ The library provides, as importable subsystems:
   linearization sets, the software-CT baseline (Constantine-style), and
   the BIA-based secure load/store algorithms;
 * :mod:`repro.attacks`   — Prime+Probe / Flush+Reload / Evict+Time and
-  trace-equivalence verification;
+  the observable-trace recorder that
+  :mod:`repro.analysis.sanitizer` checks trace equivalence with;
 * :mod:`repro.workloads` — the five Ghostrider benchmarks and the
   Fig. 9 crypto kernels;
 * :mod:`repro.experiments` — generators for every table and figure.
@@ -44,12 +45,7 @@ from repro.ct import (
     MitigationContext,
     SoftwareCTContext,
 )
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    SecurityViolationError,
-)
+from repro.errors import ConfigurationError, ProtocolError, ReproError
 
 __version__ = "1.0.0"
 
@@ -66,7 +62,6 @@ __all__ = [
     "MitigationContext",
     "ProtocolError",
     "ReproError",
-    "SecurityViolationError",
     "SoftwareCTContext",
     "build_machine",
     "__version__",

@@ -211,33 +211,17 @@ def measure_overhead(
     scheme: str = "ct",
     seed: int = 0,
 ) -> RepairOverhead:
-    """Cycle cost of three runs on fresh same-scheme machines.
+    """Cycle cost of three runs, each on a fresh same-scheme machine.
 
-    All three runs share one initial array image, so when the repair
-    left the array declarations alone (every shipped transform does)
-    the image is set up once on a :class:`~repro.lang.executor.
-    WarmStart` template and each run continues from a machine fork —
-    cycle-identical to three rebuilds, at a third of the setup cost.
+    Each run builds its context and sets up the arrays itself:
+    rebuilding is cheaper than forking one warmed template at these
+    sizes (EXPERIMENTS.md).
     """
     from repro.experiments.config import build_context
-    from repro.lang.executor import WarmStart
 
     inputs, arrays = exercise_inputs(original, seed)
-    template = None
-    if original.arrays == repaired.arrays:
-        template = WarmStart(
-            original,
-            build_context(scheme),
-            {k: list(v) for k, v in arrays.items()},
-            mitigate=False,
-        )
 
     def cycles(program: ir.Program, mitigate: bool) -> float:
-        if template is not None:
-            ctx, _ = template.run(
-                dict(inputs), program=program, mitigate=mitigate
-            )
-            return float(ctx.machine.stats.cycles)
         ctx = build_context(scheme)
         run_program(
             program,

@@ -8,8 +8,9 @@ observable traces, the final cache states, the per-set access
 profiles, and the cycle counts.  Any divergence is a non-interference
 violation — the attacker can distinguish the secrets.
 
-This generalizes the one-off logic of the Figure-10 benchmark into a
-reusable API:
+It is the one dynamic trace-equivalence check (Sec. 5.3): the
+security tests and symrel's witness replay both run through it.  The
+API:
 
 * :func:`sanitize` — the core: a context factory plus a
   ``run(ctx, secret)`` callable;
@@ -131,9 +132,7 @@ def _first_event_divergence(
 
 
 def _diff_pair(
-    a: SecretObservation,
-    b: SecretObservation,
-    check_cycles: bool,
+    a: SecretObservation, b: SecretObservation
 ) -> List[TraceDivergence]:
     out: List[TraceDivergence] = []
     secrets = (a.secret, b.secret)
@@ -168,7 +167,7 @@ def _diff_pair(
                     ),
                 )
             )
-    if check_cycles and a.cycles != b.cycles:
+    if a.cycles != b.cycles:
         out.append(
             TraceDivergence(
                 kind="cycles",
@@ -183,7 +182,6 @@ def sanitize(
     context_factory: Callable[[], MitigationContext],
     run_fn: Callable[[MitigationContext, object], object],
     secrets: Sequence[object] = (1, 2),
-    check_cycles: bool = True,
     warmup: Optional[Callable[[MitigationContext], object]] = None,
 ) -> SanitizerReport:
     """Run ``run_fn`` once per secret on identical machines and diff.
@@ -235,7 +233,7 @@ def sanitize(
     report.observations = observations
     base = observations[0]
     for other in observations[1:]:
-        report.divergences.extend(_diff_pair(base, other, check_cycles))
+        report.divergences.extend(_diff_pair(base, other))
     return report
 
 

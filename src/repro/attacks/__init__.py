@@ -1,14 +1,5 @@
 """Attack substrate: observers, Prime+Probe, Flush+Reload, Evict+Time."""
 
-from repro.attacks.analysis import (
-    Observation,
-    check_trace_equivalence,
-    distinguishability,
-    leaked_bits,
-    observe_run,
-    set_access_matrix,
-    varying_sets,
-)
 from repro.attacks.evict_time import EvictTimeAttacker
 from repro.attacks.eviction import build_eviction_set, evict_with_set, occupancy_probe
 from repro.attacks.flush_reload import FlushReloadAttacker
@@ -21,14 +12,7 @@ __all__ = [
     "evict_with_set",
     "occupancy_probe",
     "FlushReloadAttacker",
-    "Observation",
     "ObservableTraceRecorder",
     "PrimeProbeAttacker",
     "ProbeResult",
-    "check_trace_equivalence",
-    "distinguishability",
-    "leaked_bits",
-    "varying_sets",
-    "observe_run",
-    "set_access_matrix",
 ]

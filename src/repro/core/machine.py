@@ -460,7 +460,6 @@ class Machine:
         pre_insts: int = 0,
         lines=None,
         set_indices=None,
-        collect_values: bool = True,
     ):
         """Batched read-modify-write triples.
 
@@ -477,14 +476,14 @@ class Machine:
           ``update_fn`` must depend only on its arguments (it may run
           after later elements' cache accesses).
 
-        Returns the loaded values.  In the targeted form with
-        ``collect_values=False`` only ``values[target_idx]`` is read
-        (the rest are ``None``) and the value-identical write-backs of
-        non-target elements are elided from the backing store — the
-        simulated accesses are still performed and charged, and the
-        memory image is unchanged since each elision writes back the
-        word just read.  The per-element form reads and writes every
-        element whatever ``collect_values`` says.
+        Returns a list aligned with ``addrs``.  The per-element form
+        reads and writes every element and returns every loaded value.
+        The targeted form reads and writes back only the target's word
+        and returns only ``values[target_idx]`` (the rest are ``None``):
+        its callers, the sweeps and the fetch pass, read nothing else.
+        The simulated accesses of the other elements are still
+        performed and charged, and the memory image is unchanged, since
+        each skipped write-back would write the word it had just read.
 
         Sliced-LLC and silent-store machines, and a start level with a
         per-event listener, take one scalar fallback, the ``execute`` +
@@ -492,8 +491,8 @@ class Machine:
         depends on each access's hit level, a silent store's squash
         decision on each element's memory comparison, and a per-event
         listener needs every hit as its own event.  It returns the same
-        values, ``None`` at non-target positions under
-        ``collect_values=False`` included.
+        values, ``None`` at the targeted form's non-target positions
+        included.
 
         The pairs stay fused (load and store of element i before the
         load of element i+1) because a miss's fill and its store must
@@ -524,8 +523,6 @@ class Machine:
                 raise ProtocolError(
                     f"rmw_words target_idx {target_idx} needs a target_fn"
                 )
-        else:
-            collect_values = True
         if n == 0:
             return []
         hier = self.hierarchy
@@ -542,12 +539,14 @@ class Machine:
                 if pre_insts:
                     execute(pre_insts)
                 v = load(a, start_level)
-                if collect_values or i == target_idx:
-                    out[i] = v
                 if update_fn is not None:
+                    out[i] = v
                     new = update_fn(i, v)
+                elif i == target_idx:
+                    out[i] = v
+                    new = target_fn(v)
                 else:
-                    new = target_fn(v) if i == target_idx else v
+                    new = v
                 store(a, new, start_level)
             return out
         if lines is None:
@@ -580,12 +579,6 @@ class Machine:
                     v = read(a)
                     out[j] = v
                     write(a, update_fn(j, v))
-            elif collect_values:
-                for j in range(i, nxt):
-                    v = read(addrs[j])
-                    out[j] = v
-                    if j == target_idx:
-                        write(addrs[j], target_fn(v))
             elif i <= target_idx < nxt:
                 a = addrs[target_idx]
                 v = read(a)
@@ -599,13 +592,13 @@ class Machine:
             a = addrs[nxt]
             line = lines[nxt]
             cycles += pre_cycles + first_lat + miss_fill(line, start_level)[0]
-            if collect_values or nxt == target_idx:
-                v = read(a)
-                out[nxt] = v
-            if update_fn is not None:
-                new = update_fn(nxt, out[nxt])
-            else:
-                new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
+            writes = update_fn is not None or nxt == target_idx
+            if writes:
+                v = out[nxt] = read(a)
+                if update_fn is not None:
+                    new = update_fn(nxt, v)
+                else:
+                    new = target_fn(v)
             hit = first_access(line, False)  # charged with the batch
             if hit is not None:
                 cycles += first_lat
@@ -616,7 +609,7 @@ class Machine:
             else:
                 cycles += first_lat + miss_fill(line, start_level)[0]
                 first_set_dirty(line)
-            if nxt == target_idx or collect_values:
+            if writes:
                 write(a, new)
             i = nxt + 1
         stats.cycles += cycles
@@ -685,7 +678,6 @@ class Machine:
             pre_insts=pre_insts,
             lines=lines,
             set_indices=set_indices,
-            collect_values=False,
         )
 
     def charge_memory(self, n_accesses: int, latency_each: float) -> None:

@@ -242,27 +242,28 @@ class BIAContext(MitigationContext):
                         tmpdata = store_value
                     machine.store_word_uncached(address, tmpdata)
             return out
-        if store_value is None:
-            words = machine.load_words(
-                fetchset, start_level=start, pre_insts=fetch_insts
-            )
-        else:
+        if store_value is not None:
             # Alg. 3 lines 12-15 as one fused RMW batch; only the true
             # target address (line 14) receives the new value, every
-            # other fetched word is written back unchanged.
+            # other fetched word is written back unchanged.  A store
+            # pass captures nothing.
             try:
                 target_i = fetchset.index(store_addr)
             except ValueError:
                 target_i = -1
-            words = machine.rmw_words(
+            machine.rmw_words(
                 fetchset,
                 target_idx=target_i,
                 target_fn=lambda current: store_value,
                 start_level=start,
                 pre_insts=fetch_insts,
             )
-        # Captures see the *fetched* word (pre-override), exactly as the
-        # scalar loop captured tmpdata before the line-14 compare.
+            return out
+        words = machine.load_words(
+            fetchset, start_level=start, pre_insts=fetch_insts
+        )
+        # Captures see each fetched word, as the scalar loop captured
+        # tmpdata.
         if capture is not None:
             for address, tmpdata in zip(fetchset, words):
                 if address in capture:

@@ -8,22 +8,26 @@ this library a workload registers the array (or explicit address set)
 behind each secret-dependent access and receives a
 :class:`DataflowLinearizationSet` handle.
 
-The class precomputes exactly what Algorithms 2 and 3 need:
+Algorithms 2 and 3 read a DS through a :class:`DSGroupView`, which
+:meth:`DataflowLinearizationSet.view` builds on first use for each
+management granularity ``M`` (``M = 12``, i.e. pages, by default;
+Sec. 6.4's LLC variant shrinks ``M`` to the slice-hash bit).
+A view holds:
 
-* the DS's lines grouped by management group (``M = 12``, i.e. pages,
-  by default; Sec. 6.4's LLC variant shrinks ``M`` to the slice-hash
-  bit — :meth:`DataflowLinearizationSet.view` produces the grouping
-  for any ``M``),
+* the DS's lines grouped by management group,
 * the per-group **Bitmask** marking which of the group's lines belong
   to the DS (Sec. 5.1's preprocessing), and
 * ``generate_addrs`` — the paper's ``generateAddrs``: turn a
   ``tofetch`` bitmap into concrete addresses carrying the original
   access's line offset.
+
+Software-CT sweeps never group a DS: they read its lines and its
+cached set-index decomposition.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro import params
 from repro.errors import ConfigurationError, ProtocolError
@@ -93,10 +97,6 @@ class DSGroupView:
             bit += 1
         return out
 
-    def lines_in_group(self, group_idx: int) -> List[int]:
-        """Line base addresses of the DS's lines within one group."""
-        return self.generate_addrs(group_idx, 0, self.bitmask(group_idx))
-
 
 class DataflowLinearizationSet:
     """An immutable, line-granular set of candidate addresses."""
@@ -113,7 +113,6 @@ class DataflowLinearizationSet:
         #: line -> position map, lazily built for the bulk sweep kernels
         self._set_index_cache: Dict[Tuple, Tuple[int, ...]] = {}
         self._line_index: Dict[int, int] = {}
-        self._page_view = self.view(params.PAGE_BITS)
 
     # -- constructors ---------------------------------------------------------
 
@@ -123,13 +122,6 @@ class DataflowLinearizationSet:
     ) -> "DataflowLinearizationSet":
         """DS of a contiguous array ``[base, base + size_bytes)``."""
         return cls(addr_math.iter_lines(base, size_bytes), name=name)
-
-    @classmethod
-    def from_addresses(
-        cls, addrs: Sequence[int], name: str = ""
-    ) -> "DataflowLinearizationSet":
-        """DS of an explicit (possibly discontiguous) address set."""
-        return cls(addrs, name=name)
 
     @classmethod
     def for_array(
@@ -162,22 +154,9 @@ class DataflowLinearizationSet:
         return addr_math.line_base(addr) in self._line_set
 
     @property
-    def pages(self) -> Tuple[int, ...]:
-        """Page indices covering the DS (the default M=12 grouping)."""
-        return self._page_view.groups
-
-    @property
-    def num_pages(self) -> int:
-        return self._page_view.num_groups
-
-    @property
     def size_bytes(self) -> int:
         """Footprint at line granularity."""
         return len(self.lines) * params.LINE_SIZE
-
-    def bitmask(self, page_idx: int) -> int:
-        """The page's Bitmask (M=12 view)."""
-        return self._page_view.bitmask(page_idx)
 
     def require_member(self, addr: int) -> None:
         """Protocol check: a secure access must stay within its DS."""
@@ -212,20 +191,3 @@ class DataflowLinearizationSet:
             for i, line in enumerate(self.lines):
                 index[line] = i
         return index[line_addr]
-
-    # -- the paper's generateAddrs (M=12 view) -----------------------------------
-
-    def generate_addrs(
-        self, page_idx: int, orig_addr: int, tofetch: int
-    ) -> List[int]:
-        """Addresses for every set bit of ``tofetch`` within ``page_idx``.
-
-        Each address is ``page | (i << 6) | orig_addr[5:0]`` so the
-        fetched word sits at the same line offset as the original
-        access (Sec. 5.1).
-        """
-        return self._page_view.generate_addrs(page_idx, orig_addr, tofetch)
-
-    def lines_in_page(self, page_idx: int) -> List[int]:
-        """Line base addresses of the DS's lines within one page."""
-        return self._page_view.lines_in_group(page_idx)

@@ -129,11 +129,3 @@ class EngineError(ReproError):
             f"({len(self.completed)} result(s) salvaged):\n{lines}"
         )
 
-
-class SecurityViolationError(ReproError):
-    """The trace-equivalence checker found secret-dependent behaviour.
-
-    Raised by :mod:`repro.attacks.analysis` verification helpers when a
-    supposedly mitigated program produced observably different cache
-    behaviour for two different secrets.
-    """

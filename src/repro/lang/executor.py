@@ -268,24 +268,22 @@ def run_program(
 
 
 class WarmStart:
-    """Array setup paid once, forked per run — cycle-exact.
+    """Array setup split from the run that follows it — cycle-exact.
 
     Array initialisation stores every word through the full cache
-    hierarchy, and for the short programs the analysis pipeline
-    executes it dominates the run.  When several runs share one
-    initial array image (the repair driver's native/repaired/manual
-    overhead triple), the stores — and the simulated state and
-    statistics they produce — are identical, so they execute once on
-    this template's machine and each run continues from a
-    :meth:`~repro.ct.context.MitigationContext.fork`.  Forking
-    preserves the machine's exact state *and counters*, so cycle
-    counts, digests and outputs are bit-identical to rebuilding and
-    replaying the setup; input registers are bound per run (they never
-    touch the machine).
+    hierarchy.  A template executes those stores on its context's
+    machine; :meth:`resume` then runs a program on that context (the
+    sanitizer's warm-up, one template per secret, so the setup stays
+    out of the observation window), binding the input registers per
+    run (they never touch the machine).  :meth:`run` instead continues
+    from a :meth:`~repro.ct.context.MitigationContext.fork` of the
+    template, which preserves the machine's exact state *and counters*;
+    nothing in the package calls it since rebuilding per run measured
+    faster (EXPERIMENTS.md), and it stays while perfbench's tracer
+    wraps it.
 
-    The programs run on a fork may differ from the template's (the
-    repair driver runs original and repaired variants on one image) as
-    long as they declare the same arrays.
+    The program run after the setup may differ from the template's as
+    long as it declares the same arrays.
     """
 
     def __init__(

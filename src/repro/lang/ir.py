@@ -53,7 +53,11 @@ from repro.errors import ConfigurationError
 
 Operand = Union[str, int]
 
-#: op name -> (function, instruction cost in ALU ops)
+#: op name -> (function, instruction cost in ALU ops).  Results are
+#: masked to 32 bits by the caller.  A left shift by 32 or more leaves
+#: nothing of a 32-bit value, so ``shl`` returns 0 at once instead of
+#: building an integer as wide as the shift amount; a right shift only
+#: shrinks its operand, whatever the amount.
 OPS = {
     "add": (lambda a, b: a + b, 1),
     "sub": (lambda a, b: a - b, 1),
@@ -63,7 +67,7 @@ OPS = {
     "and": (lambda a, b: a & b, 1),
     "or": (lambda a, b: a | b, 1),
     "xor": (lambda a, b: a ^ b, 1),
-    "shl": (lambda a, b: a << b, 1),
+    "shl": (lambda a, b: a << b if b < 32 else 0, 1),
     "shr": (lambda a, b: a >> b, 1),
     "lt": (lambda a, b: int(a < b), 1),
     "le": (lambda a, b: int(a <= b), 1),

@@ -20,7 +20,7 @@ from repro.analysis.api import BUILTIN_PROGRAM_SPECS
 from repro.analysis.ctlint import lint
 from repro.analysis.facts import program_facts
 from repro.analysis.repair import repair_program
-from repro.analysis.repair.driver import exercise_inputs
+from repro.analysis.repair.driver import exercise_inputs, measure_overhead
 from repro.analysis.repair.localize import (
     KIND_ACCESS,
     KIND_BRANCH,
@@ -319,3 +319,33 @@ class TestDriverEdges:
         )
         with pytest.raises(TransformError):
             _apply(program, site, facts)
+
+
+class TestMeasureOverhead:
+    """Each run of the triple is on a fresh machine of the scheme."""
+
+    @staticmethod
+    def _fresh_cycles(original, program, mitigate):
+        # measure_overhead draws the inputs of every run from the
+        # original program.
+        inputs, arrays = exercise_inputs(original)
+        ctx = build_context("ct")
+        run_program(program, ctx, inputs, arrays, mitigate=mitigate)
+        return float(ctx.machine.stats.cycles)
+
+    def test_triple_matches_independent_fresh_runs(self):
+        original = BUILTIN_PROGRAM_SPECS["lookup"]()
+        fixed = repaired("lookup").repaired
+        overhead = measure_overhead(original, fixed)
+        fresh = functools.partial(self._fresh_cycles, original)
+        assert overhead.native_cycles == fresh(original, False)
+        assert overhead.repaired_cycles == fresh(fixed, False)
+        assert overhead.manual_cycles == fresh(original, True)
+
+    def test_repeated_measurement_is_identical(self):
+        # No run leaves state behind for the next one to start from.
+        original = BUILTIN_PROGRAM_SPECS["lookup"]()
+        fixed = repaired("lookup").repaired
+        assert measure_overhead(original, fixed) == measure_overhead(
+            original, fixed
+        )

@@ -106,6 +106,16 @@ class TestEvaluation:
         )
         assert got == (ir.OPS[opname][0](a, b) & MASK32)
 
+    @pytest.mark.parametrize("opname", ["shl", "shr"])
+    def test_shifts_follow_the_ir_table(self, opname):
+        """Constant folding and evaluation shift exactly as the
+        executor does, below, at and above 32 and 64."""
+        for amount in (0, 31, 32, 33, 63, 64, 65, 1 << 40):
+            for a in (0, 1, 0xDEADBEEF, MASK32, -5):
+                assert expr._apply_op(opname, a, amount) == (
+                    ir.OPS[opname][0](a, amount) & MASK32
+                ), (a, amount)
+
     def test_read_walks_write_chain(self):
         state = expr.array_init("t", "A", 4)
         state = expr.array_write(state, expr.var("i"), expr.const(99))

@@ -273,6 +273,12 @@ def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
         assert ma.memory.read_word(a) == mb.memory.read_word(a), (where, i)
 
 
+def _assert_target_value(got, want, target):
+    """A targeted ``rmw_words`` returns the target's loaded word only."""
+    assert got[target] == want[target]
+    assert all(v is None for i, v in enumerate(got) if i != target)
+
+
 class _EventLog(CacheListener):
     """Every event of every level."""
 
@@ -588,15 +594,15 @@ class TestRmwWords:
     # ``warm``: a load_words batch first makes the lines resident and
     # clean, so pairs hit lines the batch has not dirtied yet.
     @given(config=extra_configs, seq=addr_seqs, pre=st.integers(0, 4),
-           listeners=st.booleans(), collect=st.booleans(),
-           target_frac=st.floats(0, 1), warm=st.booleans())
+           listeners=st.booleans(), target_frac=st.floats(0, 1),
+           warm=st.booleans())
     # Always run: listener-free LRU pair hits on resident clean lines,
     # whose stamps and dirty transitions only the state comparison sees.
     @example(config=MachineConfig(), seq=CONTIGUOUS_64, pre=0,
-             listeners=False, collect=False, target_frac=0.5, warm=True)
+             listeners=False, target_frac=0.5, warm=True)
     @settings(max_examples=40, deadline=None)
-    def test_matches_scalar(self, config, seq, pre, listeners, collect,
-                            target_frac, warm):
+    def test_matches_scalar(self, config, seq, pre, listeners, target_frac,
+                            warm):
         (ma, mb), (ra, rb), base = _twins(config, listeners)
         addrs = [base + 64 * line + 4 * word for line, word in seq]
         if warm:
@@ -605,8 +611,7 @@ class TestRmwWords:
         target = int(target_frac * (len(addrs) - 1))
         fn = lambda v: (v * 3 + 1) & 0xFFFFFFFF  # noqa: E731
         got = ma.rmw_words(
-            addrs, target_idx=target, target_fn=fn, pre_insts=pre,
-            collect_values=collect,
+            addrs, target_idx=target, target_fn=fn, pre_insts=pre
         )
         want = []
         for i, a in enumerate(addrs):
@@ -615,20 +620,15 @@ class TestRmwWords:
             v = mb.load_word(a)
             want.append(v)
             mb.store_word(a, fn(v) if i == target else v)
-        if collect:
-            assert got == want
-        else:
-            assert got[target] == want[target]
-            assert all(v is None for i, v in enumerate(got) if i != target)
+        _assert_target_value(got, want, target)
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words")
 
 
     @given(config=configs, sliced=st.booleans(), seq=addr_seqs,
-           pre=st.integers(0, 4), listeners=st.booleans(),
-           collect=st.booleans())
+           pre=st.integers(0, 4), listeners=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_per_element_form_matches_scalar(self, config, sliced, seq, pre,
-                                             listeners, collect):
+                                             listeners):
         """``update_fn`` writes ``fn(i, v)`` at every element, as a
         scalar load + store loop does — silent stores included, where a
         value-identical result must be squashed and any other stored."""
@@ -643,9 +643,7 @@ class TestRmwWords:
             # word size wraps
             return v if i % 3 == 0 else v - 7 * i + ((i & 1) << 40)
 
-        got = ma.rmw_words(
-            addrs, update_fn=fn, pre_insts=pre, collect_values=collect
-        )
+        got = ma.rmw_words(addrs, update_fn=fn, pre_insts=pre)
         want = []
         for i, a in enumerate(addrs):
             if pre:
@@ -1002,7 +1000,7 @@ class TestObservedBatches:
             v = mb.load_word(a, 1)
             want.append(v)
             mb.store_word(a, fn(v) if i == target else v, 1)
-        assert got == want
+        _assert_target_value(got, want, target)
         assert calls == []
         assert ra.events
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words@L2")
@@ -1548,5 +1546,5 @@ def test_rmw_words_miss_resume_across_fill_refusal(scheme):
         v = mb.load_word(a)
         want.append(v)
         mb.store_word(a, v + 1 if i == 7 else v)
-    assert got == want
+    _assert_target_value(got, want, 7)
     assert ma.snapshot() == mb.snapshot()

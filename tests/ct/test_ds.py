@@ -1,4 +1,7 @@
-"""Dataflow linearization sets: bitmasks, page grouping, generateAddrs."""
+"""Dataflow linearization sets: bitmasks, page grouping, generateAddrs.
+
+The page (M=12) grouping is read through ``ds.view(params.PAGE_BITS)``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,10 @@ LINE = params.LINE_SIZE
 PAGE = params.PAGE_SIZE
 
 
+def pages(ds):
+    return ds.view(params.PAGE_BITS)
+
+
 class TestConstruction:
     def test_from_range_line_count(self):
         ds = DataflowLinearizationSet.from_range(0x10000, 1000 * 4)
@@ -22,8 +29,8 @@ class TestConstruction:
         ds = DataflowLinearizationSet.from_range(0x10030, 64)
         assert ds.lines == (0x10000, 0x10040)
 
-    def test_from_addresses_dedupes_to_lines(self):
-        ds = DataflowLinearizationSet.from_addresses([0x1000, 0x1004, 0x1040])
+    def test_constructor_dedupes_to_lines(self):
+        ds = DataflowLinearizationSet([0x1000, 0x1004, 0x1040])
         assert ds.lines == (0x1000, 0x1040)
 
     def test_empty_rejected(self):
@@ -32,19 +39,19 @@ class TestConstruction:
 
     def test_paper_example(self):
         """DS = {0x1008, 0x1048, 0x1088, 0x10c8, 0x1108} (Fig. 3)."""
-        ds = DataflowLinearizationSet.from_addresses(
+        ds = DataflowLinearizationSet(
             [0x1008, 0x1048, 0x1088, 0x10C8, 0x1108]
         )
         assert ds.lines == (0x1000, 0x1040, 0x1080, 0x10C0, 0x1100)
-        assert ds.pages == (1,)
-        assert ds.bitmask(1) == 0b11111
+        assert pages(ds).groups == (1,)
+        assert pages(ds).bitmask(1) == 0b11111
 
 
 class TestPages:
     def test_page_grouping(self):
         ds = DataflowLinearizationSet.from_range(0x10000, 2 * PAGE)
-        assert ds.pages == (0x10, 0x11)
-        assert ds.num_pages == 2
+        assert pages(ds).groups == (0x10, 0x11)
+        assert pages(ds).num_groups == 2
 
     def test_size_bytes(self):
         ds = DataflowLinearizationSet.from_range(0x10000, PAGE)
@@ -53,12 +60,12 @@ class TestPages:
     def test_bitmask_partial_page(self):
         """The paper's example: first two lines of the page not in DS."""
         ds = DataflowLinearizationSet.from_range(0x1080, PAGE - 0x80)
-        assert ds.bitmask(1) == params.FULL_PAGE_MASK & ~0b11
+        assert pages(ds).bitmask(1) == params.FULL_PAGE_MASK & ~0b11
 
     def test_bitmask_unknown_page_rejected(self):
         ds = DataflowLinearizationSet.from_range(0x10000, 64)
         with pytest.raises(ProtocolError):
-            ds.bitmask(99)
+            pages(ds).bitmask(99)
 
 
 class TestMembership:
@@ -79,22 +86,27 @@ class TestGenerateAddrs:
     def test_formula(self):
         """address = page[63:12] + (i << 6) + orig[5:0] (Sec. 5.1)."""
         ds = DataflowLinearizationSet.from_range(0x10000, PAGE)
-        addrs = ds.generate_addrs(0x10, orig_addr=0x10008, tofetch=0b101)
+        addrs = pages(ds).generate_addrs(
+            0x10, orig_addr=0x10008, tofetch=0b101
+        )
         assert addrs == [0x10008, 0x10088]
 
     def test_empty_tofetch(self):
         ds = DataflowLinearizationSet.from_range(0x10000, PAGE)
-        assert ds.generate_addrs(0x10, 0x10000, 0) == []
+        assert pages(ds).generate_addrs(0x10, 0x10000, 0) == []
 
     def test_full_mask(self):
         ds = DataflowLinearizationSet.from_range(0x10000, PAGE)
-        addrs = ds.generate_addrs(0x10, 0x10004, params.FULL_PAGE_MASK)
+        addrs = pages(ds).generate_addrs(
+            0x10, 0x10004, params.FULL_PAGE_MASK
+        )
         assert len(addrs) == 64
         assert all(a % LINE == 4 for a in addrs)
 
     def test_lines_in_page(self):
-        ds = DataflowLinearizationSet.from_range(0x10000, 3 * LINE)
-        assert ds.lines_in_page(0x10) == [0x10000, 0x10040, 0x10080]
+        view = pages(DataflowLinearizationSet.from_range(0x10000, 3 * LINE))
+        lines = view.generate_addrs(0x10, 0, view.bitmask(0x10))
+        assert lines == [0x10000, 0x10040, 0x10080]
 
 
 class TestProperties:
@@ -105,7 +117,8 @@ class TestProperties:
     @settings(max_examples=60)
     def test_bitmask_bits_equal_line_count(self, base, size):
         ds = DataflowLinearizationSet.from_range(base, size)
-        total_bits = sum(bin(ds.bitmask(p)).count("1") for p in ds.pages)
+        view = pages(ds)
+        total_bits = sum(bin(view.bitmask(p)).count("1") for p in view.groups)
         assert total_bits == len(ds)
 
     @given(
@@ -115,9 +128,10 @@ class TestProperties:
     @settings(max_examples=60)
     def test_generate_addrs_reconstructs_lines(self, base, size):
         ds = DataflowLinearizationSet.from_range(base, size)
+        view = pages(ds)
         rebuilt = []
-        for page in ds.pages:
-            rebuilt.extend(ds.generate_addrs(page, 0, ds.bitmask(page)))
+        for page in view.groups:
+            rebuilt.extend(view.generate_addrs(page, 0, view.bitmask(page)))
         assert tuple(sorted(rebuilt)) == ds.lines
 
     @given(

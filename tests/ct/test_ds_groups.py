@@ -40,12 +40,19 @@ class TestGroupMath:
 
 
 class TestGroupView:
-    def test_page_view_equals_legacy_api(self):
+    def test_page_view_covers_each_page(self):
         ds = DataflowLinearizationSet.from_range(0x10000, 3 * params.PAGE_SIZE)
         view = ds.view(params.PAGE_BITS)
-        assert view.groups == ds.pages
-        for page in ds.pages:
-            assert view.bitmask(page) == ds.bitmask(page)
+        assert view.groups == (0x10, 0x11, 0x12)
+        for page in view.groups:
+            assert view.bitmask(page) == params.FULL_PAGE_MASK
+
+    def test_view_is_built_once_per_granularity(self):
+        ds = DataflowLinearizationSet.from_range(0x10000, params.PAGE_SIZE)
+        page_view = ds.view(params.PAGE_BITS)
+        assert ds.view(params.PAGE_BITS) is page_view
+        assert ds.view(8) is not page_view
+        assert ds.view(8) is ds.view(8)
 
     def test_smaller_granularity_more_groups(self):
         ds = DataflowLinearizationSet.from_range(0x10000, params.PAGE_SIZE)
@@ -101,5 +108,5 @@ class TestGroupView:
         view = ds.view(bits)
         rebuilt = []
         for group in view.groups:
-            rebuilt.extend(view.lines_in_group(group))
+            rebuilt.extend(view.generate_addrs(group, 0, view.bitmask(group)))
         assert tuple(sorted(rebuilt)) == ds.lines

@@ -9,11 +9,11 @@ bits replay the secret), and pinning starves co-running processes.
 import pytest
 
 from repro import params
-from repro.attacks.analysis import check_trace_equivalence
+from repro.analysis.sanitizer import sanitize
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.plcache_ctx import PLCachePreloadContext
-from repro.errors import ConfigurationError, SecurityViolationError
+from repro.errors import ConfigurationError
 
 LINE = params.LINE_SIZE
 N_WORDS = 300
@@ -84,35 +84,32 @@ class TestPerformance:
 class TestSecurityGap:
     """The paper's critique, verified by the same checker the BIA passes."""
 
-    def _victim_factory(self, scheme):
-        def victim_factory(secret):
-            def victim(machine):
-                if scheme == "plcache":
-                    ctx = PLCachePreloadContext(machine)
-                else:
-                    ctx = BIAContext(machine)
-                base = machine.allocator.alloc_words(N_WORDS)
-                for i in range(N_WORDS):
-                    machine.memory.write_word(base + 4 * i, i)
-                ds = ctx.register_ds(base, N_WORDS * 4, "arr")
-                # one secret-indexed load + one secret-indexed store
-                ctx.load(ds, base + 4 * (secret % N_WORDS))
-                ctx.store(ds, base + 4 * ((secret * 7) % N_WORDS), 1)
-
-            return victim
-
-        return victim_factory
+    @staticmethod
+    def _run(ctx, secret):
+        machine = ctx.machine
+        base = machine.allocator.alloc_words(N_WORDS)
+        for i in range(N_WORDS):
+            machine.memory.write_word(base + 4 * i, i)
+        ds = ctx.register_ds(base, N_WORDS * 4, "arr")
+        # one secret-indexed load + one secret-indexed store
+        ctx.load(ds, base + 4 * (secret % N_WORDS))
+        ctx.store(ds, base + 4 * ((secret * 7) % N_WORDS), 1)
 
     def test_plcache_leaks_via_lru_and_dirty_bits(self):
-        factory = lambda: plcache_machine()
-        with pytest.raises(SecurityViolationError):
-            check_trace_equivalence(
-                factory, self._victim_factory("plcache"), [1, 2, 3]
-            )
+        report = sanitize(
+            lambda: PLCachePreloadContext(plcache_machine()),
+            self._run,
+            secrets=(1, 2, 3),
+        )
+        assert not report.clean
 
     def test_bia_passes_the_same_check(self):
-        factory = lambda: Machine(MachineConfig())
-        check_trace_equivalence(factory, self._victim_factory("bia"), [1, 2, 3])
+        report = sanitize(
+            lambda: BIAContext(Machine(MachineConfig())),
+            self._run,
+            secrets=(1, 2, 3),
+        )
+        assert report.clean, report.describe()
 
 
 class TestFairnessGap:

@@ -2,23 +2,20 @@
 
 For every workload and every mitigated scheme, the attacker-observable
 trace (fills, evictions, dirty transitions, LRU updates, final cache
-state) must be identical for different secret inputs; the insecure
-version must differ (otherwise the test itself has no power).
+state), the per-set access profile and the cycle count must be
+identical for different secret inputs; the insecure version must
+differ (otherwise the test itself has no power).  The relational
+sanitizer checks all of them.
 """
 
 import pytest
 
-from repro.attacks.analysis import (
-    check_trace_equivalence,
-    distinguishability,
-    observe_run,
-)
+from repro.analysis.sanitizer import sanitize
 from repro.attacks.observer import ObservableTraceRecorder
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
 from repro.ct.linearize import SoftwareCTContext
-from repro.errors import SecurityViolationError
 from repro.workloads import WORKLOADS
 
 SMALL = {
@@ -29,80 +26,55 @@ SMALL = {
     "dijkstra": 16,
 }
 
-SECRETS = [1, 2, 3, 4]
+SECRETS = (1, 2, 3, 4)
+
+CONTEXTS = {
+    "insecure": InsecureContext,
+    "ct": lambda machine: SoftwareCTContext(machine, simd=True),
+    "ct-scalar": lambda machine: SoftwareCTContext(machine, simd=False),
+    "bia": BIAContext,
+}
 
 
-def machine_factory():
-    return Machine(MachineConfig())
-
-
-def make_victim_factory(scheme, workload, size):
-    def victim_factory(secret):
-        def victim(machine):
-            if scheme == "insecure":
-                ctx = InsecureContext(machine)
-            elif scheme == "ct":
-                ctx = SoftwareCTContext(machine, simd=True)
-            elif scheme == "ct-scalar":
-                ctx = SoftwareCTContext(machine, simd=False)
-            else:
-                ctx = BIAContext(machine)
-            WORKLOADS[workload].run(ctx, size, secret)
-
-        return victim
-
-    return victim_factory
+def check(scheme, workload, size, config=None):
+    """Sanitize ``workload`` under ``scheme``; the secrets are seeds."""
+    make = CONTEXTS[scheme]
+    return sanitize(
+        lambda: make(Machine(config or MachineConfig())),
+        lambda ctx, secret: WORKLOADS[workload].run(ctx, size, secret),
+        secrets=SECRETS,
+    )
 
 
 @pytest.mark.parametrize("workload", sorted(SMALL))
 class TestMitigatedSchemesAreSilent:
     def test_software_ct(self, workload):
-        obs = check_trace_equivalence(
-            machine_factory,
-            make_victim_factory("ct", workload, SMALL[workload]),
-            SECRETS,
-        )
-        assert distinguishability(obs) == 0.0
+        report = check("ct", workload, SMALL[workload])
+        assert report.clean, report.describe()
 
     def test_bia(self, workload):
-        obs = check_trace_equivalence(
-            machine_factory,
-            make_victim_factory("bia", workload, SMALL[workload]),
-            SECRETS,
-        )
-        assert distinguishability(obs) == 0.0
+        report = check("bia", workload, SMALL[workload])
+        assert report.clean, report.describe()
 
 
 @pytest.mark.parametrize("workload", sorted(SMALL))
 def test_insecure_leaks(workload):
     """Sanity: the same checker flags the unmitigated program."""
-    with pytest.raises(SecurityViolationError):
-        check_trace_equivalence(
-            machine_factory,
-            make_victim_factory("insecure", workload, SMALL[workload]),
-            SECRETS,
-        )
+    assert not check("insecure", workload, SMALL[workload]).clean
 
 
 class TestL2BIASecurity:
     def test_histogram_with_l2_bia(self):
-        def factory():
-            return Machine(MachineConfig(bia_level="L2"))
-
-        obs = check_trace_equivalence(
-            factory, make_victim_factory("bia", "histogram", 300), SECRETS
+        report = check(
+            "bia", "histogram", 300, MachineConfig(bia_level="L2")
         )
-        assert distinguishability(obs) == 0.0
+        assert report.clean, report.describe()
 
 
 class TestScalarCT:
     def test_histogram_scalar_ct(self):
-        obs = check_trace_equivalence(
-            machine_factory,
-            make_victim_factory("ct-scalar", "histogram", 300),
-            SECRETS,
-        )
-        assert distinguishability(obs) == 0.0
+        report = check("ct-scalar", "histogram", 300)
+        assert report.clean, report.describe()
 
 
 class TestCTOpInvisibility:
@@ -145,12 +117,3 @@ class TestCTOpInvisibility:
             ctx.load(ds, base + 4 * target)
             digests.append(rec.digest())
         assert digests[0] == digests[1]
-
-    def test_observation_helper(self):
-        obs = observe_run(
-            machine_factory,
-            lambda m: m.load_word(0x10000),
-            secret_id=7,
-        )
-        assert obs.secret_id == 7
-        assert obs.digest

@@ -1,17 +1,15 @@
 """Executor: native vs transformed functional equivalence + security."""
 
+import tracemalloc
+
 import pytest
 
-from repro.attacks.analysis import check_trace_equivalence
+from repro.analysis.sanitizer import sanitize
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
 from repro.ct.linearize import SoftwareCTContext
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    SecurityViolationError,
-)
+from repro.errors import ConfigurationError, ProtocolError
 from repro.lang.executor import run_program
 from repro.lang.ir import ArrayDecl, BinOp, Const, If, Load, Program
 from repro.lang.programs import (
@@ -34,13 +32,12 @@ PROGRAMS = {
 }
 
 
-def make_ctx(kind, machine=None):
-    machine = machine or Machine(MachineConfig())
+def make_ctx(kind):
     return {
         "insecure": InsecureContext,
         "ct": SoftwareCTContext,
         "bia": BIAContext,
-    }[kind](machine)
+    }[kind](Machine(MachineConfig()))
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -77,44 +74,28 @@ def test_transformation_costs_more(name):
 
 
 class TestSecurity:
-    def _victim_factory(self, name, kind, size):
-        builder, _ = PROGRAMS[name]
+    @staticmethod
+    def _sanitize(name, kind):
+        builder, size = PROGRAMS[name]
+        program, _ = builder()
 
-        def victim_factory(secret):
-            def victim(machine):
-                program, _ = builder()
-                inputs, arrays = demo_inputs(name, size, seed=secret)
-                run_program(
-                    program,
-                    make_ctx(kind, machine),
-                    inputs,
-                    arrays,
-                    mitigate=(kind != "insecure"),
-                )
+        def run_fn(ctx, secret):
+            inputs, arrays = demo_inputs(name, size, seed=secret)
+            return run_program(
+                program, ctx, inputs, arrays, mitigate=(kind != "insecure")
+            )
 
-            return victim
-
-        return victim_factory
+        return sanitize(lambda: make_ctx(kind), run_fn, secrets=(1, 2, 3))
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @pytest.mark.parametrize("kind", ["ct", "bia"])
     def test_transformed_is_trace_equivalent(self, name, kind):
-        _, size = PROGRAMS[name]
-        check_trace_equivalence(
-            lambda: Machine(MachineConfig()),
-            self._victim_factory(name, kind, size),
-            [1, 2, 3],
-        )
+        report = self._sanitize(name, kind)
+        assert report.clean, report.describe()
 
     @pytest.mark.parametrize("name", ["lookup", "histogram", "swap"])
     def test_native_leaks(self, name):
-        _, size = PROGRAMS[name]
-        with pytest.raises(SecurityViolationError):
-            check_trace_equivalence(
-                lambda: Machine(MachineConfig()),
-                self._victim_factory(name, "insecure", size),
-                [1, 2, 3],
-            )
+        assert not self._sanitize(name, "insecure").clean
 
 
 class TestDeadPathSafety:
@@ -187,3 +168,28 @@ class TestErrors:
         )
         out = run_program(program, make_ctx("insecure"), {}, None)
         assert out["x"] == 0
+
+
+def test_shift_by_a_huge_register_amount_is_cheap():
+    """A left shift by 32 or more yields 0 without building an
+    integer as wide as the shift amount."""
+    program = Program(
+        name="wide_shift",
+        inputs=("p1",),
+        secret_inputs=("s0", "s1"),
+        body=(
+            BinOp("r12", "mul", "s1", "p1"),
+            BinOp("r31", "shl", "s0", "r12"),
+        ),
+        outputs=("r31",),
+    )
+    ctx = make_ctx("insecure")
+    inputs = {"s0": 0xFFFFFFFF, "s1": 1 << 27, "p1": 1}
+    tracemalloc.start()
+    try:
+        out = run_program(program, ctx, inputs, None, mitigate=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["r31"] == 0
+    assert peak < 1 << 20

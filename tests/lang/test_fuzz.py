@@ -17,7 +17,7 @@ linearizable code is written.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.observer import ObservableTraceRecorder
+from repro.analysis.sanitizer import sanitize
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
@@ -131,23 +131,19 @@ class TestTransformationSoundness:
 
 
 class TestTransformationSecurity:
-    def _digest(self, body, secret):
-        machine = Machine(MachineConfig())
-        ctx = BIAContext(machine)
-        recorder = ObservableTraceRecorder()
-        for level in machine.hierarchy.levels:
-            recorder.attach(level)
-        run_program(
-            build_program(body),
-            ctx,
-            {"k": secret},
-            {"a": list(range(ARRAY_WORDS))},
-            mitigate=True,
-        )
-        return recorder.digest()
-
     @given(_body)
     @settings(max_examples=25, deadline=None)
     def test_trace_equivalent_across_secrets(self, body):
-        digests = {self._digest(body, secret) for secret in (0, 7, 9999)}
-        assert len(digests) == 1
+        program = build_program(body)
+        report = sanitize(
+            lambda: BIAContext(Machine(MachineConfig())),
+            lambda ctx, secret: run_program(
+                program,
+                ctx,
+                {"k": secret},
+                {"a": list(range(ARRAY_WORDS))},
+                mitigate=True,
+            ),
+            secrets=(0, 7, 9999),
+        )
+        assert report.clean, report.describe()

@@ -15,6 +15,7 @@ hypothesis-generated operation sequences and check:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import sanitize
 from repro.attacks.observer import ObservableTraceRecorder
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
@@ -140,39 +141,38 @@ PROGRAM = st.lists(
 
 
 class TestGeneratedProgramEquivalence:
-    def _trace(self, scheme, program, secret):
-        machine = Machine(MachineConfig(**SMALL_CONFIG))
-        ctx = (
-            BIAContext(machine)
-            if scheme == "bia"
-            else SoftwareCTContext(machine)
+    @staticmethod
+    def _sanitize(make_ctx, program):
+        def run_fn(ctx, secret):
+            machine = ctx.machine
+            base = machine.allocator.alloc_words(N_WORDS)
+            for i in range(N_WORDS):
+                machine.memory.write_word(base + 4 * i, i)
+            ds = ctx.register_ds(base, 4 * N_WORDS, "arr")
+            for position, (kind, coeff) in enumerate(program):
+                idx = (coeff * secret + position) % N_WORDS
+                addr = base + 4 * idx
+                if kind == "load":
+                    ctx.load(ds, addr)
+                elif kind == "store":
+                    ctx.store(ds, addr, secret * 7 + position)
+                else:
+                    ctx.rmw(ds, addr, lambda v: v + 1)
+
+        return sanitize(
+            lambda: make_ctx(Machine(MachineConfig(**SMALL_CONFIG))),
+            run_fn,
+            secrets=(1, 5, 11),
         )
-        base = machine.allocator.alloc_words(N_WORDS)
-        for i in range(N_WORDS):
-            machine.memory.write_word(base + 4 * i, i)
-        ds = ctx.register_ds(base, 4 * N_WORDS, "arr")
-        recorder = ObservableTraceRecorder()
-        for level in machine.hierarchy.levels:
-            recorder.attach(level)
-        for position, (kind, coeff) in enumerate(program):
-            idx = (coeff * secret + position) % N_WORDS
-            addr = base + 4 * idx
-            if kind == "load":
-                ctx.load(ds, addr)
-            elif kind == "store":
-                ctx.store(ds, addr, secret * 7 + position)
-            else:
-                ctx.rmw(ds, addr, lambda v: v + 1)
-        return recorder.digest()
 
     @given(PROGRAM)
     @settings(max_examples=25, deadline=None)
     def test_bia_trace_equivalence(self, program):
-        digests = {self._trace("bia", program, s) for s in (1, 5, 11)}
-        assert len(digests) == 1
+        report = self._sanitize(BIAContext, program)
+        assert report.clean, report.describe()
 
     @given(PROGRAM)
     @settings(max_examples=15, deadline=None)
     def test_ct_trace_equivalence(self, program):
-        digests = {self._trace("ct", program, s) for s in (1, 5, 11)}
-        assert len(digests) == 1
+        report = self._sanitize(SoftwareCTContext, program)
+        assert report.clean, report.describe()

@@ -11,7 +11,6 @@ from repro.errors import (
     MemoryError_,
     ProtocolError,
     ReproError,
-    SecurityViolationError,
 )
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Workload, make_rng
@@ -25,7 +24,6 @@ class TestErrorHierarchy:
             AlignmentError,
             AllocationError,
             ProtocolError,
-            SecurityViolationError,
         ):
             assert issubclass(exc, ReproError)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attacks.observer import ObservableTraceRecorder
+from repro.analysis.sanitizer import sanitize
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
@@ -17,8 +17,8 @@ SCHEMES = {
 }
 
 
-def make_ctx(kind, machine=None):
-    return SCHEMES[kind](machine or Machine(MachineConfig()))
+def make_ctx(kind):
+    return SCHEMES[kind](Machine(MachineConfig()))
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMES))
@@ -64,37 +64,42 @@ class TestConstruction:
 
 
 class TestObliviousness:
-    def _digest(self, kind, query_key):
-        machine = Machine(MachineConfig())
-        store, pairs = build_demo_store(make_ctx(kind, machine), 256)
-        recorder = ObservableTraceRecorder()
-        for level in machine.hierarchy.levels:
-            recorder.attach(level)
-        store.get(query_key)
-        store.put(query_key, 7)
-        return recorder.digest(), pairs
+    """The queried key is the secret: a get and a put must look the
+    same to the attacker whichever key they name."""
+
+    @staticmethod
+    def _sanitize(kind, keys):
+        built = {}
+
+        def build(ctx):
+            built["store"], _ = build_demo_store(ctx, 256)
+
+        def query(ctx, key):
+            store = built["store"]
+            store.get(key)
+            store.put(key, 7)
+
+        return sanitize(
+            lambda: make_ctx(kind), query, secrets=keys, warmup=build
+        )
+
+    @staticmethod
+    def _pairs():
+        return build_demo_store(make_ctx("insecure"), 256)[1]
 
     @pytest.mark.parametrize("kind", ["ct", "bia"])
     def test_queries_are_trace_equivalent(self, kind):
-        digests = set()
-        _, pairs = self._digest(kind, 1)
-        probe_keys = [pairs[3][0], pairs[200][0], 12345]
-        for key in probe_keys:
-            digest, _ = self._digest(kind, key)
-            digests.add(digest)
-        assert len(digests) == 1
+        pairs = self._pairs()
+        report = self._sanitize(kind, (pairs[3][0], pairs[200][0], 12345))
+        assert report.clean, report.describe()
 
     def test_insecure_queries_leak(self):
-        digests = set()
-        _, pairs = self._digest("insecure", 1)
-        for key in (pairs[3][0], pairs[200][0]):
-            digest, _ = self._digest("insecure", key)
-            digests.add(digest)
-        assert len(digests) == 2
+        pairs = self._pairs()
+        report = self._sanitize("insecure", (pairs[3][0], pairs[200][0]))
+        assert not report.clean
 
     def test_hit_and_miss_look_identical(self):
-        _, pairs = self._digest("bia", 1)
-        hit, _ = self._digest("bia", pairs[50][0])
-        # a miss probing near that key's position
-        miss, _ = self._digest("bia", pairs[50][0] + 1)
-        assert hit == miss
+        # a miss probing near the hit key's position
+        key = self._pairs()[50][0]
+        report = self._sanitize("bia", (key, key + 1))
+        assert report.clean, report.describe()
