@@ -11,7 +11,8 @@ from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext
 from repro.ct.linearize import SoftwareCTContext
 from repro.experiments.report import format_table
-from repro.lang import demo_inputs, histogram_program, run_program
+from repro.lang.executor import run_program
+from repro.lang.programs import demo_inputs, histogram_program
 
 
 def sweep():

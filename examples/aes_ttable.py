@@ -11,7 +11,8 @@ remains competitive (Sec. 6.3).
 Run:  python examples/aes_ttable.py
 """
 
-from repro.experiments import build_context, format_table
+from repro.experiments.config import build_context
+from repro.experiments.report import format_table
 from repro.workloads.crypto import AES_BLOCKS, run_aes
 
 

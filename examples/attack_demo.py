@@ -14,9 +14,11 @@ Run:  python examples/attack_demo.py
 """
 
 from repro import params
-from repro.attacks import PrimeProbeAttacker
+from repro.attacks.prime_probe import PrimeProbeAttacker
 from repro.core.machine import Machine, MachineConfig
-from repro.ct import BIAContext, InsecureContext, SoftwareCTContext
+from repro.ct.bia_ops import BIAContext
+from repro.ct.context import InsecureContext
+from repro.ct.linearize import SoftwareCTContext
 
 
 def run_round(make_ctx, secret_bin: int):

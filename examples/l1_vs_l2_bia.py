@@ -10,7 +10,8 @@ the one configuration in Figure 7 where L2 beats L1d.
 Run:  python examples/l1_vs_l2_bia.py
 """
 
-from repro.experiments import build_context, format_table
+from repro.experiments.config import build_context
+from repro.experiments.report import format_table
 from repro.workloads import WORKLOADS
 
 

@@ -16,9 +16,14 @@ Run:  python examples/mini_compiler.py
 """
 
 from repro.core.machine import Machine, MachineConfig
-from repro.ct import BIAContext, InsecureContext, SoftwareCTContext
-from repro.experiments import format_table
-from repro.lang import analyze, demo_inputs, dump, histogram_program, run_program
+from repro.ct.bia_ops import BIAContext
+from repro.ct.context import InsecureContext
+from repro.ct.linearize import SoftwareCTContext
+from repro.experiments.report import format_table
+from repro.lang.executor import run_program
+from repro.lang.pretty import dump
+from repro.lang.programs import demo_inputs, histogram_program
+from repro.lang.taint import analyze
 
 
 def main() -> None:

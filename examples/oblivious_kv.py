@@ -13,10 +13,14 @@ queries leave byte-identical observable cache traces.
 Run:  python examples/oblivious_kv.py
 """
 
+import hashlib
+
 from repro.attacks.observer import ObservableTraceRecorder
 from repro.core.machine import Machine, MachineConfig
-from repro.ct import BIAContext, InsecureContext, SoftwareCTContext
-from repro.experiments import format_table
+from repro.ct.bia_ops import BIAContext
+from repro.ct.context import InsecureContext
+from repro.ct.linearize import SoftwareCTContext
+from repro.experiments.report import format_table
 from repro.workloads.kvstore import build_demo_store
 
 N_RECORDS = 2000
@@ -37,13 +41,16 @@ def measure(ctx_cls):
 
 
 def trace_of_query(query_index: int) -> str:
+    """SHA-256 over what an attacker sees of one query: every cache
+    event and the final state of every level."""
     machine = Machine(MachineConfig())
     store, pairs = build_demo_store(BIAContext(machine), N_RECORDS)
     recorder = ObservableTraceRecorder()
     for level in machine.hierarchy.levels:
         recorder.attach(level)
     store.get(pairs[query_index][0])
-    return recorder.digest()
+    view = (recorder.events, recorder.final_state_digest())
+    return hashlib.sha256(repr(view).encode()).hexdigest()
 
 
 def main() -> None:

@@ -11,7 +11,8 @@ Run:  python examples/secure_histogram.py [bins]
 
 import sys
 
-from repro.experiments import build_context, format_table
+from repro.experiments.config import build_context
+from repro.experiments.report import format_table
 from repro.workloads import WORKLOADS
 
 

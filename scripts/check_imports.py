@@ -3,8 +3,9 @@
 Flags every name a module imports and never uses.  A use is any load
 of the bound name (``name`` or ``name.attr``) anywhere in the module,
 or a name inside a string annotation (``"MachineState"``,
-``Optional["Foo"]``).  Skipped: ``__init__.py`` files (they
-re-export), ``from __future__`` imports, star imports, names listed in
+``Optional["Foo"]``).  ``__init__.py`` files are checked like any
+module: a package re-exports only the names its ``__all__`` lists.
+Skipped: ``from __future__`` imports, star imports, names listed in
 ``__all__``, and imports on a line marked ``# noqa: F401``.  The check
 is module-wide, not scope-aware: a name imported in one function and
 loaded in another counts as used.
@@ -112,10 +113,7 @@ def unused_imports(path: Path) -> List[Tuple[int, str]]:
 def _modules(roots: List[str]) -> Iterator[Path]:
     for root in roots:
         path = Path(root)
-        files = [path] if path.is_file() else sorted(path.rglob("*.py"))
-        for file in files:
-            if file.name != "__init__.py":
-                yield file
+        yield from [path] if path.is_file() else sorted(path.rglob("*.py"))
 
 
 def main(argv: List[str]) -> int:

@@ -30,21 +30,14 @@ Quick start::
     print(machine.stats.cycles)
 """
 
-from repro.core import (
-    BIA,
-    CTOps,
-    CostModel,
-    Machine,
-    MachineConfig,
-    build_machine,
-)
-from repro.ct import (
-    BIAContext,
-    DataflowLinearizationSet,
-    InsecureContext,
-    MitigationContext,
-    SoftwareCTContext,
-)
+from repro.core.bia import BIA
+from repro.core.costs import CostModel
+from repro.core.instructions import CTOps
+from repro.core.machine import Machine, MachineConfig, build_machine
+from repro.ct.bia_ops import BIAContext
+from repro.ct.context import InsecureContext, MitigationContext
+from repro.ct.ds import DataflowLinearizationSet
+from repro.ct.linearize import SoftwareCTContext
 from repro.errors import ConfigurationError, ProtocolError, ReproError
 
 __version__ = "1.0.0"

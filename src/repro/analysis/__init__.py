@@ -24,60 +24,3 @@ three layers:
 :mod:`repro.analysis.api` ties the layers into the ``python -m repro
 ctcheck`` CLI subcommand and the ``ctcheck`` pytest marker.
 """
-
-from repro.analysis.api import (
-    CTCheckResult,
-    audit_workload_ds,
-    builtin_programs,
-    check_program,
-    run_ctcheck,
-)
-from repro.analysis.ctlint import Finding, RULES, lint
-from repro.analysis.facts import ProgramFacts, program_facts
-from repro.analysis.intervals import (
-    CoverageProof,
-    Interval,
-    IntervalReport,
-    analyze_intervals,
-    prove_ds_covers,
-)
-from repro.analysis.repair import (
-    AppliedTransform,
-    LeakSite,
-    RepairResult,
-    repair_program,
-)
-from repro.analysis.sanitizer import (
-    SanitizerReport,
-    TraceDivergence,
-    sanitize,
-    sanitize_program,
-    sanitize_workload,
-)
-
-__all__ = [
-    "AppliedTransform",
-    "CTCheckResult",
-    "CoverageProof",
-    "Finding",
-    "Interval",
-    "IntervalReport",
-    "LeakSite",
-    "ProgramFacts",
-    "RULES",
-    "RepairResult",
-    "SanitizerReport",
-    "TraceDivergence",
-    "analyze_intervals",
-    "audit_workload_ds",
-    "builtin_programs",
-    "check_program",
-    "lint",
-    "program_facts",
-    "prove_ds_covers",
-    "repair_program",
-    "run_ctcheck",
-    "sanitize",
-    "sanitize_program",
-    "sanitize_workload",
-]

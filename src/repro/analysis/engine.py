@@ -41,15 +41,14 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import repro
-from repro.analysis.ctlint import Finding
-from repro.analysis.symrel import symrel_findings
-from repro.analysis.symrel.expr import intern_scope
-from repro.analysis.symrel.solve import Solver
 from repro.lang import ir
 from repro.lang.pretty import dump
+
+if TYPE_CHECKING:
+    from repro.analysis.ctlint import Finding
 
 #: Bumped when the checker pipeline itself changes meaningfully enough
 #: to invalidate cached verdicts independently of the package version.
@@ -125,6 +124,17 @@ class CheckOutput:
     repair: Optional[object] = None
 
 
+def symrel_findings(program: ir.Program, **kwargs) -> List[Finding]:
+    """:func:`repro.analysis.symrel.check.symrel_findings`, loaded on
+    the first call so that a process that only builds specs never
+    imports the relational checker.  :func:`check_target` calls it
+    through this module's global, where ``perfbench/layers.py`` wraps
+    it."""
+    from repro.analysis.symrel import check
+
+    return check.symrel_findings(program, **kwargs)
+
+
 def check_target(spec: CheckSpec) -> CheckOutput:
     """Execute one spec in this process (the pool trampoline).
 
@@ -149,6 +159,8 @@ def check_target(spec: CheckSpec) -> CheckOutput:
     # Late import through the api module so test doubles installed
     # there (e.g. a counting ``program_facts``) stay effective.
     from repro.analysis import api
+    from repro.analysis.symrel.expr import intern_scope
+    from repro.analysis.symrel.solve import Solver
 
     program = spec.program
     output = CheckOutput(kind=spec.kind, name=spec.name)

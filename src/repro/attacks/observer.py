@@ -9,15 +9,14 @@ Sec. 6.1).  A tag lookup that changes none of these — a CTLoad /
 CTStore probe — is invisible.
 
 :class:`ObservableTraceRecorder` subscribes to one or more cache
-levels and logs exactly that event stream.  The security experiments
-(Fig. 10 and the trace-equivalence tests) run a workload once per
-secret and compare digests: equal digests mean the attacker's view is
-independent of the secret.
+levels and logs exactly that event stream.  The trace sanitizer
+(:mod:`repro.analysis.sanitizer`) runs a program once per secret and
+compares each run's events and final cache state: equal ones mean the
+attacker's view is independent of the secret.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Tuple
 
 from repro.cache.events import CacheListener
@@ -78,11 +77,3 @@ class ObservableTraceRecorder(CacheListener):
             for cache in self._caches
             for set_idx, contents, order in cache.occupied_sets()
         )
-
-    def digest(self) -> str:
-        """Stable hash over the event stream plus the final cache state."""
-        hasher = hashlib.sha256()
-        for event in self.events:
-            hasher.update(repr(event).encode())
-        hasher.update(repr(self.final_state_digest()).encode())
-        return hasher.hexdigest()

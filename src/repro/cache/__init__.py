@@ -1,40 +1,1 @@
 """Cache substrate: lines, policies, set-associative caches, hierarchy."""
-
-from repro.cache.events import CacheListener, EventBus
-from repro.cache.hierarchy import AccessResult, CacheHierarchy
-from repro.cache.line import CacheLine
-from repro.cache.plcache import PartitionLockedCache
-from repro.cache.prefetcher import NextLinePrefetcher
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_policy,
-    policy_names,
-)
-from repro.cache.set_assoc import CacheStats, SetAssociativeCache
-from repro.cache.slices import LLCBIAFeasibility, SliceHash, llc_bia_feasibility
-
-__all__ = [
-    "AccessResult",
-    "CacheHierarchy",
-    "CacheLine",
-    "CacheListener",
-    "CacheStats",
-    "EventBus",
-    "FIFOPolicy",
-    "LLCBIAFeasibility",
-    "LRUPolicy",
-    "NextLinePrefetcher",
-    "PartitionLockedCache",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "SetAssociativeCache",
-    "SliceHash",
-    "TreePLRUPolicy",
-    "llc_bia_feasibility",
-    "make_policy",
-    "policy_names",
-]

@@ -1,7 +1,7 @@
 """Cache line metadata.
 
 The simulator keeps *metadata only* in the caches (valid/dirty/tag);
-line data stays authoritative in :class:`repro.memory.MainMemory`.
+line data stays authoritative in :class:`repro.memory.backing.MainMemory`.
 This "write-through data, write-back metadata" split is exact for
 everything the paper measures — hit/miss behaviour, dirty bits,
 evictions, write-back traffic — because the threat model (Sec. 2.4)
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CacheLine:
     """Metadata for one resident cache line.
 
@@ -28,6 +28,9 @@ class CacheLine:
     ``slots=True``: millions of these are allocated per sweep; the
     slot layout removes the per-instance ``__dict__`` (hot-path
     memory/attribute-speed win, same dataclass semantics).
+    ``eq=False``: a line is compared by identity, so a set's
+    ``ways.index(None)`` skips each occupied way without a Python-level
+    ``__eq__`` call; state readers compare ``(line_addr, dirty)`` tuples.
     """
 
     line_addr: int

@@ -1,25 +1,1 @@
 """Core contribution: the BIA structure, CT micro-ops, and the machine."""
-
-from repro.core.bia import BIA, BIAEntry, BIAStats
-from repro.core.costs import DEFAULT_COSTS, CostModel
-from repro.core.instructions import CTOps
-from repro.core.machine import Machine, MachineConfig, build_machine
-from repro.core.macro_ops import MacroOpUnit
-from repro.core.multicore import BackInvalidator, RemoteCore
-from repro.core.stats import MachineStats
-
-__all__ = [
-    "BIA",
-    "BIAEntry",
-    "BIAStats",
-    "BackInvalidator",
-    "CTOps",
-    "CostModel",
-    "MacroOpUnit",
-    "RemoteCore",
-    "DEFAULT_COSTS",
-    "Machine",
-    "MachineConfig",
-    "MachineStats",
-    "build_machine",
-]

@@ -40,13 +40,14 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import ConfigurationError
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BIAEntry:
     """One bitmap entry: a management group's existence/dirtiness bits.
 
     ``page_idx`` holds the *group* index — a page index under the
     default M=12 granularity, a smaller-grained group index for the
-    Sec. 6.4 LLC variant.
+    Sec. 6.4 LLC variant.  Compared by identity (``eq=False``), as
+    :class:`~repro.cache.line.CacheLine` is.
     """
 
     page_idx: int

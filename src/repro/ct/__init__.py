@@ -1,27 +1,1 @@
 """Constant-time programming layer: DSs, linearization, BIA algorithms."""
-
-from repro.ct.bia_ops import BIAContext
-from repro.ct.cfl import ct_abs, ct_eq, ct_lt, ct_merge, ct_min, ct_select
-from repro.ct.context import InsecureContext, MitigationContext
-from repro.ct.ds import DataflowLinearizationSet, DSGroupView
-from repro.ct.linearize import SoftwareCTContext
-from repro.ct.oram import ORAMContext, PathORAM
-from repro.ct.plcache_ctx import PLCachePreloadContext
-
-__all__ = [
-    "BIAContext",
-    "DSGroupView",
-    "DataflowLinearizationSet",
-    "PLCachePreloadContext",
-    "InsecureContext",
-    "MitigationContext",
-    "ORAMContext",
-    "PathORAM",
-    "SoftwareCTContext",
-    "ct_abs",
-    "ct_eq",
-    "ct_lt",
-    "ct_merge",
-    "ct_min",
-    "ct_select",
-]

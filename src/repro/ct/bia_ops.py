@@ -259,18 +259,20 @@ class BIAContext(MitigationContext):
                 pre_insts=fetch_insts,
             )
             return out
-        words = machine.load_words(
-            fetchset, start_level=start, pre_insts=fetch_insts
+        machine.load_words(
+            fetchset, start_level=start, pre_insts=fetch_insts,
+            collect_values=False,
         )
-        # Captures see each fetched word, as the scalar loop captured
-        # tmpdata.
-        if capture is not None:
-            for address, tmpdata in zip(fetchset, words):
+        # A load batch writes no word, so each captured word is read
+        # from memory afterwards: what the scalar loop captured.
+        read = machine.memory.read_word
+        if capture:
+            for address in fetchset:
                 if address in capture:
-                    out[address] = tmpdata
-        if capture_lines is not None:
-            for address, tmpdata in zip(fetchset, words):
-                line = addr_math.line_base(address)
+                    out[address] = read(address)
+        if capture_lines:
+            for address in fetchset:
+                line = address & _LINE_BASE_MASK
                 if line in capture_lines:
-                    out[line] = tmpdata
+                    out[line] = read(address)
         return out

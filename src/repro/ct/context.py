@@ -151,3 +151,12 @@ class InsecureContext(MitigationContext):
     def store(self, ds: DataflowLinearizationSet, addr: int, value: int) -> None:
         ds.require_member(addr)
         self.machine.store_word(addr, value)
+
+    def gather(
+        self, ds: DataflowLinearizationSet, addrs: Sequence[int]
+    ) -> List[int]:
+        """One :meth:`load` per address, as one ``load_words`` batch
+        (bit-identical to the loop, see ``Machine.load_words``)."""
+        for a in addrs:
+            ds.require_member(a)
+        return self.machine.load_words(addrs)

@@ -1,65 +1,1 @@
 """Experiment harness: one generator per table and figure of the paper."""
-
-from repro.experiments.config import (
-    FIG7_SCHEMES,
-    SCHEMES,
-    build_context,
-    context_factories,
-    default_config,
-)
-from repro.experiments.figures import (
-    figure2,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    headline_reduction,
-    render_figure2,
-    render_figure7,
-    render_figure8,
-    render_figure9,
-    render_figure10,
-)
-from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    RunResult,
-    overhead,
-    run_crypto,
-    run_workload,
-    sweep,
-)
-from repro.experiments.tables import (
-    motivation_profile,
-    render_motivation_profile,
-    render_table1,
-    table1_rows,
-)
-
-__all__ = [
-    "FIG7_SCHEMES",
-    "RunResult",
-    "SCHEMES",
-    "build_context",
-    "context_factories",
-    "default_config",
-    "figure2",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "format_table",
-    "headline_reduction",
-    "motivation_profile",
-    "overhead",
-    "render_figure2",
-    "render_figure7",
-    "render_figure8",
-    "render_figure9",
-    "render_figure10",
-    "render_motivation_profile",
-    "render_table1",
-    "run_crypto",
-    "run_workload",
-    "sweep",
-    "table1_rows",
-]

@@ -57,8 +57,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -317,14 +315,17 @@ def execute(
     fails with kind ``"crash"``, with no retry and no fallback.  Once
     the batch drains, any failure raises :class:`EngineError` listing
     the failures in submission order, with ``results`` as ``completed``.
-    ``fn`` must be a picklable top-level function.
+    ``fn`` must be a picklable top-level function.  The process pool is
+    imported on the pool branch only: an inline batch cannot break it.
     """
     failures: Dict[str, SpecFailure] = {}
 
-    def settle(key, spec, outcome) -> None:
+    def settle(key, spec, outcome, crash=()) -> None:
+        """Record ``outcome()``; an exception of a type in ``crash``
+        means the worker died."""
         try:
             result = outcome()
-        except BrokenProcessPool:
+        except crash:
             failures[key] = SpecFailure(spec, key, "crash", _DIED)
         except Exception as exc:  # noqa: BLE001 - engine boundary
             failures[key] = SpecFailure(spec, key, "error",
@@ -338,6 +339,9 @@ def execute(
         for key, spec in pending:
             settle(key, spec, lambda: fn(spec))
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         # Workers freeze the heap they inherit from the fork: otherwise
         # every collection in a worker traverses it, costing ~25% extra
         # CPU per task over the identical serial run.
@@ -349,7 +353,7 @@ def execute(
                 except BrokenProcessPool:  # a worker died mid-submission
                     failures[key] = SpecFailure(spec, key, "crash", _DIED)
             for future in as_completed(futures):
-                settle(*futures[future], future.result)
+                settle(*futures[future], future.result, BrokenProcessPool)
     if failures:
         raise EngineError(
             [failures[key] for key, _ in pending if key in failures],

@@ -1,78 +1,1 @@
 """Mini-Constantine: IR, taint analysis, automatic CT transformation."""
-
-from repro.lang.executor import Executor, run_program
-from repro.lang.ir import (
-    OPS,
-    ArrayDecl,
-    BinOp,
-    Const,
-    For,
-    If,
-    Load,
-    Program,
-    Select,
-    Store,
-)
-from repro.lang.programs import (
-    binary_search_program,
-    conditional_sum_program,
-    demo_inputs,
-    des_program,
-    histogram_program,
-    lookup_program,
-    masked_lookup_program,
-    speculative_lookup_program,
-    swap_program,
-)
-from repro.lang.pretty import (
-    dump,
-    path_index,
-    render_stmt,
-    statement_at,
-    statement_paths,
-)
-from repro.lang.taint import TaintReport, analyze, backward_slice
-from repro.lang.transforms import (
-    TransformResult,
-    compose_remaps,
-    ds_route_access,
-    linearize_branch,
-    pad_trip_count,
-)
-
-__all__ = [
-    "ArrayDecl",
-    "BinOp",
-    "Const",
-    "Executor",
-    "For",
-    "If",
-    "Load",
-    "OPS",
-    "Program",
-    "Select",
-    "Store",
-    "TaintReport",
-    "TransformResult",
-    "analyze",
-    "backward_slice",
-    "binary_search_program",
-    "compose_remaps",
-    "conditional_sum_program",
-    "demo_inputs",
-    "des_program",
-    "ds_route_access",
-    "dump",
-    "histogram_program",
-    "linearize_branch",
-    "lookup_program",
-    "masked_lookup_program",
-    "pad_trip_count",
-    "path_index",
-    "render_stmt",
-    "run_program",
-    "speculative_lookup_program",
-    "statement_at",
-    "statement_paths",
-    "swap_program",
-]

@@ -20,10 +20,12 @@ statement with its path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.lang import ir
-from repro.lang.taint import TaintReport
+
+if TYPE_CHECKING:
+    from repro.lang.taint import TaintReport
 
 _INDENT = "    "
 

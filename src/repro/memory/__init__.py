@@ -1,38 +1,1 @@
 """Memory substrate: address arithmetic, backing store, DRAM model."""
-
-from repro.memory.address import (
-    compose,
-    iter_lines,
-    iter_pages,
-    line_base,
-    line_in_page,
-    line_index,
-    line_offset,
-    page_base,
-    page_index,
-    page_offset,
-    same_page_address,
-)
-from repro.memory.backing import Allocator, MainMemory
-from repro.memory.controller import MemoryController, victim_traffic_profile
-from repro.memory.dram import DRAM, DRAMStats
-
-__all__ = [
-    "Allocator",
-    "DRAM",
-    "DRAMStats",
-    "MainMemory",
-    "MemoryController",
-    "victim_traffic_profile",
-    "compose",
-    "iter_lines",
-    "iter_pages",
-    "line_base",
-    "line_in_page",
-    "line_index",
-    "line_offset",
-    "page_base",
-    "page_index",
-    "page_offset",
-    "same_page_address",
-]

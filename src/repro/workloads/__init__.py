@@ -2,15 +2,12 @@
 
 from repro.workloads import (
     binary_search,
-    crypto,
     dijkstra,
     heappop,
     histogram,
     permutation,
 )
-from repro.workloads.base import Workload, make_rng
-from repro.workloads.crypto import CIPHERS, run_cipher
-from repro.workloads.kvstore import NOT_FOUND, ObliviousKVStore, build_demo_store
+from repro.workloads.base import Workload
 
 #: The five Table-2 programs with the paper's Fig. 7 size sweeps.
 WORKLOADS = {
@@ -55,20 +52,3 @@ WORKLOADS = {
         description="sift-down path leaks values; DS = O(n)",
     ),
 }
-
-__all__ = [
-    "CIPHERS",
-    "WORKLOADS",
-    "Workload",
-    "binary_search",
-    "crypto",
-    "dijkstra",
-    "heappop",
-    "histogram",
-    "make_rng",
-    "NOT_FOUND",
-    "ObliviousKVStore",
-    "build_demo_store",
-    "permutation",
-    "run_cipher",
-]

@@ -31,10 +31,11 @@ level's run kernels, on a level without listeners, against one
 ``access`` per read or write under every policy.  ``TestBatchedMonitor``
 pins the BIA's hit-run delivery against its per-event delivery, and
 ``TestFetchPass`` the BIA context's batched fetch pass against the
-scalar fetch loop of Algorithms 2 and 3.  A batch whose start level has
-a per-event listener takes the scalar loop itself;
-``TestObservedBatches`` pins that the gate reads the start level, not
-the levels below it.  ``TestForkContinuation`` pins that a ``fork()``
+scalar fetch loop of Algorithms 2 and 3, and ``TestInsecureGather``
+the insecure context's one-batch gather against one ``load`` per
+address.  A batch whose start level has a per-event listener takes the
+scalar loop itself; ``TestObservedBatches`` pins that the gate reads
+the start level, not the levels below it.  ``TestForkContinuation`` pins that a ``fork()``
 and a restored ``save_state`` continue exactly as the original.
 ``test_reference_counts_derive_from_op_counts`` pins ``l1i_refs`` and
 ``l1d_refs`` to the op counts they follow from.
@@ -827,6 +828,52 @@ class TestBIAGather:
             )
             assert _bia_state(ma) == _bia_state(mb)
         _assert_observably_equal(ma, mb, None, None, base, "bia gather")
+
+
+class TestInsecureGather:
+    """``InsecureContext.gather`` (every membership check, then one
+    ``load_words`` batch) == one ``load`` per address: values, snapshot,
+    per-level stats, set profiles and set state, with listeners below
+    the L1d or not, and with a per-event L1d listener, which sends the
+    batch to the scalar loop."""
+
+    @given(config=extra_configs, seq=addr_seqs, listeners=st.booleans(),
+           l1d_listener=st.booleans())
+    @example(config=MachineConfig(), seq=CONTIGUOUS_64, listeners=False,
+             l1d_listener=True)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_address_loads(self, config, seq, listeners,
+                                       l1d_listener):
+        from repro.ct.context import InsecureContext
+
+        (ma, mb), (ra, rb), base = _twins(config, listeners)
+        if l1d_listener:
+            if ra is None:
+                ra, rb = ObservableTraceRecorder(), ObservableTraceRecorder()
+            ra.attach(ma.l1d)
+            rb.attach(mb.l1d)
+            assert ma.l1d.events.per_event
+        ctx_a, ctx_b = InsecureContext(ma), InsecureContext(mb)
+        ds_a = ctx_a.register_ds(base, ARENA_LINES * 64, "arena")
+        ds_b = ctx_b.register_ds(base, ARENA_LINES * 64, "arena")
+        addrs = [base + 64 * line + 4 * word for line, word in seq]
+        got = ctx_a.gather(ds_a, addrs)
+        assert got == [ctx_b.load(ds_b, a) for a in addrs]
+        if l1d_listener:
+            assert ra.events
+        _assert_observably_equal(ma, mb, ra, rb, base, "insecure gather")
+
+    def test_checks_every_member_before_any_load(self):
+        from repro.ct.context import InsecureContext
+
+        m = Machine(MachineConfig())
+        base = m.allocator.alloc(ARENA_LINES * 64, "arena")
+        ctx = InsecureContext(m)
+        ds = ctx.register_ds(base, 64, "line")
+        before = m.snapshot()
+        with pytest.raises(ProtocolError):
+            ctx.gather(ds, [base, base + 4, base + 64])
+        assert m.snapshot() == before
 
 
 #: Pages of the DS the BIA ops below work on; plain traffic spans all

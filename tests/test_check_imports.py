@@ -51,11 +51,18 @@ def test_flags_only_unused_unmarked_names(check_imports, tmp_path):
     ]
 
 
-def test_main_skips_init_files_and_reports_exit_status(check_imports,
-                                                      tmp_path, capsys):
-    (tmp_path / "__init__.py").write_text("import os\n")
+def test_main_checks_init_files_and_reports_exit_status(check_imports,
+                                                       tmp_path, capsys):
+    """An ``__init__.py`` is checked like any module: a name its
+    ``__all__`` lists is a re-export, any other unused one a finding."""
+    init = tmp_path / "__init__.py"
+    init.write_text('import os\nimport sys\n__all__ = ["os"]\n')
     clean = tmp_path / "clean.py"
     clean.write_text("import os\nprint(os.sep)\n")
+    assert check_imports.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"{init}:2: 'sys' imported but unused\n"
+    init.write_text('import os\n__all__ = ["os"]\n')
     assert check_imports.main([str(tmp_path)]) == 0
     (tmp_path / "dirty.py").write_text("import os\n")
     assert check_imports.main([str(tmp_path)]) == 1
