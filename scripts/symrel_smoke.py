@@ -11,8 +11,12 @@ matrix* instead:
 * every builtin whose native variant is expected to leak is **refuted**
   with a concrete secret pair whose sanitizer replay confirms a
   nonempty trace diff;
-* ``speculative_lookup`` is the spec-gap witness: native variant
-  proved sequentially, refuted only by the speculative pass.
+* ``speculative_lookup`` and the local fixture
+  ``transient_secret_branch`` (a secret branch that only a
+  mispredicted public branch reaches; kept out of the builtins so
+  ``ctcheck --all`` keeps its 13 targets) are the spec-gap witnesses:
+  native variant proved sequentially, refuted only by the speculative
+  pass.
 
 Exit code 0 iff the whole matrix holds.  Run from the repo root:
 ``PYTHONPATH=src python scripts/symrel_smoke.py``.
@@ -22,18 +26,51 @@ import sys
 
 from repro.analysis.api import BUILTIN_PROGRAM_SPECS
 from repro.analysis.symrel import check_program_relational
+from repro.lang.ir import ArrayDecl, BinOp, If, Load, Program
 
-#: builtins whose native variant is sequentially constant-time (the
+#: programs whose native variant is sequentially constant-time (the
 #: leak, if any, is speculative-only).
-SEQUENTIALLY_SAFE = {"speculative_lookup"}
+SEQUENTIALLY_SAFE = {"speculative_lookup", "transient_secret_branch"}
 
 SPEC_WINDOW = 2
 
 
+def transient_secret_branch_program() -> Program:
+    """A never-taken public branch around ``If(s, t[0], t[32])``: a
+    mispredicting core touches ``t[0]``'s line for one secret and
+    ``t[32]``'s for the other."""
+    return Program(
+        name="transient_secret_branch",
+        inputs=("p",),
+        secret_inputs=("s",),
+        arrays=(ArrayDecl("t", 64),),
+        body=(
+            BinOp("q", "and", "p", 63),
+            BinOp("dead", "gt", "q", 63),
+            If(
+                "dead",
+                then_body=(
+                    If(
+                        "s",
+                        then_body=(Load("w", "t", 0),),
+                        else_body=(Load("w", "t", 32),),
+                    ),
+                ),
+            ),
+        ),
+        outputs=("w",),
+    )
+
+
+PROGRAMS = dict(
+    BUILTIN_PROGRAM_SPECS, transient_secret_branch=transient_secret_branch_program
+)
+
+
 def main() -> int:
     failures = []
-    for name in sorted(BUILTIN_PROGRAM_SPECS):
-        program = BUILTIN_PROGRAM_SPECS[name]()
+    for name in sorted(PROGRAMS):
+        program = PROGRAMS[name]()
 
         native = check_program_relational(
             program, mitigate=False, spec_window=SPEC_WINDOW, replay=True
@@ -72,7 +109,7 @@ def main() -> int:
                 f"got {mitigated.spec_verdict}"
             )
         print(
-            f"  {name:20s} native={native.verdict}"
+            f"  {name:24s} native={native.verdict}"
             + (
                 f"/spec:{native.spec_verdict}"
                 if native.spec_verdict is not None
@@ -90,7 +127,7 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"symrel smoke passed: {len(BUILTIN_PROGRAM_SPECS)} program(s)")
+    print(f"symrel smoke passed: {len(PROGRAMS)} program(s)")
     return 0
 
 

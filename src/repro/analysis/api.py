@@ -68,9 +68,7 @@ def builtin_programs() -> Dict[str, ir.Program]:
 
 
 def check_program(
-    program: ir.Program,
-    ds_map: Optional[Dict[str, tuple]] = None,
-    facts: Optional[ProgramFacts] = None,
+    program: ir.Program, facts: Optional[ProgramFacts] = None
 ) -> List[Finding]:
     """Static ctlint over one IR program (see :mod:`.ctlint`).
 
@@ -78,13 +76,8 @@ def check_program(
     callers walk each program once for all checkers.
     """
     if facts is not None:
-        return lint(
-            program,
-            taint=facts.taint,
-            intervals=facts.intervals,
-            ds_map=ds_map,
-        )
-    return lint(program, ds_map=ds_map)
+        return lint(program, taint=facts.taint, intervals=facts.intervals)
+    return lint(program)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ and workloads (dynamic DS audits).  Each target is described by a
    toolchain version) and served from the verdict cache, a
    :class:`~repro.experiments.store.Store`, when an identical check
    already ran; served findings are bit-identical to a fresh run.
-2. **Execution** — the remaining specs go to the experiment engine's
-   batch executor (:func:`repro.experiments.parallel.execute`), with
-   the same failure rule and salvage into the verdict cache.  Checks
-   take milliseconds, so ``ctcheck`` runs them in-process; ``jobs >
-   1`` fans them across a process pool for library callers.
+2. **Execution** — the remaining specs run, with the same failure
+   rule and salvage into the verdict cache as simulations: both steps
+   are the experiment engine's batch front door
+   (:func:`repro.experiments.parallel.execute`).  Checks take
+   milliseconds, so ``ctcheck`` runs them in-process; ``jobs > 1``
+   fans them across a process pool for library callers.
 
 Determinism: a spec fully determines its output.  Every program check
 runs under a fresh intern scope
@@ -38,12 +39,9 @@ only the queries the last transform actually changed.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import repro
 from repro.lang import ir
 from repro.lang.pretty import dump
 
@@ -86,7 +84,9 @@ class CheckSpec:
         of the key, so a different ``--spec-window`` or a toolchain
         bump re-checks everything rather than serving stale verdicts.
         """
-        payload = {
+        from repro.experiments.parallel import content_key
+
+        return content_key({
             "checker": CHECKER_ID,
             "kind": self.kind,
             "name": self.name,
@@ -102,10 +102,7 @@ class CheckSpec:
             "replay": self.replay,
             "repair": self.repair,
             "repair_max_rounds": self.repair_max_rounds,
-            "version": repro.__version__,
-        }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        })
 
 
 @dataclass
@@ -216,15 +213,4 @@ def run_check_specs(
     """
     from repro.experiments.parallel import execute
 
-    keys = [spec.key() for spec in specs]
-    unique = dict(zip(keys, specs))  # duplicate targets: check once
-    results: Dict[str, CheckOutput] = {}
-    if vcache is not None:
-        for key in unique:
-            hit = vcache.get(key)
-            if hit is not None:
-                results[key] = hit
-    pending = [(k, spec) for k, spec in unique.items() if k not in results]
-    execute(pending, check_target, jobs, results,
-            None if vcache is None else vcache.put)
-    return [results[key] for key in keys]
+    return execute(specs, check_target, jobs, vcache)

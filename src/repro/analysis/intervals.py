@@ -42,13 +42,9 @@ from repro import params
 from repro.ct.ds import DataflowLinearizationSet
 from repro.lang import ir
 from repro.lang.pretty import path_index
+from repro.params import WORD_BITS, WORD_MASK
 
 INF = math.inf
-MASK32 = 0xFFFFFFFF
-#: Register width: a shift amount of this or more bounds nothing useful,
-#: so the shift transfers treat it as unbounded instead of building
-#: ``2 ** amount`` (about 512 MiB for an amount near ``2 ** 32``).
-WORD_BITS = 32
 
 #: Plain joins before widening kicks in (precision/termination knob).
 WIDEN_DELAY = 3
@@ -91,7 +87,7 @@ class Interval:
     @staticmethod
     def word() -> "Interval":
         """Any 32-bit word (array contents, masked register writes)."""
-        return Interval(0, MASK32)
+        return Interval(0, WORD_MASK)
 
     # -- queries -----------------------------------------------------------
 
@@ -134,7 +130,7 @@ class Interval:
         Exact when the interval already sits inside the 32-bit range;
         anything that can wrap collapses to the full word range.
         """
-        if self.within(0, MASK32):
+        if self.within(0, WORD_MASK):
             return self
         return Interval.word()
 
@@ -203,6 +199,8 @@ def _binop_interval(op: str, a: Interval, b: Interval) -> Interval:
             return Interval(0, (1 << bits) - 1)
         return Interval.top()
     if op == "shl":
+        # An amount of WORD_BITS or more bounds nothing useful, and
+        # ``2 ** amount`` near ``2 ** 32`` would take about 512 MiB.
         if b.lo >= 0 and b.hi < WORD_BITS:
             lo = min(
                 _mul_bound(a.lo, 2 ** int(b.lo)),
@@ -473,7 +471,6 @@ def prove_ds_covers(
     ds: DataflowLinearizationSet,
     base: int = 0,
     report: Optional[IntervalReport] = None,
-    word_size: int = params.WORD_SIZE,
 ) -> CoverageProof:
     """Prove that ``ds`` covers every address ``access`` can touch.
 
@@ -502,8 +499,9 @@ def prove_ds_covers(
             f"index interval {interval} is unbounded; coverage unprovable",
         )
     lo, hi = int(interval.lo), int(interval.hi)
-    first = base + word_size * lo
-    last = base + word_size * hi + (word_size - 1)
+    word = params.WORD_SIZE
+    first = base + word * lo
+    last = base + word * hi + (word - 1)
     n_lines = (last // params.LINE_SIZE) - (first // params.LINE_SIZE) + 1
     if n_lines > MAX_COVERAGE_LINES:
         return CoverageProof(

@@ -206,12 +206,9 @@ def exercise_inputs(
 
 
 def measure_overhead(
-    original: ir.Program,
-    repaired: ir.Program,
-    scheme: str = "ct",
-    seed: int = 0,
+    original: ir.Program, repaired: ir.Program
 ) -> RepairOverhead:
-    """Cycle cost of three runs, each on a fresh same-scheme machine.
+    """Cycle cost of three runs, each on a fresh ``ct``-scheme machine.
 
     Each run builds its context and sets up the arrays itself:
     rebuilding is cheaper than forking one warmed template at these
@@ -219,10 +216,10 @@ def measure_overhead(
     """
     from repro.experiments.config import build_context
 
-    inputs, arrays = exercise_inputs(original, seed)
+    inputs, arrays = exercise_inputs(original)
 
     def cycles(program: ir.Program, mitigate: bool) -> float:
-        ctx = build_context(scheme)
+        ctx = build_context("ct")
         run_program(
             program,
             ctx,
@@ -306,14 +303,13 @@ def repair_program(
     spec_window: int = 2,
     solver: Optional[Solver] = None,
     measure: bool = True,
-    scheme: str = "ct",
 ) -> RepairResult:
     """Automatically repair ``program`` until natively CT-PROVED.
 
     ``spec_window > 0`` also requires the speculative pass to prove —
     transient leaks (CT-SPEC) are localized and DS-routed like
     sequential ones.  ``measure=True`` runs the cycle comparison
-    against the executor's on-the-fly mitigation on ``scheme``.
+    against the executor's on-the-fly mitigation on the ``ct`` scheme.
 
     Re-proving is incremental: one ``solver`` is shared across every
     round (pass your own to share further, e.g. with the symrel
@@ -434,7 +430,7 @@ def repair_program(
 
     overhead: Optional[RepairOverhead] = None
     if measure and verdict == "proved" and current is not program:
-        overhead = measure_overhead(program, current, scheme=scheme)
+        overhead = measure_overhead(program, current)
 
     return RepairResult(
         original=program,

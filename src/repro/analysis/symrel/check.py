@@ -36,6 +36,7 @@ from repro.analysis.symrel.replay import ReplayResult, replay_counterexample
 from repro.analysis.symrel.solve import Solver
 from repro.errors import ProtocolError
 from repro.lang import ir
+from repro.params import WORD_MASK
 
 
 @dataclass
@@ -62,7 +63,7 @@ class RelationalModel:
         cls, program: ir.Program, model: Dict[VarKey, int]
     ) -> "RelationalModel":
         def get(name: str, index: Optional[int], side: Optional[str]) -> int:
-            return model.get((name, index, side), 0) & 0xFFFFFFFF
+            return model.get((name, index, side), 0) & WORD_MASK
 
         inputs = {n: get(n, None, None) for n in program.inputs}
         secrets_a = {n: get(n, None, "A") for n in program.secret_inputs}

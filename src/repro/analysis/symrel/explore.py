@@ -69,6 +69,8 @@ from repro.errors import ProtocolError
 from repro.lang import ir
 from repro.lang.pretty import path_index
 from repro.lang.taint import TaintReport, analyze
+from repro.memory.backing import Allocator, MainMemory
+from repro.params import WORD_MASK
 
 #: Abandon exploration beyond this many complete paths (result is then
 #: "bounded": no refutation found does not count as a proof).
@@ -141,22 +143,20 @@ class ExplorationResult:
         )
 
 
-def array_bases(program: ir.Program, base: int = 0x10000) -> Dict[str, int]:
-    """Concrete array base addresses, mirroring the executor's setup.
+def array_bases(program: ir.Program) -> Dict[str, int]:
+    """Concrete array base addresses, as the executor allocates them.
 
-    :class:`repro.memory.backing.Allocator` is a page-aligned bump
-    allocator and :meth:`repro.lang.executor.Executor._setup` allocates
-    arrays in declaration order, so the addresses every run will use
-    are statically known.  ``tests/analysis/test_symrel.py`` pins this
-    mirror against a real machine.
+    :meth:`repro.lang.executor.Executor._setup` allocates arrays in
+    declaration order from a fresh machine's
+    :class:`~repro.memory.backing.Allocator`, a deterministic bump
+    allocator, so the same allocation sequence on a fresh allocator
+    yields the addresses every run will use.
     """
-    bases: Dict[str, int] = {}
-    nxt = base
-    for decl in program.arrays:
-        bases[decl.name] = nxt
-        pages = -(-(decl.size * params.WORD_SIZE) // params.PAGE_SIZE)
-        nxt += pages * params.PAGE_SIZE
-    return bases
+    allocator = Allocator(MainMemory())
+    return {
+        decl.name: allocator.alloc_words(decl.size, decl.name)
+        for decl in program.arrays
+    }
 
 
 class _PathBudgetExceeded(Exception):
@@ -190,15 +190,11 @@ class RelationalExplorer:
         spec_window: int = 0,
         intervals: Optional[IntervalReport] = None,
         taint: Optional[TaintReport] = None,
-        max_paths: int = MAX_PATHS,
-        max_steps: int = MAX_STEPS,
     ) -> None:
         self.program = program
         self.mitigate = mitigate
         self.solver = solver or Solver()
         self.spec_window = spec_window
-        self.max_paths = max_paths
-        self.max_steps = max_steps
         # Mitigated mode transforms where taint says to; native mode
         # keeps taint=None so nothing is linearized implicitly.  A
         # caller with precomputed facts passes them in to avoid
@@ -311,7 +307,7 @@ class RelationalExplorer:
 
     def _step(self) -> None:
         self.result.steps += 1
-        if self.result.steps > self.max_steps:
+        if self.result.steps > MAX_STEPS:
             raise _PathBudgetExceeded()
 
     def _walk(self, body: Tuple, state: _State, rest: Tuple = ()) -> None:
@@ -333,7 +329,7 @@ class RelationalExplorer:
             if i >= len(body):
                 if not rest:
                     self.result.paths += 1
-                    if self.result.paths > self.max_paths:
+                    if self.result.paths > MAX_PATHS:
                         raise _PathBudgetExceeded()
                     return
                 body, rest = rest[0], rest[1:]
@@ -384,7 +380,7 @@ class RelationalExplorer:
             self._exec_access(stmt, state, preds, speculative)
             return
         if isinstance(stmt, ir.Const):
-            value = expr.const(stmt.value & 0xFFFFFFFF)
+            value = expr.const(stmt.value & WORD_MASK)
             values = (value, value)
         elif isinstance(stmt, ir.BinOp):
             values = tuple(
@@ -673,18 +669,7 @@ class RelationalExplorer:
             budget[0] -= 1
             self._step()
             if isinstance(stmt, ir.If):
-                # No nested misprediction (one-mispredict model): a
-                # concrete condition follows its direction; a symbolic
-                # one explores both under the transient budget.
-                cond_a = expr.bool_term(self._value(state, 0, stmt.cond))
-                if cond_a.is_const:
-                    chosen = (
-                        stmt.then_body if cond_a.value else stmt.else_body
-                    )
-                    self._transient_body(state, chosen, budget)
-                else:
-                    self._transient_body(state.copy(), stmt.then_body, budget)
-                    self._transient_body(state, stmt.else_body, budget)
+                self._transient_if(stmt, state, budget)
             elif isinstance(stmt, ir.For):
                 count = self._value(state, 0, stmt.count)
                 trips = count.value if count.is_const else budget[0]
@@ -693,6 +678,39 @@ class RelationalExplorer:
                     self._transient_body(state, unrolled, budget)
             else:
                 self._exec_simple(stmt, state, speculative=True)
+
+    def _transient_if(
+        self, stmt: ir.If, state: _State, budget: List[int]
+    ) -> None:
+        """An ``If`` inside a mispredicted window.
+
+        A native branch executes one side, so its direction is a
+        transient observation, checked like :meth:`_exec_if`'s.  No
+        nested misprediction (one-mispredict model): the walk follows
+        each direction both sides may take, both when the condition is
+        symbolic.  A branch the mitigated variant linearizes executes
+        both arms and observes nothing.
+        """
+        then_live = else_live = True
+        if not (self.mitigate and self.taint.is_secret_branch(stmt)):
+            conds = (
+                expr.bool_term(self._value(state, 0, stmt.cond)),
+                expr.bool_term(self._value(state, 1, stmt.cond)),
+            )
+            self._check_observation(
+                state,
+                Observation(
+                    "branch", *conds, self._stmt_path(stmt), speculative=True
+                ),
+            )
+            then_live = not any(c.is_const and c.value == 0 for c in conds)
+            else_live = not any(c.is_const and c.value == 1 for c in conds)
+        if then_live:
+            self._transient_body(
+                state.copy() if else_live else state, stmt.then_body, budget
+            )
+        if else_live:
+            self._transient_body(state, stmt.else_body, budget)
 
 
 class _SequentialLeak(Exception):

@@ -35,9 +35,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lang import ir
-
-MASK32 = 0xFFFFFFFF
-WIDTH = 32
+from repro.params import WORD_BITS, WORD_MASK
 
 #: Variable key: ``(name, element_index_or_None, side)`` where side is
 #: ``None`` for shared (public) variables and ``"A"``/``"B"`` for the
@@ -54,7 +52,7 @@ def _apply_op(op: str, a: int, b: int) -> int:
     included, so a candidate model with a huge shift count costs no
     more than a small one.
     """
-    return ir.OPS[op][0](a, b) & MASK32
+    return ir.OPS[op][0](a, b) & WORD_MASK
 
 
 class Term:
@@ -188,7 +186,7 @@ def var(name: str, index: Optional[int] = None, side: Optional[str] = None) -> T
     key = ("var", name, index, side)
     term = _TERMS.get(key)
     if term is None:
-        term = _TERMS[key] = Term("var", (name, index, side), 0, MASK32)
+        term = _TERMS[key] = Term("var", (name, index, side), 0, WORD_MASK)
     return term
 
 
@@ -225,18 +223,18 @@ def _bounds(opname: str, a: Term, b: Term) -> Tuple[int, int]:
     Anything that could wrap, go negative, or is otherwise hard to
     bound collapses to the full word range — soundness over precision.
     """
-    full = (0, MASK32)
+    full = (0, WORD_MASK)
     alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
     if opname == "add":
         lo, hi = alo + blo, ahi + bhi
-        return (lo, hi) if 0 <= lo and hi <= MASK32 else full
+        return (lo, hi) if 0 <= lo and hi <= WORD_MASK else full
     if opname == "sub":
         lo, hi = alo - bhi, ahi - blo
-        return (lo, hi) if 0 <= lo and hi <= MASK32 else full
+        return (lo, hi) if 0 <= lo and hi <= WORD_MASK else full
     if opname == "mul":
         if alo >= 0 and blo >= 0:
             lo, hi = alo * blo, ahi * bhi
-            return (lo, hi) if hi <= MASK32 else full
+            return (lo, hi) if hi <= WORD_MASK else full
         return full
     if opname == "div":
         if alo >= 0 and blo >= 0:
@@ -264,10 +262,10 @@ def _bounds(opname: str, a: Term, b: Term) -> Tuple[int, int]:
         return full
     if opname == "shl":
         if alo >= 0 and blo >= 0:
-            if bhi >= WIDTH:
+            if bhi >= WORD_BITS:
                 return full
             hi = ahi << bhi
-            return (alo << blo, hi) if hi <= MASK32 else full
+            return (alo << blo, hi) if hi <= WORD_MASK else full
         return full
     if opname == "shr":
         if alo >= 0 and blo >= 0:
@@ -344,7 +342,7 @@ def op(opname: str, a: Term, b: Term) -> Term:
             if x.is_const:
                 if x.value == 0:
                     return const(0)
-                if x.value == MASK32:
+                if x.value == WORD_MASK:
                     return y
                 # y already inside the mask: the and is a no-op
                 if x.value >= 0 and y.hi <= x.value and _is_pow2(x.value + 1):
@@ -420,7 +418,7 @@ def read(state: ArrayState, index: Term) -> Term:
         i = index.value
         if 0 <= i < size:
             if concrete is not None:
-                return const(concrete[i] & MASK32)
+                return const(concrete[i] & WORD_MASK)
             return var(name, i, side)
         # Out-of-bounds concrete read: the explorer constrains indices
         # in bounds, so this only appears on infeasible paths.
@@ -428,7 +426,7 @@ def read(state: ArrayState, index: Term) -> Term:
     key = ("read", id(state), id(index))
     term = _TERMS.get(key)
     if term is None:
-        term = _TERMS[key] = Term("read", (state, index), 0, MASK32)
+        term = _TERMS[key] = Term("read", (state, index), 0, WORD_MASK)
     return term
 
 
@@ -467,7 +465,7 @@ def _eval(term: Term, model: Dict[VarKey, int], memo: Dict) -> int:
     if kind == "const":
         out = term.args[0]
     elif kind == "var":
-        out = model.get(term.args, 0) & MASK32
+        out = model.get(term.args, 0) & WORD_MASK
     elif kind == "op":
         opname, a, b = term.args
         out = _apply_op(
@@ -498,8 +496,8 @@ def _eval_read(
     name, side, size, concrete = state.args
     if 0 <= index < size:
         if concrete is not None:
-            return concrete[index] & MASK32
-        return model.get((name, index, side), 0) & MASK32
+            return concrete[index] & WORD_MASK
+        return model.get((name, index, side), 0) & WORD_MASK
     return 0
 
 
@@ -549,7 +547,7 @@ def free_vars(terms: Iterable[Term]) -> List[VarKey]:
     return list(seen)
 
 
-_ALL = MASK32
+_ALL = WORD_MASK
 
 
 def _mask_up_to_msb(mask: int) -> int:
@@ -618,13 +616,13 @@ def influence(terms: Iterable[Term]) -> Dict[VarKey, int]:
             walk(b, below)
         elif opname == "shl":
             if b.is_const:
-                walk(a, relevance >> b.value if b.value < WIDTH else 0)
+                walk(a, relevance >> b.value if b.value < WORD_BITS else 0)
             else:
                 walk(a, _ALL)
                 walk(b, _ALL)
         elif opname == "shr":
             if b.is_const:
-                shift = min(b.value, WIDTH)
+                shift = min(b.value, WORD_BITS)
                 walk(a, (relevance << shift) & _ALL)
             else:
                 walk(a, _ALL)

@@ -10,7 +10,7 @@ terms evaluate differently?  Three tiers, cheapest first:
 2. **Exhaustive enumeration over influential bits** — bit-influence
    analysis (:func:`~repro.analysis.symrel.expr.influence`) bounds
    which variable bits can matter; when the union is narrow
-   (``max_exhaustive_bits``) every assignment of exactly those bits is
+   (:data:`MAX_EXHAUSTIVE_BITS`) every assignment of exactly those bits is
    enumerated.  Sound *and complete*: the result is a proof or a
    model, never a guess.
 3. **Directed candidate search** — for wide constraints, a refutation
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.symrel import expr
-from repro.analysis.symrel.expr import MASK32, Term, VarKey
+from repro.analysis.symrel.expr import Term, VarKey
+from repro.params import WORD_MASK
 
 #: Enumerate exhaustively when the influential bits across the whole
 #: constraint fit in this budget (2**14 = 16384 evaluations worst case).
@@ -125,7 +126,7 @@ def _collect_consts(terms: Iterable[Term]) -> List[int]:
 
     for t in terms:
         walk(t)
-    return sorted(v for v in out if 0 <= v <= MASK32)
+    return sorted(v for v in out if 0 <= v <= WORD_MASK)
 
 
 def _candidate_pool(terms: Sequence[Term]) -> List[int]:
@@ -134,8 +135,8 @@ def _candidate_pool(terms: Sequence[Term]) -> List[int]:
     for c in _collect_consts(terms):
         pool.update({c, c - 1, c + 1, 2 * c})
     pool.update(1 << i for i in (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 31))
-    pool.add(MASK32)
-    ordered = sorted(v for v in pool if 0 <= v <= MASK32)
+    pool.add(WORD_MASK)
+    ordered = sorted(v for v in pool if 0 <= v <= WORD_MASK)
     if len(ordered) > MAX_POOL:
         # Keep the small boundary values and a spread of the rest.
         head = ordered[: MAX_POOL // 2]
@@ -161,13 +162,7 @@ class Solver:
     whenever the epoch moves.
     """
 
-    def __init__(
-        self,
-        max_exhaustive_bits: int = MAX_EXHAUSTIVE_BITS,
-        max_candidate_evals: int = MAX_CANDIDATE_EVALS,
-    ) -> None:
-        self.max_exhaustive_bits = max_exhaustive_bits
-        self.max_candidate_evals = max_candidate_evals
+    def __init__(self) -> None:
         self.stats = SolverStats()
         self._pair_memo: Dict[Tuple, CheckOutcome] = {}
         self._sat_memo: Dict[Tuple, Optional[bool]] = {}
@@ -244,7 +239,7 @@ class Solver:
             return True
         infl = expr.influence(live)
         total_bits = sum(_popcount(mask) for mask in infl.values())
-        if total_bits > self.max_exhaustive_bits:
+        if total_bits > MAX_EXHAUSTIVE_BITS:
             return None
         for model, _ in self._enumerate(infl):
             memo: Dict = {}
@@ -280,7 +275,7 @@ class Solver:
     ) -> Optional[CheckOutcome]:
         infl = expr.influence(constraint)
         total_bits = sum(_popcount(mask) for mask in infl.values())
-        if total_bits > self.max_exhaustive_bits:
+        if total_bits > MAX_EXHAUSTIVE_BITS:
             return None
         evals = 0
         for model, _ in self._enumerate(infl):
@@ -327,7 +322,7 @@ class Solver:
             return None
         pool = _candidate_pool(constraint)
         evals = 0
-        budget = self.max_candidate_evals
+        budget = MAX_CANDIDATE_EVALS
 
         # Sweep side-A secret variables (one at a time, then pairs)
         # from an all-zeros base; bucket the observation value of side

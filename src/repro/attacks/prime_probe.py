@@ -20,6 +20,10 @@ from typing import Dict, Iterable, List, Optional
 from repro import params
 from repro.core.machine import Machine
 
+#: Start of the attacker's own address range, far above the victim's
+#: heap (:data:`repro.params.HEAP_BASE`).
+ATTACKER_BASE = 0x4000_0000
+
 
 @dataclass
 class ProbeResult:
@@ -36,16 +40,10 @@ class ProbeResult:
 class PrimeProbeAttacker:
     """Prime+Probe against one level of the victim machine's hierarchy."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        level: str = "L1D",
-        base: int = 0x4000_0000,
-    ) -> None:
+    def __init__(self, machine: Machine, level: str = "L1D") -> None:
         self.machine = machine
         self.level = level
         self.cache = machine.hierarchy.level(level)
-        self.base = base
         self._primed_lines: Dict[int, List[int]] = {}
 
     # -- address generation ---------------------------------------------------------
@@ -53,7 +51,7 @@ class PrimeProbeAttacker:
     def _lines_for_set(self, set_idx: int) -> List[int]:
         """Attacker-owned line addresses mapping to ``set_idx``."""
         stride = self.cache.num_sets * params.LINE_SIZE
-        first = self.base + set_idx * params.LINE_SIZE
+        first = ATTACKER_BASE + set_idx * params.LINE_SIZE
         return [first + way * stride for way in range(self.cache.assoc)]
 
     # -- the attack phases -----------------------------------------------------------

@@ -26,9 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class NextLinePrefetcher:
     """Prefetch line N+1 on a demand miss to line N."""
 
-    def __init__(self, enabled: bool = True, degree: int = 1) -> None:
-        self.enabled = enabled
-        self.degree = degree
+    def __init__(self) -> None:
         self.issued = 0
         self._hierarchy: Optional["CacheHierarchy"] = None
 
@@ -37,16 +35,15 @@ class NextLinePrefetcher:
 
     def on_demand_miss(self, line_addr: int, start_level: int) -> None:
         """Hierarchy callback after a demand access went to DRAM."""
-        if not self.enabled or self._hierarchy is None:
+        if self._hierarchy is None:
             return
-        for i in range(1, self.degree + 1):
-            target = line_addr + i * params.LINE_SIZE
-            if target in self._hierarchy.levels[start_level]:
-                continue
-            self.issued += 1
-            self._hierarchy.read_line(
-                target,
-                start_level=start_level,
-                observable=False,
-                _is_prefetch=True,
-            )
+        target = line_addr + params.LINE_SIZE
+        if target in self._hierarchy.levels[start_level]:
+            return
+        self.issued += 1
+        self._hierarchy.read_line(
+            target,
+            start_level=start_level,
+            observable=False,
+            _is_prefetch=True,
+        )

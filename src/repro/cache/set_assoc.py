@@ -190,9 +190,9 @@ class SetAssociativeCache:
     ----------
     name:
         Identifier used in events and reports (``"L1D"``, ``"L2"``...).
-    size_bytes / assoc / line_size:
-        Geometry; ``line_size`` must be a power of two and
-        ``size_bytes`` must equal ``num_sets * assoc * line_size`` for
+    size_bytes / assoc:
+        Geometry over :data:`repro.params.LINE_SIZE`-byte lines;
+        ``size_bytes`` must equal ``num_sets * assoc * LINE_SIZE`` for
         some power-of-two ``num_sets``.
     latency:
         Hit latency in cycles (Table 1 of the paper).
@@ -206,7 +206,6 @@ class SetAssociativeCache:
         size_bytes: int,
         assoc: int,
         latency: int,
-        line_size: int = params.LINE_SIZE,
         replacement: str = "lru",
         replacement_seed: int = 0,
     ) -> None:
@@ -214,16 +213,12 @@ class SetAssociativeCache:
             raise ConfigurationError(
                 f"{name}: size/assoc/latency must be positive"
             )
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ConfigurationError(
-                f"{name}: line_size {line_size} is not a power of two"
-            )
-        if size_bytes % (assoc * line_size):
+        if size_bytes % (assoc * params.LINE_SIZE):
             raise ConfigurationError(
                 f"{name}: size {size_bytes} not divisible by "
-                f"assoc*line_size = {assoc * line_size}"
+                f"assoc*LINE_SIZE = {assoc * params.LINE_SIZE}"
             )
-        num_sets = size_bytes // (assoc * line_size)
+        num_sets = size_bytes // (assoc * params.LINE_SIZE)
         if num_sets & (num_sets - 1):
             raise ConfigurationError(
                 f"{name}: number of sets {num_sets} is not a power of two"
@@ -232,7 +227,6 @@ class SetAssociativeCache:
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.latency = latency
-        self.line_size = line_size
         self.num_sets = num_sets
         self.replacement = replacement
         self.replacement_seed = replacement_seed
@@ -242,10 +236,10 @@ class SetAssociativeCache:
         self._set_class(assoc)
         #: stock LRU: the listener-free kernels inline its touch
         self._lru = self._set_class is LRUPolicy
-        # Hot-path geometry: line size and set count are validated
-        # powers of two above, so div/mod set indexing reduces to one
+        # Hot-path geometry: the line size and the validated set count
+        # are powers of two, so div/mod set indexing reduces to one
         # shift + one mask.
-        self._line_shift = line_size.bit_length() - 1
+        self._line_shift = params.LINE_BITS
         self._set_mask = num_sets - 1
         # Sets materialise lazily on first touch.  A 16 MiB LLC has
         # 16384 sets; building a set object per set up front made

@@ -23,13 +23,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro import params
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.bia import BIA
 from repro.memory.backing import MainMemory
-
-#: Inlined ``addr_math.line_base`` (see repro.core.machine).
-_LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
+from repro.params import LINE_BASE_MASK
 
 
 class CTOps:
@@ -63,7 +60,7 @@ class CTOps:
         BIA's level, else the fake value 0.  ``existence_bitmap`` is
         the 64-bit BIA existence word for ``addr``'s page.
         """
-        line_addr = addr & _LINE_BASE_MASK
+        line_addr = addr & LINE_BASE_MASK
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
         data = self.memory.read_word(addr) if line is not None else 0
@@ -86,7 +83,7 @@ class CTOps:
         """
         lookup = self._cache.lookup
         read = self.memory.read_word
-        mask = _LINE_BASE_MASK
+        mask = LINE_BASE_MASK
         data = [read(a) if lookup(a & mask) is not None else 0 for a in addrs]
         bia = self.bia
         access = bia.access
@@ -112,7 +109,7 @@ class CTOps:
         "DO NOTHING").  The line's dirty bit is unchanged either way,
         so no new observable state is created.
         """
-        line_addr = addr & _LINE_BASE_MASK
+        line_addr = addr & LINE_BASE_MASK
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
         if line is not None and line.dirty:

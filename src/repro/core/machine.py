@@ -41,13 +41,7 @@ from repro.core.stats import MachineStats
 from repro.errors import AlignmentError, ConfigurationError, ProtocolError
 from repro.memory.backing import Allocator, MainMemory
 from repro.memory.dram import DRAM
-
-#: Inlined ``addr_math.line_base`` for the hot access paths: masking
-#: off the line-offset bits is identical to ``addr - addr % LINE_SIZE``
-#: for the (power-of-two) architectural line size.
-_LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
-#: A stored value is kept modulo this (one ``params.WORD_SIZE`` word).
-_WORD_MOD = 1 << (8 * params.WORD_SIZE)
+from repro.params import LINE_BASE_MASK, WORD_MASK
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,7 @@ class Machine:
     def load_word(self, addr: int, start_level: int = 0) -> int:
         """Ordinary load of the word at ``addr``.  ``start_level``
         bypasses the levels above it (the BIA fetch pass, Sec. 4.2)."""
-        line_addr = addr & _LINE_BASE_MASK
+        line_addr = addr & LINE_BASE_MASK
         # Probe the start level directly; only a miss walks the
         # hierarchy (CacheHierarchy.read_line without its AccessResult).
         first = self.hierarchy.levels[start_level]
@@ -309,10 +303,10 @@ class Machine:
         dirty bit is NOT set — hardware behaviour whose security
         consequences Sec. 2.4 flags and defers.
         """
-        line_addr = addr & _LINE_BASE_MASK
+        line_addr = addr & LINE_BASE_MASK
         silent = (
             self.config.silent_stores
-            and self.memory.read_word(addr) == value % _WORD_MOD
+            and self.memory.read_word(addr) == (value & WORD_MASK)
         )
         # Same split as load_word; the write path then dirties the line
         # at the start level (CacheHierarchy.write_line) unless squashed.
@@ -399,7 +393,7 @@ class Machine:
                 out.append(load(a, start_level))
             return out if collect_values else None
         if lines is None:
-            mask = _LINE_BASE_MASK
+            mask = LINE_BASE_MASK
             lines = [a & mask for a in addrs]
         latency = self.hierarchy.read_lines(lines, start_level, set_indices)
         stats = self.stats
@@ -441,7 +435,7 @@ class Machine:
                     execute(pre_insts)
                 store(a, v)
             return
-        mask = _LINE_BASE_MASK
+        mask = LINE_BASE_MASK
         latency = self.hierarchy.write_lines([a & mask for a in addrs])
         self.memory.write_words(addrs, values)
         stats = self.stats
@@ -550,7 +544,7 @@ class Machine:
                 store(a, new, start_level)
             return out
         if lines is None:
-            mask = _LINE_BASE_MASK
+            mask = LINE_BASE_MASK
             lines = [a & mask for a in addrs]
         first_access = first.access
         first_set_dirty = first.set_dirty
@@ -702,7 +696,7 @@ class Machine:
 
     def load_word_uncached(self, addr: int) -> int:
         """Load straight from DRAM with no cache state change."""
-        result = self.hierarchy.read_line_uncached(addr & _LINE_BASE_MASK)
+        result = self.hierarchy.read_line_uncached(addr & LINE_BASE_MASK)
         stats = self.stats
         stats.loads += 1
         stats.insts += 1
@@ -711,7 +705,7 @@ class Machine:
 
     def store_word_uncached(self, addr: int, value: int) -> None:
         """Store straight to DRAM with no cache state change."""
-        result = self.hierarchy.write_line_uncached(addr & _LINE_BASE_MASK)
+        result = self.hierarchy.write_line_uncached(addr & LINE_BASE_MASK)
         self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
@@ -800,7 +794,7 @@ class Machine:
         Prime+Probe attacker times.
         """
         return self.hierarchy.read_line(
-            addr & _LINE_BASE_MASK, observable=False
+            addr & LINE_BASE_MASK, observable=False
         ).latency
 
     def attacker_flush(self, addr: int) -> int:
@@ -812,7 +806,7 @@ class Machine:
         it also silently undercharged every Flush+Reload attack phase
         that flushes dirty victim lines.
         """
-        return self.hierarchy.flush_line(addr & _LINE_BASE_MASK)
+        return self.hierarchy.flush_line(addr & LINE_BASE_MASK)
 
     def attacker_evict(self, level: str, addr: int):
         """Targeted eviction of one line at one level.
@@ -823,7 +817,7 @@ class Machine:
         line was present, with ``latency`` carrying the dirty-write-
         back cost so Evict+Time measurements can charge it.
         """
-        return self.hierarchy.evict_line_from(level, addr & _LINE_BASE_MASK)
+        return self.hierarchy.evict_line_from(level, addr & LINE_BASE_MASK)
 
     # -- bookkeeping ----------------------------------------------------------------------
 

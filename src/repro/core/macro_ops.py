@@ -22,7 +22,7 @@ job in the paper's toolchain) and addressed by handle.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.machine import Machine
 from repro.ct.bia_ops import BIAContext
@@ -33,9 +33,9 @@ from repro.errors import ProtocolError
 class MacroOpUnit:
     """The user-visible secure-access ISA surface."""
 
-    def __init__(self, machine: Machine, fetch_threshold: Optional[int] = None):
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self._ctx = BIAContext(machine, fetch_threshold=fetch_threshold)
+        self._ctx = BIAContext(machine)
         self._descriptors: Dict[int, DataflowLinearizationSet] = {}
         self._next_handle = 1
 

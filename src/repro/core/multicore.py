@@ -53,26 +53,20 @@ class BackInvalidator(CacheListener):
 
 
 class RemoteCore:
-    """An attacker core: private L1/L2 over the victim's LLC + DRAM."""
+    """An attacker core: private L1/L2 over the victim's LLC + DRAM.
 
-    def __init__(
-        self,
-        machine: Machine,
-        name: str = "R1",
-        l1_size: int = 64 * 1024,
-        l1_assoc: int = 8,
-        l1_latency: int = 2,
-        l2_size: int = 1024 * 1024,
-        l2_assoc: int = 16,
-        l2_latency: int = 15,
-    ) -> None:
+    The private caches have the victim machine's L1d and L2 geometry
+    (``machine.config``): the cores are identical.
+    """
+
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.name = name
+        config = machine.config
         self.l1 = SetAssociativeCache(
-            f"{name}.L1D", l1_size, l1_assoc, l1_latency
+            "R1.L1D", config.l1d_size, config.l1d_assoc, config.l1d_latency
         )
         self.l2 = SetAssociativeCache(
-            f"{name}.L2", l2_size, l2_assoc, l2_latency
+            "R1.L2", config.l2_size, config.l2_assoc, config.l2_latency
         )
         self.hierarchy = CacheHierarchy(
             [self.l1, self.l2, machine.llc], machine.dram

@@ -40,14 +40,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro import params
 from repro.core.machine import Machine
 from repro.ct.context import MitigationContext
 from repro.ct.ds import DataflowLinearizationSet
 from repro.memory import address as addr_math
-
-#: Inlined ``addr_math.line_base`` (see repro.core.machine).
-_LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
+from repro.params import LINE_BASE_MASK
 
 
 class BIAContext(MitigationContext):
@@ -180,7 +177,7 @@ class BIAContext(MitigationContext):
                 )
                 for i, a, word in zip(requests, group_addrs, data):
                     results[i] = word
-                    pending.setdefault(a & _LINE_BASE_MASK, []).append(i)
+                    pending.setdefault(a & LINE_BASE_MASK, []).append(i)
             probe_addr = (group << view.group_bits) + offset
             _data, existence = machine.ctload(probe_addr)
             tofetch = view.bitmask(group) & ~existence
@@ -272,7 +269,7 @@ class BIAContext(MitigationContext):
                     out[address] = read(address)
         if capture_lines:
             for address in fetchset:
-                line = address & _LINE_BASE_MASK
+                line = address & LINE_BASE_MASK
                 if line in capture_lines:
                     out[line] = read(address)
         return out

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig
 from repro.ct.bia_ops import BIAContext
 from repro.ct.context import InsecureContext, MitigationContext
@@ -41,23 +40,18 @@ def default_config(bia_level: str = "L1D", **overrides) -> MachineConfig:
 
 
 def scheme_config(
-    scheme: str,
-    config: Optional[MachineConfig] = None,
-    costs: Optional[CostModel] = None,
+    scheme: str, config: Optional[MachineConfig] = None
 ) -> MachineConfig:
     """The machine configuration ``build_context`` uses for ``scheme``."""
     if config is not None:
         return config
-    kwargs = {}
-    if costs is not None:
-        kwargs["costs"] = costs
     if scheme in ("insecure", "ct", "ct-scalar", "bia-l1d"):
-        return default_config("L1D", **kwargs)
+        return default_config("L1D")
     if scheme == "bia-l2":
-        return default_config("L2", **kwargs)
+        return default_config("L2")
     if scheme == "bia-llc":
         # Sec. 6.4: Skylake-X-like sliced LLC (LS_Hash = 12, M = 12)
-        return default_config("LLC", llc_slices=8, ls_hash=12, **kwargs)
+        return default_config("LLC", llc_slices=8, ls_hash=12)
     raise ConfigurationError(
         f"unknown scheme {scheme!r}; choices: {SCHEMES}"
     )
@@ -66,7 +60,6 @@ def scheme_config(
 def build_context(
     scheme: str,
     config: Optional[MachineConfig] = None,
-    costs: Optional[CostModel] = None,
     fetch_threshold: Optional[int] = None,
     machine: Optional[Machine] = None,
 ) -> MitigationContext:
@@ -79,7 +72,7 @@ def build_context(
     have built.
     """
     if machine is None:
-        machine = Machine(scheme_config(scheme, config, costs))
+        machine = Machine(scheme_config(scheme, config))
     if scheme == "insecure":
         return InsecureContext(machine)
     if scheme == "ct":

@@ -8,15 +8,16 @@ on:
 
 * :class:`RunSpec` — a hashable description of one simulation.  Its
   :meth:`~RunSpec.key` is a content hash over the spec's fields *and*
-  :data:`repro.__version__`, so cached results are invalidated
-  automatically when the simulator version bumps.
-* :func:`execute` — the one batch executor, shared with the
-  verification engine (:mod:`repro.analysis.engine`).
-* :func:`run_many` — execute a sequence of specs, deduplicating
-  identical specs, consulting the result cache (a
-  :class:`~repro.experiments.store.Store` map from key to result), and
-  handing the rest to :func:`execute`.  Figures 2/7/8 all share the
-  same ``insecure`` baselines; with a cache they are simulated once.
+  :data:`repro.__version__` (:func:`content_key`), so cached results
+  are invalidated automatically when the simulator version bumps.
+* :func:`execute` — the one batch front door, shared with the
+  verification engine (:mod:`repro.analysis.engine`): it runs each
+  distinct spec once, serves what the result store (a
+  :class:`~repro.experiments.store.Store` map from key to result)
+  holds, and runs the rest inline or on a process pool.
+* :func:`run_many` — :func:`execute` over simulation specs with the
+  process-wide defaults.  Figures 2/7/8 all share the same
+  ``insecure`` baselines; with a cache they are simulated once.
   :func:`repro.experiments.runner.sweep` builds a sizes x schemes grid
   of specs on top of it.
 * :class:`MachineTemplatePool` — per-process warm-start pool: sweep
@@ -58,7 +59,7 @@ import gc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import repro
 from repro.core.machine import MachineConfig
@@ -72,6 +73,20 @@ from repro.experiments.runner import RunResult, run_crypto, run_workload
 DEFAULT_CACHE_DIR = ".repro_results"
 
 # -- specs ---------------------------------------------------------------------
+
+
+def content_key(payload: Dict[str, object]) -> str:
+    """SHA-256 of ``payload`` and :data:`repro.__version__`.
+
+    The key of both engines' specs.  ``payload`` holds every field
+    that determines a result, so equal keys mean identical results;
+    the version is part of every key, so bumping it invalidates every
+    stored result.
+    """
+    blob = json.dumps(
+        dict(payload, version=repro.__version__), sort_keys=True, default=repr
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,7 @@ class RunSpec:
         Two specs with equal keys produce identical results; bumping
         :data:`repro.__version__` invalidates every cached result.
         """
-        payload = {
+        return content_key({
             "workload": self.workload,
             "size": self.size,
             "scheme": self.scheme,
@@ -108,10 +123,7 @@ class RunSpec:
             "config": (
                 None if self.config is None else dataclasses.asdict(self.config)
             ),
-            "version": repro.__version__,
-        }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        })
 
     def run(self) -> RunResult:
         """Execute this spec in this process.
@@ -296,28 +308,40 @@ _DIED = "worker process died"
 
 
 def execute(
-    pending: Sequence[Tuple[str, object]],
+    specs: Sequence,
     fn: Callable,
     jobs: int,
-    results: Dict[str, object],
-    deliver: Optional[Callable[[str, object], None]] = None,
-) -> None:
-    """Run ``fn(spec)`` for every ``(key, spec)`` in ``pending``.
+    store=None,
+) -> list:
+    """``fn(spec)`` for every spec, in the order of ``specs``.
 
-    The one batch executor of both engines.  Specs run in this process
-    when ``jobs == 1`` or only one is pending; otherwise the batch gets
-    one process pool of ``jobs`` workers.  Each result lands in
-    ``results[key]`` and goes to ``deliver(key, result)`` the moment it
-    completes, so it is salvaged even if a later spec fails.
+    The one batch front door of both engines.  Specs with equal
+    content keys (``spec.key()``) run once, and a result ``store`` (a
+    :class:`~repro.experiments.store.Store`) serves the keys it holds
+    without running them.  The rest run in this process when ``jobs
+    == 1`` or only one is pending; otherwise the batch gets one
+    process pool of ``jobs`` workers.  Each result goes to
+    ``store.put`` the moment it completes, so it is salvaged even if a
+    later spec fails.
 
     A spec that raises fails with kind ``"error"`` and the others still
     run.  A dead worker breaks the pool: every spec not yet delivered
     fails with kind ``"crash"``, with no retry and no fallback.  Once
     the batch drains, any failure raises :class:`EngineError` listing
-    the failures in submission order, with ``results`` as ``completed``.
-    ``fn`` must be a picklable top-level function.  The process pool is
-    imported on the pool branch only: an inline batch cannot break it.
+    the failures in submission order, with every result served or
+    computed as ``completed``.  ``fn`` must be a picklable top-level
+    function.  The process pool is imported on the pool branch only:
+    an inline batch cannot break it.
     """
+    keys = [spec.key() for spec in specs]
+    unique = dict(zip(keys, specs))
+    results: Dict[str, object] = {}
+    if store is not None:
+        for key in unique:
+            hit = store.get(key)
+            if hit is not None:
+                results[key] = hit
+    pending = [(k, spec) for k, spec in unique.items() if k not in results]
     failures: Dict[str, SpecFailure] = {}
 
     def settle(key, spec, outcome, crash=()) -> None:
@@ -332,8 +356,8 @@ def execute(
                                         f"{type(exc).__name__}: {exc}")
         else:
             results[key] = result
-            if deliver is not None:
-                deliver(key, result)
+            if store is not None:
+                store.put(key, result)
 
     if jobs == 1 or len(pending) == 1:
         for key, spec in pending:
@@ -359,6 +383,7 @@ def execute(
             [failures[key] for key, _ in pending if key in failures],
             completed=results,
         )
+    return [results[key] for key in keys]
 
 
 def run_many(
@@ -377,16 +402,4 @@ def run_many(
     """
     jobs = _check_jobs(_settings.jobs if jobs is _UNSET else jobs)
     cache = _settings.cache if cache is _UNSET else cache
-
-    keys = [spec.key() for spec in specs]
-    unique = dict(zip(keys, specs))
-    results: Dict[str, RunResult] = {}
-    if cache is not None:
-        for key in unique:
-            hit = cache.get(key)
-            if hit is not None:
-                results[key] = hit
-    pending = [(k, spec) for k, spec in unique.items() if k not in results]
-    deliver = None if cache is None else cache.put
-    execute(pending, run_spec, jobs, results, deliver)
-    return [results[key] for key in keys]
+    return execute(specs, run_spec, jobs, cache)

@@ -9,6 +9,9 @@ value out.  :class:`Store` is that map, and it serves every user:
 * ctcheck's verdict cache (``ctcheck --vcache DIR``), keyed by
   :meth:`CheckSpec.key <repro.analysis.engine.CheckSpec.key>`.
 
+Both keys are :func:`~repro.experiments.parallel.content_key` of the
+spec's fields.
+
 The store is also what makes a sweep crash-safe: each result is
 appended durably the moment it completes, so a re-run after a crash
 or a failed batch is served every finished result and simulates only

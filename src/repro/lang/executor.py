@@ -31,8 +31,7 @@ from repro.ct.ds import DataflowLinearizationSet
 from repro.errors import ProtocolError
 from repro.lang import ir
 from repro.lang.taint import TaintReport, analyze
-
-MASK32 = 0xFFFFFFFF
+from repro.params import WORD_MASK
 
 
 class Executor:
@@ -113,7 +112,7 @@ class Executor:
             self._sizes[decl.name] = decl.size
             self.ctx.plain_store_words(
                 [base + 4 * i for i in range(len(data))],
-                [word & MASK32 for word in data],
+                [word & WORD_MASK for word in data],
             )
             self._ds[decl.name] = self.ctx.register_ds(
                 base, 4 * decl.size, decl.name
@@ -155,7 +154,7 @@ class Executor:
 
     def _assign(self, dst: str, value: int, pred: Optional[bool]) -> None:
         """Register write, predicated under linearized control flow."""
-        value &= MASK32
+        value &= WORD_MASK
         if pred is None:
             self._regs[dst] = value
         else:
@@ -226,7 +225,7 @@ class Executor:
         machine.execute(1)  # address generation
         index = self._value(stmt.index)
         addr = self._addr(stmt.array, index, dead=pred is False)
-        value = self._value(stmt.value) & MASK32
+        value = self._value(stmt.value) & WORD_MASK
         if self._secure_access(stmt, pred):
             if pred is None:
                 self.ctx.store(self._ds[stmt.array], addr, value)

@@ -10,88 +10,41 @@ The paper's algorithms slice a 64-bit address into three fields::
 of those pieces so both the software algorithms and the hardware models
 share one definition.
 
-All helpers are pure functions of ``int`` addresses.  They accept
-``line_size`` / ``page_size`` keyword overrides for the Sec. 6.4
-variant where the DS management granularity is not a full page, but
-default to the global constants in :mod:`repro.params`.
+All helpers are pure functions of ``int`` addresses.  The line and page
+helpers use the fixed geometry of :mod:`repro.params`.  The group
+helpers take the DS management granularity ``M`` as ``group_bits``:
+``M = 12`` is the page, and Sec. 6.4's LLC-resident BIA uses a smaller
+``M``.
 """
 
 from __future__ import annotations
 
-from repro import params
-from repro.errors import AlignmentError
+from repro.params import LINE_BASE_MASK, LINE_BITS, LINE_SIZE, PAGE_BITS, PAGE_SIZE
 
 
-def line_index(addr: int, line_size: int = params.LINE_SIZE) -> int:
+def line_index(addr: int) -> int:
     """Global index of the cache line containing ``addr``."""
-    return addr // line_size
+    return addr >> LINE_BITS
 
 
-def line_base(addr: int, line_size: int = params.LINE_SIZE) -> int:
+def line_base(addr: int) -> int:
     """Address of the first byte of the line containing ``addr``."""
-    return addr - (addr % line_size)
+    return addr & LINE_BASE_MASK
 
 
-def line_offset(addr: int, line_size: int = params.LINE_SIZE) -> int:
+def line_offset(addr: int) -> int:
     """Byte offset of ``addr`` within its cache line (bits [5:0])."""
-    return addr % line_size
+    return addr % LINE_SIZE
 
 
-def page_index(addr: int, page_size: int = params.PAGE_SIZE) -> int:
+def page_index(addr: int) -> int:
     """Global index of the page containing ``addr`` (bits [63:12])."""
-    return addr // page_size
+    return addr >> PAGE_BITS
 
 
-def page_base(addr: int, page_size: int = params.PAGE_SIZE) -> int:
-    """Address of the first byte of the page containing ``addr``."""
-    return addr - (addr % page_size)
-
-
-def page_offset(addr: int, page_size: int = params.PAGE_SIZE) -> int:
+def page_offset(addr: int) -> int:
     """Byte offset of ``addr`` within its page (bits [11:0])."""
-    return addr % page_size
-
-
-def line_in_page(
-    addr: int,
-    line_size: int = params.LINE_SIZE,
-    page_size: int = params.PAGE_SIZE,
-) -> int:
-    """Index of ``addr``'s line within its page (bits [11:6]; 0..63).
-
-    This is the bit position used in BIA existence/dirtiness bitmaps.
-    """
-    return (addr % page_size) // line_size
-
-
-def compose(
-    page_idx: int,
-    line_idx: int,
-    offset: int,
-    line_size: int = params.LINE_SIZE,
-    page_size: int = params.PAGE_SIZE,
-) -> int:
-    """Rebuild an address from (page index, line-in-page, line offset).
-
-    This is the paper's ``generateAddrs`` formula:
-    ``address = page[63:12] + (i << 6) + addr[5:0]``.
-    """
-    if not 0 <= line_idx < page_size // line_size:
-        raise ValueError(f"line index {line_idx} out of page range")
-    if not 0 <= offset < line_size:
-        raise ValueError(f"line offset {offset} out of line range")
-    return page_idx * page_size + line_idx * line_size + offset
-
-
-def same_page_address(
-    page_idx: int, addr: int, page_size: int = params.PAGE_SIZE
-) -> int:
-    """``page_i | addr[11:0]``: addr's page offset relocated into page_i.
-
-    Used by Algorithms 2 and 3 to regenerate the CTLoad/CTStore target
-    for each page of the DS (line 4 of Alg. 2 / line 5 of Alg. 3).
-    """
-    return page_idx * page_size + (addr % page_size)
+    return addr % PAGE_SIZE
 
 
 def group_index(addr: int, group_bits: int) -> int:
@@ -105,24 +58,20 @@ def group_index(addr: int, group_bits: int) -> int:
 
 
 def same_group_address(group_idx: int, addr: int, group_bits: int) -> int:
-    """``group | addr[M-1:0]``: the generalized ``same_page_address``."""
+    """``group | addr[M-1:0]``: addr's group offset relocated into group_idx.
+
+    Used by Algorithms 2 and 3 to regenerate the CTLoad/CTStore target
+    for each group of the DS (line 4 of Alg. 2 / line 5 of Alg. 3).
+    """
     return (group_idx << group_bits) + (addr & ((1 << group_bits) - 1))
 
 
 def line_in_group(addr: int, group_bits: int) -> int:
     """Index of ``addr``'s line within its group (the BIA bitmap bit)."""
-    return (addr >> params.LINE_BITS) & ((1 << (group_bits - params.LINE_BITS)) - 1)
+    return (addr >> LINE_BITS) & ((1 << (group_bits - LINE_BITS)) - 1)
 
 
-def check_aligned(addr: int, size: int) -> None:
-    """Raise :class:`AlignmentError` unless ``addr`` is ``size``-aligned."""
-    if size <= 0 or size & (size - 1):
-        raise AlignmentError(f"access size {size} is not a power of two")
-    if addr % size:
-        raise AlignmentError(f"address {addr:#x} not aligned to {size}")
-
-
-def iter_lines(base: int, size: int, line_size: int = params.LINE_SIZE):
+def iter_lines(base: int, size: int):
     """Yield the base address of every line overlapping [base, base+size).
 
     Convenience used when building dataflow linearization sets with the
@@ -130,17 +79,6 @@ def iter_lines(base: int, size: int, line_size: int = params.LINE_SIZE):
     """
     if size <= 0:
         return
-    first = line_base(base, line_size)
-    last = line_base(base + size - 1, line_size)
-    for addr in range(first, last + line_size, line_size):
-        yield addr
-
-
-def iter_pages(base: int, size: int, page_size: int = params.PAGE_SIZE):
-    """Yield the index of every page overlapping [base, base+size)."""
-    if size <= 0:
-        return
-    first = page_index(base, page_size)
-    last = page_index(base + size - 1, page_size)
-    for idx in range(first, last + 1):
-        yield idx
+    first = line_base(base)
+    last = line_base(base + size - 1)
+    yield from range(first, last + LINE_SIZE, LINE_SIZE)

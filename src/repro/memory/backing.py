@@ -19,6 +19,7 @@ from typing import Dict, Iterable
 from repro import params
 from repro.errors import AlignmentError, AllocationError, MemoryError_
 from repro.memory import address as addr_math
+from repro.params import WORD_MASK
 
 #: The little-endian unsigned codec of one ``params.WORD_SIZE`` word;
 #: the mask wraps wide and negative values.
@@ -26,7 +27,6 @@ _WORD = struct.Struct("<I")
 assert _WORD.size == params.WORD_SIZE
 _pack_into = _WORD.pack_into
 _unpack_from = _WORD.unpack_from
-_WORD_MASK = (1 << (8 * params.WORD_SIZE)) - 1
 _WORD_SIZE = params.WORD_SIZE
 _ALIGN = params.WORD_SIZE - 1
 _PAGE_BITS = params.PAGE_BITS
@@ -109,7 +109,7 @@ class MainMemory:
         page = self._pages.get(idx)
         if page is None:
             page = self._pages[idx] = bytearray(params.PAGE_SIZE)
-        _pack_into(page, addr & _PAGE_MASK, value & _WORD_MASK)
+        _pack_into(page, addr & _PAGE_MASK, value & WORD_MASK)
 
     def write_words(self, addrs, values) -> None:
         """:meth:`write_word` for each ``(addr, value)`` pair, in order.
@@ -148,7 +148,7 @@ class MainMemory:
                 page = pages.get(idx)
                 if page is None:
                     page = pages[idx] = bytearray(params.PAGE_SIZE)
-            _pack_into(page, addr & _PAGE_MASK, value & _WORD_MASK)
+            _pack_into(page, addr & _PAGE_MASK, value & WORD_MASK)
 
     def _write_run(self, addr: int, values) -> int:
         """Write ``values`` as consecutive words from the aligned
@@ -203,16 +203,14 @@ class MainMemory:
 class Allocator:
     """Page-aligned bump allocator over a :class:`MainMemory`.
 
-    The base address defaults to ``0x10000`` so that address 0 (the
-    ``data = 0`` sentinel CTLoad returns on a miss) never aliases a
-    real allocation.
+    The first allocation starts at :data:`repro.params.HEAP_BASE`, so
+    address 0 (the ``data = 0`` sentinel CTLoad returns on a miss)
+    never aliases a real allocation.
     """
 
-    def __init__(self, memory: MainMemory, base: int = 0x10000) -> None:
-        if base % params.PAGE_SIZE:
-            raise AllocationError(f"allocator base {base:#x} not page aligned")
+    def __init__(self, memory: MainMemory) -> None:
         self.memory = memory
-        self._next = base
+        self._next = params.HEAP_BASE
 
     def alloc(self, size: int, name: str = "") -> int:
         """Reserve ``size`` bytes; returns the page-aligned base address."""

@@ -26,6 +26,9 @@ from typing import List, Tuple
 
 from repro.memory.dram import DRAM
 
+#: Width, in victim cycles, of one :func:`victim_traffic_profile` bucket.
+PROFILE_WINDOW = 1000.0
+
 
 @dataclass
 class ControllerStats:
@@ -79,15 +82,13 @@ class MemoryController:
         return queue_delay + service
 
 
-def victim_traffic_profile(
-    machine, run_victim, window: float = 1000.0
-) -> List[int]:
+def victim_traffic_profile(machine, run_victim) -> List[int]:
     """DRAM-traffic histogram of a victim run, bucketed by time window.
 
     Runs ``run_victim(machine)`` while sampling the victim's DRAM
     accesses against its cycle counter — the coarse view a
     controller-contention attacker integrates over time.  Returns the
-    per-window access counts.
+    access counts per :data:`PROFILE_WINDOW` cycles.
     """
     samples: List[float] = []
     original_read = machine.dram.read_line
@@ -110,8 +111,8 @@ def victim_traffic_profile(
         machine.dram.write_line = original_write
     if not samples:
         return []
-    buckets = int(max(samples) // window) + 1
+    buckets = int(max(samples) // PROFILE_WINDOW) + 1
     histogram = [0] * buckets
     for t in samples:
-        histogram[int(t // window)] += 1
+        histogram[int(t // PROFILE_WINDOW)] += 1
     return histogram

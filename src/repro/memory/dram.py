@@ -22,10 +22,13 @@ ratio ~= 1) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import params
 from repro.errors import ConfigurationError
+
+#: Row buffers the open policy tracks.
+BANKS = 8
 
 
 @dataclass
@@ -69,64 +72,43 @@ class DRAMStats:
 class DRAM:
     """A DRAM device behind the LLC.
 
+    Rows are pages, matching the paper's claim that controller leakage
+    granularity is no less than a page.
+
     Parameters
     ----------
     latency:
         Closed-row access cost (activate + column access + precharge),
         paid by *every* access under the closed policy and by row
-        conflicts under the open policy.
-    row_hit_latency:
-        Open-policy cost of hitting the open row (column access only).
-        Defaults to half the access latency, rounded up (100 for the
-        default 200), so every positive ``latency`` has a valid one.
+        conflicts under the open policy.  An open-policy hit on the
+        open row (column access only) costs half of it, rounded up
+        (100 for the default 200), so every positive ``latency`` has a
+        valid row-hit latency.
     policy:
-        ``"closed"`` (the paper's assumption) or ``"open"``.
-    row_size / banks:
-        Row geometry: ``row_size`` defaults to the page size, matching
-        the paper's claim that controller leakage granularity is no
-        less than a page; ``banks`` row buffers are tracked under the
-        open policy (bank = row index modulo banks).
+        ``"closed"`` (the paper's assumption) or ``"open"``, which
+        tracks one open row per bank (bank = row index modulo
+        :data:`BANKS`).
     """
 
-    def __init__(
-        self,
-        latency: int = 200,
-        row_hit_latency: Optional[int] = None,
-        policy: str = "closed",
-        row_size: int = params.PAGE_SIZE,
-        banks: int = 8,
-    ) -> None:
-        if row_hit_latency is None:
-            row_hit_latency = (latency + 1) // 2
-        if latency <= 0 or row_hit_latency <= 0:
+    def __init__(self, latency: int = 200, policy: str = "closed") -> None:
+        if latency <= 0:
             raise ConfigurationError("DRAM latencies must be positive")
-        if row_hit_latency > latency:
-            raise ConfigurationError(
-                f"row-hit latency {row_hit_latency} exceeds the full "
-                f"access latency {latency}"
-            )
         if policy not in ("closed", "open"):
             raise ConfigurationError(
                 f"unknown DRAM policy {policy!r}; choices: closed, open"
             )
-        if row_size <= 0 or row_size % params.LINE_SIZE:
-            raise ConfigurationError(f"bad DRAM row size: {row_size}")
-        if banks <= 0:
-            raise ConfigurationError(f"bank count must be positive: {banks}")
         self.latency = latency
-        self.row_hit_latency = row_hit_latency
+        self.row_hit_latency = (latency + 1) // 2
         self.policy = policy
-        self.row_size = row_size
-        self.banks = banks
         self.stats = DRAMStats()
         self._open_rows: Dict[int, int] = {}  # bank -> open row
 
     def row_of(self, addr: int) -> int:
         """DRAM row index of ``addr`` — the controller-level leak unit."""
-        return addr // self.row_size
+        return addr >> params.PAGE_BITS
 
     def bank_of(self, addr: int) -> int:
-        return self.row_of(addr) % self.banks
+        return self.row_of(addr) % BANKS
 
     def _access_latency(self, line_addr: int) -> int:
         row = self.row_of(line_addr)
@@ -135,7 +117,7 @@ class DRAM:
             # Every access pays the same — the constant-time property
             # the paper's Sec. 6.5 reasoning rests on.
             return self.latency
-        bank = row % self.banks
+        bank = row % BANKS
         if self._open_rows.get(bank) == row:
             self.stats.row_hits += 1
             return self.row_hit_latency

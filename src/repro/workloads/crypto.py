@@ -40,17 +40,16 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro import params
 from repro.ct.context import MitigationContext
+from repro.params import WORD_MASK
 from repro.workloads.base import make_rng
-
-MASK32 = 0xFFFFFFFF
 
 
 def _rotl32(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & MASK32
+    return ((x << n) | (x >> (32 - n))) & WORD_MASK
 
 
 def _rotr32(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & MASK32
+    return ((x >> n) | (x << (32 - n))) & WORD_MASK
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ TE0 = [
         | (s << 8)
         | _gf_mul(s, 3)
     )
-    & MASK32
+    & WORD_MASK
     for s in SBOX
 ]
 
@@ -130,7 +129,7 @@ def aes_expand_key(key: bytes, sbox_at: Callable[[int], int]) -> List[int]:
         t ^= RCON[rnd] << 24
         for i in range(4):
             t ^= rk[-4]
-            rk.append(t & MASK32)
+            rk.append(t & WORD_MASK)
             t = rk[-1]
     return rk[: 44]
 
@@ -200,7 +199,7 @@ class _SimTable:
         machine = ctx.machine
         self.base = machine.allocator.alloc_words(len(words), name)
         for i, w in enumerate(words):
-            machine.memory.write_word(self.base + 4 * i, w & MASK32)
+            machine.memory.write_word(self.base + 4 * i, w & WORD_MASK)
         self.ds = ctx.register_ds(self.base, len(words) * params.WORD_SIZE, name)
 
     def load(self, index: int) -> int:
@@ -209,7 +208,7 @@ class _SimTable:
 
     def store(self, index: int, value: int) -> None:
         """Secret-indexed write (goes through the mitigation)."""
-        self.ctx.store(self.ds, self.base + 4 * index, value & MASK32)
+        self.ctx.store(self.ds, self.base + 4 * index, value & WORD_MASK)
 
     def plain_load(self, index: int) -> int:
         """Public-indexed read (no mitigation needed)."""
@@ -217,7 +216,7 @@ class _SimTable:
 
     def plain_store(self, index: int, value: int) -> None:
         """Public-indexed write (no mitigation needed)."""
-        self.ctx.plain_store(self.base + 4 * index, value & MASK32)
+        self.ctx.plain_store(self.base + 4 * index, value & WORD_MASK)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,10 @@ AES_BLOCKS = 2
 RC4_KEYSTREAM = 48
 
 
-def _secret_key(seed: int, n: int = 16) -> bytes:
-    rng = make_rng(n, seed)
-    return bytes(rng.randrange(256) for _ in range(n))
+def _secret_key(seed: int) -> bytes:
+    """A 16-byte (128-bit) key, the size every cipher here takes."""
+    rng = make_rng(16, seed)
+    return bytes(rng.randrange(256) for _ in range(16))
 
 
 def run_aes(ctx: MitigationContext, seed: int) -> bytes:
@@ -337,11 +337,11 @@ def _feistel_kernel(
         for _look in range(lookups_per_round):
             ctx.execute(4)
             v = table.load(x & mask)
-            x, y = y, (x ^ _rotl32(v + y, 3)) & MASK32
+            x, y = y, (x ^ _rotl32(v + y, 3)) & WORD_MASK
         for _st in range(stores_per_round):
             ctx.execute(3)
-            table.store(y & mask, (x ^ y) & MASK32)
-            x = _rotl32(x, 7) ^ (y & MASK32)
+            table.store(y & mask, (x ^ y) & WORD_MASK)
+            x = _rotl32(x, 7) ^ (y & WORD_MASK)
     return x, y
 
 

@@ -31,10 +31,10 @@ N_WARMUP = 8
 ELEM_INSTS = 4
 
 
-def generate_permutation(size: int, seed: int, n: int = N_ENTRIES) -> List[int]:
-    """First ``n`` images of a secret permutation of [0, size)."""
+def generate_permutation(size: int, seed: int) -> List[int]:
+    """First :data:`N_ENTRIES` images of a secret permutation of [0, size)."""
     rng = make_rng(size, seed)
-    return rng.sample(range(size), min(n, size))
+    return rng.sample(range(size), min(N_ENTRIES, size))
 
 
 def run(ctx: MitigationContext, size: int, seed: int) -> Dict[int, int]:

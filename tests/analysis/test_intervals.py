@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import params
 from repro.analysis.intervals import (
-    MASK32,
     Interval,
     _binop_interval,
     analyze_intervals,
@@ -66,7 +65,7 @@ class TestDomain:
         assert Interval(0, 100).masked() == Interval(0, 100)
 
     def test_mask_wrapping_collapses_to_word(self):
-        assert Interval(-5, 10).masked() == Interval(0, MASK32)
+        assert Interval(-5, 10).masked() == Interval(0, params.WORD_MASK)
 
     def test_contains_and_within(self):
         iv = Interval(2, 6)
@@ -96,7 +95,7 @@ class TestTransfer:
         # The raw input is unbounded; the register *write* is masked
         # to 32 bits by the executor, so x collapses to a full word.
         assert not report.final_env["k"].is_bounded
-        assert report.final_env["x"] == Interval(0, MASK32)
+        assert report.final_env["x"] == Interval(0, params.WORD_MASK)
 
     def test_comparison_is_boolean(self):
         iv = self._bound_of(
@@ -128,7 +127,7 @@ class TestTransfer:
         iv = self._bound_of(
             [Load("v", "a", 0)], "v", arrays=(ArrayDecl("a", 4),)
         )
-        assert iv == Interval(0, MASK32)
+        assert iv == Interval(0, params.WORD_MASK)
 
 
 class TestWideShifts:
@@ -141,21 +140,23 @@ class TestWideShifts:
     SAMPLES = [
         (0x12345678, 0, 7), (0xFFFFFFFF, 5, 1), (1, 31, 1),
         (0x80000000, 4, 8), (0xFFFFFFFF, 3, 11), (7, 8, 8),
-        (0xDEADBEEF, 1 << 16, 1 << 15), (0xFFFFFFFF, MASK32, 1),
+        (0xDEADBEEF, 1 << 16, 1 << 15), (0xFFFFFFFF, params.WORD_MASK, 1),
     ]
 
     def test_transfer_builds_no_huge_power(self):
-        amount = Interval(0, MASK32)
+        amount = Interval(0, params.WORD_MASK)
         start = time.perf_counter()
         shr = _binop_interval("shr", Interval.word(), amount)
         shl = _binop_interval("shl", Interval.word(), amount)
-        beyond = _binop_interval("shr", Interval.word(), Interval(40, MASK32))
+        beyond = _binop_interval(
+            "shr", Interval.word(), Interval(40, params.WORD_MASK)
+        )
         assert time.perf_counter() - start < 1.0
-        assert shr == Interval(0, MASK32)
+        assert shr == Interval(0, params.WORD_MASK)
         assert shl == Interval.top()
         assert beyond == Interval(0, 0)
         for a, _s1, _p1 in self.SAMPLES:
-            for b in (0, 1, 31, 32, 40, MASK32):
+            for b in (0, 1, 31, 32, 40, params.WORD_MASK):
                 assert shr.contains(a >> b)
                 assert beyond.contains(a >> max(b, 40))
 
@@ -182,7 +183,7 @@ class TestWideShifts:
         start = time.perf_counter()
         env = analyze_intervals(program).final_env
         assert time.perf_counter() - start < 1.0
-        assert env["r30"] == Interval(0, MASK32)
+        assert env["r30"] == Interval(0, params.WORD_MASK)
         for s0, s1, p1 in self.SAMPLES:
             ctx = InsecureContext(Machine(MachineConfig()))
             out = run_program(
@@ -350,7 +351,7 @@ def interval_trees(draw, depth=0):
     # Mirror the interpreter/executor pipeline: the abstract result
     # and the concrete result are both masked at the register write.
     iv = _binop_interval(op, ia, ib).masked()
-    value = ir.OPS[op][0](a, b) & MASK32
+    value = ir.OPS[op][0](a, b) & params.WORD_MASK
     return iv, value
 
 

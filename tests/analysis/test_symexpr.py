@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.symrel import expr
-from repro.analysis.symrel.expr import MASK32
 from repro.lang import ir
+from repro.params import WORD_MASK
 
 pytestmark = pytest.mark.symrel
 
@@ -27,7 +27,7 @@ class TestInterning:
 class TestSimplification:
     def test_constant_folding(self):
         assert expr.op("add", expr.const(3), expr.const(4)).value == 7
-        assert expr.op("sub", expr.const(0), expr.const(1)).value == MASK32
+        assert expr.op("sub", expr.const(0), expr.const(1)).value == WORD_MASK
 
     def test_identities(self):
         x = k()
@@ -36,7 +36,7 @@ class TestSimplification:
         assert expr.op("xor", x, x).value == 0
         assert expr.op("sub", x, x).value == 0
         assert expr.op("and", x, expr.const(0)).value == 0
-        assert expr.op("and", x, expr.const(MASK32)) is x
+        assert expr.op("and", x, expr.const(WORD_MASK)) is x
 
     def test_mod_pow2_becomes_and(self):
         t = expr.op("mod", k(), expr.const(64))
@@ -94,7 +94,7 @@ class TestEvaluation:
         x = expr.var("x")
         big = expr.op("shl", expr.const(1), x)
         assert expr.evaluate(big, {("x", None, None): 40}) == 0
-        srl = expr.op("shr", expr.const(MASK32), x)
+        srl = expr.op("shr", expr.const(WORD_MASK), x)
         assert expr.evaluate(srl, {("x", None, None): 100}) == 0
 
     @pytest.mark.parametrize("opname", sorted(ir.OPS))
@@ -104,16 +104,16 @@ class TestEvaluation:
         got = expr.evaluate(
             t, {("a", None, None): a, ("b", None, None): b}
         )
-        assert got == (ir.OPS[opname][0](a, b) & MASK32)
+        assert got == (ir.OPS[opname][0](a, b) & WORD_MASK)
 
     @pytest.mark.parametrize("opname", ["shl", "shr"])
     def test_shifts_follow_the_ir_table(self, opname):
         """Constant folding and evaluation shift exactly as the
         executor does, below, at and above 32 and 64."""
         for amount in (0, 31, 32, 33, 63, 64, 65, 1 << 40):
-            for a in (0, 1, 0xDEADBEEF, MASK32, -5):
+            for a in (0, 1, 0xDEADBEEF, WORD_MASK, -5):
                 assert expr._apply_op(opname, a, amount) == (
-                    ir.OPS[opname][0](a, amount) & MASK32
+                    ir.OPS[opname][0](a, amount) & WORD_MASK
                 ), (a, amount)
 
     def test_read_walks_write_chain(self):
@@ -136,7 +136,7 @@ class TestInfluence:
     def test_compare_widens(self):
         t = expr.op("ge", k(), expr.const(4))
         infl = expr.influence([t])
-        assert infl[("k", None, "A")] == MASK32
+        assert infl[("k", None, "A")] == WORD_MASK
 
     def test_masked_bits_provably_irrelevant(self):
         # flipping a bit outside the influence mask never changes the

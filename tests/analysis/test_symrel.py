@@ -8,7 +8,7 @@ from repro.analysis.symrel import (
     check_program_relational,
     symrel_findings,
 )
-from repro.analysis.symrel import expr
+from repro.analysis.symrel import explore, expr, solve
 from repro.analysis.symrel.explore import array_bases
 from repro.core.machine import Machine, MachineConfig
 from repro.errors import ProtocolError
@@ -308,6 +308,108 @@ def transient_shapes_program():
     )
 
 
+def transient_secret_branch_program():
+    """A secret ``If`` that only a mispredicted public branch reaches:
+    one secret transiently touches ``t[0]``'s line, the other
+    ``t[32]``'s."""
+    return Program(
+        name="transient_secret_branch",
+        inputs=("p",),
+        secret_inputs=("s",),
+        arrays=(ArrayDecl("t", 64),),
+        body=(
+            BinOp("q", "and", "p", 63),
+            BinOp("dead", "gt", "q", 63),
+            If(
+                "dead",
+                then_body=(
+                    If(
+                        "s",
+                        then_body=(Load("w", "t", 0),),
+                        else_body=(Load("w", "t", 32),),
+                    ),
+                ),
+            ),
+        ),
+        outputs=("w",),
+    )
+
+
+class TestTransientSecretBranch:
+    """A secret branch inside a mispredicted window is observed."""
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_native_direction_leaks_transiently(self, window):
+        result = check_program_relational(
+            transient_secret_branch_program(), spec_window=window
+        )
+        assert (result.verdict, result.spec_verdict) == ("proved", "refuted")
+        assert result.spec_observation == (
+            "transient branch observation at body[2].then[0]"
+        )
+        rules = {
+            f.rule
+            for f in symrel_findings(
+                transient_secret_branch_program(), spec_window=window,
+                replay=False,
+            )
+        }
+        assert "CT-SPEC" in rules
+        assert "CT-REL" not in rules
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_linearized_branch_is_not_observed(self, window):
+        result = check_program_relational(
+            transient_secret_branch_program(), mitigate=True,
+            spec_window=window, replay=False,
+        )
+        assert (result.verdict, result.spec_verdict) == ("proved", "proved")
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_repair_closes_the_transient_leak(self, window):
+        from repro.analysis.repair import repair_program
+
+        result = repair_program(
+            transient_secret_branch_program(), spec_window=window,
+            measure=False,
+        )
+        assert result.verdict == "proved"
+        recheck = check_program_relational(
+            result.repaired, spec_window=window, replay=False
+        )
+        assert (recheck.verdict, recheck.spec_verdict) == ("proved", "proved")
+
+
+class TestBudgets:
+    """An exhausted budget leaves a verdict open, never proved."""
+
+    @pytest.mark.parametrize("budget", ["MAX_PATHS", "MAX_STEPS"])
+    def test_exploration_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(explore, budget, 1)
+        two_paths = Program(
+            name="public_branch",
+            inputs=("p",),
+            body=(If("p", (Const("x", 1),), (Const("x", 2),)),),
+            outputs=("x",),
+        )
+        result = check_program_relational(two_paths, replay=False)
+        assert result.verdict == "unknown"
+        assert any("budget exceeded" in note for note in result.notes)
+
+    def test_exhaustive_budget_hands_over_to_candidates(self, monkeypatch):
+        monkeypatch.setattr(solve, "MAX_EXHAUSTIVE_BITS", 0)
+        a = expr.op("and", expr.var("k", side="A"), expr.const(0x7))
+        b = expr.op("and", expr.var("k", side="B"), expr.const(0x7))
+        outcome = Solver().check_pair([], a, b)
+        assert outcome.refuted and outcome.method == "candidate"
+
+    def test_candidate_budget(self, monkeypatch):
+        monkeypatch.setattr(solve, "MAX_CANDIDATE_EVALS", 0)
+        a = expr.op("ge", expr.var("v", side="A"), expr.const(100))
+        b = expr.op("ge", expr.var("v", side="B"), expr.const(100))
+        assert Solver().check_pair([], a, b).status == "unknown"
+
+
 class TestExplorerStatements:
     """Explorer statements that no shipped program reaches."""
 
@@ -317,10 +419,10 @@ class TestExplorerStatements:
         (nested_secret_if_program, False, 2, "refuted", None, 0, 5, 2),
         (nested_secret_if_program, True, 2, "proved", "proved", 1, 9, 1),
         (secret_loop_program, False, 2, "refuted", None, 0, 2, 1),
-        (transient_shapes_program, False, 2, "proved", "proved", 1, 7, 3),
-        (transient_shapes_program, True, 2, "proved", "proved", 1, 7, 3),
-        (transient_shapes_program, False, 6, "proved", "refuted", 1, 11, 5),
-        (transient_shapes_program, True, 6, "proved", "proved", 1, 11, 4),
+        (transient_shapes_program, False, 2, "proved", "proved", 1, 7, 4),
+        (transient_shapes_program, True, 2, "proved", "proved", 1, 7, 4),
+        (transient_shapes_program, False, 6, "proved", "refuted", 1, 11, 6),
+        (transient_shapes_program, True, 6, "proved", "proved", 1, 11, 5),
     ]
 
     @pytest.mark.parametrize(

@@ -7,8 +7,7 @@ pin the equivalences:
 
 * shift/mask set indexing == the textbook div/mod formula, across
   geometries and address patterns (including the negative addresses
-  Python's arbitrary-precision ints allow), and a line size that is
-  not a power of two is rejected at construction;
+  Python's arbitrary-precision ints allow);
 * a cache that never had a listener ends a workload byte-identical
   (counters + contents + replacement order) to one whose listener
   subscribed and then unsubscribed — the ``has_listeners`` fast path
@@ -24,32 +23,31 @@ import random
 
 import pytest
 
+from repro import params
 from repro.cache.events import CacheListener
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.machine import Machine, MachineConfig
-from repro.errors import ConfigurationError
 
 # ---------------------------------------------------------------------------
 # shift/mask set indexing == div/mod
 # ---------------------------------------------------------------------------
 
 GEOMETRIES = [
-    # (size_bytes, assoc, line_size)
-    (32 * 1024, 8, 64),  # Table-1 L1d
-    (256 * 1024, 8, 64),  # Table-1 L2
-    (8 * 1024 * 1024, 16, 64),  # Table-1 LLC
-    (4 * 1024, 1, 64),  # direct-mapped
-    (4 * 1024, 64, 64),  # fully associative (1 set)
-    (2 * 1024, 2, 32),  # small line
-    (16 * 1024, 4, 128),  # big line
+    # (size_bytes, assoc)
+    (32 * 1024, 8),  # Table-1 L1d
+    (256 * 1024, 8),  # Table-1 L2
+    (8 * 1024 * 1024, 16),  # Table-1 LLC
+    (4 * 1024, 1),  # direct-mapped
+    (4 * 1024, 64),  # fully associative (1 set)
+    (2 * 1024, 2),  # small
+    (16 * 1024, 4),  # 4-way
 ]
 
 
-@pytest.mark.parametrize("size_bytes,assoc,line_size", GEOMETRIES)
-def test_set_index_matches_divmod(size_bytes, assoc, line_size):
-    cache = SetAssociativeCache(
-        "C", size_bytes, assoc, latency=1, line_size=line_size
-    )
+@pytest.mark.parametrize("size_bytes,assoc", GEOMETRIES)
+def test_set_index_matches_divmod(size_bytes, assoc):
+    cache = SetAssociativeCache("C", size_bytes, assoc, latency=1)
+    line_size = params.LINE_SIZE
     rng = random.Random(7)
     addrs = [rng.randrange(0, 1 << 48) for _ in range(2000)]
     # stride patterns that walk set boundaries exactly
@@ -61,13 +59,6 @@ def test_set_index_matches_divmod(size_bytes, assoc, line_size):
         assert cache.set_index(line_addr) == expect
 
 
-@pytest.mark.parametrize("line_size", [48, 96, 0, -64])
-def test_rejects_non_power_of_two_line_size(line_size):
-    """Set indexing is shift/mask only: other line sizes fail here."""
-    with pytest.raises(ConfigurationError, match="line_size"):
-        SetAssociativeCache("C", 24 * 1024, 8, latency=1, line_size=line_size)
-
-
 def test_set_index_negative_addresses():
     """Python's ``>>``/``&`` agree with floor div/mod below zero too."""
     cache = SetAssociativeCache("C", 32 * 1024, 8, latency=1)
@@ -77,7 +68,7 @@ def test_set_index_negative_addresses():
 
 
 def test_shift_mask_fast_path_is_active():
-    """Power-of-two line sizes must take the shift/mask path."""
+    """The architectural line size takes the shift/mask path."""
     cache = SetAssociativeCache("C", 32 * 1024, 8, latency=1)
     assert cache._line_shift == 6
     assert cache._set_mask == cache.num_sets - 1

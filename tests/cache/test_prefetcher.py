@@ -4,14 +4,15 @@ from repro import params
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetcher import NextLinePrefetcher
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.core.machine import Machine, MachineConfig
 from repro.memory.dram import DRAM
 
 LINE = params.LINE_SIZE
 
 
-def build(enabled=True, degree=1):
+def build():
     l1 = SetAssociativeCache("L1D", 4096, 2, 2)
-    pf = NextLinePrefetcher(enabled=enabled, degree=degree)
+    pf = NextLinePrefetcher()
     return CacheHierarchy([l1], DRAM(), pf), pf
 
 
@@ -41,17 +42,12 @@ class TestPrefetcher:
         # a prefetch of 0x1080
         assert 0x1000 + 2 * LINE not in h.levels[0]
 
-    def test_disabled(self):
-        h, pf = build(enabled=False)
-        h.read_line(0x1000)
-        assert pf.issued == 0
-        assert 0x1000 + LINE not in h.levels[0]
-
-    def test_degree(self):
-        h, pf = build(degree=3)
-        h.read_line(0x1000)
-        for i in (1, 2, 3):
-            assert 0x1000 + i * LINE in h.levels[0]
+    def test_machine_builds_one_only_when_configured(self):
+        assert Machine(MachineConfig()).hierarchy.prefetcher is None
+        machine = Machine(MachineConfig(prefetcher=True))
+        machine.load_word(0x10000)
+        assert 0x10000 + LINE in machine.l1d
+        assert machine.hierarchy.prefetcher.issued == 1
 
     def test_skips_already_resident(self):
         h, pf = build()

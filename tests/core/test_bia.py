@@ -93,7 +93,7 @@ class TestMonitoring:
         cache, bia = attached_pair()
         entry = bia.access(am.page_index(0x3040))
         cache.fill(0x3040)
-        assert entry.existence == 1 << am.line_in_page(0x3040)
+        assert entry.existence == 1 << am.line_in_group(0x3040, params.PAGE_BITS)
 
     def test_fill_without_entry_is_ignored(self):
         cache, bia = attached_pair()

@@ -1,5 +1,7 @@
 """Cross-core sharing: remote attacker on the victim's LLC."""
 
+import pytest
+
 from repro import params
 from repro.core.machine import Machine, MachineConfig
 from repro.core.multicore import RemoteCore
@@ -42,6 +44,21 @@ class TestSharing:
         before = machine.dram.stats.reads
         machine.load_word(0x10000)
         assert machine.dram.stats.reads == before + 1
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("overrides, l1", [
+        ({}, (64 * 1024, 8)),  # Table 1
+        ({"l1d_size": 4096, "l1d_assoc": 4}, (4096, 4)),
+    ])
+    def test_private_caches_follow_the_machine_config(self, overrides, l1):
+        """Both cores are built from one ``MachineConfig``."""
+        machine, remote = shared_setup(**overrides)
+        assert (remote.l1.size_bytes, remote.l1.assoc) == l1
+        assert remote.l1.latency == machine.l1d.latency
+        assert (remote.l2.size_bytes, remote.l2.assoc, remote.l2.latency) == (
+            machine.l2.size_bytes, machine.l2.assoc, machine.l2.latency
+        )
 
 
 class TestInclusivity:

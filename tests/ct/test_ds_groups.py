@@ -17,10 +17,8 @@ class TestGroupMath:
 
     def test_same_group_address(self):
         assert am.same_group_address(0x12, 0x1AB, 8) == 0x12AB
-        # M=12 degenerates to same_page_address
-        assert am.same_group_address(3, 0x1ABC, 12) == am.same_page_address(
-            3, 0x1ABC
-        )
+        # M=12 relocates within pages: page_i | addr[11:0]
+        assert am.same_group_address(3, 0x1ABC, 12) == 3 * params.PAGE_SIZE + 0xABC
 
     def test_line_in_group(self):
         assert am.line_in_group(0x1080, 12) == 2
@@ -40,6 +38,10 @@ class TestGroupMath:
 
 
 class TestGroupView:
+    def test_page_view_groups_are_the_overlapped_pages(self):
+        ds = DataflowLinearizationSet.from_range(0x1800, 0x1000)
+        assert ds.view(params.PAGE_BITS).groups == (1, 2)
+
     def test_page_view_covers_each_page(self):
         ds = DataflowLinearizationSet.from_range(0x10000, 3 * params.PAGE_SIZE)
         view = ds.view(params.PAGE_BITS)

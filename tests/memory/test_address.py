@@ -1,14 +1,13 @@
 """Address arithmetic: the bit-field slicing every algorithm relies on."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import params
-from repro.errors import AlignmentError
 from repro.memory import address as am
 
 ADDRS = st.integers(min_value=0, max_value=(1 << 48) - 1)
+PAGE_BITS = params.PAGE_BITS
 
 
 class TestLineMath:
@@ -36,6 +35,13 @@ class TestLineMath:
     def test_line_base_aligned(self, addr):
         assert am.line_base(addr) % params.LINE_SIZE == 0
 
+    @given(st.integers())
+    def test_shifts_and_masks_are_floor_division(self, addr):
+        """Negative addresses included, as Python's ints allow."""
+        assert am.line_index(addr) == addr // params.LINE_SIZE
+        assert am.line_base(addr) == addr - addr % params.LINE_SIZE
+        assert am.page_index(addr) == addr // params.PAGE_SIZE
+
 
 class TestPageMath:
     def test_page_index(self):
@@ -48,64 +54,45 @@ class TestPageMath:
         assert am.page_offset(0x2FFF) == 0xFFF
 
     def test_line_in_page_bounds(self):
-        assert am.line_in_page(0x1000) == 0
-        assert am.line_in_page(0x1FC0) == 63
-        assert am.line_in_page(0x1048) == 1
+        assert am.line_in_group(0x1000, PAGE_BITS) == 0
+        assert am.line_in_group(0x1FC0, PAGE_BITS) == 63
+        assert am.line_in_group(0x1048, PAGE_BITS) == 1
 
     @given(ADDRS)
     def test_line_in_page_range(self, addr):
-        assert 0 <= am.line_in_page(addr) < params.LINES_PER_PAGE
+        assert 0 <= am.line_in_group(addr, PAGE_BITS) < params.LINES_PER_PAGE
 
     @given(ADDRS)
     def test_page_decompose(self, addr):
-        assert am.page_base(addr) + am.page_offset(addr) == addr
+        assert am.page_index(addr) * params.PAGE_SIZE + am.page_offset(addr) == addr
 
 
 class TestCompose:
+    """``generateAddrs`` at page granularity (M = 12)."""
+
     def test_compose_example(self):
         # generateAddrs formula: page | (i << 6) | offset
-        assert am.compose(1, 2, 8) == 0x1000 + 0x80 + 8
-
-    def test_compose_rejects_bad_line(self):
-        with pytest.raises(ValueError):
-            am.compose(0, 64, 0)
-        with pytest.raises(ValueError):
-            am.compose(0, -1, 0)
-
-    def test_compose_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            am.compose(0, 0, 64)
+        rebuilt = am.same_group_address(1, (2 << params.LINE_BITS) + 8, PAGE_BITS)
+        assert rebuilt == 0x1000 + 0x80 + 8
 
     @given(ADDRS)
     def test_compose_inverts_decompose(self, addr):
-        rebuilt = am.compose(
-            am.page_index(addr), am.line_in_page(addr), am.line_offset(addr)
+        rebuilt = (
+            (am.page_index(addr) << PAGE_BITS)
+            + (am.line_in_group(addr, PAGE_BITS) << params.LINE_BITS)
+            + am.line_offset(addr)
         )
         assert rebuilt == addr
 
     def test_same_page_address(self):
         # Alg. 2 line 4: page_i | ld_addr[11:0]
-        assert am.same_page_address(3, 0x1ABC) == 3 * 4096 + 0xABC
+        assert am.same_group_address(3, 0x1ABC, PAGE_BITS) == 3 * 4096 + 0xABC
 
     @given(ADDRS, st.integers(min_value=0, max_value=1 << 20))
     def test_same_page_address_preserves_offset(self, addr, page):
-        relocated = am.same_page_address(page, addr)
+        relocated = am.same_group_address(page, addr, PAGE_BITS)
         assert am.page_offset(relocated) == am.page_offset(addr)
         assert am.page_index(relocated) == page
-
-
-class TestAlignment:
-    def test_check_aligned_ok(self):
-        am.check_aligned(0x1000, 4)
-        am.check_aligned(0x1004, 4)
-
-    def test_check_aligned_rejects_misaligned(self):
-        with pytest.raises(AlignmentError):
-            am.check_aligned(0x1002, 4)
-
-    def test_check_aligned_rejects_non_power_of_two(self):
-        with pytest.raises(AlignmentError):
-            am.check_aligned(0x1000, 3)
 
 
 class TestIterators:
@@ -118,12 +105,6 @@ class TestIterators:
 
     def test_iter_lines_empty(self):
         assert list(am.iter_lines(0x1000, 0)) == []
-
-    def test_iter_pages(self):
-        assert list(am.iter_pages(0x1800, 0x1000)) == [1, 2]
-
-    def test_iter_pages_empty(self):
-        assert list(am.iter_pages(0x1000, 0)) == []
 
     @given(ADDRS, st.integers(min_value=1, max_value=1 << 16))
     def test_iter_lines_cover_range(self, base, size):

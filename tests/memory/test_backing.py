@@ -368,10 +368,6 @@ class TestAllocator:
         with pytest.raises(AllocationError):
             Allocator(MainMemory()).alloc(0)
 
-    def test_misaligned_base_rejected(self):
-        with pytest.raises(AllocationError):
-            Allocator(MainMemory(), base=100)
-
     def test_base_avoids_null(self):
         alloc = Allocator(MainMemory())
         assert alloc.alloc(8) >= 0x10000

@@ -76,7 +76,7 @@ def scalar_run(ctx: MitigationContext, size: int, seed: int) -> List[int]:
 
 def _config(scheme: str, variant: str):
     if variant == "cpi2":
-        return scheme_config(scheme, costs=CostModel(cpi=2.0))
+        return dataclasses.replace(scheme_config(scheme), costs=CostModel(cpi=2.0))
     config = scheme_config(scheme)
     if variant.startswith("silent"):
         config = dataclasses.replace(config, silent_stores=True)
